@@ -8,7 +8,8 @@
 long-format CSV with the objective gap against the best value seen anywhere.
 
 Exit codes: 0 all runs completed (a failed certificate is reported, not an
-error), 1 a run aborted numerically, 2 unreadable spec/dataset/trace.
+error), 1 a run aborted numerically, 2 unreadable spec/dataset/trace or a bad
+``STR_SEED`` or ``--threads`` value.
 """
 
 from __future__ import annotations
@@ -28,12 +29,19 @@ import numpy as np
 from . import __version__
 from .datasets import generate_synthetic, load_libsvm
 from .driver import RunAborted, RunConfig, RunResult, run
-from .problems import FiniteSumProblem, LipschitzBounds, from_dataset, quadratic_problem
+from .problems import (
+    FiniteSumProblem,
+    LipschitzBounds,
+    from_dataset,
+    lipschitz_bounds,
+    quadratic_problem,
+)
 
 TRACE_HEADER = ["k", "fval", "grad_norm", "lambda_alg", "step_norm", "sfo", "sso", "wall_ms"]
 COMPARE_HEADER = ["variant", "seed", "k", "fval_gap", "grad_norm", "sso", "sfo", "wall_ms"]
 
 SEED_ENV_VAR = "STR_SEED"
+LIP_MODES = ("analytic", "sampled")
 
 _CONFIG_KEYS = (
     "epsilon", "delta", "r_override", "K_override", "delta_hat", "solver",
@@ -66,7 +74,7 @@ class ExperimentSpec:
     reg_lambda: float = 1e-3
     reg_alpha: float = 10.0
     normalize_rows: bool = False
-    lip_mode: str = "analytic"
+    lip_mode: str = "analytic"  # how variants without L1/L2 get their bounds
     output_dir: str = "out"
 
 
@@ -101,6 +109,8 @@ def load_spec(path) -> ExperimentSpec:
         raise SpecError("spec needs at least one variant and one seed")
     if spec.task not in ("logistic_nc", "nls_nc", "synthetic_quad"):
         raise SpecError(f"unknown task {spec.task!r}")
+    if spec.lip_mode not in LIP_MODES:
+        raise SpecError(f"unknown lip_mode {spec.lip_mode!r}, expected one of {LIP_MODES}")
     return spec
 
 
@@ -141,9 +151,21 @@ def build_problem(spec: ExperimentSpec) -> FiniteSumProblem:
     )
 
 
-def make_config(vspec: VariantSpec, seed: int) -> RunConfig:
+def _default_lipschitz(spec: ExperimentSpec, problem: FiniteSumProblem):
+    """Bounds for variants that give no ``L1``/``L2``; ``None`` lets the driver
+    resolve analytic bounds."""
+    if spec.lip_mode == "analytic":
+        return None
+    try:
+        return lipschitz_bounds(problem, mode=spec.lip_mode)
+    except ValueError as exc:
+        raise SpecError(f"lip_mode {spec.lip_mode!r}: {exc}") from exc
+
+
+def make_config(vspec: VariantSpec, seed: int,
+                lipschitz: LipschitzBounds | None = None) -> RunConfig:
     opts = dict(vspec.options)
-    lip = None
+    lip = lipschitz
     if "L1" in opts or "L2" in opts:
         if not ("L1" in opts and "L2" in opts):
             raise SpecError("L1 and L2 must be given together")
@@ -215,19 +237,25 @@ def run_experiment(spec_path, out_dir=None, threads: int = 1) -> int:
     """Execute every (variant, seed) pair of the experiment spec.
 
     Returns 0 when all runs completed, 1 when a run aborted numerically,
-    2 when the spec or dataset is unreadable.
+    2 when the spec or dataset is unreadable or ``threads`` or ``STR_SEED``
+    is invalid.
     """
     try:
+        if threads < 1:
+            raise SpecError(f"threads must be >= 1, got {threads}")
         spec = load_spec(spec_path)
+        seeds = spec.seeds
+        env_seed = os.environ.get(SEED_ENV_VAR)
+        if env_seed is not None:
+            try:
+                seeds = [int(env_seed)]
+            except ValueError:
+                raise SpecError(f"{SEED_ENV_VAR}={env_seed!r} is not an integer") from None
         problem = build_problem(spec)
+        lip = _default_lipschitz(spec, problem)
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-    seeds = spec.seeds
-    env_seed = os.environ.get(SEED_ENV_VAR)
-    if env_seed is not None:
-        seeds = [int(env_seed)]
 
     out = Path(out_dir if out_dir is not None else spec.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -237,7 +265,7 @@ def run_experiment(spec_path, out_dir=None, threads: int = 1) -> int:
     def _one(job):
         vspec, seed = job
         try:
-            config = make_config(vspec, seed)
+            config = make_config(vspec, seed, lip)
         except SpecError as exc:
             return (vspec, seed, None, None, str(exc))
         try:

@@ -188,8 +188,9 @@ def _solve_step(g, H, r, lip, config, solver_rng):
     )
 
 
-def _run_loop(problem, config, grad_estimator, hess_estimator, counters, use_dual_stop):
-    res = resolve_config(problem, config)
+def _run_loop(problem, config, grad_estimator, hess_estimator, counters, use_dual_stop,
+              res: _Resolved | None):
+    res = res if res is not None else resolve_config(problem, config)
     solver_rng = np.random.default_rng([config.seed, 2])
     x = res.x0.copy()
     trace: list[IterateRecord] = []
@@ -258,7 +259,7 @@ def run_inexact_tr(problem, config, grad_estimator, hess_estimator,
     ``lambda_alg <= 2 sqrt(eps/L2)`` and returns the post-step iterate.
     """
     counters = counters if counters is not None else OracleCounters()
-    return _run_loop(problem, config, grad_estimator, hess_estimator, counters, True)
+    return _run_loop(problem, config, grad_estimator, hess_estimator, counters, True, None)
 
 
 def run_inexact_tr_expectation(problem, config, grad_estimator, hess_estimator,
@@ -266,16 +267,17 @@ def run_inexact_tr_expectation(problem, config, grad_estimator, hess_estimator,
     """No-dual variant: stop on the first strictly interior step, otherwise
     return a seeded uniformly random iterate after K steps."""
     counters = counters if counters is not None else OracleCounters()
-    return _run_loop(problem, config, grad_estimator, hess_estimator, counters, False)
+    return _run_loop(problem, config, grad_estimator, hess_estimator, counters, False, None)
 
 
-def make_estimators(variant, problem, config, rng):
+def make_estimators(variant, problem, config, rng, resolved: _Resolved | None = None):
     """Estimator callables for a variant, sharing one sampling stream.
 
     The gradient estimator draws before the Hessian estimator inside each
-    iteration, so runs are reproducible from (config, seed).
+    iteration, so runs are reproducible from (config, seed).  ``resolved`` is
+    ``resolve_config(problem, config)`` if already computed; only ``str1`` and
+    ``str2`` need it.
     """
-    res = resolve_config(problem, config)
     n = problem.n
     if variant == "exact_tr":
         return (
@@ -296,6 +298,7 @@ def make_estimators(variant, problem, config, rng):
     if variant not in ("str1", "str2"):
         raise ValueError(f"unknown variant {variant!r}")
 
+    res = resolved if resolved is not None else resolve_config(problem, config)
     K0 = 2 * res.K
     kg = config.kappa_grad if config.kappa_grad is not None else config.kappa
     kh = config.kappa_hess if config.kappa_hess is not None else config.kappa
@@ -328,5 +331,6 @@ def run(variant: str, problem: FiniteSumProblem, config: RunConfig) -> RunResult
     if config.variant != variant:
         config = replace(config, variant=variant)
     rng = np.random.default_rng(config.seed)
-    grad_fn, hess_fn = make_estimators(variant, problem, config, rng)
-    return run_inexact_tr(problem, config, grad_fn, hess_fn)
+    res = resolve_config(problem, config)
+    grad_fn, hess_fn = make_estimators(variant, problem, config, rng, res)
+    return _run_loop(problem, config, grad_fn, hess_fn, OracleCounters(), True, res)

@@ -12,11 +12,17 @@ Three problem kinds are supported:
 Every component includes the full regularizer term, so batch averages over
 any index multiset carry ``reg_lambda * R`` once.  All batch operations
 update the caller-owned :class:`OracleCounters` by exactly the multiset size.
+
+The GLM kinds share one set of kernels and differ only in their entry of the
+link table ``_LINKS`` (margin, loss, gradient coefficient, Hessian weight).
+Each call reads its rows of ``X`` once: ``full_*`` oracles use ``X`` in
+place, sampled batches gather ``X[idx]`` once and take the margins from it.
 """
 
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +37,8 @@ _SIG_D3_MAX = 0.125
 _REG_D3_SHAPE = 0.2
 
 _L_FLOOR = 1e-6
+
+_ALL = slice(None)  # the full batch: basic indexing reads X in place, no copy
 
 KINDS = ("logistic_nc", "nls_nc", "synthetic_quad")
 
@@ -63,21 +71,46 @@ class LipschitzBounds:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def _log1pexp(z: np.ndarray) -> np.ndarray:
     """log(1 + e^z), overflow-safe."""
-    out = np.empty_like(z)
-    pos = z > 0
-    out[pos] = z[pos] + np.log1p(np.exp(-z[pos]))
-    out[~pos] = np.log1p(np.exp(z[~pos]))
-    return out
+    return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+
+
+def _nls_loss(z, b):
+    e = _sigmoid(z) - b
+    return 0.5 * e * e
+
+
+def _nls_weight(p, b):
+    sp = p * (1.0 - p)
+    return sp * sp + (p - b) * sp * (1.0 - 2.0 * p)
+
+
+# Per GLM kind: labels(y) -> b, margin(X x, b) -> z, loss(z, b), grad_coef and
+# hess_weight of (sigmoid(z), b); l1, l2 scale max|x_i|^2, ^3 in the L1, L2 bounds.
+_Link = namedtuple("_Link", "labels margin loss grad_coef hess_weight l1 l2")
+_LINKS = {
+    "logistic_nc": _Link(
+        labels=lambda y: y,
+        margin=lambda u, b: b * u,
+        loss=lambda z, b: _log1pexp(-z),
+        grad_coef=lambda p, b: (p - 1.0) * b,
+        hess_weight=lambda p, b: p * (1.0 - p),
+        l1=0.25, l2=_SIG_D2_MAX,
+    ),
+    "nls_nc": _Link(
+        labels=lambda y: (y + 1.0) / 2.0,  # nls targets in {0, 1}
+        margin=lambda u, b: u,
+        loss=_nls_loss,
+        grad_coef=lambda p, b: (p - b) * p * (1.0 - p),
+        hess_weight=_nls_weight,
+        l1=0.0625 + _SIG_D2_MAX, l2=0.75 * _SIG_D2_MAX + _SIG_D3_MAX,
+    ),
+}
 
 
 def regularizer_derivatives(w: np.ndarray, alpha: float):
@@ -102,6 +135,9 @@ def regularizer_derivatives(w: np.ndarray, alpha: float):
 class FiniteSumProblem:
     """Component-wise value/gradient/Hessian oracle over n components."""
 
+    # data of the other kinds stays None
+    X = y = labels = anchors = quad_scales = None
+
     def __init__(
         self,
         kind: str,
@@ -123,77 +159,44 @@ class FiniteSumProblem:
         self.dataset = dataset
         if kind == "synthetic_quad":
             assert anchors is not None
-            self.anchors = np.asarray(anchors, dtype=float)
+            self.anchors = np.ascontiguousarray(anchors, dtype=float)
             self.n, self.d = self.anchors.shape
             q = np.ones(self.d) if quad_scales is None else np.asarray(quad_scales, float)
             if q.shape != (self.d,):
                 raise ValueError("quad_scales must have length d")
             self.quad_scales = q
-            self.X = None
-            self.y = None
         else:
             assert X is not None and y is not None
-            self.X = np.asarray(X, dtype=float)
+            # C order, so a full pass over X and a gathered X[idx] agree bitwise
+            self.X = np.ascontiguousarray(X, dtype=float)
             self.y = np.asarray(y, dtype=float)
             self.n, self.d = self.X.shape
-            self.targets = (self.y + 1.0) / 2.0  # nls targets in {0, 1}
-            self.anchors = None
-            self.quad_scales = None
+            self.labels = self.link.labels(self.y)
         if self.n < 1 or self.d < 1:
             raise ValueError("need n >= 1 and d >= 1")
 
-    # -- component kernels (no counter updates, vectorized over idx) --------
+    @property
+    def link(self) -> _Link:  # a lookup, not an attribute, so problems stay picklable
+        return _LINKS[self.kind]
 
-    def _margins(self, x: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        Xs = self.X[idx]
-        if self.kind == "logistic_nc":
-            return self.y[idx] * (Xs @ x)
-        return Xs @ x
+    # -- data-term helpers (no counter updates) ----------------------------
 
-    def _data_values(self, x: np.ndarray, idx: np.ndarray) -> np.ndarray:
+    def _rows(self, x: np.ndarray, idx):
+        """Rows of the batch, read once, with their margins and labels."""
+        Xs, b = self.X[idx], self.labels[idx]
+        return Xs, self.link.margin(Xs @ x, b), b
+
+    def _weights(self, x: np.ndarray, idx):
+        """Rows of the batch with their Hessian weights."""
+        Xs, z, b = self._rows(x, idx)
+        return Xs, self.link.hess_weight(_sigmoid(z), b)
+
+    def _data_values(self, x: np.ndarray, idx=_ALL) -> np.ndarray:
         if self.kind == "synthetic_quad":
             diff = x[None, :] - self.anchors[idx]
             return 0.5 * np.sum(self.quad_scales[None, :] * diff * diff, axis=1)
-        z = self._margins(x, idx)
-        if self.kind == "logistic_nc":
-            return _log1pexp(-z)
-        e = _sigmoid(z) - self.targets[idx]
-        return 0.5 * e * e
-
-    def _data_grad_avg(self, x: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        if self.kind == "synthetic_quad":
-            return self.quad_scales * (x - self.anchors[idx].mean(axis=0))
-        Xs = self.X[idx]
-        z = self._margins(x, idx)
-        if self.kind == "logistic_nc":
-            coef = (_sigmoid(z) - 1.0) * self.y[idx]
-        else:
-            p = _sigmoid(z)
-            coef = (p - self.targets[idx]) * p * (1.0 - p)
-        return Xs.T @ coef / len(idx)
-
-    def _hess_weights(self, x: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        z = self._margins(x, idx)
-        p = _sigmoid(z)
-        sp = p * (1.0 - p)
-        if self.kind == "logistic_nc":
-            return sp
-        e = p - self.targets[idx]
-        return sp * sp + e * sp * (1.0 - 2.0 * p)
-
-    def _data_hess_avg(self, x: np.ndarray, idx: np.ndarray) -> np.ndarray:
-        if self.kind == "synthetic_quad":
-            return np.diag(self.quad_scales)
-        Xs = self.X[idx]
-        w = self._hess_weights(x, idx)
-        return (Xs * w[:, None]).T @ Xs / len(idx)
-
-    def _data_hvp_avg(self, x: np.ndarray, idx: np.ndarray, v: np.ndarray) -> np.ndarray:
-        if self.kind == "synthetic_quad":
-            return self.quad_scales * v
-        Xs = self.X[idx]
-        w = self._hess_weights(x, idx)
-        return Xs.T @ (w * (Xs @ v)) / len(idx)
+        _, z, b = self._rows(x, idx)
+        return self.link.loss(z, b)
 
     def _reg_terms(self, x: np.ndarray):
         if self.reg_lambda == 0.0:
@@ -221,36 +224,51 @@ def _check_idx(problem: FiniteSumProblem, idx) -> np.ndarray:
     return idx
 
 
+def _gradient(problem, x, idx, counters: OracleCounters) -> np.ndarray:
+    if problem.kind == "synthetic_quad":
+        g = problem.quad_scales * (x - problem.anchors[idx].mean(axis=0))
+    else:
+        Xs, z, b = problem._rows(x, idx)
+        g = Xs.T @ problem.link.grad_coef(_sigmoid(z), b) / len(z)
+    _, rg, _ = problem._reg_terms(x)
+    counters.sfo += problem.n if idx is _ALL else len(idx)
+    return g + rg
+
+
+def _hessian(problem, x, idx, counters: OracleCounters) -> np.ndarray:
+    if problem.kind == "synthetic_quad":
+        H = np.diag(problem.quad_scales)
+    else:
+        Xs, w = problem._weights(x, idx)
+        H = (Xs * w[:, None]).T @ Xs / len(w)
+    _, _, rd = problem._reg_terms(x)
+    if problem.reg_lambda != 0.0:
+        H = H + np.diag(rd)
+    counters.sso += problem.n if idx is _ALL else len(idx)
+    return (H + H.T) / 2.0
+
+
 def batch_gradient(problem, x, idx, counters: OracleCounters) -> np.ndarray:
     """Average gradient over the index multiset (duplicates count twice)."""
-    x = _check_point(problem, x)
-    idx = _check_idx(problem, idx)
-    g = problem._data_grad_avg(x, idx)
-    _, rg, _ = problem._reg_terms(x)
-    counters.sfo += len(idx)
-    return g + rg
+    return _gradient(problem, _check_point(problem, x), _check_idx(problem, idx), counters)
 
 
 def batch_hessian(problem, x, idx, counters: OracleCounters) -> np.ndarray:
     """Average Hessian over the multiset, symmetrized as (A + A')/2."""
-    x = _check_point(problem, x)
-    idx = _check_idx(problem, idx)
-    H = problem._data_hess_avg(x, idx)
-    _, _, rd = problem._reg_terms(x)
-    if problem.reg_lambda != 0.0:
-        H = H + np.diag(rd)
-    counters.sso += len(idx)
-    return (H + H.T) / 2.0
+    return _hessian(problem, _check_point(problem, x), _check_idx(problem, idx), counters)
 
 
 def batch_hvp(problem, x, idx, v, counters: OracleCounters) -> np.ndarray:
     """Average Hessian-vector product without forming the matrix."""
-    x = _check_point(problem, x)
-    idx = _check_idx(problem, idx)
+    x, idx = _check_point(problem, x), _check_idx(problem, idx)
     v = np.asarray(v, dtype=float)
     if not np.all(np.isfinite(v)):
         raise ValueError("non-finite direction")
-    out = problem._data_hvp_avg(x, idx, v)
+    if problem.kind == "synthetic_quad":
+        out = problem.quad_scales * v
+    else:
+        Xs, w = problem._weights(x, idx)
+        out = Xs.T @ (w * (Xs @ v)) / len(w)
     _, _, rd = problem._reg_terms(x)
     if problem.reg_lambda != 0.0:
         out = out + rd * v
@@ -260,18 +278,17 @@ def batch_hvp(problem, x, idx, v, counters: OracleCounters) -> np.ndarray:
 
 def full_value(problem, x, counters: OracleCounters) -> float:
     x = _check_point(problem, x)
-    idx = np.arange(problem.n)
     rv, _, _ = problem._reg_terms(x)
     counters.fval += problem.n
-    return float(problem._data_values(x, idx).mean() + rv)
+    return float(problem._data_values(x).mean() + rv)
 
 
 def full_gradient(problem, x, counters: OracleCounters) -> np.ndarray:
-    return batch_gradient(problem, x, np.arange(problem.n), counters)
+    return _gradient(problem, _check_point(problem, x), _ALL, counters)
 
 
 def full_hessian(problem, x, counters: OracleCounters) -> np.ndarray:
-    return batch_hessian(problem, x, np.arange(problem.n), counters)
+    return _hessian(problem, _check_point(problem, x), _ALL, counters)
 
 
 # -- constructors ------------------------------------------------------------
@@ -284,7 +301,7 @@ def from_dataset(
     reg_alpha: float = 10.0,
     normalize_rows: bool = False,
 ) -> FiniteSumProblem:
-    if kind not in ("logistic_nc", "nls_nc"):
+    if kind not in _LINKS:
         raise ValueError(f"kind {kind!r} does not take a dataset")
     X = dataset.to_dense()
     if normalize_rows:
@@ -314,12 +331,6 @@ def quadratic_problem(
 # -- Lipschitz bound estimation ----------------------------------------------
 
 
-def _row_norm_powers(problem) -> tuple[float, float]:
-    norms = np.linalg.norm(problem.X, axis=1)
-    m = float(norms.max()) if len(norms) else 0.0
-    return m * m, m * m * m
-
-
 def lipschitz_bounds(problem, mode: str = "analytic", seed: int = 0) -> LipschitzBounds:
     """Bounds on the component gradient/Hessian Lipschitz constants.
 
@@ -335,19 +346,11 @@ def lipschitz_bounds(problem, mode: str = "analytic", seed: int = 0) -> Lipschit
         if problem.kind == "synthetic_quad":
             L1 = float(np.max(np.abs(problem.quad_scales)))
             L2 = _L_FLOOR
-        elif problem.kind == "logistic_nc":
-            m2, m3 = _row_norm_powers(problem)
-            L1 = 0.25 * m2 + reg_l1
-            L2 = _SIG_D2_MAX * m3 + reg_l2
-        elif problem.kind == "nls_nc":
-            m2, m3 = _row_norm_powers(problem)
-            L1 = (0.0625 + _SIG_D2_MAX) * m2 + reg_l1
-            L2 = (0.75 * _SIG_D2_MAX + _SIG_D3_MAX) * m3 + reg_l2
         else:
-            raise ValueError(f"no analytic bounds for kind {problem.kind!r}")
-        return LipschitzBounds(
-            max(L1, _L_FLOOR), max(L2, _L_FLOOR), provenance="analytic"
-        )
+            m = float(np.linalg.norm(problem.X, axis=1).max())
+            L1 = problem.link.l1 * (m * m) + reg_l1
+            L2 = problem.link.l2 * (m * m * m) + reg_l2
+        return LipschitzBounds(max(L1, _L_FLOOR), max(L2, _L_FLOOR), provenance="analytic")
     if mode == "sampled":
         if problem.n < 2:
             raise ValueError("sampled mode needs n >= 2")
@@ -368,11 +371,8 @@ def lipschitz_bounds(problem, mode: str = "analytic", seed: int = 0) -> Lipschit
             Hj = batch_hessian(problem, y, [i], scratch)
             l2 = max(l2, float(np.linalg.norm(Hi - Hj, 2)) / dist)
         l1, l2 = 2.0 * l1, 2.0 * l2
-        try:
-            # the closed-form sup is a certified ceiling for the doubled probe
-            analytic = lipschitz_bounds(problem, mode="analytic")
-            l1, l2 = min(l1, analytic.L1), min(l2, analytic.L2)
-        except ValueError:
-            pass
+        # the closed-form sup is a certified ceiling for the doubled probe
+        analytic = lipschitz_bounds(problem, mode="analytic")
+        l1, l2 = min(l1, analytic.L1), min(l2, analytic.L2)
         return LipschitzBounds(max(l1, _L_FLOOR), max(l2, _L_FLOOR), provenance="sampled")
     raise ValueError(f"unknown mode {mode!r}")

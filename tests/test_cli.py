@@ -9,11 +9,13 @@ from strbench.cli import (
     COMPARE_HEADER,
     TRACE_HEADER,
     TraceFormatError,
+    build_problem,
     compare,
     load_spec,
     main,
     run_experiment,
 )
+from strbench.problems import lipschitz_bounds
 
 
 def write_spec(path, **overrides):
@@ -121,6 +123,51 @@ def test_threads_match_sequential(tmp_path):
         assert [r[:7] for r in a] == [r[:7] for r in b]
 
 
+def test_seed_env_not_an_integer_exits_2(tmp_path, monkeypatch, capsys):
+    spec = tmp_path / "spec.json"
+    write_spec(spec)
+    monkeypatch.setenv("STR_SEED", "abc")
+    assert run_experiment(spec, out_dir=tmp_path / "o") == 2
+    assert "STR_SEED" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_threads_below_one_exit_2(tmp_path, capsys, threads):
+    spec = tmp_path / "spec.json"
+    write_spec(spec)
+    assert main(["run", str(spec), "--out", str(tmp_path / "o"), "--threads", threads]) == 2
+    assert "threads" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_lip_mode_unknown_exits_2(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    write_spec(spec, lip_mode="bogus")
+    assert run_experiment(spec, out_dir=tmp_path / "o") == 2
+    assert "lip_mode" in capsys.readouterr().err
+
+
+def test_lip_mode_sampled_used_unless_variant_gives_bounds(tmp_path):
+    spec = tmp_path / "spec.json"
+    write_spec(
+        spec,
+        task="logistic_nc",
+        dataset={"synthetic": {"n": 60, "d": 5, "seed": 4}},
+        lip_mode="sampled",
+        variants=[
+            {"variant": "exact_tr", "epsilon": 1e-2},
+            {"variant": "exact_tr", "epsilon": 1e-2, "label": "own", "L1": 2.0, "L2": 3.0},
+        ],
+    )
+    assert run_experiment(spec, out_dir=tmp_path / "o") == 0
+    runs = json.loads((tmp_path / "o" / "summary.json").read_text())["runs"]
+    sampled = lipschitz_bounds(build_problem(load_spec(spec)), mode="sampled")
+    assert runs[0]["config"]["lipschitz"] == {
+        "L1": sampled.L1, "L2": sampled.L2, "provenance": "sampled"}
+    assert runs[1]["config"]["lipschitz"] == {"L1": 2.0, "L2": 3.0, "provenance": "user"}
+
+
 # -- compare -------------------------------------------------------------------
 
 
@@ -196,3 +243,4 @@ def test_spec_defaults_match_protocol(tmp_path):
     assert loaded.reg_lambda == 1e-3
     assert loaded.reg_alpha == 10.0
     assert loaded.normalize_rows is False
+    assert loaded.lip_mode == "analytic"

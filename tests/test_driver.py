@@ -275,3 +275,27 @@ def test_non_finite_objective_aborts():
                     delta_hat=1.0, K_override=10)
     with pytest.raises(RunAborted):
         run("exact_tr", prob, cfg)
+
+
+@pytest.mark.parametrize("variant", ["exact_tr", "str1", "str2", "subsampled"])
+def test_run_resolves_config_once(logistic_small, monkeypatch, variant):
+    import strbench.driver as drv
+
+    calls = []
+    original = drv.resolve_config
+
+    def counting(problem, config):
+        calls.append(variant)
+        return original(problem, config)
+
+    monkeypatch.setattr(drv, "resolve_config", counting)
+    cfg = RunConfig(variant=variant, epsilon=1e-2, mode="practical", kappa_grad=1.0,
+                    kappa_hess=0.2, sub_s1=50, sub_s2=50, K_override=3)
+    once = run(variant, logistic_small, cfg)
+    assert len(calls) == 1
+    monkeypatch.undo()
+    # passing the resolved values down changes nothing in the run
+    g_fn, h_fn = make_estimators(variant, logistic_small, cfg, np.random.default_rng(0))
+    direct = run_inexact_tr(logistic_small, cfg, g_fn, h_fn)
+    assert np.array_equal(once.x_final, direct.x_final)
+    assert once.counters == direct.counters

@@ -5,7 +5,10 @@ import pytest
 
 from strbench.datasets import generate_synthetic
 from strbench.problems import (
+    FiniteSumProblem,
     OracleCounters,
+    _log1pexp,
+    _sigmoid,
     batch_gradient,
     batch_hessian,
     batch_hvp,
@@ -280,3 +283,119 @@ def test_saddle_quadratic_scales():
     H = full_hessian(prob, np.zeros(2), OracleCounters())
     assert np.allclose(H, np.diag([2.0, -2.0]))
     assert lipschitz_bounds(prob).L1 == 2.0
+
+
+# -- bitwise regression against masked, per-kind reference kernels -------------
+#
+# The reference below is the kernel layer as first written: masked link
+# functions, one ``if`` chain per kind, and a gathered copy ``X[idx]`` even for
+# the full batch.  The link table, the branch-free links and the in-place full
+# batches must reproduce it bit for bit.
+
+
+def _ref_sigmoid(z):
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def _ref_log1pexp(z):
+    out = np.empty_like(z)
+    pos = z > 0
+    out[pos] = z[pos] + np.log1p(np.exp(-z[pos]))
+    out[~pos] = np.log1p(np.exp(z[~pos]))
+    return out
+
+
+def _ref_oracles(prob, x, idx, v):
+    """Value, gradient, Hessian and HVP averaged over the rows ``idx``."""
+    Xs, ys = prob.X[idx], prob.y[idx]
+    lam = prob.reg_lambda
+    if lam == 0.0:
+        rv, rg, rd = 0.0, 0.0, 0.0
+    else:
+        val, grad, diag = regularizer_derivatives(x, prob.reg_alpha)
+        rv, rg, rd = lam * val, lam * grad, lam * diag
+    if prob.kind == "logistic_nc":
+        z = ys * (Xs @ x)
+        values = _ref_log1pexp(-z)
+        coef = (_ref_sigmoid(z) - 1.0) * ys
+        p = _ref_sigmoid(z)
+        w = p * (1.0 - p)
+    else:
+        t = (ys + 1.0) / 2.0
+        z = Xs @ x
+        e = _ref_sigmoid(z) - t
+        values = 0.5 * e * e
+        p = _ref_sigmoid(z)
+        coef = (p - t) * p * (1.0 - p)
+        sp = p * (1.0 - p)
+        w = sp * sp + (p - t) * sp * (1.0 - 2.0 * p)
+    value = float(values.mean() + rv)
+    g = Xs.T @ coef / len(idx) + rg
+    H = (Xs * w[:, None]).T @ Xs / len(idx)
+    hv = Xs.T @ (w * (Xs @ v)) / len(idx)
+    if lam != 0.0:
+        H = H + np.diag(rd)
+        hv = hv + rd * v
+    return value, g, (H + H.T) / 2.0, hv
+
+
+def assert_bitwise(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert np.array_equal(a, b)
+    assert a.tobytes() == b.tobytes()  # also tells -0.0 from 0.0
+
+
+@pytest.mark.parametrize("kind", ["logistic_nc", "nls_nc"])
+@pytest.mark.parametrize("n,d", [(37, 1), (37, 5), (300, 40)])
+@pytest.mark.parametrize("lam", [0.0, 1e-3])
+@pytest.mark.parametrize("order", ["C", "F"])
+def test_oracles_bitwise_equal_reference(kind, n, d, lam, order):
+    rng = np.random.default_rng(n * d)
+    # row norms up to ~300 push margins far into both tails of the links
+    X = rng.standard_normal((n, d)) * rng.choice([0.1, 1.0, 300.0], size=(n, 1))
+    y = rng.choice([-1.0, 1.0], size=n)
+    prob = FiniteSumProblem(kind, X=np.asarray(X, order=order), y=y,
+                            reg_lambda=lam, reg_alpha=10.0)
+    full = np.arange(n)
+    multiset = np.concatenate([rng.integers(0, n, size=2 * n), [0, 0, n - 1, n - 1]])
+    for scale in (0.01, 1.0, 5.0):
+        x = rng.standard_normal(d) * scale
+        v = rng.standard_normal(d)
+        value, g, H, hv = _ref_oracles(prob, x, full, v)
+        c = OracleCounters()
+        assert_bitwise(full_value(prob, x, c), value)
+        assert_bitwise(full_gradient(prob, x, c), g)
+        assert_bitwise(full_hessian(prob, x, c), H)
+        assert_bitwise(batch_gradient(prob, x, full, c), g)
+        assert_bitwise(batch_hessian(prob, x, full, c), H)
+        assert_bitwise(batch_hvp(prob, x, full, v, c), hv)
+        assert c.snapshot() == (2 * n, 3 * n, n)
+        _, g, H, hv = _ref_oracles(prob, x, multiset, v)
+        assert_bitwise(batch_gradient(prob, x, multiset, c), g)
+        assert_bitwise(batch_hessian(prob, x, multiset, c), H)
+        assert_bitwise(batch_hvp(prob, x, multiset, v, c), hv)
+
+
+def test_links_bitwise_equal_reference_at_edge_margins():
+    z = np.array([0.0, -0.0, np.inf, -np.inf, 800.0, -800.0, 36.0, -36.0,
+                  709.0, -745.0, 1e-300, -1e-300, 0.5, -0.5, 20.0, -20.0])
+    assert_bitwise(_sigmoid(z), _ref_sigmoid(z))
+    assert_bitwise(_log1pexp(z), _ref_log1pexp(z))
+    assert_bitwise(_log1pexp(-z), _ref_log1pexp(-z))
+
+
+@pytest.mark.parametrize("kind", ["logistic_nc", "nls_nc"])
+def test_problem_pickles(kind):
+    import pickle
+
+    prob = from_dataset(generate_synthetic(20, 3, seed=1), kind)
+    copy = pickle.loads(pickle.dumps(prob))
+    x = np.array([0.5, -1.0, 2.0])
+    assert_bitwise(full_gradient(copy, x, OracleCounters()),
+                   full_gradient(prob, x, OracleCounters()))
