@@ -43,11 +43,11 @@ COMPARE_HEADER = ["variant", "seed", "k", "fval_gap", "grad_norm", "sso", "sfo",
 SEED_ENV_VAR = "STR_SEED"
 LIP_MODES = ("analytic", "sampled")
 
-_CONFIG_KEYS = (
-    "epsilon", "delta", "r_override", "K_override", "delta_hat", "solver",
-    "solver_tol", "m_max", "mode", "kappa", "kappa_grad", "kappa_hess",
-    "hess_option", "sub_s1", "sub_s2",
-)
+# RunConfig fields a variant spec may set; the rest come from the spec's
+# structure (variant, seeds, L1/L2) or are library-only objects.
+_CONFIG_KEYS = frozenset(
+    f.name for f in dataclasses.fields(RunConfig)
+) - {"variant", "lipschitz", "seed", "x0", "grad_schedule", "hess_schedule"}
 
 
 class SpecError(ValueError):
@@ -170,7 +170,7 @@ def make_config(vspec: VariantSpec, seed: int,
         if not ("L1" in opts and "L2" in opts):
             raise SpecError("L1 and L2 must be given together")
         lip = LipschitzBounds(float(opts.pop("L1")), float(opts.pop("L2")), "user")
-    unknown = set(opts) - set(_CONFIG_KEYS)
+    unknown = set(opts) - _CONFIG_KEYS
     if unknown:
         raise SpecError(f"unknown config fields for {vspec.label}: {sorted(unknown)}")
     try:
@@ -206,28 +206,29 @@ def _config_echo(config: RunConfig) -> dict:
     return out
 
 
-def _summarize(label, seed, config, result: RunResult | None, error: str | None) -> dict:
+def _summarize(label, seed, config, outcome: RunResult | RunAborted) -> dict:
+    """Summary entry of a finished run, or of an aborted one up to the abort."""
     entry = {
         "label": label,
         "variant": config.variant,
         "seed": seed,
         "config": _config_echo(config),
-        "failed": error is not None,
+        "failed": isinstance(outcome, RunAborted),
+        "iterations": len(outcome.trace),
+        "counters": {
+            "sfo": outcome.counters.sfo,
+            "sso": outcome.counters.sso,
+            "fval": outcome.counters.fval,
+        },
     }
-    if error is not None:
-        entry["error"] = error
-    if result is not None:
+    if isinstance(outcome, RunAborted):
+        entry["error"] = str(outcome)
+    else:
         entry.update(
             {
-                "stop_reason": result.stop_reason,
-                "iterations": len(result.trace),
-                "counters": {
-                    "sfo": result.counters.sfo,
-                    "sso": result.counters.sso,
-                    "fval": result.counters.fval,
-                },
-                "report": dataclasses.asdict(result.report),
-                "x_final": [float(v) for v in result.x_final],
+                "stop_reason": outcome.stop_reason,
+                "report": dataclasses.asdict(outcome.report),
+                "x_final": [float(v) for v in outcome.x_final],
             }
         )
     return entry
@@ -267,20 +268,11 @@ def run_experiment(spec_path, out_dir=None, threads: int = 1) -> int:
         try:
             config = make_config(vspec, seed, lip)
         except SpecError as exc:
-            return (vspec, seed, None, None, str(exc))
+            return (vspec, seed, None, exc)
         try:
-            result = run(vspec.variant, problem, config)
-            return (vspec, seed, config, result, None)
+            return (vspec, seed, config, run(vspec.variant, problem, config))
         except RunAborted as exc:
-            partial = RunResult(
-                x_final=exc.iterates[-1] if exc.iterates else np.zeros(problem.d),
-                trace=exc.trace,
-                stop_reason="iteration_cap",
-                report=None,  # type: ignore[arg-type]
-                counters=None,  # type: ignore[arg-type]
-                seed=seed,
-            )
-            return (vspec, seed, config, partial, str(exc))
+            return (vspec, seed, config, exc)
 
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
@@ -289,22 +281,16 @@ def run_experiment(spec_path, out_dir=None, threads: int = 1) -> int:
         outcomes = [_one(job) for job in jobs]
 
     entries = []
-    any_failed = False
-    for vspec, seed, config, result, error in outcomes:
-        if error is not None:
-            any_failed = True
-        if result is not None and result.trace:
-            write_trace(out / f"trace_{vspec.label}_{seed}.csv", result.trace)
+    for vspec, seed, config, outcome in outcomes:
         if config is None:
             entries.append(
                 {"label": vspec.label, "variant": vspec.variant, "seed": seed,
-                 "failed": True, "error": error}
+                 "failed": True, "error": str(outcome)}
             )
             continue
-        if error is not None:
-            entries.append(_summarize(vspec.label, seed, config, None, error))
-        else:
-            entries.append(_summarize(vspec.label, seed, config, result, None))
+        if outcome.trace:
+            write_trace(out / f"trace_{vspec.label}_{seed}.csv", outcome.trace)
+        entries.append(_summarize(vspec.label, seed, config, outcome))
 
     summary = {
         "version": __version__,
@@ -315,7 +301,7 @@ def run_experiment(spec_path, out_dir=None, threads: int = 1) -> int:
     with open(out / "summary.json", "w", encoding="utf-8") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return 1 if any_failed else 0
+    return 1 if any(entry["failed"] for entry in entries) else 0
 
 
 def _variant_seed_from_name(path: Path) -> tuple[str, int]:

@@ -1,7 +1,9 @@
 """LibSVM-format ingestion and synthetic binary-classification datasets.
 
-A :class:`Dataset` is an immutable bag of sparse rows with labels in
-``{-1, +1}``.  File indices are one-based on disk and zero-based in memory.
+A :class:`Dataset` is one dense, read-only ``(n, d)`` float64 feature matrix
+with a label vector in ``{-1, +1}``.  :func:`parse_libsvm` scatters a file's
+entries into the matrix once; :func:`to_libsvm` writes each row's nonzeros
+back.  File indices are one-based on disk and zero-based in memory.
 """
 
 from __future__ import annotations
@@ -13,8 +15,6 @@ from typing import Iterable
 
 import numpy as np
 
-Row = tuple[tuple[int, float], ...]
-
 # Synthetic rows are resampled until the (unit) hyperplane margin clears this
 # floor, so separable instances stay perceptron-learnable in bounded time.
 _MARGIN_FLOOR = 0.05
@@ -25,53 +25,49 @@ class LibsvmParseError(ValueError):
 
 
 class DimensionError(ValueError):
-    """An explicit feature dimension conflicts with observed indices."""
+    """An explicit feature dimension conflicts with observed indices, or the
+    dense matrix is too large to allocate."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Dataset:
-    """Sparse labeled sample matrix.
-
-    Invariants: feature indices are zero-based, strictly increasing within a
-    row and smaller than ``d``; labels are exactly -1 or +1; all stored
-    values are finite; ``len(rows) == len(labels) == n``.
+    """Dense labeled sample matrix: ``X`` is a C-contiguous ``(n, d)`` float64
+    array of finite values, ``y`` holds ``n`` float64 labels, each exactly -1
+    or +1.  Both are stored as read-only views, not copies, of the arrays given.
     """
 
-    n: int
-    d: int
-    rows: tuple[Row, ...]
-    labels: tuple[int, ...]
+    X: np.ndarray
+    y: np.ndarray
     source: str = ""
 
     def __post_init__(self):
-        if len(self.rows) != self.n or len(self.labels) != self.n:
-            raise ValueError("rows/labels length must equal n")
-        if self.d < 0 or self.n < 0:
-            raise ValueError("n and d must be non-negative")
-        for row in self.rows:
-            prev = -1
-            for idx, val in row:
-                if not prev < idx < self.d:
-                    raise ValueError(
-                        f"feature index {idx} out of range or not increasing (d={self.d})"
-                    )
-                if not math.isfinite(val):
-                    raise ValueError("non-finite feature value")
-                prev = idx
-        for lab in self.labels:
-            if lab not in (-1, 1):
-                raise ValueError(f"label {lab!r} is not -1 or +1")
+        X = np.ascontiguousarray(self.X, dtype=float).view()
+        y = np.asarray(self.y, dtype=float).view()
+        X.flags.writeable = y.flags.writeable = False
+        if X.ndim != 2 or y.shape != X.shape[:1]:
+            raise ValueError("X must be an (n, d) array and y must hold n labels")
+        if not np.isfinite(X).all():
+            raise ValueError("non-finite feature value")
+        if not (np.abs(y) == 1.0).all():
+            raise ValueError("labels must be -1 or +1")
+        object.__setattr__(self, "X", X)
+        object.__setattr__(self, "y", y)
+
+    @property
+    def n(self) -> int:
+        return self.X.shape[0]
+
+    @property
+    def d(self) -> int:
+        return self.X.shape[1]
 
     def to_dense(self) -> np.ndarray:
-        """Dense (n, d) float64 feature matrix."""
-        X = np.zeros((self.n, self.d))
-        for i, row in enumerate(self.rows):
-            for j, v in row:
-                X[i, j] = v
-        return X
+        """The (n, d) feature matrix itself (read-only, no copy)."""
+        return self.X
 
     def label_array(self) -> np.ndarray:
-        return np.asarray(self.labels, dtype=float)
+        """The n labels as a read-only float64 array (no copy)."""
+        return self.y
 
 
 def _iter_lines(source) -> Iterable[str]:
@@ -91,13 +87,15 @@ def parse_libsvm(source, d_override: int | None = None, name: str = "") -> Datas
 
     Raises :class:`LibsvmParseError` with the offending line number on any
     malformed token, and :class:`DimensionError` if ``d_override`` is smaller
-    than ``1 + max index``.
+    than ``1 + max index`` or the dense ``(n, d)`` matrix cannot be allocated.
     """
     if d_override is not None and d_override <= 0:
         raise DimensionError("d_override must be a positive integer")
-    rows: list[Row] = []
-    labels: list[int] = []
-    max_idx = -1
+    labels: list[float] = []
+    counts: list[int] = []  # entries per row
+    cols: list[int] = []
+    vals: list[float] = []
+    d_seen = 0  # largest one-based index
     for lineno, raw in enumerate(_iter_lines(source), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -109,8 +107,7 @@ def parse_libsvm(source, d_override: int | None = None, name: str = "") -> Datas
             raise LibsvmParseError(f"line {lineno}: bad label {tokens[0]!r}") from None
         if not math.isfinite(lab_val):
             raise LibsvmParseError(f"line {lineno}: non-finite label")
-        labels.append(1 if lab_val > 0 else -1)
-        row: list[tuple[int, float]] = []
+        labels.append(1.0 if lab_val > 0 else -1.0)
         prev = 0
         for tok in tokens[1:]:
             idx_s, sep, val_s = tok.partition(":")
@@ -127,22 +124,24 @@ def parse_libsvm(source, d_override: int | None = None, name: str = "") -> Datas
                 raise LibsvmParseError(f"line {lineno}: indices must be strictly increasing")
             if not math.isfinite(val):
                 raise LibsvmParseError(f"line {lineno}: non-finite value in {tok!r}")
-            row.append((idx - 1, val))
+            cols.append(idx - 1)
+            vals.append(val)
             prev = idx
-        rows.append(tuple(row))
-        if row:
-            max_idx = max(max_idx, row[-1][0])
+        counts.append(len(tokens) - 1)
+        d_seen = max(d_seen, prev)
     if d_override is None:
-        d = max_idx + 1
+        d = d_seen
     else:
-        if d_override < max_idx + 1:
-            raise DimensionError(
-                f"d_override={d_override} smaller than required {max_idx + 1}"
-            )
+        if d_override < d_seen:
+            raise DimensionError(f"d_override={d_override} smaller than required {d_seen}")
         d = d_override
-    return Dataset(
-        n=len(rows), d=d, rows=tuple(rows), labels=tuple(labels), source=name or "<stream>"
-    )
+    n = len(labels)
+    try:
+        X = np.zeros((n, d))
+    except (ValueError, MemoryError) as exc:
+        raise DimensionError(f"cannot allocate a dense {n} x {d} matrix: {exc}") from None
+    X[np.repeat(np.arange(n), counts), np.array(cols, dtype=np.intp)] = vals
+    return Dataset(X, np.array(labels), source=name or "<stream>")
 
 
 def load_libsvm(path, d_override: int | None = None) -> Dataset:
@@ -151,11 +150,16 @@ def load_libsvm(path, d_override: int | None = None) -> Dataset:
 
 
 def to_libsvm(dataset: Dataset) -> str:
-    """Serialize back to LibSVM text; round-trips through :func:`parse_libsvm`."""
+    """Serialize to LibSVM text, one ``idx:value`` token per nonzero.
+
+    Round-trips through :func:`parse_libsvm` given ``d_override=dataset.d``
+    (without it, trailing all-zero columns are dropped).
+    """
     lines = []
-    for row, lab in zip(dataset.rows, dataset.labels):
+    for x, lab in zip(dataset.X, dataset.y):
+        nz = np.flatnonzero(x)
         parts = ["+1" if lab > 0 else "-1"]
-        parts.extend(f"{idx + 1}:{val!r}" for idx, val in row)
+        parts.extend(f"{j}:{v!r}" for j, v in zip((nz + 1).tolist(), x[nz].tolist()))
         lines.append(" ".join(parts))
     return "\n".join(lines) + ("\n" if lines else "")
 
@@ -184,16 +188,8 @@ def generate_synthetic(n: int, d: int, seed: int, separable: bool = False) -> Da
             if abs(float(w @ x)) >= margin:
                 break
         X[i] = x
-    y = np.where(X @ w > 0, 1, -1)
+    y = np.where(X @ w > 0, 1.0, -1.0)
     if not separable:
         flips = rng.random(n) < 0.1
         y = np.where(flips, -y, y)
-    rows = tuple(tuple((j, float(X[i, j])) for j in range(d)) for i in range(n))
-    labels = tuple(int(v) for v in y)
-    return Dataset(
-        n=n,
-        d=d,
-        rows=rows,
-        labels=labels,
-        source=f"synthetic(n={n},d={d},seed={seed},separable={separable})",
-    )
+    return Dataset(X, y, source=f"synthetic(n={n},d={d},seed={seed},separable={separable})")

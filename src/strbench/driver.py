@@ -120,12 +120,15 @@ class RunResult:
 
 
 class RunAborted(RuntimeError):
-    """Numeric failure mid-run; carries the partial trace."""
+    """Numeric failure before or during a run; carries the partial trace, the
+    last iterate and the oracle counters spent before the abort."""
 
-    def __init__(self, message: str, trace: list[IterateRecord], iterates: list[np.ndarray]):
+    def __init__(self, message: str, trace: list[IterateRecord], x: np.ndarray,
+                 counters: OracleCounters):
         super().__init__(message)
         self.trace = trace
-        self.iterates = iterates
+        self.x = x
+        self.counters = counters
 
 
 @dataclass(frozen=True)
@@ -154,7 +157,13 @@ def resolve_config(problem: FiniteSumProblem, config: RunConfig) -> _Resolved:
         gap = config.delta_hat
         if gap is None:
             gap = full_value(problem, x0, OracleCounters())
-        K = max(1, math.ceil(6.0 * math.sqrt(lip.L2) * gap / eps**1.5))
+        bound = 6.0 * math.sqrt(lip.L2) * gap / eps**1.5
+        K = max(1, math.ceil(bound)) if math.isfinite(bound) else bound
+    # features near 1e300 overflow the analytic bounds to inf, and r to 0
+    for name, value in (("L1", lip.L1), ("L2", lip.L2), ("r", r), ("K", K)):
+        if not (math.isfinite(value) and value > 0):
+            raise RunAborted(f"{name}={value!r} is not finite and positive", [], x0,
+                             OracleCounters())
     threshold = 2.0 * math.sqrt(eps / lip.L2)
     return _Resolved(lip=lip, r=r, K=K, threshold=threshold, x0=x0)
 
@@ -201,7 +210,7 @@ def _run_loop(problem, config, grad_estimator, hess_estimator, counters, use_dua
     for k in range(res.K):
         fval = full_value(problem, x, scratch)
         if not math.isfinite(fval):
-            raise RunAborted(f"non-finite objective at iteration {k}", trace, iterates)
+            raise RunAborted(f"non-finite objective at iteration {k}", trace, x, counters)
         gnorm_true = float(np.linalg.norm(full_gradient(problem, x, scratch)))
         g = grad_estimator(x, counters)
         H = hess_estimator(x, counters)
@@ -209,7 +218,7 @@ def _run_loop(problem, config, grad_estimator, hess_estimator, counters, use_dua
             sol = _solve_step(g, H, res.r, res.lip, config, solver_rng)
         except TrsNumericError as exc:
             raise RunAborted(f"subproblem solve failed at iteration {k}: {exc}",
-                             trace, iterates) from exc
+                             trace, x, counters) from exc
         x = x + sol.h
         iterates.append(x.copy())
         trace.append(

@@ -108,7 +108,6 @@ def hessian_schedule(
     mode: str = "theory",
     kappa: float = 1.0,
     force_option: str | None = None,
-    reset_log_includes_k0: bool = True,
 ) -> HessSchedule:
     """Epoch length and sample sizes for the recurrent Hessian estimator.
 
@@ -118,24 +117,21 @@ def hessian_schedule(
                s2  = ceil(32 L1/sqrt(eps L2) log(d K0/delta)).
 
     The option with the smaller amortized cost 2 s2 wins (ties go to I).
-    ``reset_log_includes_k0=False`` switches option I's log factor to
-    log(d/delta).  Sample sizes are scaled by kappa in practical mode and
-    always capped at n.
+    Sample sizes are scaled by kappa in practical mode and always capped at n.
     """
     _validate_schedule_args(epsilon, delta, kappa, mode)
     if n < 1 or d < 1 or L1 <= 0 or L2 <= 0 or K0 < 1:
         raise ValueError("n, d, L1, L2, K0 must be positive")
     kap = kappa if mode == "practical" else 1.0
-    log_i = math.log(d * K0 / delta) if reset_log_includes_k0 else math.log(d / delta)
-    log_ii = math.log(d * K0 / delta)
+    log_dk = math.log(d * K0 / delta)
     root_eps = math.sqrt(epsilon * L2)
 
     p2_i = max(1, math.ceil(math.sqrt(n)))
-    s2_i = _sized(32.0 * math.sqrt(n) * log_i, kap, n)
+    s2_i = _sized(32.0 * math.sqrt(n) * log_dk, kap, n)
 
     p2_ii = max(1, math.ceil(L1 / (2.0 * root_eps)))
-    s2_ii = _sized(32.0 * L1 / root_eps * log_ii, kap, n)
-    s2p_ii = _sized(16.0 * L1 * L1 / (epsilon * L2) * log_ii, kap, n)
+    s2_ii = _sized(32.0 * L1 / root_eps * log_dk, kap, n)
+    s2p_ii = _sized(16.0 * L1 * L1 / (epsilon * L2) * log_dk, kap, n)
 
     if force_option is None:
         option = "I" if 2 * s2_i <= 2 * s2_ii else "II"

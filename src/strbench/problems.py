@@ -147,7 +147,6 @@ class FiniteSumProblem:
         reg_alpha: float = 10.0,
         anchors: np.ndarray | None = None,
         quad_scales: np.ndarray | None = None,
-        dataset: Dataset | None = None,
     ):
         if kind not in KINDS:
             raise ValueError(f"unknown problem kind {kind!r}")
@@ -156,7 +155,6 @@ class FiniteSumProblem:
         self.kind = kind
         self.reg_lambda = float(reg_lambda)
         self.reg_alpha = float(reg_alpha)
-        self.dataset = dataset
         if kind == "synthetic_quad":
             assert anchors is not None
             self.anchors = np.ascontiguousarray(anchors, dtype=float)
@@ -309,8 +307,7 @@ def from_dataset(
         norms[norms == 0.0] = 1.0
         X = X / norms[:, None]
     return FiniteSumProblem(
-        kind, X=X, y=dataset.label_array(), reg_lambda=reg_lambda,
-        reg_alpha=reg_alpha, dataset=dataset,
+        kind, X=X, y=dataset.label_array(), reg_lambda=reg_lambda, reg_alpha=reg_alpha
     )
 
 

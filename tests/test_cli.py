@@ -236,6 +236,16 @@ def test_main_run_and_compare(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_spec_config_keys_are_runconfig_fields():
+    from strbench.cli import _CONFIG_KEYS
+
+    assert _CONFIG_KEYS == {
+        "epsilon", "delta", "r_override", "K_override", "delta_hat", "solver",
+        "solver_tol", "m_max", "mode", "kappa", "kappa_grad", "kappa_hess",
+        "hess_option", "sub_s1", "sub_s2",
+    }
+
+
 def test_spec_defaults_match_protocol(tmp_path):
     spec = tmp_path / "spec.json"
     write_spec(spec)  # reg fields omitted
@@ -244,3 +254,60 @@ def test_spec_defaults_match_protocol(tmp_path):
     assert loaded.reg_alpha == 10.0
     assert loaded.normalize_rows is False
     assert loaded.lip_mode == "analytic"
+
+
+# -- numeric aborts and bad datasets ---------------------------------------------
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("extra", [{}, {"K_override": 5}])
+def test_overflowing_lipschitz_bounds_fail_the_run(tmp_path, capsys, extra):
+    data = tmp_path / "huge.svm"
+    data.write_text("+1 1:1e300 2:1e300\n-1 1:-1e300\n+1 2:1e300\n")
+    spec = tmp_path / "spec.json"
+    write_spec(spec, task="logistic_nc", dataset={"path": str(data)},
+               variants=[{"variant": "exact_tr", "epsilon": 1e-2, **extra}])
+    assert main(["run", str(spec), "--out", str(tmp_path / "o")]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    (entry,) = json.loads((tmp_path / "o" / "summary.json").read_text())["runs"]
+    assert entry["failed"] is True
+    assert "L1" in entry["error"] or "L2" in entry["error"]
+    assert entry["iterations"] == 0
+    assert entry["counters"] == {"sfo": 0, "sso": 0, "fval": 0}
+
+
+def test_aborted_run_reports_partial_counters(tmp_path, monkeypatch):
+    import strbench.driver as drv
+    from strbench.trs import TrsNumericError
+
+    calls = []
+    solve = drv.solve_trs_exact
+
+    def failing_third_solve(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 3:
+            raise TrsNumericError("injected failure")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(drv, "solve_trs_exact", failing_third_solve)
+    spec = tmp_path / "spec.json"
+    write_spec(spec, task="logistic_nc", dataset={"synthetic": {"n": 60, "d": 5, "seed": 4}},
+               variants=[{"variant": "exact_tr", "epsilon": 1e-3}])
+    assert run_experiment(spec, out_dir=tmp_path / "o") == 1
+    (entry,) = json.loads((tmp_path / "o" / "summary.json").read_text())["runs"]
+    assert entry["failed"] is True
+    assert "injected failure" in entry["error"]
+    assert entry["iterations"] == 2
+    trace = read_csv(tmp_path / "o" / "trace_exact_tr_0.csv")
+    assert len(trace) == 3
+    assert entry["counters"]["sfo"] == 3 * 60 > int(trace[-1][5])
+    assert entry["counters"]["sso"] == 3 * 60 > int(trace[-1][6])
+
+
+def test_index_too_large_to_densify_exits_2(tmp_path, capsys):
+    data = tmp_path / "wide.svm"
+    data.write_text(f"+1 1:1.0 {2**62}:1.0\n-1 2:1.0\n")
+    spec = tmp_path / "spec.json"
+    write_spec(spec, task="logistic_nc", dataset={"path": str(data)})
+    assert main(["run", str(spec), "--out", str(tmp_path / "o")]) == 2
+    assert "error" in capsys.readouterr().err

@@ -5,8 +5,10 @@ import pytest
 
 from strbench.datasets import generate_synthetic
 from strbench.driver import (
+    RunAborted,
     RunConfig,
     make_estimators,
+    resolve_config,
     run,
     run_inexact_tr,
     run_inexact_tr_expectation,
@@ -267,14 +269,32 @@ def test_iteration_bound_from_realized_decrease(logistic_small):
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_non_finite_objective_aborts():
-    from strbench.driver import RunAborted
     from strbench.problems import quadratic_problem as qp
 
     prob = qp(4, 2, seed=0)
     cfg = RunConfig(variant="exact_tr", epsilon=1e-3, x0=np.array([1e200, 0.0]),
                     delta_hat=1.0, K_override=10)
-    with pytest.raises(RunAborted):
+    with pytest.raises(RunAborted) as info:
         run("exact_tr", prob, cfg)
+    assert info.value.trace == []
+    assert np.array_equal(info.value.x, cfg.x0)
+    assert info.value.counters == OracleCounters()
+
+
+@pytest.mark.parametrize("overrides", [
+    {"lipschitz": LipschitzBounds(math.inf, 1.0)},
+    {"lipschitz": LipschitzBounds(1.0, math.inf)},
+    {"r_override": 0.0},
+    {"r_override": math.nan},
+    {"K_override": 0},
+    {"delta_hat": math.inf},
+])
+def test_resolve_config_rejects_non_finite_or_non_positive(logistic_small, overrides):
+    cfg = RunConfig(variant="exact_tr", epsilon=1e-2, **overrides)
+    with pytest.raises(RunAborted, match="finite and positive") as info:
+        resolve_config(logistic_small, cfg)
+    assert info.value.trace == [] and info.value.counters == OracleCounters()
+    assert np.array_equal(info.value.x, np.zeros(logistic_small.d))
 
 
 @pytest.mark.parametrize("variant", ["exact_tr", "str1", "str2", "subsampled"])

@@ -56,6 +56,8 @@ def test_hessian_schedule_frozen_values():
     sched_i = hessian_schedule(10000, 100, 1e-2, 1.0, 1.0, 0.1, 1000, force_option="I")
     assert sched_i.p2 == 100
     assert sched_i.s2 == 10000  # ceil(3200 * 13.8155...) = 44210, capped at n
+    uncapped = hessian_schedule(10**8, 100, 1e-2, 1.0, 1.0, 0.1, 1000, force_option="I")
+    assert uncapped.s2 == math.ceil(32 * 10**4 * math.log(100 * 1000 / 0.1))
     sched_ii = hessian_schedule(10000, 100, 1e-2, 1.0, 1.0, 0.1, 1000, force_option="II")
     assert sched_ii.p2 == 5  # ceil(1 / (2 sqrt(1e-2)))
     assert sched_ii.s2 == 4421  # ceil(320 * 13.8155...)
@@ -365,14 +367,3 @@ def test_epoch_reset_zero_error(logistic20):
     hstate = HessEstimatorState(schedule=HessSchedule("I", p2=3, s2=2, s2_prime=None))
     H = hessian_estimate_step(hstate, logistic20, x, OracleCounters(), np.random.default_rng(0))
     assert np.allclose(H, full_hessian(logistic20, x, OracleCounters()), atol=1e-15)
-
-
-def test_hessian_schedule_reset_log_switch():
-    # option I's reset log factor can drop K0 (statement vs proof variant)
-    with_k0 = hessian_schedule(10**8, 100, 1e-2, 1.0, 1.0, 0.1, 1000,
-                               force_option="I")
-    without = hessian_schedule(10**8, 100, 1e-2, 1.0, 1.0, 0.1, 1000,
-                               force_option="I", reset_log_includes_k0=False)
-    assert with_k0.s2 == math.ceil(32 * 10**4 * math.log(100 * 1000 / 0.1))
-    assert without.s2 == math.ceil(32 * 10**4 * math.log(100 / 0.1))
-    assert without.s2 < with_k0.s2
