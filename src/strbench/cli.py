@@ -90,6 +90,9 @@ def load_spec(path) -> ExperimentSpec:
             frag = dict(frag)
             name = frag.pop("variant")
             label = frag.pop("label", name)
+            # the label names the trace file
+            if not (isinstance(label, str) and label) or "/" in label or "\0" in label:
+                raise ValueError(f"label {label!r} cannot name a trace file")
             variants.append(VariantSpec(variant=name, label=label, options=frag))
         spec = ExperimentSpec(
             task=raw["task"],
@@ -103,10 +106,12 @@ def load_spec(path) -> ExperimentSpec:
             lip_mode=raw.get("lip_mode", "analytic"),
             output_dir=raw.get("output_dir", "out"),
         )
-    except (KeyError, TypeError, ValueError) as exc:
+    except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SpecError(f"invalid spec {path}: {exc}") from exc
     if not spec.variants or not spec.seeds:
         raise SpecError("spec needs at least one variant and one seed")
+    if not isinstance(spec.output_dir, str):
+        raise SpecError(f"output_dir must be a string, got {spec.output_dir!r}")
     if spec.task not in ("logistic_nc", "nls_nc", "synthetic_quad"):
         raise SpecError(f"unknown task {spec.task!r}")
     if spec.lip_mode not in LIP_MODES:
@@ -122,12 +127,14 @@ def build_problem(spec: ExperimentSpec) -> FiniteSumProblem:
             return quadratic_problem(
                 n=int(params["n"]), d=int(params["d"]), seed=int(params.get("seed", 0))
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SpecError(f"invalid synthetic_quad dataset spec: {exc}") from exc
     if "path" in ds_spec:
+        if not isinstance(ds_spec["path"], str):  # an int would open a file descriptor
+            raise SpecError(f"dataset path must be a string, got {ds_spec['path']!r}")
         try:
             dataset = load_libsvm(ds_spec["path"], d_override=ds_spec.get("d"))
-        except (OSError, ValueError) as exc:
+        except (OSError, TypeError, ValueError) as exc:
             raise SpecError(f"cannot load dataset {ds_spec['path']}: {exc}") from exc
     elif "synthetic" in ds_spec:
         params = ds_spec["synthetic"]
@@ -138,17 +145,20 @@ def build_problem(spec: ExperimentSpec) -> FiniteSumProblem:
                 seed=int(params.get("seed", 0)),
                 separable=bool(params.get("separable", False)),
             )
-        except (KeyError, TypeError, ValueError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SpecError(f"invalid synthetic dataset spec: {exc}") from exc
     else:
         raise SpecError("dataset must provide 'path' or 'synthetic'")
-    return from_dataset(
-        dataset,
-        spec.task,
-        reg_lambda=spec.reg_lambda,
-        reg_alpha=spec.reg_alpha,
-        normalize_rows=spec.normalize_rows,
-    )
+    try:
+        return from_dataset(
+            dataset,
+            spec.task,
+            reg_lambda=spec.reg_lambda,
+            reg_alpha=spec.reg_alpha,
+            normalize_rows=spec.normalize_rows,
+        )
+    except ValueError as exc:
+        raise SpecError(f"invalid problem: {exc}") from exc
 
 
 def _default_lipschitz(spec: ExperimentSpec, problem: FiniteSumProblem):
@@ -169,7 +179,10 @@ def make_config(vspec: VariantSpec, seed: int,
     if "L1" in opts or "L2" in opts:
         if not ("L1" in opts and "L2" in opts):
             raise SpecError("L1 and L2 must be given together")
-        lip = LipschitzBounds(float(opts.pop("L1")), float(opts.pop("L2")), "user")
+        try:
+            lip = LipschitzBounds(float(opts.pop("L1")), float(opts.pop("L2")), "user")
+        except (TypeError, ValueError) as exc:
+            raise SpecError(f"invalid L1/L2 for {vspec.label}: {exc}") from exc
     unknown = set(opts) - _CONFIG_KEYS
     if unknown:
         raise SpecError(f"unknown config fields for {vspec.label}: {sorted(unknown)}")
@@ -252,6 +265,10 @@ def run_experiment(spec_path, out_dir=None, threads: int = 1) -> int:
                 seeds = [int(env_seed)]
             except ValueError:
                 raise SpecError(f"{SEED_ENV_VAR}={env_seed!r} is not an integer") from None
+        bad = [s for s in seeds if not 0 <= s < 2**63]  # numpy seeds, file-name sized
+        if bad:
+            source = SEED_ENV_VAR if env_seed is not None else "seeds"
+            raise SpecError(f"{source}: seeds must lie in [0, 2**63), got {bad[0]}")
         problem = build_problem(spec)
         lip = _default_lipschitz(spec, problem)
     except SpecError as exc:

@@ -11,11 +11,15 @@ baseline with fresh batches each iteration.
 
 Per-iteration trace diagnostics (objective value, true gradient norm) are
 computed with a scratch counter and never billed to the run's oracle budget.
+They share the GLM problem's full pass at the iterate with the estimator and
+the certificate, so they cost at most the part of a pass not already paid for.
+A non-finite estimate or iterate ends the run with :class:`RunAborted`.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from dataclasses import dataclass, field, replace
 
@@ -73,14 +77,43 @@ class RunConfig:
     x0: np.ndarray | None = None
 
     def __post_init__(self):
-        if self.epsilon <= 0:
+        if not (_real(self.epsilon) and self.epsilon > 0):
             raise ValueError("epsilon must be positive")
-        if not 0 < self.delta < 1:
+        if not (_real(self.delta) and 0 < self.delta < 1):
             raise ValueError("delta must lie in (0, 1)")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
         if self.solver not in ("exact", "lanczos"):
             raise ValueError("solver must be 'exact' or 'lanczos'")
+        if not (_real(self.solver_tol) and self.solver_tol > 0):
+            raise ValueError("solver_tol must be positive")
+        if self.mode not in ("theory", "practical"):
+            raise ValueError("mode must be 'theory' or 'practical'")
+        if self.hess_option not in (None, "I", "II"):
+            raise ValueError("hess_option must be 'I' or 'II'")
+        for name in ("kappa", "kappa_grad", "kappa_hess"):
+            value = getattr(self, name)
+            if not (value is None and name != "kappa" or _real(value) and 0 < value <= 1):
+                raise ValueError(f"{name} must lie in (0, 1]")
+        for name in ("sub_s1", "sub_s2", "m_max"):
+            value = getattr(self, name)
+            if not (value is None or _integer(value) and value >= 1):
+                raise ValueError(f"{name} must be an integer >= 1")
+        if not (self.delta_hat is None or _real(self.delta_hat) and self.delta_hat >= 0):
+            raise ValueError("delta_hat must be >= 0")
+        # resolve_config checks the ranges of these, and m_max against d
+        if not (self.r_override is None or _real(self.r_override)):
+            raise ValueError("r_override must be a number")
+        if not (self.K_override is None or _integer(self.K_override)):
+            raise ValueError("K_override must be an integer")
+
+
+def _real(value) -> bool:
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+
+
+def _integer(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass
@@ -164,6 +197,9 @@ def resolve_config(problem: FiniteSumProblem, config: RunConfig) -> _Resolved:
         if not (math.isfinite(value) and value > 0):
             raise RunAborted(f"{name}={value!r} is not finite and positive", [], x0,
                              OracleCounters())
+    if config.m_max is not None and config.m_max > problem.d:
+        raise RunAborted(f"m_max={config.m_max} exceeds d={problem.d}", [], x0,
+                         OracleCounters())
     threshold = 2.0 * math.sqrt(eps / lip.L2)
     return _Resolved(lip=lip, r=r, K=K, threshold=threshold, x0=x0)
 
@@ -214,12 +250,19 @@ def _run_loop(problem, config, grad_estimator, hess_estimator, counters, use_dua
         gnorm_true = float(np.linalg.norm(full_gradient(problem, x, scratch)))
         g = grad_estimator(x, counters)
         H = hess_estimator(x, counters)
+        for name, estimate in (("gradient", g), ("Hessian", H)):
+            if not np.isfinite(estimate).all():
+                raise RunAborted(f"non-finite {name} estimate at iteration {k}",
+                                 trace, x, counters)
         try:
             sol = _solve_step(g, H, res.r, res.lip, config, solver_rng)
-        except TrsNumericError as exc:
+        except (TrsNumericError, ArithmeticError) as exc:  # e.g. a radius near 1e-150
             raise RunAborted(f"subproblem solve failed at iteration {k}: {exc}",
                              trace, x, counters) from exc
-        x = x + sol.h
+        x_next = x + sol.h
+        if not np.isfinite(x_next).all():
+            raise RunAborted(f"non-finite iterate after iteration {k}", trace, x, counters)
+        x = x_next
         iterates.append(x.copy())
         trace.append(
             IterateRecord(

@@ -94,7 +94,7 @@ def _validate_schedule_args(epsilon, delta, kappa, mode):
 
 
 def _sized(raw: float, kappa: float, n: int) -> int:
-    return int(min(n, max(1, math.ceil(kappa * raw))))
+    return int(max(1, math.ceil(min(kappa * raw, n))))  # capped first: raw may be inf
 
 
 def hessian_schedule(

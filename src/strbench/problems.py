@@ -15,8 +15,14 @@ update the caller-owned :class:`OracleCounters` by exactly the multiset size.
 
 The GLM kinds share one set of kernels and differ only in their entry of the
 link table ``_LINKS`` (margin, loss, gradient coefficient, Hessian weight).
-Each call reads its rows of ``X`` once: ``full_*`` oracles use ``X`` in
-place, sampled batches gather ``X[idx]`` once and take the margins from it.
+Each call reads its rows of ``X`` once: sampled batches gather ``X[idx]`` once
+and take the margins from it, and ``full_*`` oracles use ``X`` in place and
+share one pass per point.  A GLM problem keeps a record of its last full pass
+(margins, sigmoid, data gradient), keyed by the exact bytes of the point, so
+``full_value``, ``full_gradient`` and ``full_hessian`` at one point compute
+``X @ x`` once and the gradient once; each call still bills ``n`` queries.
+The record relies on ``X`` and the labels never changing, so the problem holds
+them read-only.
 """
 
 from __future__ import annotations
@@ -113,6 +119,35 @@ _LINKS = {
 }
 
 
+class _Pass:
+    """One read of a batch's rows: the rows, their labels and margins, with the
+    sigmoid of the margins and the data gradient filled in when first needed.
+    A full pass also carries ``key``, the bytes of its point."""
+
+    __slots__ = ("X", "b", "z", "key", "p", "g")
+
+    def __init__(self, X, b, z, key=None):
+        self.X, self.b, self.z, self.key = X, b, z, key
+        self.p = self.g = None
+
+    def sigmoid(self) -> np.ndarray:
+        p = self.p
+        if p is None:
+            p = self.p = _sigmoid(self.z)
+        return p
+
+
+def _read_only(a) -> np.ndarray:
+    """``a`` as a C-contiguous float64 array nobody can write.  A writable
+    input is copied once, so its owner's later writes do not reach the copy."""
+    if isinstance(a, np.ndarray) and not a.flags.writeable:
+        out = np.ascontiguousarray(a, dtype=float)  # ``a`` itself if already C float64
+    else:
+        out = np.array(a, dtype=float, order="C")
+    out.flags.writeable = False
+    return out
+
+
 def regularizer_derivatives(w: np.ndarray, alpha: float):
     """Value, gradient and Hessian diagonal of R(w; alpha).
 
@@ -137,6 +172,7 @@ class FiniteSumProblem:
 
     # data of the other kinds stays None
     X = y = labels = anchors = quad_scales = None
+    _full_pass: _Pass | None = None  # GLM kinds: the last full-batch pass
 
     def __init__(
         self,
@@ -150,8 +186,8 @@ class FiniteSumProblem:
     ):
         if kind not in KINDS:
             raise ValueError(f"unknown problem kind {kind!r}")
-        if reg_lambda < 0 or reg_alpha <= 0:
-            raise ValueError("reg_lambda must be >= 0 and reg_alpha > 0")
+        if not (0 <= reg_lambda < math.inf and 0 < reg_alpha < math.inf):
+            raise ValueError("reg_lambda must be >= 0 and reg_alpha > 0, both finite")
         self.kind = kind
         self.reg_lambda = float(reg_lambda)
         self.reg_alpha = float(reg_alpha)
@@ -165,11 +201,12 @@ class FiniteSumProblem:
             self.quad_scales = q
         else:
             assert X is not None and y is not None
-            # C order, so a full pass over X and a gathered X[idx] agree bitwise
-            self.X = np.ascontiguousarray(X, dtype=float)
-            self.y = np.asarray(y, dtype=float)
+            # C order, so a full pass over X and a gathered X[idx] agree bitwise;
+            # read-only, so the record of the last full pass stays valid
+            self.X, self.y = _read_only(X), _read_only(y)
             self.n, self.d = self.X.shape
-            self.labels = self.link.labels(self.y)
+            self.labels = self.link.labels(self.y)  # logistic: y itself
+            self.labels.flags.writeable = False
         if self.n < 1 or self.d < 1:
             raise ValueError("need n >= 1 and d >= 1")
 
@@ -177,24 +214,47 @@ class FiniteSumProblem:
     def link(self) -> _Link:  # a lookup, not an attribute, so problems stay picklable
         return _LINKS[self.kind]
 
+    def __getstate__(self):
+        state = dict(self.__dict__)
+        state.pop("_full_pass", None)  # a cache: a copy starts without one
+        return state
+
+    def __setstate__(self, state):
+        self.__dict__.update(state)
+        for a in (self.X, self.y, self.labels):
+            if a is not None:  # unpickled arrays come back writable
+                a.flags.writeable = False
+
     # -- data-term helpers (no counter updates) ----------------------------
 
-    def _rows(self, x: np.ndarray, idx):
-        """Rows of the batch, read once, with their margins and labels."""
-        Xs, b = self.X[idx], self.labels[idx]
-        return Xs, self.link.margin(Xs @ x, b), b
+    def _rows(self, x: np.ndarray, idx) -> _Pass:
+        """Rows of the batch, read once, with their margins and labels.
+
+        The full batch reuses the last full pass when ``x`` has the same bytes.
+        The record is read once and replaced in one assignment, so threads
+        sharing the problem can lose a hit but never read another point's pass.
+        """
+        if idx is not _ALL:
+            Xs, b = self.X[idx], self.labels[idx]
+            return _Pass(Xs, b, self.link.margin(Xs @ x, b))
+        key = x.tobytes()
+        rec = self._full_pass
+        if rec is None or rec.key != key:
+            z = self.link.margin(self.X @ x, self.labels)
+            rec = self._full_pass = _Pass(self.X, self.labels, z, key)
+        return rec
 
     def _weights(self, x: np.ndarray, idx):
         """Rows of the batch with their Hessian weights."""
-        Xs, z, b = self._rows(x, idx)
-        return Xs, self.link.hess_weight(_sigmoid(z), b)
+        rows = self._rows(x, idx)
+        return rows.X, self.link.hess_weight(rows.sigmoid(), rows.b)
 
     def _data_values(self, x: np.ndarray, idx=_ALL) -> np.ndarray:
         if self.kind == "synthetic_quad":
             diff = x[None, :] - self.anchors[idx]
             return 0.5 * np.sum(self.quad_scales[None, :] * diff * diff, axis=1)
-        _, z, b = self._rows(x, idx)
-        return self.link.loss(z, b)
+        rows = self._rows(x, idx)
+        return self.link.loss(rows.z, rows.b)
 
     def _reg_terms(self, x: np.ndarray):
         if self.reg_lambda == 0.0:
@@ -226,8 +286,11 @@ def _gradient(problem, x, idx, counters: OracleCounters) -> np.ndarray:
     if problem.kind == "synthetic_quad":
         g = problem.quad_scales * (x - problem.anchors[idx].mean(axis=0))
     else:
-        Xs, z, b = problem._rows(x, idx)
-        g = Xs.T @ problem.link.grad_coef(_sigmoid(z), b) / len(z)
+        rows = problem._rows(x, idx)
+        g = rows.g
+        if g is None:
+            coef = problem.link.grad_coef(rows.sigmoid(), rows.b)
+            g = rows.g = rows.X.T @ coef / len(coef)
     _, rg, _ = problem._reg_terms(x)
     counters.sfo += problem.n if idx is _ALL else len(idx)
     return g + rg
@@ -306,6 +369,7 @@ def from_dataset(
         norms = np.linalg.norm(X, axis=1)
         norms[norms == 0.0] = 1.0
         X = X / norms[:, None]
+        X.flags.writeable = False  # nobody else holds it: no copy needed
     return FiniteSumProblem(
         kind, X=X, y=dataset.label_array(), reg_lambda=reg_lambda, reg_alpha=reg_alpha
     )

@@ -1,9 +1,15 @@
+import contextlib
+import copy
 import csv
+import io
 import json
 import os
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from strbench.cli import (
     COMPARE_HEADER,
@@ -311,3 +317,141 @@ def test_index_too_large_to_densify_exits_2(tmp_path, capsys):
     write_spec(spec, task="logistic_nc", dataset={"path": str(data)})
     assert main(["run", str(spec), "--out", str(tmp_path / "o")]) == 2
     assert "error" in capsys.readouterr().err
+
+
+# -- bad variant options end in a failed entry -------------------------------------
+
+
+@pytest.mark.parametrize("option", [
+    {"mode": "bogus"},
+    {"kappa": 5},
+    {"kappa_grad": 0},
+    {"hess_option": "III"},
+    {"solver_tol": "x"},
+    {"variant": "subsampled", "sub_s1": 0},
+    {"solver": "lanczos", "m_max": 0},
+    {"solver": "lanczos", "m_max": 6},  # above d
+    {"L1": "x", "L2": 1.0},
+    {"L1": -1.0, "L2": 1.0},
+])
+def test_bad_variant_option_fails_the_run(tmp_path, capsys, option):
+    spec = tmp_path / "spec.json"
+    variant = {"variant": "str1", "label": "v", "epsilon": 1e-2, "K_override": 3, **option}
+    write_spec(spec, task="nls_nc", dataset={"synthetic": {"n": 200, "d": 5, "seed": 1}},
+               variants=[variant, {"variant": "exact_tr", "epsilon": 1e-2, "K_override": 3}])
+    assert main(["run", str(spec), "--out", str(tmp_path / "o")]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    bad, good = json.loads((tmp_path / "o" / "summary.json").read_text())["runs"]
+    assert bad["failed"] is True and bad["label"] == "v" and bad["error"]
+    assert good["failed"] is False
+
+
+@pytest.mark.parametrize("overrides", [
+    {"seeds": [-1]},
+    {"seeds": [float("inf")]},
+    {"dataset": 0},  # not a file name (0 would be read as a file descriptor)
+    {"dataset": {"synthetic": {"n": float("inf"), "d": 3}}},
+    {"reg_lambda": -1.0},
+    {"reg_alpha": 0.0},
+    {"output_dir": 5},
+    {"variants": [{"variant": "exact_tr", "label": "a/b"}]},
+])
+def test_bad_spec_field_exits_2(tmp_path, capsys, overrides):
+    spec = tmp_path / "spec.json"
+    write_spec(spec, **{"task": "logistic_nc",
+                        "dataset": {"synthetic": {"n": 40, "d": 3, "seed": 1}}, **overrides})
+    out = tmp_path / "o"
+    assert main(["run", str(spec)] + ([] if "output_dir" in overrides else ["--out", str(out)])) == 2
+    assert "error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("d", ["x", 2.5, [1], 1e300])
+def test_non_integer_dataset_width_exits_2(tmp_path, capsys, d):
+    data = tmp_path / "d.svm"
+    data.write_text("+1 1:0.5 2:1\n-1 1:-0.3\n")
+    spec = tmp_path / "spec.json"
+    write_spec(spec, task="logistic_nc", dataset={"path": str(data), "d": d})
+    assert main(["run", str(spec), "--out", str(tmp_path / "o")]) == 2
+    assert "error" in capsys.readouterr().err
+
+
+def test_negative_seed_env_exits_2(tmp_path, monkeypatch, capsys):
+    spec = tmp_path / "spec.json"
+    write_spec(spec)
+    monkeypatch.setenv("STR_SEED", "-3")
+    assert run_experiment(spec, out_dir=tmp_path / "o") == 2
+    assert "STR_SEED" in capsys.readouterr().err
+
+
+# -- exit contract: any spec mutation ends in exit 0, 1 or 2 -----------------------
+
+_BASE_SPEC = {
+    "task": "nls_nc",
+    "dataset": {"synthetic": {"n": 40, "d": 3, "seed": 1}},
+    "seeds": [0],
+    "reg_lambda": 1e-3,
+    "lip_mode": "analytic",
+    "variants": [
+        {"variant": "str2", "epsilon": 0.1, "K_override": 3, "mode": "practical",
+         "kappa": 0.5, "sub_s1": 5},
+        {"variant": "exact_tr", "label": "ex", "L1": 1.0, "L2": 1.0, "K_override": 3,
+         "solver": "lanczos", "m_max": 2},
+    ],
+}
+
+
+def _spec_paths(spec, prefix=()):
+    """Key paths to every dict entry and list element of the spec, nested ones too."""
+    found = []
+    items = spec.items() if isinstance(spec, dict) else enumerate(spec)
+    for key, value in items:
+        found.append(prefix + (key,))
+        if isinstance(value, (dict, list)):
+            found += _spec_paths(value, prefix + (key,))
+    return found
+
+
+def _spec_get(spec, path):
+    for key in path:
+        spec = spec[key]
+    return spec
+
+
+_PATHS = _spec_paths(_BASE_SPEC)
+_DICTS = [()] + [p for p in _PATHS if isinstance(_spec_get(_BASE_SPEC, p), dict)]
+_VALUES = [None, True, False, -1, 0, 2, 0.5, 1e300, -1e300, float("nan"), float("inf"),
+           "x", "", "exact_tr", [], {}, [1], {"a": 1}]
+
+_mutation = st.one_of(
+    st.tuples(st.just("drop"), st.sampled_from(_PATHS), st.just(None)),
+    st.tuples(st.just("set"), st.sampled_from(_PATHS), st.sampled_from(_VALUES)),
+    st.tuples(st.just("add"), st.sampled_from(_DICTS), st.sampled_from(_VALUES)),
+)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@settings(max_examples=60, deadline=None)
+@given(mutation=_mutation)
+def test_any_spec_mutation_keeps_the_exit_contract(mutation):
+    action, path, value = mutation
+    spec = copy.deepcopy(_BASE_SPEC)
+    if action == "add":
+        _spec_get(spec, path)["unknown_field"] = value
+    else:
+        parent = _spec_get(spec, path[:-1])
+        if action == "drop":
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+    with tempfile.TemporaryDirectory() as tmp:
+        spec_path = os.path.join(tmp, "spec.json")
+        with open(spec_path, "w") as fh:
+            json.dump(spec, fh)
+        out = os.path.join(tmp, "o")
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            code = main(["run", spec_path, "--out", out])
+        assert code in (0, 1, 2)
+        assert os.path.exists(os.path.join(out, "summary.json")) == (code != 2)
+        assert "Traceback" not in err.getvalue()

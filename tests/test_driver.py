@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from strbench.driver import (
 )
 from strbench.estimators import GradSchedule, HessSchedule
 from strbench.problems import (
+    FiniteSumProblem,
     LipschitzBounds,
     OracleCounters,
     from_dataset,
@@ -319,3 +321,151 @@ def test_run_resolves_config_once(logistic_small, monkeypatch, variant):
     direct = run_inexact_tr(logistic_small, cfg, g_fn, h_fn)
     assert np.array_equal(once.x_final, direct.x_final)
     assert once.counters == direct.counters
+
+
+# -- non-finite estimates and iterates -------------------------------------------
+
+
+def _poisoned(estimator, at_call, value):
+    """``estimator`` whose ``at_call``-th output (1-based) has one ``value`` entry."""
+    calls = []
+
+    def fn(x, counters):
+        out = estimator(x, counters)
+        calls.append(1)
+        if len(calls) == at_call:
+            out = out.copy()
+            out.flat[0] = value
+        return out
+
+    return fn
+
+
+@pytest.mark.parametrize("which", ["gradient", "Hessian"])
+@pytest.mark.parametrize("value", [math.inf, math.nan])
+def test_non_finite_estimate_aborts(logistic_small, which, value):
+    cfg = RunConfig(variant="exact_tr", epsilon=1e-6, K_override=10)
+    g_fn, h_fn = _exact_estimators(logistic_small, cfg)
+    if which == "gradient":
+        g_fn = _poisoned(g_fn, 3, value)
+    else:
+        h_fn = _poisoned(h_fn, 3, value)
+    clean = run_inexact_tr(logistic_small, cfg, *_exact_estimators(logistic_small, cfg))
+    counters = OracleCounters()
+    with pytest.raises(RunAborted, match=f"non-finite {which} estimate at iteration 2") as info:
+        run_inexact_tr(logistic_small, cfg, g_fn, h_fn, counters)
+    assert [(r.k, r.fval, r.grad_norm, r.sfo, r.sso) for r in info.value.trace] == [
+        (r.k, r.fval, r.grad_norm, r.sfo, r.sso) for r in clean.trace[:2]]
+    assert np.array_equal(info.value.x, clean.iterates[1])
+    assert info.value.counters is counters
+    assert counters.sfo == counters.sso == 3 * logistic_small.n
+
+
+def test_non_finite_iterate_aborts(logistic_small, monkeypatch):
+    import strbench.driver as drv
+
+    solve = drv._solve_step
+    calls = []
+
+    def overflowing_second_step(*args):
+        sol = solve(*args)
+        calls.append(1)
+        if len(calls) == 2:
+            sol.h = np.full_like(sol.h, math.inf)
+        return sol
+
+    monkeypatch.setattr(drv, "_solve_step", overflowing_second_step)
+    cfg = RunConfig(variant="exact_tr", epsilon=1e-6, K_override=10)
+    with pytest.raises(RunAborted, match="non-finite iterate after iteration 1") as info:
+        run("exact_tr", logistic_small, cfg)
+    assert len(info.value.trace) == 1
+    assert np.all(np.isfinite(info.value.x))
+    assert info.value.counters.sfo == 2 * logistic_small.n
+
+
+# -- variant options are validated up front --------------------------------------
+
+
+@pytest.mark.parametrize("overrides", [
+    {"mode": "bogus"},
+    {"kappa": 5},
+    {"kappa": 0.0},
+    {"kappa_grad": 0},
+    {"kappa_hess": 1.5},
+    {"hess_option": "III"},
+    {"solver_tol": "x"},
+    {"solver_tol": 0.0},
+    {"sub_s1": 0},
+    {"sub_s2": 2.5},
+    {"m_max": 0},
+    {"K_override": "x"},
+    {"r_override": "x"},
+    {"delta_hat": "x"},
+    {"delta_hat": -1.0},
+    {"epsilon": "x"},
+])
+def test_config_rejects_bad_option(overrides):
+    with pytest.raises(ValueError):
+        RunConfig(variant="subsampled", solver="lanczos", **overrides)
+
+
+def test_m_max_above_d_aborts(logistic_small):
+    cfg = RunConfig(variant="exact_tr", solver="lanczos", m_max=logistic_small.d + 1)
+    with pytest.raises(RunAborted, match="m_max"):
+        run("exact_tr", logistic_small, cfg)
+    cfg = replace(cfg, m_max=logistic_small.d)
+    assert run("exact_tr", logistic_small, cfg).trace
+
+
+# -- one full pass per point -------------------------------------------------------
+
+
+class _CountingX(np.ndarray):
+    """``X`` that counts the margin passes ``X @ x`` over all of its rows."""
+
+    passes = 0
+    full_shape = None
+
+    def __matmul__(self, other):
+        if self.shape == type(self).full_shape and np.ndim(other) == 1:
+            type(self).passes += 1
+        return np.asarray(self) @ other
+
+
+def test_exact_tr_reads_x_once_per_iterate():
+    prob = from_dataset(generate_synthetic(200, 10, seed=3), "logistic_nc")
+    prob.X = prob.X.view(_CountingX)
+    _CountingX.passes, _CountingX.full_shape = 0, prob.X.shape
+    result = run("exact_tr", prob, RunConfig(variant="exact_tr", epsilon=1e-2, seed=4))
+    assert result.stop_reason == "dual_threshold"
+    # one pass per iterate (value, gradient diagnostic, estimate and Hessian
+    # share it), plus one for the certificate at the final, unvisited point
+    assert _CountingX.passes == len(result.trace) + 1
+
+
+class _RecordFree(FiniteSumProblem):
+    """A problem that never keeps its last full pass."""
+
+    @property
+    def _full_pass(self):
+        return None
+
+    @_full_pass.setter
+    def _full_pass(self, record):
+        pass
+
+
+@pytest.mark.parametrize("variant", ["exact_tr", "str1", "str2", "subsampled"])
+def test_runs_equal_record_free_runs(variant):
+    ds = generate_synthetic(200, 10, seed=3)
+    prob = from_dataset(ds, "nls_nc")
+    free = _RecordFree("nls_nc", X=ds.X, y=ds.y, reg_lambda=prob.reg_lambda,
+                       reg_alpha=prob.reg_alpha)
+    cfg = RunConfig(variant=variant, epsilon=1e-2, mode="practical", kappa_grad=0.5,
+                    kappa_hess=0.2, sub_s1=50, sub_s2=50, K_override=25, seed=5)
+    got, want = run(variant, prob, cfg), run(variant, free, cfg)
+    assert [(r.fval, r.grad_norm, r.lambda_alg, r.sfo, r.sso) for r in got.trace] == [
+        (r.fval, r.grad_norm, r.lambda_alg, r.sfo, r.sso) for r in want.trace]
+    assert got.x_final.tobytes() == want.x_final.tobytes()
+    assert got.counters == want.counters
+    assert got.report == want.report and got.stop_reason == want.stop_reason

@@ -399,3 +399,135 @@ def test_problem_pickles(kind):
     x = np.array([0.5, -1.0, 2.0])
     assert_bitwise(full_gradient(copy, x, OracleCounters()),
                    full_gradient(prob, x, OracleCounters()))
+
+
+# -- the record of the last full pass ----------------------------------------------
+#
+# full_value, full_gradient and full_hessian at one point share one pass over X.
+# Every result must equal, bit for bit, the result of a problem that has never
+# seen another call (a fresh problem per call).
+
+FULL_ORACLES = (full_value, full_gradient, full_hessian)
+
+
+def _glm(kind, lam, n=50, d=4, seed=0):
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((n, d)) * rng.choice([0.1, 1.0, 30.0], size=(n, 1))
+    y = rng.choice([-1.0, 1.0], size=n)
+    return FiniteSumProblem(kind, X=X, y=y, reg_lambda=lam, reg_alpha=10.0)
+
+
+def _fresh(prob):
+    return FiniteSumProblem(prob.kind, X=prob.X, y=prob.y, reg_lambda=prob.reg_lambda,
+                            reg_alpha=prob.reg_alpha)
+
+
+def _record_free(prob, oracle, x):
+    return oracle(_fresh(prob), x, OracleCounters())
+
+
+@pytest.mark.parametrize("kind", ["logistic_nc", "nls_nc"])
+@pytest.mark.parametrize("lam", [0.0, 1e-3])
+def test_full_pass_record_matches_record_free_calls(kind, lam):
+    prob = _glm(kind, lam)
+    rng = np.random.default_rng(1)
+    a, b = rng.standard_normal(prob.d), rng.standard_normal(prob.d)
+    zero = np.zeros(prob.d)
+    points = [a, a, b, a, b, b, zero, -zero, zero, -zero, a.copy(), a.tolist(), b]
+    idx = rng.integers(0, prob.n, size=7)
+    c = OracleCounters()
+    for i, x in enumerate(points):
+        # rotate the call order, and put a sampled batch between the full calls
+        for oracle in FULL_ORACLES[i % 3:] + FULL_ORACLES[:i % 3]:
+            assert_bitwise(oracle(prob, x, c), _record_free(prob, oracle, x))
+            assert_bitwise(batch_gradient(prob, x, idx, c),
+                           _record_free(prob, lambda p, x, c: batch_gradient(p, x, idx, c), x))
+    k = len(points)
+    assert c.snapshot() == (k * (prob.n + 3 * len(idx)), k * prob.n, k * prob.n)
+
+
+@pytest.mark.parametrize("kind", ["logistic_nc", "nls_nc"])
+def test_full_pass_record_shared_by_threads(kind):
+    import sys
+    import threading
+
+    prob = _glm(kind, 1e-3, n=400, d=20)
+    rng = np.random.default_rng(2)
+    points = [rng.standard_normal(prob.d) for _ in range(8)]
+    expected = [[np.asarray(_record_free(prob, o, x)).tobytes() for o in FULL_ORACLES]
+                for x in points]
+    workers = 4  # more threads than the two cores of a small CI machine
+    start = threading.Barrier(workers)
+    mismatches, finished = [], []
+
+    def worker(mine):
+        start.wait(timeout=30)
+        for _ in range(40):
+            for i in mine:  # alternate points, so the record keeps being replaced
+                for j, oracle in enumerate(FULL_ORACLES):
+                    got = np.asarray(oracle(prob, points[i], OracleCounters())).tobytes()
+                    if got != expected[i][j]:
+                        mismatches.append((i, oracle.__name__))
+        finished.append(mine)
+
+    threads = [threading.Thread(target=worker, args=([2 * w, 2 * w + 1],))
+               for w in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(finished) == workers
+    assert mismatches == []
+
+
+@pytest.mark.parametrize("kind", ["logistic_nc", "nls_nc"])
+@pytest.mark.parametrize("lam", [0.0, 1e-3])
+def test_full_pass_record_survives_pickle(kind, lam):
+    import pickle
+
+    prob = _glm(kind, lam)
+    x, other = np.full(prob.d, 0.3), np.full(prob.d, -0.7)
+    full_gradient(prob, x, OracleCounters())  # fill the record
+    copy = pickle.loads(pickle.dumps(prob))
+    assert not (copy.X.flags.writeable or copy.y.flags.writeable
+                or copy.labels.flags.writeable)
+    for point in (x, other, x):
+        for oracle in FULL_ORACLES:
+            assert_bitwise(oracle(copy, point, OracleCounters()),
+                           _record_free(prob, oracle, point))
+
+
+@pytest.mark.parametrize("kind", ["logistic_nc", "nls_nc"])
+@pytest.mark.parametrize("lam", [0.0, 1e-3])
+def test_caller_writes_do_not_reach_the_problem(kind, lam):
+    rng = np.random.default_rng(3)
+    X = rng.standard_normal((30, 3))
+    y = rng.choice([-1.0, 1.0], size=30)
+    X0, y0 = X.copy(), y.copy()
+    prob = FiniteSumProblem(kind, X=X, y=y, reg_lambda=lam, reg_alpha=10.0)
+    reference = FiniteSumProblem(kind, X=X0, y=y0, reg_lambda=lam, reg_alpha=10.0)
+    x, other = rng.standard_normal(3), rng.standard_normal(3)
+    full_value(prob, x, OracleCounters())  # fill the record at x
+    X *= 2.0
+    y *= -1.0
+    with pytest.raises(ValueError):
+        prob.X[0, 0] = 1.0
+    with pytest.raises(ValueError):
+        prob.labels[0] = 1.0
+    for point in (x, other, x):  # a hit, a miss, a miss back to x
+        for oracle in FULL_ORACLES:
+            assert_bitwise(oracle(prob, point, OracleCounters()),
+                           _record_free(reference, oracle, point))
+
+
+def test_read_only_dataset_arrays_are_not_copied():
+    ds = generate_synthetic(20, 3, seed=1)
+    for kind in ("logistic_nc", "nls_nc"):
+        prob = from_dataset(ds, kind)
+        assert prob.X is ds.X and prob.y is ds.y
