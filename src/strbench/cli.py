@@ -78,6 +78,25 @@ class ExperimentSpec:
     output_dir: str = "out"
 
 
+def _json_int(value, name: str) -> int:
+    """A JSON integer; floats, strings and booleans are not coerced."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SpecError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _json_ints(value, name: str) -> list[int]:
+    if not isinstance(value, list):
+        raise SpecError(f"{name} must be a list of integers, got {value!r}")
+    return [_json_int(v, name) for v in value]
+
+
+def _json_bool(value, name: str) -> bool:
+    if not isinstance(value, bool):
+        raise SpecError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
 def load_spec(path) -> ExperimentSpec:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -99,10 +118,10 @@ def load_spec(path) -> ExperimentSpec:
             dataset=raw["dataset"] if isinstance(raw["dataset"], dict)
             else {"path": raw["dataset"]},
             variants=variants,
-            seeds=[int(s) for s in raw.get("seeds", [0])],
+            seeds=_json_ints(raw.get("seeds", [0]), "seeds"),
             reg_lambda=float(raw.get("reg_lambda", 1e-3)),
             reg_alpha=float(raw.get("reg_alpha", 10.0)),
-            normalize_rows=bool(raw.get("normalize_rows", False)),
+            normalize_rows=_json_bool(raw.get("normalize_rows", False), "normalize_rows"),
             lip_mode=raw.get("lip_mode", "analytic"),
             output_dir=raw.get("output_dir", "out"),
         )
@@ -125,7 +144,8 @@ def build_problem(spec: ExperimentSpec) -> FiniteSumProblem:
         params = ds_spec.get("synthetic", ds_spec)
         try:
             return quadratic_problem(
-                n=int(params["n"]), d=int(params["d"]), seed=int(params.get("seed", 0))
+                n=_json_int(params["n"], "n"), d=_json_int(params["d"], "d"),
+                seed=_json_int(params.get("seed", 0), "seed"),
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SpecError(f"invalid synthetic_quad dataset spec: {exc}") from exc
@@ -140,10 +160,10 @@ def build_problem(spec: ExperimentSpec) -> FiniteSumProblem:
         params = ds_spec["synthetic"]
         try:
             dataset = generate_synthetic(
-                n=int(params["n"]),
-                d=int(params["d"]),
-                seed=int(params.get("seed", 0)),
-                separable=bool(params.get("separable", False)),
+                n=_json_int(params["n"], "n"),
+                d=_json_int(params["d"], "d"),
+                seed=_json_int(params.get("seed", 0), "seed"),
+                separable=_json_bool(params.get("separable", False), "separable"),
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SpecError(f"invalid synthetic dataset spec: {exc}") from exc

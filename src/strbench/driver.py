@@ -37,7 +37,7 @@ from .problems import (
     full_value,
     lipschitz_bounds,
 )
-from .trs import TrsNumericError, solve_trs_exact, solve_trs_lanczos, sym_eig
+from .trs import TrsNumericError, solve_trs_exact, sym_eig
 
 VARIANTS = ("exact_tr", "str1", "str2", "subsampled")
 
@@ -61,9 +61,7 @@ class RunConfig:
     r_override: float | None = None
     K_override: int | None = None
     delta_hat: float | None = None
-    solver: str = "exact"  # "exact" | "lanczos"
     solver_tol: float = 1e-8
-    m_max: int | None = None
     mode: str = "theory"
     kappa: float = 1.0
     kappa_grad: float | None = None
@@ -83,8 +81,6 @@ class RunConfig:
             raise ValueError("delta must lie in (0, 1)")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        if self.solver not in ("exact", "lanczos"):
-            raise ValueError("solver must be 'exact' or 'lanczos'")
         if not (_real(self.solver_tol) and self.solver_tol > 0):
             raise ValueError("solver_tol must be positive")
         if self.mode not in ("theory", "practical"):
@@ -95,13 +91,13 @@ class RunConfig:
             value = getattr(self, name)
             if not (value is None and name != "kappa" or _real(value) and 0 < value <= 1):
                 raise ValueError(f"{name} must lie in (0, 1]")
-        for name in ("sub_s1", "sub_s2", "m_max"):
+        for name in ("sub_s1", "sub_s2"):
             value = getattr(self, name)
             if not (value is None or _integer(value) and value >= 1):
                 raise ValueError(f"{name} must be an integer >= 1")
         if not (self.delta_hat is None or _real(self.delta_hat) and self.delta_hat >= 0):
             raise ValueError("delta_hat must be >= 0")
-        # resolve_config checks the ranges of these, and m_max against d
+        # resolve_config checks the ranges of these
         if not (self.r_override is None or _real(self.r_override)):
             raise ValueError("r_override must be a number")
         if not (self.K_override is None or _integer(self.K_override)):
@@ -126,7 +122,6 @@ class IterateRecord:
     sfo: int
     sso: int
     wall_ms: float
-    solver_converged: bool = True
 
 
 @dataclass
@@ -197,9 +192,6 @@ def resolve_config(problem: FiniteSumProblem, config: RunConfig) -> _Resolved:
         if not (math.isfinite(value) and value > 0):
             raise RunAborted(f"{name}={value!r} is not finite and positive", [], x0,
                              OracleCounters())
-    if config.m_max is not None and config.m_max > problem.d:
-        raise RunAborted(f"m_max={config.m_max} exceeds d={problem.d}", [], x0,
-                         OracleCounters())
     threshold = 2.0 * math.sqrt(eps / lip.L2)
     return _Resolved(lip=lip, r=r, K=K, threshold=threshold, x0=x0)
 
@@ -217,26 +209,9 @@ def verify_sosp(problem: FiniteSumProblem, x, epsilon: float, L2: float) -> SosR
     return SosReport(grad_norm, min_eig, grad_ok, eig_ok, grad_ok and eig_ok)
 
 
-def _solve_step(g, H, r, lip, config, solver_rng):
-    if config.solver == "exact":
-        return solve_trs_exact(g, H, r, lip.L2, tol=config.solver_tol)
-    d = len(g)
-    return solve_trs_lanczos(
-        g,
-        lambda v: H @ v,
-        d,
-        r,
-        lip.L2,
-        m_max=config.m_max if config.m_max is not None else d,
-        tol=config.solver_tol,
-        rng=solver_rng,
-    )
-
-
 def _run_loop(problem, config, grad_estimator, hess_estimator, counters, use_dual_stop,
               res: _Resolved | None):
     res = res if res is not None else resolve_config(problem, config)
-    solver_rng = np.random.default_rng([config.seed, 2])
     x = res.x0.copy()
     trace: list[IterateRecord] = []
     iterates: list[np.ndarray] = []
@@ -255,8 +230,8 @@ def _run_loop(problem, config, grad_estimator, hess_estimator, counters, use_dua
                 raise RunAborted(f"non-finite {name} estimate at iteration {k}",
                                  trace, x, counters)
         try:
-            sol = _solve_step(g, H, res.r, res.lip, config, solver_rng)
-        except (TrsNumericError, ArithmeticError) as exc:  # e.g. a radius near 1e-150
+            sol = solve_trs_exact(g, H, res.r, res.lip.L2, tol=config.solver_tol)
+        except (TrsNumericError, ArithmeticError) as exc:  # e.g. a radius near 1e-160
             raise RunAborted(f"subproblem solve failed at iteration {k}: {exc}",
                              trace, x, counters) from exc
         x_next = x + sol.h
@@ -274,7 +249,6 @@ def _run_loop(problem, config, grad_estimator, hess_estimator, counters, use_dua
                 sfo=counters.sfo,
                 sso=counters.sso,
                 wall_ms=(time.perf_counter() - t_start) * 1e3,
-                solver_converged=sol.converged,
             )
         )
         if use_dual_stop:

@@ -29,6 +29,11 @@ _HARD_CASE_RTOL = 1e-11
 # acceptance threshold below which a solve counts as converged.
 _SECULAR_RTOL = 1e-13
 _MAX_SECULAR_ITERS = 200
+# A boundary deficit r - ||h|| at or below this fraction of r is rounding of
+# the secular root, not room for a bottom-eigenvector pad.  At mu > -lambda_1
+# the pad, about r sqrt(2 deficit), adds (mu + lambda_1) times its length to
+# the stationarity residual.
+_PAD_RTOL = 1e-12
 
 
 @dataclass(frozen=True)
@@ -96,7 +101,7 @@ def kkt_residual(g, H, r, sol: TrsSolution) -> KktResidual:
     return KktResidual(stationarity, min_eig, comp)
 
 
-def _package(g, H_mul, h, mu, r, L2, min_eig_shifted, converged=True, krylov_dim=None):
+def _package(g, H_mul, h, mu, r, L2, min_eig_shifted):
     hnorm = float(np.linalg.norm(h))
     Hh = H_mul(h)
     stationarity = float(np.linalg.norm(Hh + mu * h + g))
@@ -109,8 +114,6 @@ def _package(g, H_mul, h, mu, r, L2, min_eig_shifted, converged=True, krylov_dim
         on_boundary=hnorm >= r * (1.0 - 1e-8),
         kkt=KktResidual(stationarity, min_eig_shifted, comp),
         model_decrease=decrease,
-        converged=converged,
-        krylov_dim=krylov_dim,
     )
 
 
@@ -165,7 +168,15 @@ def _secular_root(e, c, r, delta_hi, singular_at_lo):
             lo = delta
         else:
             hi = delta
-        dphi = _weighted_power_sum(c, e, delta, 3) / n**3 if n > 0 else 0.0
+        if n**3 > 0:
+            dphi = _weighted_power_sum(c, e, delta, 3) / n**3
+        elif n > 0:
+            # n**3 underflows below r ~ 1e-103: sum (|h_i|/n)^2 / (e_i + delta) / n
+            with np.errstate(divide="ignore", invalid="ignore"):
+                frac = np.sqrt(c) / (e + delta) / n
+            dphi = float(np.sum(np.where(c == 0.0, 0.0, frac * frac / (e + delta)))) / n
+        else:
+            dphi = 0.0
         delta_new = delta - phi / dphi if dphi > 0 else 0.5 * (lo + hi)
         if not (lo < delta_new < hi):
             delta_new = 0.5 * (lo + hi)
@@ -176,6 +187,15 @@ def _secular_root(e, c, r, delta_hi, singular_at_lo):
     return best_delta, best_gap <= 1e-9 * r
 
 
+def _check_inputs(g, r, L2) -> None:
+    if r <= 0:
+        raise ValueError("radius must be positive")
+    if L2 <= 0:
+        raise ValueError("L2 must be positive")
+    if not np.all(np.isfinite(g)):
+        raise ValueError("non-finite inputs")
+
+
 def solve_trs_exact(g, H, r: float, L2: float, tol: float = 1e-8) -> TrsSolution:
     """Global minimizer of the quadratic model over the ball of radius r.
 
@@ -183,17 +203,18 @@ def solve_trs_exact(g, H, r: float, L2: float, tol: float = 1e-8) -> TrsSolution
     otherwise the boundary multiplier is found on the secular equation, and
     (near-)hard cases are resolved by padding along a bottom eigenvector.
     Raises :class:`TrsNumericError` with the best iterate attached if the
-    final stationarity residual misses ``tol (||g|| + 1)``.
+    final stationarity residual misses ``tol (||g|| + 1)`` or the step leaves
+    the ball.
     """
     g = np.asarray(g, dtype=float)
     H = np.asarray(H, dtype=float)
-    if r <= 0:
-        raise ValueError("radius must be positive")
-    if L2 <= 0:
-        raise ValueError("L2 must be positive")
-    if not (np.all(np.isfinite(g)) and np.all(np.isfinite(H))):
-        raise ValueError("non-finite inputs")
+    _check_inputs(g, r, L2)
     w, V = sym_eig(H)
+    return _solve_in_eigenbasis(g, w, V, r, L2, tol)
+
+
+def _solve_in_eigenbasis(g, w, V, r, L2, tol) -> TrsSolution:
+    """:func:`solve_trs_exact` for ``H = V diag(w) V'``, eigenvalues ascending."""
     gt = V.T @ g
     c = gt * gt
     gnorm = float(np.linalg.norm(g))
@@ -209,6 +230,13 @@ def solve_trs_exact(g, H, r: float, L2: float, tol: float = 1e-8) -> TrsSolution
                 f"stationarity residual {sol.kkt.stationarity:.3e} above tolerance",
                 best=sol,
             )
+        # underflow in the step's squared components can hide an infeasible
+        # step (radius near 1e-160) behind a small residual
+        hnorm = float(np.linalg.norm(sol.h))
+        if hnorm > r * (1.0 + 1e-8):
+            raise TrsNumericError(
+                f"step norm {hnorm:.3e} outside the trust region of radius {r:.3e}", best=sol
+            )
         return sol
 
     shifted = w + mu_lo  # exact zero on the bottom eigenvalue when lam1 <= 0
@@ -220,8 +248,8 @@ def solve_trs_exact(g, H, r: float, L2: float, tol: float = 1e-8) -> TrsSolution
         n0 = float(np.linalg.norm(ht))
         if n0 > r:
             ht *= r / n0
-        else:
-            ht[int(np.argmax(bottom))] += math.sqrt(max(r * r - n0 * n0, 0.0))
+        elif n0 < r * (1.0 - _PAD_RTOL):
+            ht[int(np.argmax(bottom))] += math.sqrt(r * r - n0 * n0)
         return ht
 
     # Bottom eigenspace: eigenvalues tied with lam1 up to rounding.
@@ -291,7 +319,8 @@ def solve_trs_lanczos(
     main chain seeded by g, and an auxiliary chain seeded by a random vector
     whose job is to pin down the bottom eigenpair.  At each size m the
     reduced problem on Q'HQ is solved exactly (equal to the Lanczos
-    tridiagonal solve up to rounding) and accepted once
+    tridiagonal solve up to rounding) in the eigenbasis that also gives the
+    Ritz pairs, and accepted once
 
     * the lifted stationarity residual is <= tol (||g|| + 1), and
     * the bottom Ritz pair (theta, y) is converged and certifies approximate
@@ -305,6 +334,7 @@ def solve_trs_lanczos(
     ``converged=False``.
     """
     g = np.asarray(g, dtype=float)
+    _check_inputs(g, r, L2)
     if m_max is None:
         m_max = d
     if not 1 <= m_max <= d:
@@ -345,7 +375,8 @@ def solve_trs_lanczos(
         gt = np.zeros(m)
         gt[0] = gnorm
         Bm = (B[:m, :m] + B[:m, :m].T) / 2.0
-        red = solve_trs_exact(gt, Bm, r, L2, tol=tol)
+        theta, U = sym_eig(Bm)
+        red = _solve_in_eigenbasis(gt, theta, U, r, L2, tol)
         h = Q[:, :m] @ red.h
         Hh = W[:, :m] @ red.h
         resid = float(np.linalg.norm(Hh + red.mu * h + g))
@@ -353,7 +384,6 @@ def solve_trs_lanczos(
         # Acceptance below full dimension needs the bottom eigenpair pinned
         # down, or a small residual alone can certify a subspace-stationary
         # point that is not the global solution (the hard case).
-        theta, U = np.linalg.eigh(Bm)
         theta_hist.append(float(theta[0]))
         scale = 1.0 + abs(theta[0])
         ritz_res = float(np.linalg.norm(W[:, :m] @ U[:, 0] - theta[0] * (Q[:, :m] @ U[:, 0])))

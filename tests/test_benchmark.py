@@ -11,10 +11,16 @@ import pytest
 ROOT = Path(__file__).resolve().parent.parent
 
 
-@pytest.mark.parametrize("workload", ["tall", "wide"])
-def test_benchmark_fingerprints_match_references(workload):
+@pytest.mark.parametrize("workload,extra", [
+    pytest.param("tall", [], id="tall"),
+    pytest.param("wide", [], id="wide"),
+    # the traced run also checks the tracer's sfo/sso coverage and replays
+    # sampled subproblems through the Krylov solver
+    pytest.param("wide", ["--trace", "1"], id="wide-trace"),
+])
+def test_benchmark_fingerprints_match_references(workload, extra):
     proc = subprocess.run(
-        [sys.executable, "perfbench/run.py", "--workload", workload, "--seconds", "1"],
+        [sys.executable, "perfbench/run.py", "--workload", workload, "--seconds", "1", *extra],
         cwd=ROOT, capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr

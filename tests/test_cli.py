@@ -246,9 +246,8 @@ def test_spec_config_keys_are_runconfig_fields():
     from strbench.cli import _CONFIG_KEYS
 
     assert _CONFIG_KEYS == {
-        "epsilon", "delta", "r_override", "K_override", "delta_hat", "solver",
-        "solver_tol", "m_max", "mode", "kappa", "kappa_grad", "kappa_hess",
-        "hess_option", "sub_s1", "sub_s2",
+        "epsilon", "delta", "r_override", "K_override", "delta_hat", "solver_tol",
+        "mode", "kappa", "kappa_grad", "kappa_hess", "hess_option", "sub_s1", "sub_s2",
     }
 
 
@@ -329,8 +328,8 @@ def test_index_too_large_to_densify_exits_2(tmp_path, capsys):
     {"hess_option": "III"},
     {"solver_tol": "x"},
     {"variant": "subsampled", "sub_s1": 0},
-    {"solver": "lanczos", "m_max": 0},
-    {"solver": "lanczos", "m_max": 6},  # above d
+    {"solver": "lanczos"},  # not RunConfig fields: unknown keys fail the run,
+    {"m_max": 2},           # they are not silently ignored
     {"L1": "x", "L2": 1.0},
     {"L1": -1.0, "L2": 1.0},
 ])
@@ -366,6 +365,30 @@ def test_bad_spec_field_exits_2(tmp_path, capsys, overrides):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("overrides,field", [
+    ({"normalize_rows": "false"}, "normalize_rows"),
+    ({"normalize_rows": 0}, "normalize_rows"),
+    ({"seeds": [2.5]}, "seeds"),
+    ({"seeds": ["7"]}, "seeds"),
+    ({"seeds": [True]}, "seeds"),
+    ({"seeds": 3}, "seeds"),
+    ({"dataset": {"synthetic": {"n": 40, "d": 3, "separable": "false"}}}, "separable"),
+    ({"dataset": {"synthetic": {"n": 40, "d": 3, "seed": 1.9}}}, "seed"),
+    ({"dataset": {"synthetic": {"n": 40.0, "d": 3}}}, "n"),
+    ({"dataset": {"synthetic": {"n": 40, "d": True}}}, "d"),
+    ({"task": "synthetic_quad", "dataset": {"synthetic": {"n": "30", "d": 5}}}, "n"),
+])
+def test_spec_field_of_the_wrong_json_type_exits_2(tmp_path, capsys, overrides, field):
+    # flags take JSON booleans and counts or seeds JSON integers; nothing is coerced
+    spec = tmp_path / "spec.json"
+    write_spec(spec, **{"task": "logistic_nc",
+                        "dataset": {"synthetic": {"n": 40, "d": 3, "seed": 1}}, **overrides})
+    assert main(["run", str(spec), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert field in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("d", ["x", 2.5, [1], 1e300])
 def test_non_integer_dataset_width_exits_2(tmp_path, capsys, d):
     data = tmp_path / "d.svm"
@@ -395,8 +418,7 @@ _BASE_SPEC = {
     "variants": [
         {"variant": "str2", "epsilon": 0.1, "K_override": 3, "mode": "practical",
          "kappa": 0.5, "sub_s1": 5},
-        {"variant": "exact_tr", "label": "ex", "L1": 1.0, "L2": 1.0, "K_override": 3,
-         "solver": "lanczos", "m_max": 2},
+        {"variant": "exact_tr", "label": "ex", "L1": 1.0, "L2": 1.0, "K_override": 3},
     ],
 }
 

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -42,8 +41,6 @@ def test_config_validation():
         RunConfig(epsilon=0.0)
     with pytest.raises(ValueError):
         RunConfig(delta=1.0)
-    with pytest.raises(ValueError):
-        RunConfig(solver="cg")
 
 
 def test_scalar_quadratic_converges_fast():
@@ -154,13 +151,6 @@ def test_subsampled_uses_fixed_fresh_batches(logistic_small):
     assert all(p == (40, 30) for p in per_iter)
 
 
-def test_lanczos_solver_variant(logistic_small):
-    cfg = RunConfig(variant="exact_tr", epsilon=1e-2, solver="lanczos")
-    res = run("exact_tr", logistic_small, cfg)
-    assert res.stop_reason == "dual_threshold"
-    assert res.report.certified
-
-
 def test_unknown_variant_rejected(logistic_small):
     with pytest.raises(ValueError):
         run("sgd", logistic_small, RunConfig(variant="exact_tr"))
@@ -256,7 +246,6 @@ def test_dual_threshold_invariant(logistic_small):
     res = run("exact_tr", logistic_small, RunConfig(variant="exact_tr", epsilon=eps))
     assert res.stop_reason == "dual_threshold"
     assert res.trace[-1].lambda_alg <= 2.0 * math.sqrt(eps / lip.L2)
-    assert all(rec.solver_converged for rec in res.trace)
 
 
 def test_iteration_bound_from_realized_decrease(logistic_small):
@@ -364,17 +353,17 @@ def test_non_finite_estimate_aborts(logistic_small, which, value):
 def test_non_finite_iterate_aborts(logistic_small, monkeypatch):
     import strbench.driver as drv
 
-    solve = drv._solve_step
+    solve = drv.solve_trs_exact
     calls = []
 
-    def overflowing_second_step(*args):
-        sol = solve(*args)
+    def overflowing_second_step(*args, **kwargs):
+        sol = solve(*args, **kwargs)
         calls.append(1)
         if len(calls) == 2:
             sol.h = np.full_like(sol.h, math.inf)
         return sol
 
-    monkeypatch.setattr(drv, "_solve_step", overflowing_second_step)
+    monkeypatch.setattr(drv, "solve_trs_exact", overflowing_second_step)
     cfg = RunConfig(variant="exact_tr", epsilon=1e-6, K_override=10)
     with pytest.raises(RunAborted, match="non-finite iterate after iteration 1") as info:
         run("exact_tr", logistic_small, cfg)
@@ -397,7 +386,6 @@ def test_non_finite_iterate_aborts(logistic_small, monkeypatch):
     {"solver_tol": 0.0},
     {"sub_s1": 0},
     {"sub_s2": 2.5},
-    {"m_max": 0},
     {"K_override": "x"},
     {"r_override": "x"},
     {"delta_hat": "x"},
@@ -406,15 +394,7 @@ def test_non_finite_iterate_aborts(logistic_small, monkeypatch):
 ])
 def test_config_rejects_bad_option(overrides):
     with pytest.raises(ValueError):
-        RunConfig(variant="subsampled", solver="lanczos", **overrides)
-
-
-def test_m_max_above_d_aborts(logistic_small):
-    cfg = RunConfig(variant="exact_tr", solver="lanczos", m_max=logistic_small.d + 1)
-    with pytest.raises(RunAborted, match="m_max"):
-        run("exact_tr", logistic_small, cfg)
-    cfg = replace(cfg, m_max=logistic_small.d)
-    assert run("exact_tr", logistic_small, cfg).trace
+        RunConfig(variant="subsampled", **overrides)
 
 
 # -- one full pass per point -------------------------------------------------------

@@ -149,6 +149,47 @@ def test_exact_rejects_bad_radius():
         solve_trs_exact(np.array([np.nan, 0.0]), np.eye(2), 1.0, 1.0)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("w", [(1.0, -1.0), (1.0, 2.0)])
+@pytest.mark.parametrize("r", [1e-110, 1e-120, 1e-152])
+def test_exact_tiny_radius_reaches_boundary(w, r):
+    # the secular Newton step divides by ||h||^3, which underflows below r ~ 1e-103
+    sol = solve_trs_exact(np.array([1.0, 2.0]), np.diag(w), r, 1.0)
+    assert np.linalg.norm(sol.h) == pytest.approx(r, rel=1e-12)
+    assert sol.on_boundary
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_exact_rejects_infeasible_step():
+    # at r = 1e-160 the squared step components underflow; an infeasible step
+    # with a small stationarity residual must not pass as a solution
+    with pytest.raises(TrsNumericError, match="outside the trust region"):
+        solve_trs_exact(np.array([1.0, 2.0]), np.diag([1.0, 2.0]), 1e-160, 1.0)
+
+
+def test_exact_hard_case_on_the_boundary():
+    # g orthogonal to the bottom eigenvector of an indefinite H, with the
+    # orthogonal-complement step too long for the ball: the step lies on the
+    # boundary with no bottom component, mu above -lambda_1
+    rng = np.random.default_rng(11)
+    for trial in range(160):
+        d = [2, 5, 20, 60][trial % 4]
+        V = np.linalg.qr(rng.standard_normal((d, d)))[0]
+        w = np.sort(rng.uniform(-2.0, 2.0, d))
+        w[0] = min(w[0], -0.1)
+        H = V @ np.diag(w) @ V.T
+        H = (H + H.T) / 2.0
+        g = rng.standard_normal(d)
+        g -= (g @ V[:, 0]) * V[:, 0]
+        r = math.exp(rng.uniform(math.log(1e-8), math.log(10.0)))
+        sol = solve_trs_exact(g, H, r, 1.0)
+        res = kkt_residual(g, H, r, sol)
+        assert res.stationarity <= 1e-8 * (np.linalg.norm(g) + 1.0)
+        assert res.min_eig_shifted >= -1e-8
+        assert res.complementarity <= 1e-8
+        assert np.linalg.norm(sol.h) <= r * (1.0 + 1e-10)
+
+
 def test_exact_matches_bruteforce_on_indefinite(rng):
     for trial in range(60):
         g, H, r = random_instance(trial, rng)
@@ -267,6 +308,33 @@ def test_lanczos_truncated_flags_unconverged():
     assert np.linalg.norm(sol.h) <= 0.5 * (1 + 1e-10)
     if not sol.converged:
         assert sol.kkt.stationarity > 0.0
+
+
+def test_lanczos_one_eigendecomposition_per_krylov_step(monkeypatch):
+    # the reduced solve and the Ritz test share one eigendecomposition of Q'HQ
+    calls = []
+    eigh = np.linalg.eigh
+
+    def counting_eigh(A, *args, **kwargs):
+        calls.append(A.shape)
+        return eigh(A, *args, **kwargs)
+
+    rng = np.random.default_rng(5)
+    d = 30
+    A = rng.standard_normal((d, d))
+    H = (A + A.T) / 2.0
+    g = rng.standard_normal(d)
+    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    sol = solve_trs_lanczos(g, lambda v: H @ v, d, 0.5, 1.0, rng=np.random.default_rng(0))
+    assert sol.converged
+    assert len(calls) == sol.krylov_dim
+
+
+def test_lanczos_rejects_bad_inputs():
+    for r, L2, g in ((0.0, 1.0, np.ones(3)), (1.0, 0.0, np.ones(3)),
+                     (1.0, 1.0, np.array([np.inf, 0.0, 0.0]))):
+        with pytest.raises(ValueError):
+            solve_trs_lanczos(g, lambda v: v, 3, r, L2)
 
 
 def test_lanczos_rejects_bad_m_max():
