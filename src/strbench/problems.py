@@ -148,6 +148,17 @@ def _read_only(a) -> np.ndarray:
     return out
 
 
+def _regularizer(w: np.ndarray, alpha: float, part: str):
+    """R(w; alpha)'s ``"value"``, ``"grad"`` or Hessian ``"diag"`` at a finite w."""
+    aw2 = alpha * w * w
+    denom = 1.0 + aw2
+    if part == "value":
+        return float(np.sum(aw2 / denom))
+    if part == "grad":
+        return 2.0 * alpha * w / denom**2
+    return 2.0 * alpha * (1.0 - 3.0 * aw2) / denom**3
+
+
 def regularizer_derivatives(w: np.ndarray, alpha: float):
     """Value, gradient and Hessian diagonal of R(w; alpha).
 
@@ -159,12 +170,7 @@ def regularizer_derivatives(w: np.ndarray, alpha: float):
     w = np.asarray(w, dtype=float)
     if not np.all(np.isfinite(w)):
         raise ValueError("non-finite input")
-    aw2 = alpha * w * w
-    denom = 1.0 + aw2
-    value = float(np.sum(aw2 / denom))
-    grad = 2.0 * alpha * w / denom**2
-    hess_diag = 2.0 * alpha * (1.0 - 3.0 * aw2) / denom**3
-    return value, grad, hess_diag
+    return tuple(_regularizer(w, alpha, part) for part in ("value", "grad", "diag"))
 
 
 class FiniteSumProblem:
@@ -256,12 +262,12 @@ class FiniteSumProblem:
         rows = self._rows(x, idx)
         return self.link.loss(rows.z, rows.b)
 
-    def _reg_terms(self, x: np.ndarray):
+    def _reg_term(self, x: np.ndarray, part: str):
+        """``reg_lambda`` times the regularizer's ``part`` (see :func:`_regularizer`)
+        at a checked point; 0.0 without a regularizer."""
         if self.reg_lambda == 0.0:
-            return 0.0, 0.0, 0.0
-        val, grad, diag = regularizer_derivatives(x, self.reg_alpha)
-        lam = self.reg_lambda
-        return lam * val, lam * grad, lam * diag
+            return 0.0
+        return self.reg_lambda * _regularizer(x, self.reg_alpha, part)
 
 
 def _check_point(problem: FiniteSumProblem, x) -> np.ndarray:
@@ -274,9 +280,12 @@ def _check_point(problem: FiniteSumProblem, x) -> np.ndarray:
 
 
 def _check_idx(problem: FiniteSumProblem, idx) -> np.ndarray:
-    idx = np.atleast_1d(np.asarray(idx, dtype=np.intp))
-    if idx.size == 0:
+    idx = np.atleast_1d(np.asarray(idx))
+    if idx.size == 0:  # before the dtype check: an empty list is float64
         raise IndexError("empty index multiset")
+    if idx.dtype.kind not in "iu":  # no truncated floats, no bool masks read as 0/1
+        raise IndexError(f"component indices must be integers, not {idx.dtype}")
+    idx = idx.astype(np.intp, copy=False)
     if idx.min() < 0 or idx.max() >= problem.n:
         raise IndexError(f"component index out of range [0, {problem.n})")
     return idx
@@ -291,9 +300,8 @@ def _gradient(problem, x, idx, counters: OracleCounters) -> np.ndarray:
         if g is None:
             coef = problem.link.grad_coef(rows.sigmoid(), rows.b)
             g = rows.g = rows.X.T @ coef / len(coef)
-    _, rg, _ = problem._reg_terms(x)
     counters.sfo += problem.n if idx is _ALL else len(idx)
-    return g + rg
+    return g + problem._reg_term(x, "grad")
 
 
 def _hessian(problem, x, idx, counters: OracleCounters) -> np.ndarray:
@@ -302,9 +310,8 @@ def _hessian(problem, x, idx, counters: OracleCounters) -> np.ndarray:
     else:
         Xs, w = problem._weights(x, idx)
         H = (Xs * w[:, None]).T @ Xs / len(w)
-    _, _, rd = problem._reg_terms(x)
     if problem.reg_lambda != 0.0:
-        H = H + np.diag(rd)
+        H = H + np.diag(problem._reg_term(x, "diag"))
     counters.sso += problem.n if idx is _ALL else len(idx)
     return (H + H.T) / 2.0
 
@@ -330,18 +337,16 @@ def batch_hvp(problem, x, idx, v, counters: OracleCounters) -> np.ndarray:
     else:
         Xs, w = problem._weights(x, idx)
         out = Xs.T @ (w * (Xs @ v)) / len(w)
-    _, _, rd = problem._reg_terms(x)
     if problem.reg_lambda != 0.0:
-        out = out + rd * v
+        out = out + problem._reg_term(x, "diag") * v
     counters.sso += len(idx)
     return out
 
 
 def full_value(problem, x, counters: OracleCounters) -> float:
     x = _check_point(problem, x)
-    rv, _, _ = problem._reg_terms(x)
     counters.fval += problem.n
-    return float(problem._data_values(x).mean() + rv)
+    return float(problem._data_values(x).mean() + problem._reg_term(x, "value"))
 
 
 def full_gradient(problem, x, counters: OracleCounters) -> np.ndarray:

@@ -65,25 +65,53 @@ class TrsNumericError(RuntimeError):
         self.best = best
 
 
-def sym_eig(A: np.ndarray, sym_tol: float = 1e-12):
-    """Eigendecomposition of a symmetric matrix, eigenvalues ascending.
+def _symmetric(A, sym_tol: float) -> np.ndarray:
+    """``A`` as a finite symmetric float matrix, for the LAPACK eigensolvers.
 
     Rejects inputs whose asymmetry exceeds ``sym_tol`` relative to the
-    largest entry; wraps LAPACK non-convergence in :class:`TrsNumericError`.
+    largest entry.  A bitwise symmetric input (every Hessian the oracles and
+    estimators build) is returned as is: ``(A + A')/2`` would reproduce it bit
+    for bit.  Any other input within tolerance is symmetrized.
     """
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
     if not np.all(np.isfinite(A)):
         raise ValueError("non-finite matrix")
+    bits = A.view(np.int64)  # compared as bits, so 0.0 and -0.0 count as different
+    if (bits == bits.T).all():
+        return A
     scale = float(np.max(np.abs(A))) if A.size else 0.0
     if float(np.max(np.abs(A - A.T), initial=0.0)) > sym_tol * (1.0 + scale):
         raise ValueError("matrix is not symmetric within tolerance")
+    return (A + A.T) / 2.0
+
+
+def sym_eig(A: np.ndarray, sym_tol: float = 1e-12):
+    """Eigendecomposition of a symmetric matrix, eigenvalues ascending.
+
+    Rejects inputs that are not square, not finite, or asymmetric beyond
+    ``sym_tol`` relative to the largest entry (see :func:`_symmetric`); wraps
+    LAPACK non-convergence in :class:`TrsNumericError`.
+    """
+    A = _symmetric(A, sym_tol)
     try:
-        w, V = np.linalg.eigh((A + A.T) / 2.0)
+        w, V = np.linalg.eigh(A)
     except np.linalg.LinAlgError as exc:
         raise TrsNumericError(f"eigendecomposition failed: {exc}") from exc
     return w, V
+
+
+def sym_eigvals(A: np.ndarray, sym_tol: float = 1e-12) -> np.ndarray:
+    """Eigenvalues of a symmetric matrix, ascending, without eigenvectors.
+
+    Same checks and errors as :func:`sym_eig`.
+    """
+    A = _symmetric(A, sym_tol)
+    try:
+        return np.linalg.eigvalsh(A)
+    except np.linalg.LinAlgError as exc:
+        raise TrsNumericError(f"eigenvalue computation failed: {exc}") from exc
 
 
 def model_value(g: np.ndarray, H: np.ndarray, h: np.ndarray) -> float:
@@ -101,10 +129,16 @@ def kkt_residual(g, H, r, sol: TrsSolution) -> KktResidual:
     return KktResidual(stationarity, min_eig, comp)
 
 
+def _norm(v: np.ndarray) -> float:
+    """Euclidean norm of a contiguous 1-D float array, as ``np.linalg.norm``
+    computes it (``sqrt(v . v)``) without its dispatch."""
+    return math.sqrt(v @ v)
+
+
 def _package(g, H_mul, h, mu, r, L2, min_eig_shifted):
-    hnorm = float(np.linalg.norm(h))
+    hnorm = _norm(h)
     Hh = H_mul(h)
-    stationarity = float(np.linalg.norm(Hh + mu * h + g))
+    stationarity = _norm(Hh + mu * h + g)
     comp = abs(mu * (hnorm - r))
     decrease = float(g @ h + 0.5 * h @ Hh)
     return TrsSolution(
@@ -117,14 +151,7 @@ def _package(g, H_mul, h, mu, r, L2, min_eig_shifted):
     )
 
 
-def _weighted_power_sum(c, w, mu, power):
-    """sum of c_i / (w_i + mu)^power, with exact zeros in c short-circuited."""
-    denom = (w + mu) ** power
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = c / denom
-    return float(np.sum(np.where(c == 0.0, 0.0, terms)))
-
-
+@np.errstate(divide="ignore", invalid="ignore")  # c_i / 0 at a pole is inf, silently
 def _secular_root(e, c, r, delta_hi, singular_at_lo):
     """Find delta > 0 with ||h(delta)|| = r where h_i = -gt_i / (e_i + delta).
 
@@ -134,9 +161,16 @@ def _secular_root(e, c, r, delta_hi, singular_at_lo):
     of a nearly hard case can sit within 1e-12 of mu_lo.  Newton on the
     reciprocal secular function ``1/||h|| - 1/r`` with a bisection bracket.
     """
+    nonzero = c != 0.0  # exact zeros in c contribute nothing, even at a pole
+    terms = np.zeros_like(c)  # stays zero where c is
+
+    def power_sum(t, power):
+        """sum of c_i / t_i^power over the nonzero c_i."""
+        np.divide(c, t**power, out=terms, where=nonzero)
+        return float(np.sum(terms))
 
     def norm_at(delta):
-        return math.sqrt(_weighted_power_sum(c, e, delta, 2))
+        return math.sqrt(power_sum(e + delta, 2))
 
     lo, hi = 0.0, delta_hi
     # phi(lo) must be negative; at a singular lower end step just inside.
@@ -157,7 +191,8 @@ def _secular_root(e, c, r, delta_hi, singular_at_lo):
     delta = 0.5 * (lo + hi)
     best_delta, best_gap = delta, float("inf")
     for _ in range(_MAX_SECULAR_ITERS):
-        n = norm_at(delta)
+        t = e + delta
+        n = math.sqrt(power_sum(t, 2))
         gap = abs(n - r)
         if gap < best_gap:
             best_delta, best_gap = delta, gap
@@ -168,13 +203,17 @@ def _secular_root(e, c, r, delta_hi, singular_at_lo):
             lo = delta
         else:
             hi = delta
-        if n**3 > 0:
-            dphi = _weighted_power_sum(c, e, delta, 3) / n**3
+        try:
+            n3 = n**3
+        except OverflowError:  # n above ~5.6e102
+            n3 = 0.0
+        if n3 > 0:
+            dphi = power_sum(t, 3) / n3
         elif n > 0:
-            # n**3 underflows below r ~ 1e-103: sum (|h_i|/n)^2 / (e_i + delta) / n
-            with np.errstate(divide="ignore", invalid="ignore"):
-                frac = np.sqrt(c) / (e + delta) / n
-            dphi = float(np.sum(np.where(c == 0.0, 0.0, frac * frac / (e + delta)))) / n
+            # n**3 underflows below r ~ 1e-103 or overflows above ~5.6e102:
+            # sum (|h_i|/n)^2 / (e_i + delta) / n
+            frac = np.sqrt(c) / t / n
+            dphi = float(np.sum(np.where(nonzero, frac * frac / t, 0.0))) / n
         else:
             dphi = 0.0
         delta_new = delta - phi / dphi if dphi > 0 else 0.5 * (lo + hi)
@@ -232,7 +271,7 @@ def _solve_in_eigenbasis(g, w, V, r, L2, tol) -> TrsSolution:
             )
         # underflow in the step's squared components can hide an infeasible
         # step (radius near 1e-160) behind a small residual
-        hnorm = float(np.linalg.norm(sol.h))
+        hnorm = _norm(sol.h)
         if hnorm > r * (1.0 + 1e-8):
             raise TrsNumericError(
                 f"step norm {hnorm:.3e} outside the trust region of radius {r:.3e}", best=sol
@@ -245,7 +284,7 @@ def _solve_in_eigenbasis(g, w, V, r, L2, tol) -> TrsSolution:
         """Step at mu_lo + delta, bottom eigenspace zeroed, padded to the boundary."""
         denom = np.where(bottom, 1.0, shifted + delta)
         ht = np.where(bottom, 0.0, -gt / denom)
-        n0 = float(np.linalg.norm(ht))
+        n0 = _norm(ht)
         if n0 > r:
             ht *= r / n0
         elif n0 < r * (1.0 - _PAD_RTOL):
@@ -259,7 +298,7 @@ def _solve_in_eigenbasis(g, w, V, r, L2, tol) -> TrsSolution:
 
     if lam1 > 0:
         ht = -gt / w
-        if float(np.linalg.norm(ht)) <= r:
+        if _norm(ht) <= r:
             return gated(_package(g, H_mul, V @ ht, 0.0, r, L2, lam1))
         delta, _ = _secular_root(shifted, c, r, gnorm / r, singular_at_lo=False)
         ht = -gt / (shifted + delta)
@@ -269,7 +308,7 @@ def _solve_in_eigenbasis(g, w, V, r, L2, tol) -> TrsSolution:
         # g is (numerically) orthogonal to the bottom eigenspace.
         ct = np.where(bottom, 0.0, c)
         ht = np.where(bottom, 0.0, -gt / np.where(bottom, 1.0, shifted))
-        n0 = float(np.linalg.norm(ht))
+        n0 = _norm(ht)
         if n0 <= r:
             if mu_lo == 0.0:
                 # positive semidefinite with a fitting pseudo-Newton step

@@ -449,3 +449,46 @@ def test_runs_equal_record_free_runs(variant):
     assert got.x_final.tobytes() == want.x_final.tobytes()
     assert got.counters == want.counters
     assert got.report == want.report and got.stop_reason == want.stop_reason
+
+
+# -- the eigensolves -----------------------------------------------------------------
+
+
+@pytest.mark.parametrize("kind", ["logistic_nc", "nls_nc"])
+@pytest.mark.parametrize("variant", ["exact_tr", "str1", "str2", "subsampled"])
+def test_subproblem_hessians_are_bitwise_symmetric(monkeypatch, kind, variant):
+    # sym_eig hands a bitwise symmetric H to LAPACK as is; the oracles return
+    # (H + H')/2, and the estimators' sums and differences keep that exact
+    import strbench.driver as driver_module
+
+    solve = driver_module.solve_trs_exact
+    seen = []
+
+    def recording_solve(g, H, *args, **kwargs):
+        bits = np.asarray(H).view(np.int64)
+        seen.append(bool((bits == bits.T).all()))
+        return solve(g, H, *args, **kwargs)
+
+    monkeypatch.setattr(driver_module, "solve_trs_exact", recording_solve)
+    prob = from_dataset(generate_synthetic(200, 10, seed=3), kind)
+    cfg = RunConfig(variant=variant, epsilon=1e-3, mode="practical", kappa_grad=0.5,
+                    kappa_hess=0.2, sub_s1=50, sub_s2=50, K_override=40, seed=2)
+    result = run(variant, prob, cfg)
+    assert len(seen) == len(result.trace) >= 2
+    assert all(seen)
+
+
+@pytest.mark.parametrize("kind", ["logistic_nc", "nls_nc"])
+def test_certificate_eigenvalue_matches_full_eigendecomposition(kind):
+    # verify_sosp reads lambda_min from eigenvalues alone
+    prob = from_dataset(generate_synthetic(300, 30, seed=8), kind)
+    rng = np.random.default_rng(8)
+    eps, L2 = 1e-3, lipschitz_bounds(prob).L2
+    for scale in (0.0, 0.1, 1.0, 3.0):
+        x = scale * rng.standard_normal(prob.d)
+        rep = verify_sosp(prob, x, eps, L2)
+        H = full_hessian(prob, x, OracleCounters())
+        min_eig = float(np.linalg.eigh((H + H.T) / 2.0)[0][0])
+        assert abs(rep.min_eig - min_eig) <= 1e-12
+        assert rep.eig_ok == (min_eig >= -(10.0 / 3.0) * math.sqrt(L2 * eps))
+        assert rep.certified == (rep.grad_ok and rep.eig_ok)

@@ -160,6 +160,40 @@ def test_index_and_domain_errors(small_logistic):
         full_value(small_logistic, bad, OracleCounters())
 
 
+@pytest.mark.parametrize("idx", [[1.7, 2.2], [1.0, 2.0], [True, False, True],
+                                 np.array([True, True]), 2.0, np.array([[0.5]])])
+def test_non_integer_indices_rejected(small_logistic, idx):
+    # a float list used to be truncated to [1, 2], a bool mask read as the
+    # indices [1, 0, 1] and billed 3 rows
+    x = np.zeros(small_logistic.d)
+    c = OracleCounters()
+    with pytest.raises(IndexError, match="integers"):
+        batch_gradient(small_logistic, x, idx, c)
+    with pytest.raises(IndexError, match="integers"):
+        batch_hessian(small_logistic, x, idx, c)
+    with pytest.raises(IndexError, match="integers"):
+        batch_hvp(small_logistic, x, idx, x, c)
+    assert c.snapshot() == (0, 0, 0)
+
+
+@pytest.mark.parametrize("idx", [[1, 2], np.array([1, 2], dtype=np.int32),
+                                 np.array([1, 2], dtype=np.uint8), (1, 2)])
+def test_integer_indices_of_any_width_accepted(small_logistic, idx):
+    x = np.full(small_logistic.d, 0.3)
+    c = OracleCounters()
+    want = batch_gradient(small_logistic, x, np.array([1, 2], dtype=np.intp), c)
+    assert np.array_equal(batch_gradient(small_logistic, x, idx, c), want)
+    assert c.sfo == 4
+    assert np.array_equal(batch_gradient(small_logistic, x, np.int64(3), c),
+                          batch_gradient(small_logistic, x, [3], c))
+
+
+def test_empty_index_multiset_rejected_before_dtype(small_logistic):
+    # np.asarray([]) is float64: the empty check must come first
+    with pytest.raises(IndexError, match="empty"):
+        batch_gradient(small_logistic, np.zeros(small_logistic.d), [], OracleCounters())
+
+
 # -- reference values ----------------------------------------------------------
 
 
@@ -310,15 +344,24 @@ def _ref_log1pexp(z):
     return out
 
 
+def _ref_reg_terms(x, lam, alpha):
+    """The regularizer's value, gradient and Hessian diagonal times ``lam``,
+    all three at once, as every oracle first computed them."""
+    if lam == 0.0:
+        return 0.0, 0.0, 0.0
+    aw2 = alpha * x * x
+    denom = 1.0 + aw2
+    value = float(np.sum(aw2 / denom))
+    grad = 2.0 * alpha * x / denom**2
+    hess_diag = 2.0 * alpha * (1.0 - 3.0 * aw2) / denom**3
+    return lam * value, lam * grad, lam * hess_diag
+
+
 def _ref_oracles(prob, x, idx, v):
     """Value, gradient, Hessian and HVP averaged over the rows ``idx``."""
     Xs, ys = prob.X[idx], prob.y[idx]
     lam = prob.reg_lambda
-    if lam == 0.0:
-        rv, rg, rd = 0.0, 0.0, 0.0
-    else:
-        val, grad, diag = regularizer_derivatives(x, prob.reg_alpha)
-        rv, rg, rd = lam * val, lam * grad, lam * diag
+    rv, rg, rd = _ref_reg_terms(x, lam, prob.reg_alpha)
     if prob.kind == "logistic_nc":
         z = ys * (Xs @ x)
         values = _ref_log1pexp(-z)

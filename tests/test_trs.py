@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from strbench import trs
 from strbench.trs import (
     TrsNumericError,
     kkt_residual,
@@ -12,6 +13,7 @@ from strbench.trs import (
     solve_trs_exact,
     solve_trs_lanczos,
     sym_eig,
+    sym_eigvals,
 )
 
 
@@ -120,6 +122,196 @@ def test_sym_eig_rejects_asymmetric():
     A = np.array([[0.0, 1.0], [0.0, 0.0]])
     with pytest.raises(ValueError):
         sym_eig(A)
+    with pytest.raises(ValueError):
+        sym_eigvals(A)
+
+
+# -- bitwise regression against the solver as first written ---------------------
+#
+# The reference below is the eigensolve and secular iteration before the
+# exact-symmetry fast path and the fused Newton step: every input symmetrized,
+# one errstate, power and mask per sum, and ``np.linalg.norm`` for every norm.
+
+
+def _ref_sym_eig(A, sym_tol=1e-12):
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError("matrix must be square")
+    if not np.all(np.isfinite(A)):
+        raise ValueError("non-finite matrix")
+    scale = float(np.max(np.abs(A))) if A.size else 0.0
+    if float(np.max(np.abs(A - A.T), initial=0.0)) > sym_tol * (1.0 + scale):
+        raise ValueError("matrix is not symmetric within tolerance")
+    try:
+        w, V = np.linalg.eigh((A + A.T) / 2.0)
+    except np.linalg.LinAlgError as exc:
+        raise TrsNumericError(f"eigendecomposition failed: {exc}") from exc
+    return w, V
+
+
+def _ref_weighted_power_sum(c, w, mu, power):
+    denom = (w + mu) ** power
+    with np.errstate(divide="ignore", invalid="ignore"):
+        terms = c / denom
+    return float(np.sum(np.where(c == 0.0, 0.0, terms)))
+
+
+def _ref_secular_root(e, c, r, delta_hi, singular_at_lo):
+    def norm_at(delta):
+        return math.sqrt(_ref_weighted_power_sum(c, e, delta, 2))
+
+    lo, hi = 0.0, delta_hi
+    if singular_at_lo:
+        step = max(1e-18 * delta_hi, 5e-324)
+        for _ in range(400):
+            if norm_at(step) > r:
+                lo = step
+                break
+            hi = step
+            step *= 1e-2
+        else:
+            lo = step
+    for _ in range(200):
+        if norm_at(hi) <= r or not math.isfinite(hi):
+            break
+        hi = 2.0 * hi + 1.0
+    delta = 0.5 * (lo + hi)
+    best_delta, best_gap = delta, float("inf")
+    for _ in range(200):
+        n = norm_at(delta)
+        gap = abs(n - r)
+        if gap < best_gap:
+            best_delta, best_gap = delta, gap
+        if gap <= 1e-13 * r:
+            return delta, True
+        phi = 1.0 / n - 1.0 / r if n > 0 else 1.0 / r
+        if phi < 0.0:
+            lo = delta
+        else:
+            hi = delta
+        if n**3 > 0:
+            dphi = _ref_weighted_power_sum(c, e, delta, 3) / n**3
+        elif n > 0:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                frac = np.sqrt(c) / (e + delta) / n
+            dphi = float(np.sum(np.where(c == 0.0, 0.0, frac * frac / (e + delta)))) / n
+        else:
+            dphi = 0.0
+        delta_new = delta - phi / dphi if dphi > 0 else 0.5 * (lo + hi)
+        if not (lo < delta_new < hi):
+            delta_new = 0.5 * (lo + hi)
+        if delta_new == delta:
+            break
+        delta = delta_new
+    return best_delta, best_gap <= 1e-9 * r
+
+
+def _reference_solve(monkeypatch, g, H, r):
+    """``solve_trs_exact`` with the reference eigensolve, root and norms."""
+    with monkeypatch.context() as m:
+        m.setattr(trs, "sym_eig", _ref_sym_eig)
+        m.setattr(trs, "_secular_root", _ref_secular_root)
+        m.setattr(trs, "_norm", lambda v: float(np.linalg.norm(v)))
+        return _outcome(g, H, r)
+
+
+def _outcome(g, H, r):
+    try:
+        return solve_trs_exact(g, H, r, 0.7)
+    except TrsNumericError as exc:
+        return exc
+
+
+def _bits(sol):
+    """Every field of a solve's result as exact bytes (tells -0.0 from 0.0)."""
+    if isinstance(sol, TrsNumericError):
+        return (str(sol), None if sol.best is None else _bits(sol.best))
+    k = sol.kkt
+    floats = np.array([sol.mu, sol.lambda_alg, sol.model_decrease,
+                       k.stationarity, k.min_eig_shifted, k.complementarity])
+    return (sol.h.tobytes(), floats.tobytes(), sol.on_boundary, sol.converged)
+
+
+def _bitwise_instances():
+    """Interior, boundary, hard, near-hard and tiny-radius subproblems."""
+    rng = np.random.default_rng(20)
+    for trial in range(560):
+        kind = trial % 7
+        d = [1, 2, 5, 20][trial % 4]
+        V = np.linalg.qr(rng.standard_normal((d, d)))[0]
+        w = np.sort(rng.uniform(-2.0, 2.0, d))
+        g = rng.standard_normal(d)
+        r = math.exp(rng.uniform(math.log(1e-3), math.log(10.0)))
+        if kind == 0:  # definite; interior or boundary by the radius
+            w = np.abs(w) + 0.1
+            r *= 10.0
+        elif kind in (2, 3):  # hard (g orthogonal to the bottom) and near-hard
+            w[0] = min(w[0], -0.1)
+            g -= (g @ V[:, 0]) * V[:, 0]
+            if kind == 3:
+                g += 10.0 ** rng.uniform(-14, -6) * V[:, 0]
+        elif kind == 4:  # tiny radius, where ||h||^3 underflows
+            r = 10.0 ** rng.uniform(-152, -110)
+        elif kind == 5:  # diagonal: exact zeros in the eigencoordinates of g
+            V = np.eye(d)
+            g[rng.random(d) < 0.5] = 0.0
+        H = V @ np.diag(w) @ V.T
+        yield g, (H + H.T) / 2.0, r
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_exact_bitwise_equal_reference(monkeypatch):
+    outcomes = set()
+    for g, H, r in _bitwise_instances():
+        ref = _reference_solve(monkeypatch, g, H, r)
+        got = _outcome(g, H, r)
+        assert type(got) is type(ref)
+        assert _bits(got) == _bits(ref)
+        outcomes.add("error" if isinstance(got, TrsNumericError)
+                     else ("boundary" if got.on_boundary else "interior"))
+    assert {"boundary", "interior"} <= outcomes
+
+
+def test_sym_eig_bitwise_on_exactly_symmetric_input(rng):
+    for d in (1, 2, 7, 40):
+        A = rng.standard_normal((d, d))
+        A = (A + A.T) / 2.0
+        w, V = sym_eig(A)
+        rw, rV = _ref_sym_eig(A)
+        assert w.tobytes() == rw.tobytes() and V.tobytes() == rV.tobytes()
+
+
+def test_sym_eig_symmetrizes_within_tolerance(rng):
+    A = rng.standard_normal((6, 6))
+    A = (A + A.T) / 2.0
+    A[0, 3] += 1e-14  # inside the tolerance, so averaged with A[3, 0]
+    w, V = sym_eig(A)
+    rw, rV = _ref_sym_eig(A)
+    assert w.tobytes() == rw.tobytes() and V.tobytes() == rV.tobytes()
+    assert sym_eigvals(A).tobytes() == np.linalg.eigvalsh((A + A.T) / 2.0).tobytes()
+    A[0, 3] += 1e-6
+    with pytest.raises(ValueError, match="not symmetric"):
+        sym_eig(A)
+    with pytest.raises(ValueError, match="not symmetric"):
+        sym_eigvals(A)
+
+
+def test_sym_eig_signed_zero_pair_is_symmetrized():
+    # 0.0 == -0.0, but (A + A')/2 turns the pair into two 0.0: the fast path
+    # compares bits, so such an input takes the symmetrizing path
+    A = np.array([[1.0, 0.0, 0.5], [-0.0, 2.0, 0.0], [0.5, -0.0, 3.0]])
+    w, V = sym_eig(A)
+    rw, rV = _ref_sym_eig(A)
+    assert w.tobytes() == rw.tobytes() and V.tobytes() == rV.tobytes()
+
+
+def test_sym_eigvals_checks_and_agrees_with_sym_eig(rng):
+    A = rng.standard_normal((30, 30))
+    A = (A + A.T) / 2.0
+    assert np.max(np.abs(sym_eigvals(A) - sym_eig(A)[0])) <= 1e-12 * (1.0 + np.abs(A).max())
+    for bad in (np.ones((2, 3)), np.array([[np.nan, 0.0], [0.0, 1.0]])):
+        with pytest.raises(ValueError):
+            sym_eigvals(bad)
 
 
 # -- exact solver --------------------------------------------------------------
@@ -157,6 +349,27 @@ def test_exact_tiny_radius_reaches_boundary(w, r):
     sol = solve_trs_exact(np.array([1.0, 2.0]), np.diag(w), r, 1.0)
     assert np.linalg.norm(sol.h) == pytest.approx(r, rel=1e-12)
     assert sol.on_boundary
+
+
+@pytest.mark.parametrize("w", [(1e10, 2e10), (-1e10, 2e10)])
+def test_exact_huge_step_norm_reaches_boundary(w):
+    # ||h||^3 overflows a float above ||h|| ~ 5.6e102; the Newton step then
+    # takes the rescaled derivative, as on underflow
+    g, H, r = np.array([1e120, 2e120]), np.diag(w), 1e105
+    sol = solve_trs_exact(g, H, r, 1.0)
+    assert np.linalg.norm(sol.h) == pytest.approx(r, rel=1e-12)
+    assert sol.on_boundary
+    res = kkt_residual(g, H, r, sol)
+    assert res.stationarity <= 1e-8 * np.linalg.norm(g)
+    assert res.min_eig_shifted >= 0.0
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_exact_unresolvable_huge_scale_raises_documented_error():
+    # the root sits 1e-171 relative to mu_lo = 1e150 from the pole, far below
+    # float resolution: the documented TrsNumericError, not an OverflowError
+    with pytest.raises(TrsNumericError):
+        solve_trs_exact(np.array([1e100, 1e100]), np.diag([-1e150, 1e150]), 1e121, 1.0)
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
