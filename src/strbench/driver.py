@@ -37,7 +37,7 @@ from .problems import (
     full_value,
     lipschitz_bounds,
 )
-from .trs import TrsNumericError, solve_trs_exact, sym_eigvals
+from .trs import TrsNumericError, _sym_eigvals, solve_trs_exact
 
 VARIANTS = ("exact_tr", "str1", "str2", "subsampled")
 
@@ -202,7 +202,7 @@ def verify_sosp(problem: FiniteSumProblem, x, epsilon: float, L2: float) -> SosR
     g = full_gradient(problem, x, scratch)
     H = full_hessian(problem, x, scratch)
     grad_norm = float(np.linalg.norm(g))
-    min_eig = float(sym_eigvals(H)[0])
+    min_eig = float(_sym_eigvals(H)[0])
     grad_ok = grad_norm <= 3.0 * epsilon
     eig_ok = min_eig >= -(10.0 / 3.0) * math.sqrt(L2 * epsilon)
     return SosReport(grad_norm, min_eig, grad_ok, eig_ok, grad_ok and eig_ok)

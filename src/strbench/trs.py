@@ -65,6 +65,9 @@ class TrsNumericError(RuntimeError):
         self.best = best
 
 
+_SYM_TOL = 1e-12  # default relative asymmetry tolerance of the eigensolvers
+
+
 def _symmetric(A, sym_tol: float) -> np.ndarray:
     """``A`` as a finite symmetric float matrix, for the LAPACK eigensolvers.
 
@@ -87,7 +90,7 @@ def _symmetric(A, sym_tol: float) -> np.ndarray:
     return (A + A.T) / 2.0
 
 
-def sym_eig(A: np.ndarray, sym_tol: float = 1e-12):
+def sym_eig(A: np.ndarray, sym_tol: float = _SYM_TOL):
     """Eigendecomposition of a symmetric matrix, eigenvalues ascending.
 
     Rejects inputs that are not square, not finite, or asymmetric beyond
@@ -102,12 +105,12 @@ def sym_eig(A: np.ndarray, sym_tol: float = 1e-12):
     return w, V
 
 
-def sym_eigvals(A: np.ndarray, sym_tol: float = 1e-12) -> np.ndarray:
+def _sym_eigvals(A: np.ndarray) -> np.ndarray:
     """Eigenvalues of a symmetric matrix, ascending, without eigenvectors.
 
-    Same checks and errors as :func:`sym_eig`.
+    Same checks and errors as :func:`sym_eig` at its default tolerance.
     """
-    A = _symmetric(A, sym_tol)
+    A = _symmetric(A, _SYM_TOL)
     try:
         return np.linalg.eigvalsh(A)
     except np.linalg.LinAlgError as exc:
