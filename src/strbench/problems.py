@@ -15,14 +15,17 @@ update the caller-owned :class:`OracleCounters` by exactly the multiset size.
 
 The GLM kinds share one set of kernels and differ only in their entry of the
 link table ``_LINKS`` (margin, loss, gradient coefficient, Hessian weight).
-Each call reads its rows of ``X`` once: sampled batches gather ``X[idx]`` once
-and take the margins from it, and ``full_*`` oracles use ``X`` in place and
-share one pass per point.  A GLM problem keeps a record of its last full pass
-(margins, sigmoid, data gradient), keyed by the exact bytes of the point, so
+Each call reads its rows of ``X`` at most once, and consecutive calls often
+share that read.  A GLM problem keeps a record of its last sampled gather
+(``X[idx]`` and the labels), keyed by the bytes of the index multiset, so the
+calls of one recurrent estimator step on one multiset gather it once; each
+call still takes its margins at its own point.  ``full_*`` oracles use ``X``
+in place, and the problem keeps a record of its last full pass (margins,
+sigmoid, data gradient), keyed by the exact bytes of the point, so
 ``full_value``, ``full_gradient`` and ``full_hessian`` at one point compute
-``X @ x`` once and the gradient once; each call still bills ``n`` queries.
-The record relies on ``X`` and the labels never changing, so the problem holds
-them read-only.
+``X @ x`` once and the gradient once.  Every call still bills its full batch
+size.  The records rely on ``X`` and the labels never changing, so the
+problem holds them read-only.
 """
 
 from __future__ import annotations
@@ -86,8 +89,8 @@ def _log1pexp(z: np.ndarray) -> np.ndarray:
     return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
 
 
-def _nls_loss(z, b):
-    e = _sigmoid(z) - b
+def _nls_loss(rows):
+    e = rows.sigmoid() - rows.b
     return 0.5 * e * e
 
 
@@ -96,14 +99,14 @@ def _nls_weight(p, b):
     return sp * sp + (p - b) * sp * (1.0 - 2.0 * p)
 
 
-# Per GLM kind: labels(y) -> b, margin(X x, b) -> z, loss(z, b), grad_coef and
+# Per GLM kind: labels(y) -> b, margin(X x, b) -> z, loss of a _Pass, grad_coef and
 # hess_weight of (sigmoid(z), b); l1, l2 scale max|x_i|^2, ^3 in the L1, L2 bounds.
 _Link = namedtuple("_Link", "labels margin loss grad_coef hess_weight l1 l2")
 _LINKS = {
     "logistic_nc": _Link(
         labels=lambda y: y,
         margin=lambda u, b: b * u,
-        loss=lambda z, b: _log1pexp(-z),
+        loss=lambda rows: _log1pexp(-rows.z),
         grad_coef=lambda p, b: (p - 1.0) * b,
         hess_weight=lambda p, b: p * (1.0 - p),
         l1=0.25, l2=_SIG_D2_MAX,
@@ -111,7 +114,7 @@ _LINKS = {
     "nls_nc": _Link(
         labels=lambda y: (y + 1.0) / 2.0,  # nls targets in {0, 1}
         margin=lambda u, b: u,
-        loss=_nls_loss,
+        loss=_nls_loss,  # reads the pass's sigmoid, which the gradient reuses
         grad_coef=lambda p, b: (p - b) * p * (1.0 - p),
         hess_weight=_nls_weight,
         l1=0.0625 + _SIG_D2_MAX, l2=0.75 * _SIG_D2_MAX + _SIG_D3_MAX,
@@ -120,7 +123,7 @@ _LINKS = {
 
 
 class _Pass:
-    """One read of a batch's rows: the rows, their labels and margins, with the
+    """A batch's rows and labels with their margins at one point, and the
     sigmoid of the margins and the data gradient filled in when first needed.
     A full pass also carries ``key``, the bytes of its point."""
 
@@ -179,6 +182,7 @@ class FiniteSumProblem:
     # data of the other kinds stays None
     X = y = labels = anchors = quad_scales = None
     _full_pass: _Pass | None = None  # GLM kinds: the last full-batch pass
+    _gather: tuple | None = None  # GLM kinds: (idx bytes, X[idx], labels[idx])
 
     def __init__(
         self,
@@ -222,7 +226,8 @@ class FiniteSumProblem:
 
     def __getstate__(self):
         state = dict(self.__dict__)
-        state.pop("_full_pass", None)  # a cache: a copy starts without one
+        for cache in ("_full_pass", "_gather"):  # a copy starts without them
+            state.pop(cache, None)
         return state
 
     def __setstate__(self, state):
@@ -234,14 +239,19 @@ class FiniteSumProblem:
     # -- data-term helpers (no counter updates) ----------------------------
 
     def _rows(self, x: np.ndarray, idx) -> _Pass:
-        """Rows of the batch, read once, with their margins and labels.
+        """Rows of the batch with their labels and their margins at ``x``.
 
-        The full batch reuses the last full pass when ``x`` has the same bytes.
-        The record is read once and replaced in one assignment, so threads
-        sharing the problem can lose a hit but never read another point's pass.
+        A sampled batch reuses the last gather when ``idx`` has the same bytes;
+        the full batch reuses the last full pass when ``x`` has the same bytes.
+        Each record is read once and replaced in one assignment, so threads
+        sharing the problem can lose a hit but never read another batch's rows.
         """
         if idx is not _ALL:
-            Xs, b = self.X[idx], self.labels[idx]
+            key = idx.tobytes()  # a checked intp array: equal bytes, equal rows
+            rec = self._gather
+            if rec is None or rec[0] != key:
+                rec = self._gather = (key, self.X[idx], self.labels[idx])
+            _, Xs, b = rec
             return _Pass(Xs, b, self.link.margin(Xs @ x, b))
         key = x.tobytes()
         rec = self._full_pass
@@ -259,8 +269,7 @@ class FiniteSumProblem:
         if self.kind == "synthetic_quad":
             diff = x[None, :] - self.anchors[idx]
             return 0.5 * np.sum(self.quad_scales[None, :] * diff * diff, axis=1)
-        rows = self._rows(x, idx)
-        return self.link.loss(rows.z, rows.b)
+        return self.link.loss(self._rows(x, idx))
 
     def _reg_term(self, x: np.ndarray, part: str):
         """``reg_lambda`` times the regularizer's ``part`` (see :func:`_regularizer`)

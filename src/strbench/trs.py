@@ -267,7 +267,8 @@ def _solve_in_eigenbasis(g, w, V, r, L2, tol) -> TrsSolution:
         return V @ (w * (V.T @ v))
 
     def gated(sol: TrsSolution) -> TrsSolution:
-        if sol.kkt.stationarity > max(tol, 1e-8) * (gnorm + 1.0):
+        # written as ``not <=``, so a NaN residual or step norm fails the gate
+        if not sol.kkt.stationarity <= max(tol, 1e-8) * (gnorm + 1.0):
             raise TrsNumericError(
                 f"stationarity residual {sol.kkt.stationarity:.3e} above tolerance",
                 best=sol,
@@ -275,7 +276,7 @@ def _solve_in_eigenbasis(g, w, V, r, L2, tol) -> TrsSolution:
         # underflow in the step's squared components can hide an infeasible
         # step (radius near 1e-160) behind a small residual
         hnorm = _norm(sol.h)
-        if hnorm > r * (1.0 + 1e-8):
+        if not hnorm <= r * (1.0 + 1e-8):
             raise TrsNumericError(
                 f"step norm {hnorm:.3e} outside the trust region of radius {r:.3e}", best=sol
             )

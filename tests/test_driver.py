@@ -350,6 +350,19 @@ def test_non_finite_estimate_aborts(logistic_small, which, value):
     assert counters.sfo == counters.sso == 3 * logistic_small.n
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_nan_subproblem_residual_aborts(logistic_small):
+    # a finite gradient estimate whose squares overflow: the solve's residual is
+    # NaN, and the run ends in RunAborted instead of taking a zero step
+    cfg = RunConfig(variant="exact_tr", epsilon=1e-6, K_override=10)
+    g_fn, h_fn = _exact_estimators(logistic_small, cfg)
+    g_fn = _poisoned(g_fn, 2, 1e160)
+    with pytest.raises(RunAborted, match="subproblem solve failed at iteration 1: "
+                                         "stationarity residual nan") as info:
+        run_inexact_tr(logistic_small, cfg, g_fn, h_fn)
+    assert len(info.value.trace) == 1
+
+
 def test_non_finite_iterate_aborts(logistic_small, monkeypatch):
     import strbench.driver as drv
 
@@ -424,7 +437,7 @@ def test_exact_tr_reads_x_once_per_iterate():
 
 
 class _RecordFree(FiniteSumProblem):
-    """A problem that never keeps its last full pass."""
+    """A problem that never keeps its last full pass or its last gather."""
 
     @property
     def _full_pass(self):
@@ -432,6 +445,14 @@ class _RecordFree(FiniteSumProblem):
 
     @_full_pass.setter
     def _full_pass(self, record):
+        pass
+
+    @property
+    def _gather(self):
+        return None
+
+    @_gather.setter
+    def _gather(self, record):
         pass
 
 

@@ -367,3 +367,40 @@ def test_epoch_reset_zero_error(logistic20):
     hstate = HessEstimatorState(schedule=HessSchedule("I", p2=3, s2=2, s2_prime=None))
     H = hessian_estimate_step(hstate, logistic20, x, OracleCounters(), np.random.default_rng(0))
     assert np.allclose(H, full_hessian(logistic20, x, OracleCounters()), atol=1e-15)
+
+
+@pytest.mark.parametrize("kind", ["logistic_nc", "nls_nc"])
+@pytest.mark.parametrize("step,schedule", [
+    (spider_step, GradSchedule(case=1, p1=3, s1=9)),
+    (corrected_step, GradSchedule(case=2, p1=3, s1=9)),
+    (hessian_estimate_step, HessSchedule("I", p2=3, s2=9, s2_prime=None)),
+])
+def test_recurrent_step_gathers_its_multiset_once(monkeypatch, kind, step, schedule):
+    prob = from_dataset(generate_synthetic(50, 6, seed=31), kind, reg_lambda=1e-3)
+    blocks = []
+    rows = prob._rows
+
+    def recording_rows(x, idx):
+        out = rows(x, idx)
+        blocks.append(out.X)
+        return out
+
+    monkeypatch.setattr(prob, "_rows", recording_rows)
+    state = (GradEstimatorState if isinstance(schedule, GradSchedule)
+             else HessEstimatorState)(schedule=schedule)
+    S = np.array([0, 4, 4, 17, 23, 23, 23, 41, 49])
+    c = OracleCounters()
+    x = np.full(prob.d, 0.2)
+    step(state, prob, x, c, FixedDraws())  # epoch start: full batch, no draw
+    before = c.snapshot()
+    blocks.clear()
+    step(state, prob, x + 0.1, c, FixedDraws(S))
+    # both endpoints (and case 2's correction at x_ref) read one gathered block
+    calls = 3 if step is corrected_step else 2
+    assert len(blocks) == calls
+    assert all(b is blocks[0] for b in blocks)
+    assert np.array_equal(blocks[0], prob.X[S])
+    grown = tuple(a - b for a, b in zip(c.snapshot(), before))
+    s = len(S)
+    assert grown == {spider_step: (2 * s, 0, 0), corrected_step: (2 * s, s, 0),
+                     hessian_estimate_step: (0, 2 * s, 0)}[step]

@@ -574,3 +574,137 @@ def test_read_only_dataset_arrays_are_not_copied():
     for kind in ("logistic_nc", "nls_nc"):
         prob = from_dataset(ds, kind)
         assert prob.X is ds.X and prob.y is ds.y
+
+
+# -- the record of the last sampled gather -------------------------------------------
+#
+# Consecutive sampled calls on one index multiset share one gather of X[idx].
+# As for the full pass, every result must equal, bit for bit, the result of a
+# problem without a record.
+
+BATCH_ORACLES = (
+    lambda p, x, idx, v, c: batch_gradient(p, x, idx, c),
+    lambda p, x, idx, v, c: batch_hvp(p, x, idx, v, c),
+    lambda p, x, idx, v, c: batch_hessian(p, x, idx, c),
+)
+
+
+def _record_free_batch(prob, oracle, x, idx, v):
+    return oracle(_fresh(prob), x, idx, v, OracleCounters())
+
+
+@pytest.mark.parametrize("kind", ["logistic_nc", "nls_nc"])
+@pytest.mark.parametrize("lam", [0.0, 1e-3])
+def test_gather_record_matches_record_free_calls(kind, lam):
+    prob = _glm(kind, lam)
+    rng = np.random.default_rng(4)
+    S, T = rng.integers(0, prob.n, size=9), rng.integers(0, prob.n, size=5)
+    points = [rng.standard_normal(prob.d) for _ in range(3)] + [np.zeros(prob.d)]
+    v = rng.standard_normal(prob.d)
+    multisets = (S, S.tolist(), T, S, np.asarray(S, dtype=np.int32), T)
+    c = OracleCounters()
+    # each multiset at several points in a row, then the next multiset, then back;
+    # a full call in between leaves the gather record alone
+    for idx in multisets:
+        for i, x in enumerate(points):
+            for oracle in BATCH_ORACLES[i % 3:] + BATCH_ORACLES[:i % 3]:
+                assert_bitwise(oracle(prob, x, idx, v, c),
+                               _record_free_batch(prob, oracle, x, idx, v))
+            full_gradient(prob, x, c)
+    rows = len(points) * sum(len(idx) for idx in multisets)
+    assert c.snapshot() == (rows + len(points) * len(multisets) * prob.n, 2 * rows, 0)
+
+
+@pytest.mark.parametrize("kind", ["logistic_nc", "nls_nc"])
+def test_gather_record_misses_after_in_place_mutation(kind):
+    prob = _glm(kind, 1e-3)
+    rng = np.random.default_rng(5)
+    x, v = rng.standard_normal(prob.d), rng.standard_normal(prob.d)
+    for change, hit in ((lambda a: a.__setitem__(0, 8), False),  # another multiset
+                        (lambda a: a.__setitem__(slice(None), a[::-1].copy()), False),
+                        (lambda a: None, True)):  # the same bytes
+        for oracle in BATCH_ORACLES:
+            idx = np.array([3, 3, 7, 11, 40])
+            oracle(prob, x, idx, v, OracleCounters())  # fill the record
+            before = prob._gather
+            change(idx)
+            assert_bitwise(oracle(prob, x, idx, v, OracleCounters()),
+                           _record_free_batch(prob, oracle, x, idx, v))
+            assert (prob._gather is before) == hit
+            assert prob._gather[0] == idx.astype(np.intp).tobytes()
+
+
+@pytest.mark.parametrize("kind", ["logistic_nc", "nls_nc"])
+def test_gather_record_shared_by_threads(kind):
+    import sys
+    import threading
+
+    prob = _glm(kind, 1e-3, n=400, d=20)
+    rng = np.random.default_rng(6)
+    x, v = rng.standard_normal(prob.d), rng.standard_normal(prob.d)
+    multisets = [rng.integers(0, prob.n, size=rng.integers(1, 60)) for _ in range(8)]
+    expected = [[_record_free_batch(prob, o, x, idx, v).tobytes() for o in BATCH_ORACLES]
+                for idx in multisets]
+    workers = 4
+    start = threading.Barrier(workers)
+    mismatches, finished = [], []
+
+    def worker(mine):
+        start.wait(timeout=30)
+        for _ in range(40):
+            for i in mine:  # alternate multisets, so the record keeps being replaced
+                for j, oracle in enumerate(BATCH_ORACLES):
+                    got = oracle(prob, x, multisets[i], v, OracleCounters()).tobytes()
+                    if got != expected[i][j]:
+                        mismatches.append((i, j))
+        finished.append(mine)
+
+    threads = [threading.Thread(target=worker, args=([2 * w, 2 * w + 1],))
+               for w in range(workers)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(finished) == workers
+    assert mismatches == []
+
+
+@pytest.mark.parametrize("kind", ["logistic_nc", "nls_nc"])
+@pytest.mark.parametrize("lam", [0.0, 1e-3])
+def test_gather_record_dropped_by_pickle(kind, lam):
+    import pickle
+
+    prob = _glm(kind, lam)
+    x, v = np.full(prob.d, 0.3), np.full(prob.d, -0.7)
+    idx = np.array([1, 2, 2, 30])
+    batch_gradient(prob, x, idx, OracleCounters())  # fill the record
+    assert prob._gather is not None
+    copy = pickle.loads(pickle.dumps(prob))
+    assert "_gather" not in copy.__dict__ and copy._gather is None
+    assert not (copy.X.flags.writeable or copy.y.flags.writeable
+                or copy.labels.flags.writeable)
+    for oracle in BATCH_ORACLES:
+        assert_bitwise(oracle(copy, x, idx, v, OracleCounters()),
+                       _record_free_batch(prob, oracle, x, idx, v))
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-3])
+def test_nls_value_reuses_the_pass_sigmoid(lam):
+    # the loss reads the pass's sigmoid, which full_gradient then reuses; the
+    # value stays the loss as first written
+    prob = _glm("nls_nc", lam)
+    rng = np.random.default_rng(7)
+    for x in (rng.standard_normal(prob.d), np.zeros(prob.d)):
+        e = _sigmoid(prob.X @ x) - (prob.y + 1.0) / 2.0
+        values = 0.5 * e * e
+        c = OracleCounters()
+        assert_bitwise(full_value(prob, x, c),
+                       float(values.mean() + _ref_reg_terms(x, lam, prob.reg_alpha)[0]))
+        assert prob._full_pass.p is not None
+        assert_bitwise(full_gradient(prob, x, c), _record_free(prob, full_gradient, x))

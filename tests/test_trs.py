@@ -371,6 +371,16 @@ def test_exact_unresolvable_huge_scale_raises_documented_error():
         solve_trs_exact(np.array([1e100, 1e100]), np.diag([-1e150, 1e150]), 1e121, 1.0)
 
 
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+@pytest.mark.parametrize("H", [np.eye(2), np.diag([-1.0, 2.0])])
+def test_exact_nan_residual_raises(H):
+    # the squared eigencoordinates of g overflow, the step comes back as zero
+    # with a NaN residual; a NaN never passes the gate
+    with pytest.raises(TrsNumericError, match="stationarity residual nan") as info:
+        solve_trs_exact(np.array([1e160, 1e160]), H, 1.0, 1.0)
+    assert math.isnan(info.value.best.kkt.stationarity)
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_exact_rejects_infeasible_step():
     # at r = 1e-160 the squared step components underflow; an infeasible step
