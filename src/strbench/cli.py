@@ -55,7 +55,7 @@ class SpecError(ValueError):
 
 
 class TraceFormatError(ValueError):
-    """A trace file does not carry the canonical header."""
+    """A trace file is misnamed, lacks the canonical header or has a malformed row."""
 
 
 @dataclass
@@ -83,6 +83,13 @@ def _json_int(value, name: str) -> int:
     if isinstance(value, bool) or not isinstance(value, int):
         raise SpecError(f"{name} must be an integer, got {value!r}")
     return value
+
+
+def _json_number(value, name: str) -> float:
+    """A JSON number as a float; strings and booleans are not coerced."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SpecError(f"{name} must be a number, got {value!r}")
+    return float(value)
 
 
 def _json_ints(value, name: str) -> list[int]:
@@ -119,8 +126,8 @@ def load_spec(path) -> ExperimentSpec:
             else {"path": raw["dataset"]},
             variants=variants,
             seeds=_json_ints(raw.get("seeds", [0]), "seeds"),
-            reg_lambda=float(raw.get("reg_lambda", 1e-3)),
-            reg_alpha=float(raw.get("reg_alpha", 10.0)),
+            reg_lambda=_json_number(raw.get("reg_lambda", 1e-3), "reg_lambda"),
+            reg_alpha=_json_number(raw.get("reg_alpha", 10.0), "reg_alpha"),
             normalize_rows=_json_bool(raw.get("normalize_rows", False), "normalize_rows"),
             lip_mode=raw.get("lip_mode", "analytic"),
             output_dir=raw.get("output_dir", "out"),
@@ -152,8 +159,11 @@ def build_problem(spec: ExperimentSpec) -> FiniteSumProblem:
     if "path" in ds_spec:
         if not isinstance(ds_spec["path"], str):  # an int would open a file descriptor
             raise SpecError(f"dataset path must be a string, got {ds_spec['path']!r}")
+        d = ds_spec.get("d")
+        if d is not None:
+            _json_int(d, "d")
         try:
-            dataset = load_libsvm(ds_spec["path"], d_override=ds_spec.get("d"))
+            dataset = load_libsvm(ds_spec["path"], d_override=d)
         except (OSError, TypeError, ValueError) as exc:
             raise SpecError(f"cannot load dataset {ds_spec['path']}: {exc}") from exc
     elif "synthetic" in ds_spec:
@@ -200,8 +210,9 @@ def make_config(vspec: VariantSpec, seed: int,
         if not ("L1" in opts and "L2" in opts):
             raise SpecError("L1 and L2 must be given together")
         try:
-            lip = LipschitzBounds(float(opts.pop("L1")), float(opts.pop("L2")), "user")
-        except (TypeError, ValueError) as exc:
+            lip = LipschitzBounds(_json_number(opts.pop("L1"), "L1"),
+                                  _json_number(opts.pop("L2"), "L2"), "user")
+        except (TypeError, ValueError, OverflowError) as exc:
             raise SpecError(f"invalid L1/L2 for {vspec.label}: {exc}") from exc
     unknown = set(opts) - _CONFIG_KEYS
     if unknown:
@@ -365,15 +376,21 @@ def compare(trace_paths, out_path=None) -> list[dict]:
                 if header != TRACE_HEADER:
                     raise TraceFormatError(f"{path}: header mismatch {header!r}")
                 for rec in reader:
+                    try:
+                        if len(rec) != len(TRACE_HEADER):
+                            raise ValueError(f"{len(rec)} fields, expected {len(TRACE_HEADER)}")
+                        k, fval, sfo, sso = int(rec[0]), float(rec[1]), int(rec[5]), int(rec[6])
+                    except ValueError as exc:
+                        raise TraceFormatError(f"{path}: line {reader.line_num}: {exc}") from None
                     rows.append(
                         {
                             "variant": variant,
                             "seed": seed,
-                            "k": int(rec[0]),
-                            "fval": float(rec[1]),
+                            "k": k,
+                            "fval": fval,
                             "grad_norm": rec[2],
-                            "sso": int(rec[6]),
-                            "sfo": int(rec[5]),
+                            "sso": sso,
+                            "sfo": sfo,
                             "wall_ms": rec[7],
                         }
                     )

@@ -15,6 +15,11 @@ update the caller-owned :class:`OracleCounters` by exactly the multiset size.
 
 The GLM kinds share one set of kernels and differ only in their entry of the
 link table ``_LINKS`` (margin, loss, gradient coefficient, Hessian weight).
+Every Hessian is bitwise symmetric.  Where the link's Hessian weight ``w`` is
+nonnegative by construction (logistic), the data Hessian is the Gram matrix
+``B'B`` with ``B = diag(sqrt(w/s)) X_S``, formed by one symmetric rank-k
+product; a signed weight (nls) takes the general product, symmetrized as
+``(A + A')/2``.
 Each call reads its rows of ``X`` at most once, and consecutive calls often
 share that read.  A GLM problem keeps a record of its last sampled gather
 (``X[idx]`` and the labels), keyed by the bytes of the index multiset, so the
@@ -100,8 +105,9 @@ def _nls_weight(p, b):
 
 
 # Per GLM kind: labels(y) -> b, margin(X x, b) -> z, loss of a _Pass, grad_coef and
-# hess_weight of (sigmoid(z), b); l1, l2 scale max|x_i|^2, ^3 in the L1, L2 bounds.
-_Link = namedtuple("_Link", "labels margin loss grad_coef hess_weight l1 l2")
+# hess_weight of (sigmoid(z), b); gram: hess_weight is >= 0 by construction, so
+# the data Hessian is a Gram matrix; l1, l2 scale max|x_i|^2, ^3 in the L1, L2 bounds.
+_Link = namedtuple("_Link", "labels margin loss grad_coef hess_weight gram l1 l2")
 _LINKS = {
     "logistic_nc": _Link(
         labels=lambda y: y,
@@ -109,6 +115,7 @@ _LINKS = {
         loss=lambda rows: _log1pexp(-rows.z),
         grad_coef=lambda p, b: (p - 1.0) * b,
         hess_weight=lambda p, b: p * (1.0 - p),
+        gram=True,
         l1=0.25, l2=_SIG_D2_MAX,
     ),
     "nls_nc": _Link(
@@ -117,6 +124,7 @@ _LINKS = {
         loss=_nls_loss,  # reads the pass's sigmoid, which the gradient reuses
         grad_coef=lambda p, b: (p - b) * p * (1.0 - p),
         hess_weight=_nls_weight,
+        gram=False,  # the weight is signed
         l1=0.0625 + _SIG_D2_MAX, l2=0.75 * _SIG_D2_MAX + _SIG_D3_MAX,
     ),
 }
@@ -318,6 +326,14 @@ def _hessian(problem, x, idx, counters: OracleCounters) -> np.ndarray:
         H = np.diag(problem.quad_scales)
     else:
         Xs, w = problem._weights(x, idx)
+        if problem.link.gram:
+            # B'B with B = diag(sqrt(w/s)) X_S: numpy computes a buffer times its own
+            # transpose with syrk and mirrors the triangle, so H is bitwise symmetric
+            B = Xs * np.sqrt(w / len(w))[:, None]
+            H = B.T @ B
+            H.flat[:: problem.d + 1] += problem._reg_term(x, "diag")
+            counters.sso += len(w)
+            return H
         H = (Xs * w[:, None]).T @ Xs / len(w)
     if problem.reg_lambda != 0.0:
         H = H + np.diag(problem._reg_term(x, "diag"))
@@ -331,7 +347,11 @@ def batch_gradient(problem, x, idx, counters: OracleCounters) -> np.ndarray:
 
 
 def batch_hessian(problem, x, idx, counters: OracleCounters) -> np.ndarray:
-    """Average Hessian over the multiset, symmetrized as (A + A')/2."""
+    """Average Hessian over the multiset, bitwise symmetric.
+
+    A link whose Hessian weight is nonnegative (logistic) forms it as one
+    symmetric rank-k product; the others symmetrize the general product as
+    (A + A')/2."""
     return _hessian(problem, _check_point(problem, x), _check_idx(problem, idx), counters)
 
 

@@ -222,6 +222,17 @@ def test_compare_header_mismatch_names_file(tmp_path):
         compare([bad])
 
 
+@pytest.mark.parametrize("row", ["1,0.5,0.1", "1,x,0.1,0.0,0.0,10,10,1.0"])
+def test_compare_malformed_row_names_file_and_line(tmp_path, capsys, row):
+    bad = tmp_path / "trace_x_0.csv"
+    bad.write_text(",".join(TRACE_HEADER) + "\n0,1.0,0.1,0.0,0.0,0,0,1.0\n" + row + "\n")
+    with pytest.raises(TraceFormatError, match="trace_x_0.csv.*line 3"):
+        compare([bad])
+    assert main(["compare", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "trace_x_0.csv" in err and "Traceback" not in err
+
+
 def test_compare_bad_filename(tmp_path):
     bad = tmp_path / "notatrace.csv"
     bad.write_text(",".join(TRACE_HEADER) + "\n")
@@ -332,6 +343,9 @@ def test_index_too_large_to_densify_exits_2(tmp_path, capsys):
     {"m_max": 2},           # they are not silently ignored
     {"L1": "x", "L2": 1.0},
     {"L1": -1.0, "L2": 1.0},
+    {"L1": "2", "L2": 1.0},  # numeric strings and booleans are not coerced
+    {"L1": 1.0, "L2": True},
+    {"L1": 10**400, "L2": 1.0},  # a JSON integer too large for a float
 ])
 def test_bad_variant_option_fails_the_run(tmp_path, capsys, option):
     spec = tmp_path / "spec.json"
@@ -377,6 +391,9 @@ def test_bad_spec_field_exits_2(tmp_path, capsys, overrides):
     ({"dataset": {"synthetic": {"n": 40.0, "d": 3}}}, "n"),
     ({"dataset": {"synthetic": {"n": 40, "d": True}}}, "d"),
     ({"task": "synthetic_quad", "dataset": {"synthetic": {"n": "30", "d": 5}}}, "n"),
+    ({"reg_lambda": True}, "reg_lambda"),
+    ({"reg_lambda": "0.5"}, "reg_lambda"),
+    ({"reg_alpha": "10"}, "reg_alpha"),
 ])
 def test_spec_field_of_the_wrong_json_type_exits_2(tmp_path, capsys, overrides, field):
     # flags take JSON booleans and counts or seeds JSON integers; nothing is coerced
@@ -389,14 +406,14 @@ def test_spec_field_of_the_wrong_json_type_exits_2(tmp_path, capsys, overrides, 
     assert not (tmp_path / "o").exists()
 
 
-@pytest.mark.parametrize("d", ["x", 2.5, [1], 1e300])
+@pytest.mark.parametrize("d", ["x", 2.5, [1], 1e300, True])
 def test_non_integer_dataset_width_exits_2(tmp_path, capsys, d):
     data = tmp_path / "d.svm"
-    data.write_text("+1 1:0.5 2:1\n-1 1:-0.3\n")
+    data.write_text("+1 1:0.5\n-1 1:-0.3\n")  # one feature: true would read as width 1
     spec = tmp_path / "spec.json"
     write_spec(spec, task="logistic_nc", dataset={"path": str(data), "d": d})
     assert main(["run", str(spec), "--out", str(tmp_path / "o")]) == 2
-    assert "error" in capsys.readouterr().err
+    assert "d must be an integer" in capsys.readouterr().err
 
 
 def test_negative_seed_env_exits_2(tmp_path, monkeypatch, capsys):

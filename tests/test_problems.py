@@ -140,10 +140,22 @@ def test_hvp_matches_dense_hessian():
     assert np.linalg.norm(hv - H @ v) <= 1e-10 * (1.0 + np.linalg.norm(H @ v))
 
 
-def test_hessian_exactly_symmetric(small_nls, rng):
-    x = rng.standard_normal(small_nls.d)
-    H = batch_hessian(small_nls, x, rng.integers(0, small_nls.n, 9), OracleCounters())
-    assert np.array_equal(H, H.T)
+def test_hessian_exactly_symmetric(small_logistic, small_nls, rng):
+    for prob in (small_logistic, small_nls):
+        x = rng.standard_normal(prob.d)
+        for H in (batch_hessian(prob, x, rng.integers(0, prob.n, 9), OracleCounters()),
+                  full_hessian(prob, x, OracleCounters())):
+            assert np.array_equal(H, H.T)
+
+
+@pytest.mark.parametrize("lam", [0.0, 1e-3])
+def test_logistic_full_hessian_equals_full_index_batch(lam, rng):
+    # the full batch reads X in place and the index batch gathers it; both
+    # feed the same rows to the same symmetric rank-k product
+    prob = from_dataset(generate_synthetic(120, 9, seed=5), "logistic_nc", reg_lambda=lam)
+    x = rng.standard_normal(prob.d)
+    H = full_hessian(prob, x, OracleCounters())
+    assert_bitwise(H, batch_hessian(prob, x, np.arange(prob.n), OracleCounters()))
 
 
 def test_index_and_domain_errors(small_logistic):
@@ -394,6 +406,21 @@ def assert_bitwise(a, b):
     assert a.tobytes() == b.tobytes()  # also tells -0.0 from 0.0
 
 
+def assert_hessian_matches(prob, x, idx, H, H_ref):
+    """nls: bitwise.  logistic: within the general product's forward-error bound
+    ``|H - H_ref| <= (s+4) u (|X_S|' diag(w) |X_S|)/s + 4 u |H_ref|`` elementwise,
+    with ``u = 2^-53``, ``s = len(idx)`` and the logistic weight ``w`` at ``x``."""
+    if prob.kind == "nls_nc":
+        return assert_bitwise(H, H_ref)
+    u, s = 2.0**-53, len(idx)
+    Xs, ys = prob.X[idx], prob.y[idx]
+    p = _ref_sigmoid(ys * (Xs @ x))
+    w = p * (1.0 - p)
+    bound = (s + 4) * u * ((np.abs(Xs) * w[:, None]).T @ np.abs(Xs)) / s + 4 * u * np.abs(H_ref)
+    assert H.shape == H_ref.shape and H.dtype == H_ref.dtype
+    assert np.all(np.abs(H - H_ref) <= bound)
+
+
 @pytest.mark.parametrize("kind", ["logistic_nc", "nls_nc"])
 @pytest.mark.parametrize("n,d", [(37, 1), (37, 5), (300, 40)])
 @pytest.mark.parametrize("lam", [0.0, 1e-3])
@@ -414,14 +441,14 @@ def test_oracles_bitwise_equal_reference(kind, n, d, lam, order):
         c = OracleCounters()
         assert_bitwise(full_value(prob, x, c), value)
         assert_bitwise(full_gradient(prob, x, c), g)
-        assert_bitwise(full_hessian(prob, x, c), H)
+        assert_hessian_matches(prob, x, full, full_hessian(prob, x, c), H)
         assert_bitwise(batch_gradient(prob, x, full, c), g)
-        assert_bitwise(batch_hessian(prob, x, full, c), H)
+        assert_hessian_matches(prob, x, full, batch_hessian(prob, x, full, c), H)
         assert_bitwise(batch_hvp(prob, x, full, v, c), hv)
         assert c.snapshot() == (2 * n, 3 * n, n)
         _, g, H, hv = _ref_oracles(prob, x, multiset, v)
         assert_bitwise(batch_gradient(prob, x, multiset, c), g)
-        assert_bitwise(batch_hessian(prob, x, multiset, c), H)
+        assert_hessian_matches(prob, x, multiset, batch_hessian(prob, x, multiset, c), H)
         assert_bitwise(batch_hvp(prob, x, multiset, v, c), hv)
 
 
