@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import io
 import math
+import numbers
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -86,10 +87,12 @@ def parse_libsvm(source, d_override: int | None = None, name: str = "") -> Datas
     first non-space character is ``#`` are skipped; LF and CRLF both work.
 
     Raises :class:`LibsvmParseError` with the offending line number on any
-    malformed token, and :class:`DimensionError` if ``d_override`` is smaller
-    than ``1 + max index`` or the dense ``(n, d)`` matrix cannot be allocated.
+    malformed token, and :class:`DimensionError` if ``d_override`` is not a
+    positive integer (a bool is not one) or is smaller than ``1 + max index``,
+    or if the dense ``(n, d)`` matrix cannot be allocated.
     """
-    if d_override is not None and d_override <= 0:
+    integral = isinstance(d_override, numbers.Integral) and not isinstance(d_override, bool)
+    if d_override is not None and not (integral and d_override > 0):
         raise DimensionError("d_override must be a positive integer")
     labels: list[float] = []
     counts: list[int] = []  # entries per row

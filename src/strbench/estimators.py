@@ -37,8 +37,6 @@ class HessSchedule:
     p2: int
     s2: int
     s2_prime: int | None
-    mode: str = "theory"
-    kappa: float = 1.0
 
     def __post_init__(self):
         if self.option not in ("I", "II"):
@@ -54,8 +52,6 @@ class GradSchedule:
     case: int  # 1 = plain recurrent, 2 = Hessian-corrected
     p1: int
     s1: int
-    mode: str = "theory"
-    kappa: float = 1.0
 
     def __post_init__(self):
         if self.case not in (1, 2):
@@ -138,9 +134,9 @@ def hessian_schedule(
     else:
         option = force_option
     if option == "I":
-        return HessSchedule("I", p2_i, s2_i, None, mode, kappa)
+        return HessSchedule("I", p2_i, s2_i, None)
     if option == "II":
-        return HessSchedule("II", p2_ii, s2_ii, s2p_ii, mode, kappa)
+        return HessSchedule("II", p2_ii, s2_ii, s2p_ii)
     raise ValueError(f"unknown option {force_option!r}")
 
 
@@ -175,7 +171,7 @@ def gradient_schedule_case1(
         p1 = max(1, math.ceil(math.sqrt(n * epsilon * L2 / (c * L1 * L1 * lg))))
         if s1 >= n:
             p1 = 1  # a full pass every step, no sampling
-    return GradSchedule(1, p1, s1, mode, kappa)
+    return GradSchedule(1, p1, s1)
 
 
 def gradient_schedule_case2(
@@ -196,7 +192,7 @@ def gradient_schedule_case2(
     lg = math.log(K0 / delta)
     p1 = max(1, math.ceil(n**0.25))
     s1 = _sized(n**0.75 * SPIDER_CONSTANT * lg, kap, n)
-    return GradSchedule(2, p1, s1, mode, kappa)
+    return GradSchedule(2, p1, s1)
 
 
 def _draw(rng: np.random.Generator, n: int, size: int) -> np.ndarray:

@@ -2,9 +2,11 @@
 
 Solves ``min_{||h|| <= r} <g, h> + 0.5 <H h, h>`` two ways:
 
-* :func:`solve_trs_exact` -- dense eigendecomposition plus a safeguarded
-  Newton iteration on the reciprocal secular equation ``1/||h(mu)|| - 1/r``
-  (More-Sorensen style), with explicit hard-case handling.
+* :func:`solve_trs_exact` -- dense eigendecomposition, then, on the problem
+  scaled to the unit ball (``u = h / r``, every entry at most 1), a
+  safeguarded Newton iteration on the reciprocal secular equation
+  ``1/||u(mu)|| - 1`` (More-Sorensen style), with explicit hard-case
+  handling, and a gate on the unit problem's KKT conditions.
 * :func:`solve_trs_lanczos` -- matrix-free Krylov method with full
   reorthogonalization; the reduced problem is solved exactly and expanded
   until the lifted stationarity residual meets tolerance.
@@ -29,10 +31,10 @@ _HARD_CASE_RTOL = 1e-11
 # acceptance threshold below which a solve counts as converged.
 _SECULAR_RTOL = 1e-13
 _MAX_SECULAR_ITERS = 200
-# A boundary deficit r - ||h|| at or below this fraction of r is rounding of
-# the secular root, not room for a bottom-eigenvector pad.  At mu > -lambda_1
-# the pad, about r sqrt(2 deficit), adds (mu + lambda_1) times its length to
-# the stationarity residual.
+# A boundary deficit 1 - ||u|| at or below this is rounding of the unit
+# secular root, not room for a bottom-eigenvector pad.  At mu > -lambda_1 the
+# pad, about sqrt(2 deficit), adds (mu + lambda_1) times its length to the
+# stationarity residual.
 _PAD_RTOL = 1e-12
 
 
@@ -133,54 +135,36 @@ def kkt_residual(g, H, r, sol: TrsSolution) -> KktResidual:
 
 
 def _norm(v: np.ndarray) -> float:
-    """Euclidean norm of a contiguous 1-D float array, as ``np.linalg.norm``
-    computes it (``sqrt(v . v)``) without its dispatch."""
-    return math.sqrt(v @ v)
+    """Euclidean norm of a 1-D float array.  ``math.hypot`` scales, so no
+    square over- or underflows, and at small sizes it beats ``sqrt(v . v)``."""
+    return math.hypot(*v.tolist())
 
 
-def _package(g, H_mul, h, mu, r, L2, min_eig_shifted):
-    hnorm = _norm(h)
-    Hh = H_mul(h)
-    stationarity = _norm(Hh + mu * h + g)
-    comp = abs(mu * (hnorm - r))
-    decrease = float(g @ h + 0.5 * h @ Hh)
-    return TrsSolution(
-        h=h,
-        mu=mu,
-        lambda_alg=2.0 * mu / L2,
-        on_boundary=hnorm >= r * (1.0 - 1e-8),
-        kkt=KktResidual(stationarity, min_eig_shifted, comp),
-        model_decrease=decrease,
-    )
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _secular_root(e, gt, delta_hi, singular_at_lo):
+    """Find delta > 0 with ||u(delta)|| = 1 where u_i = -gt_i / (e_i + delta).
 
-
-@np.errstate(divide="ignore", invalid="ignore")  # c_i / 0 at a pole is inf, silently
-def _secular_root(e, c, r, delta_hi, singular_at_lo):
-    """Find delta > 0 with ||h(delta)|| = r where h_i = -gt_i / (e_i + delta).
-
-    ``e = w + mu_lo >= 0`` are the shifted eigenvalues and ``c = gt^2`` the
-    squared eigencoordinates of g.  Solving in the offset delta (instead of
-    mu itself) keeps full float resolution next to the pole, where the root
-    of a nearly hard case can sit within 1e-12 of mu_lo.  Newton on the
-    reciprocal secular function ``1/||h|| - 1/r`` with a bisection bracket.
+    ``e = w + mu_lo >= 0`` are the shifted eigenvalues and ``gt`` the
+    eigencoordinates of g, both of the unit-ball problem.  Solving in the
+    offset delta (instead of mu itself) keeps full float resolution next to
+    the pole, where the root of a nearly hard case can sit within 1e-12 of
+    mu_lo.  Newton on the reciprocal secular function ``1/||u|| - 1``, whose
+    step ``(||u|| - 1) / sum_i (u_i/||u||)^2 / (e_i + delta)`` squares only
+    ratios, with a bisection bracket that also replaces a non-finite step.
     """
-    nonzero = c != 0.0  # exact zeros in c contribute nothing, even at a pole
-    terms = np.zeros_like(c)  # stays zero where c is
+    nonzero = gt != 0.0  # exact zeros in gt contribute nothing, even at a pole
+    u = np.zeros_like(gt)  # stays zero where gt is
 
-    def power_sum(t, power):
-        """sum of c_i / t_i^power over the nonzero c_i."""
-        np.divide(c, t**power, out=terms, where=nonzero)
-        return float(np.sum(terms))
-
-    def norm_at(delta):
-        return math.sqrt(power_sum(e + delta, 2))
+    def norm_at(t):
+        np.divide(gt, t, out=u, where=nonzero)
+        return _norm(u)
 
     lo, hi = 0.0, delta_hi
-    # phi(lo) must be negative; at a singular lower end step just inside.
+    # ||u(lo)|| must exceed 1; at a singular lower end step just inside.
     if singular_at_lo:
-        step = max(1e-18 * delta_hi, 5e-324)
+        step = 1e-18 * delta_hi
         for _ in range(400):
-            if norm_at(step) > r:
+            if norm_at(e + step) > 1.0:
                 lo = step
                 break
             hi = step
@@ -188,52 +172,40 @@ def _secular_root(e, c, r, delta_hi, singular_at_lo):
         else:
             lo = step
     for _ in range(200):
-        if norm_at(hi) <= r or not math.isfinite(hi):
+        if norm_at(e + hi) <= 1.0 or not math.isfinite(hi):
             break
         hi = 2.0 * hi + 1.0
     delta = 0.5 * (lo + hi)
-    best_delta, best_gap = delta, float("inf")
+    best_delta, best_gap = delta, math.inf
     for _ in range(_MAX_SECULAR_ITERS):
         t = e + delta
-        n = math.sqrt(power_sum(t, 2))
-        gap = abs(n - r)
+        n = norm_at(t)
+        gap = abs(n - 1.0)
         if gap < best_gap:
             best_delta, best_gap = delta, gap
-        if gap <= _SECULAR_RTOL * r:
+        if gap <= _SECULAR_RTOL:
             return delta, True
-        phi = 1.0 / n - 1.0 / r if n > 0 else 1.0 / r
-        if phi < 0.0:
+        if n > 1.0:
             lo = delta
         else:
             hi = delta
-        try:
-            n3 = n**3
-        except OverflowError:  # n above ~5.6e102
-            n3 = 0.0
-        if n3 > 0:
-            dphi = power_sum(t, 3) / n3
-        elif n > 0:
-            # n**3 underflows below r ~ 1e-103 or overflows above ~5.6e102:
-            # sum (|h_i|/n)^2 / (e_i + delta) / n
-            frac = np.sqrt(c) / t / n
-            dphi = float(np.sum(np.where(nonzero, frac * frac / t, 0.0))) / n
-        else:
-            dphi = 0.0
-        delta_new = delta - phi / dphi if dphi > 0 else 0.5 * (lo + hi)
+        v = u / n
+        delta_new = delta + (n - 1.0) / np.sum(v * v / t)  # inf or NaN: bisect
         if not (lo < delta_new < hi):
             delta_new = 0.5 * (lo + hi)
         if delta_new == delta:
             break
-        delta = delta_new
+        delta = float(delta_new)
     # resolved well enough, or stalled at float resolution near the pole
-    return best_delta, best_gap <= 1e-9 * r
+    return best_delta, best_gap <= 1e-9
 
 
 def _check_inputs(g, r, L2) -> None:
-    if r <= 0:
-        raise ValueError("radius must be positive")
-    if L2 <= 0:
-        raise ValueError("L2 must be positive")
+    # written as ``not <``, so NaN fails; the unit-ball solve needs a finite r
+    if not 0.0 < r < math.inf:
+        raise ValueError("radius must be positive and finite")
+    if not 0.0 < L2 < math.inf:
+        raise ValueError("L2 must be positive and finite")
     if not np.all(np.isfinite(g)):
         raise ValueError("non-finite inputs")
 
@@ -243,10 +215,11 @@ def solve_trs_exact(g, H, r: float, L2: float, tol: float = 1e-8) -> TrsSolution
 
     Interior Newton step when the Hessian is definite and the step fits;
     otherwise the boundary multiplier is found on the secular equation, and
-    (near-)hard cases are resolved by padding along a bottom eigenvector.
-    Raises :class:`TrsNumericError` with the best iterate attached if the
-    final stationarity residual misses ``tol (||g|| + 1)`` or the step leaves
-    the ball.
+    (near-)hard cases are resolved by padding along a bottom eigenvector, all
+    on the unit ball (see :func:`_solve_in_eigenbasis`).  Raises
+    :class:`TrsNumericError` with the best iterate attached if the
+    stationarity residual misses ``tol (||g|| + 1)`` (a NaN always misses),
+    ``||h|| > r``, or ``mu > 0`` with ``||h|| < r``, each judged relative to r.
     """
     g = np.asarray(g, dtype=float)
     H = np.asarray(H, dtype=float)
@@ -256,29 +229,55 @@ def solve_trs_exact(g, H, r: float, L2: float, tol: float = 1e-8) -> TrsSolution
 
 
 def _solve_in_eigenbasis(g, w, V, r, L2, tol) -> TrsSolution:
-    """:func:`solve_trs_exact` for ``H = V diag(w) V'``, eigenvalues ascending."""
+    """:func:`solve_trs_exact` for ``H = V diag(w) V'``, eigenvalues ascending.
+
+    Solves for ``u = h / r`` on the unit ball with eigenvalues ``w / sigma``
+    and gradient ``g / (r sigma)``, ``sigma = max(|lambda_1|, |lambda_d|,
+    max_i |g_i| / r)`` or 1 if that is 0 (the max-norm of g cannot overflow
+    where its 2-norm would), and maps back once: ``h = r u``, ``mu = sigma
+    mu_hat``.  A scale past the float range makes the unit problem NaN.
+    """
+    sigma = max(abs(float(w[0])), abs(float(w[-1])), float(np.max(np.abs(g))) / r) or 1.0
+    w = w / sigma
+    g = g / r / sigma
     gt = V.T @ g
-    c = gt * gt
-    gnorm = float(np.linalg.norm(g))
+    gnorm = _norm(g)
     lam1 = float(w[0])
     mu_lo = max(0.0, -lam1)
 
-    def H_mul(v):
-        return V @ (w * (V.T @ v))
-
-    def gated(sol: TrsSolution) -> TrsSolution:
-        # written as ``not <=``, so a NaN residual or step norm fails the gate
-        if not sol.kkt.stationarity <= max(tol, 1e-8) * (gnorm + 1.0):
+    def solution(ut, mu) -> TrsSolution:
+        """The unit step ``V ut`` at multiplier ``mu``, gated, in the caller's units."""
+        u = V @ ut
+        unorm = _norm(u)
+        Hu = V @ (w * (V.T @ u))
+        stationarity = _norm(Hu + mu * u + g)
+        mu_out = sigma * mu
+        sol = TrsSolution(
+            h=r * u,
+            mu=mu_out,
+            lambda_alg=2.0 * mu_out / L2,
+            on_boundary=unorm >= 1.0 - 1e-8,
+            kkt=KktResidual(stationarity * sigma * r, sigma * (lam1 + mu),
+                            mu_out * (r * abs(unorm - 1.0))),
+            model_decrease=float(g @ u + 0.5 * u @ Hu) * sigma * r * r,
+        )
+        # tol (||g|| + 1) divided by r sigma; written as ``not <=``, so a NaN
+        # residual or step norm fails the gate
+        if not stationarity <= max(tol, 1e-8) * (gnorm + 1.0 / r / sigma):
             raise TrsNumericError(
                 f"stationarity residual {sol.kkt.stationarity:.3e} above tolerance",
                 best=sol,
             )
-        # underflow in the step's squared components can hide an infeasible
-        # step (radius near 1e-160) behind a small residual
-        hnorm = _norm(sol.h)
-        if not hnorm <= r * (1.0 + 1e-8):
+        if not unorm <= 1.0 + 1e-8:
             raise TrsNumericError(
-                f"step norm {hnorm:.3e} outside the trust region of radius {r:.3e}", best=sol
+                f"step outside the trust region: ||h|| / r = {unorm:.3e} at r = {r:.3e}",
+                best=sol,
+            )
+        if mu > 0.0 and not sol.on_boundary:
+            raise TrsNumericError(
+                f"multiplier {mu_out:.3e} > 0 with a step inside the trust region: "
+                f"||h|| / r = {unorm:.3e}",
+                best=sol,
             )
         return sol
 
@@ -287,51 +286,46 @@ def _solve_in_eigenbasis(g, w, V, r, L2, tol) -> TrsSolution:
     def boundary_without_bottom(delta, bottom):
         """Step at mu_lo + delta, bottom eigenspace zeroed, padded to the boundary."""
         denom = np.where(bottom, 1.0, shifted + delta)
-        ht = np.where(bottom, 0.0, -gt / denom)
-        n0 = _norm(ht)
-        if n0 > r:
-            ht *= r / n0
-        elif n0 < r * (1.0 - _PAD_RTOL):
-            ht[int(np.argmax(bottom))] += math.sqrt(r * r - n0 * n0)
-        return ht
+        ut = np.where(bottom, 0.0, -gt / denom)
+        n0 = _norm(ut)
+        if n0 > 1.0:
+            ut /= n0
+        elif n0 < 1.0 - _PAD_RTOL:
+            ut[int(np.argmax(bottom))] += math.sqrt(1.0 - n0 * n0)
+        return ut
 
     # Bottom eigenspace: eigenvalues tied with lam1 up to rounding.
     gap_tol = 1e-12 * (1.0 + float(np.max(np.abs(w))))
     bottom = (w - lam1) <= gap_tol
-    p_bottom = math.sqrt(float(np.sum(c[bottom])))
+    p_bottom = _norm(gt[bottom])
 
     if lam1 > 0:
-        ht = -gt / w
-        if _norm(ht) <= r:
-            return gated(_package(g, H_mul, V @ ht, 0.0, r, L2, lam1))
-        delta, _ = _secular_root(shifted, c, r, gnorm / r, singular_at_lo=False)
-        ht = -gt / (shifted + delta)
-        return gated(_package(g, H_mul, V @ ht, delta, r, L2, lam1 + delta))
+        ut = -gt / w
+        if _norm(ut) <= 1.0:
+            return solution(ut, 0.0)
+        delta, _ = _secular_root(shifted, gt, gnorm, singular_at_lo=False)
+        return solution(-gt / (shifted + delta), delta)
 
-    if p_bottom <= _HARD_CASE_RTOL * max(gnorm, 1e-300) or gnorm == 0.0:
+    if p_bottom <= _HARD_CASE_RTOL * gnorm:
         # g is (numerically) orthogonal to the bottom eigenspace.
-        ct = np.where(bottom, 0.0, c)
-        ht = np.where(bottom, 0.0, -gt / np.where(bottom, 1.0, shifted))
-        n0 = _norm(ht)
-        if n0 <= r:
+        ut = np.where(bottom, 0.0, -gt / np.where(bottom, 1.0, shifted))
+        if _norm(ut) <= 1.0:
             if mu_lo == 0.0:
                 # positive semidefinite with a fitting pseudo-Newton step
-                return gated(_package(g, H_mul, V @ ht, 0.0, r, L2, lam1))
+                return solution(ut, 0.0)
             # hard case: pad with a bottom eigenvector up to the boundary
-            ht[int(np.argmax(bottom))] += math.sqrt(max(r * r - n0 * n0, 0.0))
-            return gated(_package(g, H_mul, V @ ht, mu_lo, r, L2, 0.0))
-        delta, _ = _secular_root(shifted, ct, r, gnorm / r, singular_at_lo=False)
-        ht = boundary_without_bottom(delta, bottom)
-        return gated(_package(g, H_mul, V @ ht, mu_lo + delta, r, L2, lam1 + mu_lo + delta))
+            return solution(boundary_without_bottom(0.0, bottom), mu_lo)
+        delta, _ = _secular_root(shifted, np.where(bottom, 0.0, gt), gnorm, singular_at_lo=False)
+        return solution(boundary_without_bottom(delta, bottom), mu_lo + delta)
 
-    delta, resolved = _secular_root(shifted, c, r, gnorm / r, singular_at_lo=True)
+    delta, resolved = _secular_root(shifted, gt, gnorm, singular_at_lo=True)
     if not resolved:
         # root pinned against the pole at float resolution: treat the bottom
         # eigenspace as in the hard case and pad to the boundary
-        ht = boundary_without_bottom(delta, bottom)
+        ut = boundary_without_bottom(delta, bottom)
     else:
-        ht = -gt / (shifted + delta)
-    return gated(_package(g, H_mul, V @ ht, mu_lo + delta, r, L2, lam1 + mu_lo + delta))
+        ut = -gt / (shifted + delta)
+    return solution(ut, mu_lo + delta)
 
 
 def _fresh_direction(rng, Q, m, d):
@@ -440,7 +434,7 @@ def solve_trs_lanczos(
             h=h,
             mu=red.mu,
             lambda_alg=2.0 * red.mu / L2,
-            on_boundary=float(np.linalg.norm(h)) >= r * (1.0 - 1e-8),
+            on_boundary=red.on_boundary,
             kkt=KktResidual(resid, red.kkt.min_eig_shifted, red.kkt.complementarity),
             model_decrease=float(g @ h + 0.5 * red.h @ (Bm @ red.h)),
             converged=resid_ok and (m == d or certified),

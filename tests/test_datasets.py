@@ -52,6 +52,18 @@ def test_parse_d_override():
         parse_libsvm("+1 5:1.0", d_override=3)
 
 
+@pytest.mark.parametrize("d_override", [2.5, 3.0, "3", True, False])
+def test_parse_rejects_non_integer_d_override(d_override):
+    # checked before any comparison: a float or string used to end in a bare
+    # TypeError, and True was read as a width of 1
+    with pytest.raises(DimensionError, match="d_override must be a positive integer"):
+        parse_libsvm("+1 1:1.0", d_override=d_override)
+
+
+def test_parse_accepts_numpy_integer_d_override():
+    assert parse_libsvm("+1 1:1.0", d_override=np.int64(4)).d == 4
+
+
 @pytest.mark.parametrize(
     "text",
     [

@@ -352,15 +352,33 @@ def test_non_finite_estimate_aborts(logistic_small, which, value):
 
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 def test_nan_subproblem_residual_aborts(logistic_small):
-    # a finite gradient estimate whose squares overflow: the solve's residual is
-    # NaN, and the run ends in RunAborted instead of taking a zero step
+    # a finite gradient estimate whose scale max |g_i| / r (1e307 / 0.002) is
+    # past the float range: the solve's residual is NaN, and the run ends in
+    # RunAborted instead of taking a step
     cfg = RunConfig(variant="exact_tr", epsilon=1e-6, K_override=10)
     g_fn, h_fn = _exact_estimators(logistic_small, cfg)
-    g_fn = _poisoned(g_fn, 2, 1e160)
+    g_fn = _poisoned(g_fn, 2, 1e307)
     with pytest.raises(RunAborted, match="subproblem solve failed at iteration 1: "
                                          "stationarity residual nan") as info:
         run_inexact_tr(logistic_small, cfg, g_fn, h_fn)
     assert len(info.value.trace) == 1
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered")
+def test_huge_gradient_estimate_takes_a_boundary_step(logistic_small):
+    # a finite gradient estimate whose squares overflow is still solved: the
+    # step goes to the boundary against it, and the run goes on
+    cfg = RunConfig(variant="exact_tr", epsilon=1e-6, K_override=10)
+    g_fn, h_fn = _exact_estimators(logistic_small, cfg)
+    res = run_inexact_tr(logistic_small, cfg, _poisoned(g_fn, 2, 1e160), h_fn)
+    clean = run_inexact_tr(logistic_small, cfg, *_exact_estimators(logistic_small, cfg))
+    r = resolve_config(logistic_small, cfg).r
+    step = res.iterates[1] - res.iterates[0]
+    assert step[0] == pytest.approx(-r, rel=1e-12)
+    assert res.trace[1].step_norm == pytest.approx(r, rel=1e-12)
+    assert res.trace[1].lambda_alg > 1e150
+    assert np.array_equal(res.iterates[0], clean.iterates[0])
+    assert len(res.trace) >= 3
 
 
 def test_non_finite_iterate_aborts(logistic_small, monkeypatch):

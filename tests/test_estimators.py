@@ -70,7 +70,7 @@ def test_hessian_schedule_frozen_values():
 def test_hessian_schedule_kappa_one_is_theory():
     a = hessian_schedule(500, 20, 1e-2, 0.3, 0.25, 0.2, 20, mode="theory")
     b = hessian_schedule(500, 20, 1e-2, 0.3, 0.25, 0.2, 20, mode="practical", kappa=1.0)
-    assert (a.option, a.p2, a.s2, a.s2_prime) == (b.option, b.p2, b.s2, b.s2_prime)
+    assert a == b
 
 
 def test_hessian_schedule_option_selection_flip():

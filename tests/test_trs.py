@@ -125,11 +125,11 @@ def test_sym_eig_rejects_asymmetric():
         trs._sym_eigvals(A)
 
 
-# -- bitwise regression against the solver as first written ---------------------
+# -- regression against the raw-unit solver ------------------------------------
 #
-# The reference below is the eigensolve and secular iteration before the
-# exact-symmetry fast path and the fused Newton step: every input symmetrized,
-# one errstate, power and mask per sum, and ``np.linalg.norm`` for every norm.
+# The reference below is the solver before the unit-ball scaling: the secular
+# iteration, packaging and gate in the caller's units, with every input to the
+# eigensolver symmetrized and ``np.linalg.norm`` for every norm.
 
 
 def _ref_sym_eig(A, sym_tol=1e-12):
@@ -148,16 +148,17 @@ def _ref_sym_eig(A, sym_tol=1e-12):
     return w, V
 
 
-def _ref_weighted_power_sum(c, w, mu, power):
-    denom = (w + mu) ** power
-    with np.errstate(divide="ignore", invalid="ignore"):
-        terms = c / denom
-    return float(np.sum(np.where(c == 0.0, 0.0, terms)))
-
-
+@np.errstate(divide="ignore", invalid="ignore")
 def _ref_secular_root(e, c, r, delta_hi, singular_at_lo):
+    nonzero = c != 0.0
+    terms = np.zeros_like(c)
+
+    def power_sum(t, power):
+        np.divide(c, t**power, out=terms, where=nonzero)
+        return float(np.sum(terms))
+
     def norm_at(delta):
-        return math.sqrt(_ref_weighted_power_sum(c, e, delta, 2))
+        return math.sqrt(power_sum(e + delta, 2))
 
     lo, hi = 0.0, delta_hi
     if singular_at_lo:
@@ -177,7 +178,8 @@ def _ref_secular_root(e, c, r, delta_hi, singular_at_lo):
     delta = 0.5 * (lo + hi)
     best_delta, best_gap = delta, float("inf")
     for _ in range(200):
-        n = norm_at(delta)
+        t = e + delta
+        n = math.sqrt(power_sum(t, 2))
         gap = abs(n - r)
         if gap < best_gap:
             best_delta, best_gap = delta, gap
@@ -188,12 +190,15 @@ def _ref_secular_root(e, c, r, delta_hi, singular_at_lo):
             lo = delta
         else:
             hi = delta
-        if n**3 > 0:
-            dphi = _ref_weighted_power_sum(c, e, delta, 3) / n**3
+        try:
+            n3 = n**3
+        except OverflowError:
+            n3 = 0.0
+        if n3 > 0:
+            dphi = power_sum(t, 3) / n3
         elif n > 0:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                frac = np.sqrt(c) / (e + delta) / n
-            dphi = float(np.sum(np.where(c == 0.0, 0.0, frac * frac / (e + delta)))) / n
+            frac = np.sqrt(c) / t / n
+            dphi = float(np.sum(np.where(nonzero, frac * frac / t, 0.0))) / n
         else:
             dphi = 0.0
         delta_new = delta - phi / dphi if dphi > 0 else 0.5 * (lo + hi)
@@ -205,13 +210,88 @@ def _ref_secular_root(e, c, r, delta_hi, singular_at_lo):
     return best_delta, best_gap <= 1e-9 * r
 
 
-def _reference_solve(monkeypatch, g, H, r):
-    """``solve_trs_exact`` with the reference eigensolve, root and norms."""
-    with monkeypatch.context() as m:
-        m.setattr(trs, "sym_eig", _ref_sym_eig)
-        m.setattr(trs, "_secular_root", _ref_secular_root)
-        m.setattr(trs, "_norm", lambda v: float(np.linalg.norm(v)))
-        return _outcome(g, H, r)
+def _ref_package(g, H_mul, h, mu, r, L2, min_eig_shifted):
+    hnorm = float(np.linalg.norm(h))
+    Hh = H_mul(h)
+    return trs.TrsSolution(
+        h=h,
+        mu=mu,
+        lambda_alg=2.0 * mu / L2,
+        on_boundary=hnorm >= r * (1.0 - 1e-8),
+        kkt=trs.KktResidual(float(np.linalg.norm(Hh + mu * h + g)), min_eig_shifted,
+                            abs(mu * (hnorm - r))),
+        model_decrease=float(g @ h + 0.5 * h @ Hh),
+    )
+
+
+def _ref_solve_in_eigenbasis(g, w, V, r, L2, tol):
+    gt = V.T @ g
+    c = gt * gt
+    gnorm = float(np.linalg.norm(g))
+    lam1 = float(w[0])
+    mu_lo = max(0.0, -lam1)
+
+    def H_mul(v):
+        return V @ (w * (V.T @ v))
+
+    def gated(sol):
+        if not sol.kkt.stationarity <= max(tol, 1e-8) * (gnorm + 1.0):
+            raise TrsNumericError("stationarity residual above tolerance", best=sol)
+        if not float(np.linalg.norm(sol.h)) <= r * (1.0 + 1e-8):
+            raise TrsNumericError("step outside the trust region", best=sol)
+        return sol
+
+    shifted = w + mu_lo
+
+    def boundary_without_bottom(delta, bottom):
+        denom = np.where(bottom, 1.0, shifted + delta)
+        ht = np.where(bottom, 0.0, -gt / denom)
+        n0 = float(np.linalg.norm(ht))
+        if n0 > r:
+            ht *= r / n0
+        elif n0 < r * (1.0 - 1e-12):
+            ht[int(np.argmax(bottom))] += math.sqrt(r * r - n0 * n0)
+        return ht
+
+    gap_tol = 1e-12 * (1.0 + float(np.max(np.abs(w))))
+    bottom = (w - lam1) <= gap_tol
+    p_bottom = math.sqrt(float(np.sum(c[bottom])))
+
+    if lam1 > 0:
+        ht = -gt / w
+        if float(np.linalg.norm(ht)) <= r:
+            return gated(_ref_package(g, H_mul, V @ ht, 0.0, r, L2, lam1))
+        delta, _ = _ref_secular_root(shifted, c, r, gnorm / r, singular_at_lo=False)
+        ht = -gt / (shifted + delta)
+        return gated(_ref_package(g, H_mul, V @ ht, delta, r, L2, lam1 + delta))
+
+    if p_bottom <= 1e-11 * max(gnorm, 1e-300) or gnorm == 0.0:
+        ct = np.where(bottom, 0.0, c)
+        ht = np.where(bottom, 0.0, -gt / np.where(bottom, 1.0, shifted))
+        n0 = float(np.linalg.norm(ht))
+        if n0 <= r:
+            if mu_lo == 0.0:
+                return gated(_ref_package(g, H_mul, V @ ht, 0.0, r, L2, lam1))
+            ht[int(np.argmax(bottom))] += math.sqrt(max(r * r - n0 * n0, 0.0))
+            return gated(_ref_package(g, H_mul, V @ ht, mu_lo, r, L2, 0.0))
+        delta, _ = _ref_secular_root(shifted, ct, r, gnorm / r, singular_at_lo=False)
+        ht = boundary_without_bottom(delta, bottom)
+        return gated(_ref_package(g, H_mul, V @ ht, mu_lo + delta, r, L2, lam1 + mu_lo + delta))
+
+    delta, resolved = _ref_secular_root(shifted, c, r, gnorm / r, singular_at_lo=True)
+    if not resolved:
+        ht = boundary_without_bottom(delta, bottom)
+    else:
+        ht = -gt / (shifted + delta)
+    return gated(_ref_package(g, H_mul, V @ ht, mu_lo + delta, r, L2, lam1 + mu_lo + delta))
+
+
+def _reference_outcome(g, H, r):
+    w, V = _ref_sym_eig(H)
+    try:
+        return _ref_solve_in_eigenbasis(g, w, V, r, 0.7, 1e-8)
+    except TrsNumericError as exc:
+        return exc
 
 
 def _outcome(g, H, r):
@@ -221,17 +301,7 @@ def _outcome(g, H, r):
         return exc
 
 
-def _bits(sol):
-    """Every field of a solve's result as exact bytes (tells -0.0 from 0.0)."""
-    if isinstance(sol, TrsNumericError):
-        return (str(sol), None if sol.best is None else _bits(sol.best))
-    k = sol.kkt
-    floats = np.array([sol.mu, sol.lambda_alg, sol.model_decrease,
-                       k.stationarity, k.min_eig_shifted, k.complementarity])
-    return (sol.h.tobytes(), floats.tobytes(), sol.on_boundary, sol.converged)
-
-
-def _bitwise_instances():
+def _reference_instances():
     """Interior, boundary, hard, near-hard and tiny-radius subproblems."""
     rng = np.random.default_rng(20)
     for trial in range(560):
@@ -249,7 +319,7 @@ def _bitwise_instances():
             g -= (g @ V[:, 0]) * V[:, 0]
             if kind == 3:
                 g += 10.0 ** rng.uniform(-14, -6) * V[:, 0]
-        elif kind == 4:  # tiny radius, where ||h||^3 underflows
+        elif kind == 4:  # tiny radius, where ||h||^3 underflows in the caller's units
             r = 10.0 ** rng.uniform(-152, -110)
         elif kind == 5:  # diagonal: exact zeros in the eigencoordinates of g
             V = np.eye(d)
@@ -259,15 +329,20 @@ def _bitwise_instances():
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
-def test_exact_bitwise_equal_reference(monkeypatch):
+def test_exact_matches_reference_solver():
+    # the unit-ball solve moves results only in the last bits
     outcomes = set()
-    for g, H, r in _bitwise_instances():
-        ref = _reference_solve(monkeypatch, g, H, r)
+    for g, H, r in _reference_instances():
+        ref = _reference_outcome(g, H, r)
         got = _outcome(g, H, r)
         assert type(got) is type(ref)
-        assert _bits(got) == _bits(ref)
-        outcomes.add("error" if isinstance(got, TrsNumericError)
-                     else ("boundary" if got.on_boundary else "interior"))
+        if isinstance(got, TrsNumericError):
+            outcomes.add("error")
+            continue
+        assert np.linalg.norm((got.h - ref.h) / r) <= 1e-12
+        assert abs(got.mu - ref.mu) <= 1e-12 * max(1.0, ref.mu)
+        assert got.on_boundary == ref.on_boundary
+        outcomes.add("boundary" if got.on_boundary else "interior")
     assert {"boundary", "interior"} <= outcomes
 
 
@@ -340,20 +415,41 @@ def test_exact_rejects_bad_radius():
         solve_trs_exact(np.array([np.nan, 0.0]), np.eye(2), 1.0, 1.0)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
+@pytest.mark.parametrize("r", [math.nan, math.inf])
+@pytest.mark.parametrize("solver", ["exact", "lanczos"])
+def test_solvers_reject_non_finite_radius_or_L2(solver, r):
+    # ``r <= 0`` and ``L2 <= 0`` are false for NaN; an infinite radius has no unit ball
+    g, H = np.array([1.0, 2.0]), np.diag([1.0, -1.0])
+
+    def solve(r, L2):
+        if solver == "exact":
+            return solve_trs_exact(g, H, r, L2)
+        return solve_trs_lanczos(g, lambda v: H @ v, 2, r, L2)
+
+    with pytest.raises(ValueError, match="radius"):
+        solve(r, 1.0)
+    with pytest.raises(ValueError, match="L2"):
+        solve(1.0, r)
+
+
+def _scaled(h, r):
+    """``||h|| / r`` without squaring ``h`` at the caller's scale."""
+    return float(np.linalg.norm(h / r))
+
+
 @pytest.mark.parametrize("w", [(1.0, -1.0), (1.0, 2.0)])
-@pytest.mark.parametrize("r", [1e-110, 1e-120, 1e-152])
+@pytest.mark.parametrize("r", [1e-110, 1e-120, 1e-152, 1e-160, 1e-300])
 def test_exact_tiny_radius_reaches_boundary(w, r):
-    # the secular Newton step divides by ||h||^3, which underflows below r ~ 1e-103
+    # ||h||^2 underflows below r ~ 1e-154; the solve works on u = h / r
     sol = solve_trs_exact(np.array([1.0, 2.0]), np.diag(w), r, 1.0)
-    assert np.linalg.norm(sol.h) == pytest.approx(r, rel=1e-12)
+    assert _scaled(sol.h, r) == pytest.approx(1.0, rel=1e-12)
     assert sol.on_boundary
 
 
 @pytest.mark.parametrize("w", [(1e10, 2e10), (-1e10, 2e10)])
 def test_exact_huge_step_norm_reaches_boundary(w):
-    # ||h||^3 overflows a float above ||h|| ~ 5.6e102; the Newton step then
-    # takes the rescaled derivative, as on underflow
+    # ||h||^3 overflows a float above ||h|| ~ 5.6e102; the unit-ball solve
+    # never forms it
     g, H, r = np.array([1e120, 2e120]), np.diag(w), 1e105
     sol = solve_trs_exact(g, H, r, 1.0)
     assert np.linalg.norm(sol.h) == pytest.approx(r, rel=1e-12)
@@ -363,7 +459,6 @@ def test_exact_huge_step_norm_reaches_boundary(w):
     assert res.min_eig_shifted >= 0.0
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_exact_unresolvable_huge_scale_raises_documented_error():
     # the root sits 1e-171 relative to mu_lo = 1e150 from the pole, far below
     # float resolution: the documented TrsNumericError, not an OverflowError
@@ -371,22 +466,121 @@ def test_exact_unresolvable_huge_scale_raises_documented_error():
         solve_trs_exact(np.array([1e100, 1e100]), np.diag([-1e150, 1e150]), 1e121, 1.0)
 
 
+@pytest.mark.parametrize("H", [np.eye(2), np.diag([-1.0, 2.0])])
+def test_exact_huge_gradient_reaches_boundary(H):
+    # g^2 overflows, g / (r sigma) does not
+    g = np.array([1e160, 1e160])
+    sol = solve_trs_exact(g, H, 1.0, 1.0)
+    assert sol.on_boundary
+    assert np.allclose(sol.h, -math.sqrt(0.5), rtol=1e-12, atol=0.0)
+    assert sol.mu == pytest.approx(math.sqrt(2.0) * 1e160, rel=1e-12)
+    assert math.isfinite(sol.kkt.stationarity)
+
+
 @pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 @pytest.mark.parametrize("H", [np.eye(2), np.diag([-1.0, 2.0])])
 def test_exact_nan_residual_raises(H):
-    # the squared eigencoordinates of g overflow, the step comes back as zero
-    # with a NaN residual; a NaN never passes the gate
+    # max |g_i| / r = 1e320 is past the float range, so the scale is infinite
+    # and the unit problem NaN; a NaN never passes the gate
     with pytest.raises(TrsNumericError, match="stationarity residual nan") as info:
-        solve_trs_exact(np.array([1e160, 1e160]), H, 1.0, 1.0)
+        solve_trs_exact(np.array([1e160, 1e160]), H, 1e-160, 1.0)
     assert math.isnan(info.value.best.kkt.stationarity)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
-def test_exact_rejects_infeasible_step():
-    # at r = 1e-160 the squared step components underflow; an infeasible step
-    # with a small stationarity residual must not pass as a solution
-    with pytest.raises(TrsNumericError, match="outside the trust region"):
-        solve_trs_exact(np.array([1.0, 2.0]), np.diag([1.0, 2.0]), 1e-160, 1.0)
+def _bad_root(delta):
+    """A stand-in for ``trs._secular_root`` that returns ``delta`` as resolved."""
+    return lambda *args, **kwargs: (delta, True)
+
+
+def test_exact_rejects_infeasible_step(monkeypatch):
+    # a secular root short of the true one leaves the ball with a small
+    # stationarity residual; it must not pass as a solution
+    monkeypatch.setattr(trs, "_secular_root", _bad_root(0.0))
+    with pytest.raises(TrsNumericError, match="outside the trust region") as info:
+        solve_trs_exact(np.array([1.0, 2.0]), np.diag([1.0, 2.0]), 0.1, 1.0)
+    assert np.linalg.norm(info.value.best.h) > 0.1
+
+
+def test_exact_rejects_positive_multiplier_inside_the_ball(monkeypatch):
+    # a secular root past the true one gives a stationary step inside the ball
+    # with mu > 0, which breaks complementarity
+    monkeypatch.setattr(trs, "_secular_root", _bad_root(1e6))
+    with pytest.raises(TrsNumericError, match="inside the trust region") as info:
+        solve_trs_exact(np.array([1.0, 2.0]), np.diag([1.0, 2.0]), 0.1, 1.0)
+    assert info.value.best.mu > 0.0
+    assert not info.value.best.on_boundary
+
+
+def _kkt_failure(g, lam, V, r, sol):
+    """First scale-free KKT condition ``sol`` breaks, or None.
+
+    Works on ``u = h / r`` and the unit problem ``(H / sigma, g / (r sigma))``
+    with ``sigma = max(|lambda|_max, max_i |g_i| / r)``, and takes norms with
+    ``math.hypot``, so no check squares a value at the caller's scale.  The
+    step and the multiplier must be finite; ``lambda_alg = 2 mu / L2`` and the
+    model decrease may pass the float range with a finite multiplier.
+    """
+    if not (np.all(np.isfinite(sol.h)) and math.isfinite(sol.mu)):
+        return "non-finite"
+    sigma = max(float(np.max(np.abs(lam))), float(np.max(np.abs(g))) / r) or 1.0
+    u = sol.h / r
+    unorm = math.hypot(*u)
+    g_hat = g / r / sigma
+    resid = V @ ((lam / sigma) * (V.T @ u)) + (sol.mu / sigma) * u + g_hat
+    if not unorm <= 1.0 + 1e-8:
+        return "infeasible"
+    if not math.hypot(*resid) <= 1e-8 * (math.hypot(*g_hat) + 1.0):
+        return "stationarity"
+    if not float(np.min(lam)) / sigma + sol.mu / sigma >= -1e-8:
+        return "dual feasibility"
+    if sol.mu > 0 and not abs(unorm - 1.0) <= 1e-8:
+        return "complementarity"
+    return None
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered", "ignore:overflow encountered")
+@pytest.mark.parametrize("seed", [0, 1])
+def test_exact_extreme_scale_sweep(seed):
+    # eigenvalues, g and r each at a random scale in 1e+-200: every returned
+    # solution meets the KKT conditions on the unit problem, and every other
+    # instance ends in the documented TrsNumericError
+    rng = np.random.default_rng(seed)
+    returned = 0
+    for _ in range(1500):
+        d = int(rng.integers(2, 8))
+        V = np.linalg.qr(rng.standard_normal((d, d)))[0]
+        lam = rng.standard_normal(d) * 10.0 ** rng.uniform(-200, 200)
+        g = rng.standard_normal(d) * 10.0 ** rng.uniform(-200, 200)
+        r = 10.0 ** rng.uniform(-200, 200)
+        H = V @ np.diag(lam) @ V.T
+        try:
+            sol = solve_trs_exact(g, (H + H.T) / 2.0, r, 1.0)
+        except TrsNumericError:
+            continue
+        returned += 1
+        assert _kkt_failure(g, lam, V, r, sol) is None
+    assert returned >= 900
+
+
+def test_exact_scale_equivariance():
+    # solve(alpha g, (alpha / beta) H, beta r) = (beta h, (alpha / beta) mu)
+    rng = np.random.default_rng(31)
+    scales = (1e-150, 1e-50, 1.0, 1e50, 1e150)
+    for trial in range(40):
+        d = (2, 5, 20)[trial % 3]
+        V = np.linalg.qr(rng.standard_normal((d, d)))[0]
+        w = rng.uniform(0.1, 3.0, d) if trial % 2 == 0 else rng.uniform(-2.0, 2.0, d)
+        H = V @ np.diag(w) @ V.T
+        H = (H + H.T) / 2.0
+        g = rng.standard_normal(d)
+        r = float(rng.uniform(0.1, 3.0))
+        base = solve_trs_exact(g, H, r, 1.0)
+        for alpha in scales:
+            for beta in scales:
+                sol = solve_trs_exact(alpha * g, (alpha / beta) * H, beta * r, 1.0)
+                assert np.linalg.norm(sol.h / beta - base.h) <= 1e-12 * np.linalg.norm(base.h)
+                assert abs(sol.mu / (alpha / beta) - base.mu) <= 1e-12 * base.mu
+                assert sol.on_boundary == base.on_boundary
 
 
 def test_exact_hard_case_on_the_boundary():
@@ -557,6 +751,18 @@ def test_lanczos_rejects_bad_inputs():
                      (1.0, 1.0, np.array([np.inf, 0.0, 0.0]))):
         with pytest.raises(ValueError):
             solve_trs_lanczos(g, lambda v: v, 3, r, L2)
+
+
+@pytest.mark.parametrize("r", [1e-160, 1e-300])
+def test_lanczos_tiny_radius_reaches_boundary(r):
+    # the lifted ||h|| underflows below r ~ 1e-154; on_boundary comes from the
+    # reduced solve
+    H = np.diag([2.0, -1.0, 0.5])
+    g = np.array([1.0, 2.0, 3.0])
+    sol = solve_trs_lanczos(g, lambda v: H @ v, 3, r, 1.0)
+    assert sol.converged
+    assert sol.on_boundary
+    assert _scaled(sol.h, r) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_lanczos_rejects_bad_m_max():
