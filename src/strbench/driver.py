@@ -4,8 +4,9 @@ The main loop solves the subproblem on estimated differentials
 ``(g_k, H_k)`` with a fixed radius ``r = sqrt(eps/L2)``, steps
 ``x_{k+1} = x_k + h_k``, and stops the first time the rescaled dual variable
 satisfies ``lambda_alg <= 2 sqrt(eps/L2)``.  The no-dual variant instead
-stops on the first interior step and otherwise returns a uniformly random
-iterate.  Four variants are wired: exact differentials, the two
+stops on the first step the solver puts inside the ball, and otherwise returns
+the post-step iterate of a seeded iteration drawn uniformly before the loop.
+Four variants are wired: exact differentials, the two
 variance-reduced combinations (``str1``, ``str2``), and a plain subsampled
 baseline with fresh batches each iteration.
 
@@ -21,7 +22,7 @@ from __future__ import annotations
 import math
 import numbers
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from .problems import (
     full_value,
     lipschitz_bounds,
 )
-from .trs import TrsNumericError, _sym_eigvals, solve_trs_exact
+from .trs import TrsNumericError, _norm, _sym_eigvals, solve_trs_exact
 
 VARIANTS = ("exact_tr", "str1", "str2", "subsampled")
 
@@ -138,13 +139,15 @@ class SosReport:
 
 @dataclass
 class RunResult:
+    """``x_final`` is the last post-step iterate or, for the no-dual rule at
+    the cap, that of the seeded iteration ``kbar``; no other iterate is kept."""
+
     x_final: np.ndarray
     trace: list[IterateRecord]
     stop_reason: str  # dual_threshold | interior_step | random_iterate | iteration_cap
     report: SosReport
     counters: OracleCounters
     seed: int
-    iterates: list[np.ndarray] = field(default_factory=list)
 
 
 class RunAborted(RuntimeError):
@@ -185,7 +188,10 @@ def resolve_config(problem: FiniteSumProblem, config: RunConfig) -> _Resolved:
         gap = config.delta_hat
         if gap is None:
             gap = full_value(problem, x0, OracleCounters())
-        bound = 6.0 * math.sqrt(lip.L2) * gap / eps**1.5
+        try:
+            bound = 6.0 * math.sqrt(lip.L2) * gap / eps**1.5
+        except ArithmeticError:  # eps**1.5 under- or overflows
+            bound = math.nan
         K = max(1, math.ceil(bound)) if math.isfinite(bound) else bound
     # features near 1e300 overflow the analytic bounds to inf, and r to 0
     for name, value in (("L1", lip.L1), ("L2", lip.L2), ("r", r), ("K", K)):
@@ -211,9 +217,13 @@ def verify_sosp(problem: FiniteSumProblem, x, epsilon: float, L2: float) -> SosR
 def _run_loop(problem, config, grad_estimator, hess_estimator, counters, use_dual_stop,
               res: _Resolved | None):
     res = res if res is not None else resolve_config(problem, config)
+    counters = counters if counters is not None else OracleCounters()
     x = res.x0.copy()
     trace: list[IterateRecord] = []
-    iterates: list[np.ndarray] = []
+    # the no-dual rule's pick, read only at the cap (which a K past int64 never reaches)
+    kbar = None if use_dual_stop else int(
+        np.random.default_rng([config.seed, 1]).integers(0, min(res.K, 2**63 - 1)))
+    picked = None
     scratch = OracleCounters()
     stop_reason = "iteration_cap"
     t_start = time.perf_counter()
@@ -230,21 +240,22 @@ def _run_loop(problem, config, grad_estimator, hess_estimator, counters, use_dua
                                  trace, x, counters)
         try:
             sol = solve_trs_exact(g, H, res.r, res.lip.L2, tol=config.solver_tol)
-        except (TrsNumericError, ArithmeticError) as exc:  # e.g. a radius near 1e-160
+        except TrsNumericError as exc:
             raise RunAborted(f"subproblem solve failed at iteration {k}: {exc}",
                              trace, x, counters) from exc
         x_next = x + sol.h
         if not np.isfinite(x_next).all():
             raise RunAborted(f"non-finite iterate after iteration {k}", trace, x, counters)
-        x = x_next
-        iterates.append(x.copy())
+        x = x_next  # rebound, never written in place: ``picked`` needs no copy
+        if k == kbar:
+            picked = x
         trace.append(
             IterateRecord(
                 k=k,
                 fval=fval,
                 grad_norm=gnorm_true,
                 lambda_alg=sol.lambda_alg,
-                step_norm=float(np.linalg.norm(sol.h)),
+                step_norm=_norm(sol.h),
                 sfo=counters.sfo,
                 sso=counters.sso,
                 wall_ms=(time.perf_counter() - t_start) * 1e3,
@@ -254,14 +265,11 @@ def _run_loop(problem, config, grad_estimator, hess_estimator, counters, use_dua
             if sol.lambda_alg <= res.threshold:
                 stop_reason = "dual_threshold"
                 break
-        else:
-            if float(np.linalg.norm(sol.h)) < res.r * (1.0 - 1e-10):
-                stop_reason = "interior_step"
-                break
-    if not use_dual_stop and stop_reason == "iteration_cap" and iterates:
-        pick_rng = np.random.default_rng([config.seed, 1])
-        kbar = int(pick_rng.integers(0, len(iterates)))
-        x = iterates[kbar]
+        elif not sol.on_boundary:
+            stop_reason = "interior_step"
+            break
+    if not use_dual_stop and stop_reason == "iteration_cap":
+        x = picked
         stop_reason = "random_iterate"
     report = verify_sosp(problem, x, config.epsilon, res.lip.L2)
     return RunResult(
@@ -271,7 +279,6 @@ def _run_loop(problem, config, grad_estimator, hess_estimator, counters, use_dua
         report=report,
         counters=counters,
         seed=config.seed,
-        iterates=iterates,
     )
 
 
@@ -283,15 +290,14 @@ def run_inexact_tr(problem, config, grad_estimator, hess_estimator,
     any internal state.  Stops the first time
     ``lambda_alg <= 2 sqrt(eps/L2)`` and returns the post-step iterate.
     """
-    counters = counters if counters is not None else OracleCounters()
     return _run_loop(problem, config, grad_estimator, hess_estimator, counters, True, None)
 
 
 def run_inexact_tr_expectation(problem, config, grad_estimator, hess_estimator,
                                counters: OracleCounters | None = None) -> RunResult:
-    """No-dual variant: stop on the first strictly interior step, otherwise
-    return a seeded uniformly random iterate after K steps."""
-    counters = counters if counters is not None else OracleCounters()
+    """No-dual variant: stop on the first step that the solver reports inside
+    the ball, otherwise return the post-step iterate of iteration
+    ``kbar = default_rng([seed, 1]).integers(0, K)`` after K steps."""
     return _run_loop(problem, config, grad_estimator, hess_estimator, counters, False, None)
 
 
@@ -327,20 +333,21 @@ def make_estimators(variant, problem, config, rng, resolved: _Resolved | None = 
     K0 = 2 * res.K
     kg = config.kappa_grad if config.kappa_grad is not None else config.kappa
     kh = config.kappa_hess if config.kappa_hess is not None else config.kappa
+    if config.mode == "theory":  # the paper's constants
+        kg = kh = 1.0
     hsched = config.hess_schedule or est.hessian_schedule(
         n, problem.d, config.epsilon, res.lip.L1, res.lip.L2, config.delta, K0,
-        mode=config.mode, kappa=kh, force_option=config.hess_option,
+        kappa=kh, force_option=config.hess_option,
     )
     if variant == "str1":
         gsched = config.grad_schedule or est.gradient_schedule_case1(
-            n, config.epsilon, res.lip.L1, res.lip.L2, config.delta, K0,
-            mode=config.mode, kappa=kg,
+            n, config.epsilon, res.lip.L1, res.lip.L2, config.delta, K0, kappa=kg,
         )
         gstate = est.GradEstimatorState(schedule=gsched)
         grad_fn = lambda x, counters: est.spider_step(gstate, problem, x, counters, rng)
     else:
         gsched = config.grad_schedule or est.gradient_schedule_case2(
-            n, config.delta, K0, mode=config.mode, kappa=kg,
+            n, config.delta, K0, kappa=kg,
         )
         gstate = est.GradEstimatorState(schedule=gsched)
         grad_fn = lambda x, counters: est.corrected_step(gstate, problem, x, counters, rng)

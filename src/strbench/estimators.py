@@ -7,8 +7,8 @@ is what makes the telescoping error a martingale.
 
 Schedules enforce the per-step accuracy targets ``||g - grad F|| <= eps/6``
 and ``||H - hess F|| <= sqrt(eps L2)/3`` with probability ``1 - delta/K0``
-under steps of norm at most ``sqrt(eps/L2)``.  Theory mode uses the nominal
-constants; practical mode multiplies sample sizes by ``kappa`` in (0, 1].
+under steps of norm at most ``sqrt(eps/L2)``.  Sample sizes are multiplied by
+``kappa`` in (0, 1]; theory mode is ``kappa = 1``, the paper's constants.
 """
 
 from __future__ import annotations
@@ -78,15 +78,13 @@ class HessEstimatorState:
     x_prev: np.ndarray | None = None
 
 
-def _validate_schedule_args(epsilon, delta, kappa, mode):
+def _validate_schedule_args(epsilon, delta, kappa):
     if epsilon <= 0:
         raise ValueError("epsilon must be positive")
     if not 0 < delta < 1:
         raise ValueError("delta must lie in (0, 1)")
     if not 0 < kappa <= 1:
         raise ValueError("kappa must lie in (0, 1]")
-    if mode not in ("theory", "practical"):
-        raise ValueError("mode must be 'theory' or 'practical'")
 
 
 def _sized(raw: float, kappa: float, n: int) -> int:
@@ -101,7 +99,6 @@ def hessian_schedule(
     L2: float,
     delta: float,
     K0: int,
-    mode: str = "theory",
     kappa: float = 1.0,
     force_option: str | None = None,
 ) -> HessSchedule:
@@ -113,21 +110,20 @@ def hessian_schedule(
                s2  = ceil(32 L1/sqrt(eps L2) log(d K0/delta)).
 
     The option with the smaller amortized cost 2 s2 wins (ties go to I).
-    Sample sizes are scaled by kappa in practical mode and always capped at n.
+    Sample sizes are scaled by kappa and always capped at n.
     """
-    _validate_schedule_args(epsilon, delta, kappa, mode)
+    _validate_schedule_args(epsilon, delta, kappa)
     if n < 1 or d < 1 or L1 <= 0 or L2 <= 0 or K0 < 1:
         raise ValueError("n, d, L1, L2, K0 must be positive")
-    kap = kappa if mode == "practical" else 1.0
     log_dk = math.log(d * K0 / delta)
     root_eps = math.sqrt(epsilon * L2)
 
     p2_i = max(1, math.ceil(math.sqrt(n)))
-    s2_i = _sized(32.0 * math.sqrt(n) * log_dk, kap, n)
+    s2_i = _sized(32.0 * math.sqrt(n) * log_dk, kappa, n)
 
     p2_ii = max(1, math.ceil(L1 / (2.0 * root_eps)))
-    s2_ii = _sized(32.0 * L1 / root_eps * log_dk, kap, n)
-    s2p_ii = _sized(16.0 * L1 * L1 / (epsilon * L2) * log_dk, kap, n)
+    s2_ii = _sized(32.0 * L1 / root_eps * log_dk, kappa, n)
+    s2p_ii = _sized(16.0 * L1 * L1 / (epsilon * L2) * log_dk, kappa, n)
 
     if force_option is None:
         option = "I" if 2 * s2_i <= 2 * s2_ii else "II"
@@ -147,27 +143,24 @@ def gradient_schedule_case1(
     L2: float,
     delta: float,
     K0: int,
-    mode: str = "theory",
     kappa: float = 1.0,
 ) -> GradSchedule:
     """Schedule for the plain recurrent gradient estimator.
 
     p1 = max(1, ceil(sqrt(n eps L2 / (c L1^2 log(K0/delta))))) and
     s1 = min(n, ceil(sqrt(c n L1^2 log(K0/delta) / (eps L2)))) with c = 1152.
-    Practical mode shrinks s1 by kappa and resets p1 = ceil(n / s1) so one
+    A kappa below 1 shrinks s1 by kappa and resets p1 = ceil(n / s1) so one
     epoch still amortizes a full pass.
     """
-    _validate_schedule_args(epsilon, delta, kappa, mode)
+    _validate_schedule_args(epsilon, delta, kappa)
     if n < 1 or L1 <= 0 or L2 <= 0 or K0 < 1:
         raise ValueError("n, L1, L2, K0 must be positive")
     lg = math.log(K0 / delta)
     c = SPIDER_CONSTANT
-    s1_raw = math.sqrt(c * n * L1 * L1 * lg / (epsilon * L2))
-    if mode == "practical" and kappa < 1.0:
-        s1 = _sized(s1_raw, kappa, n)
+    s1 = _sized(math.sqrt(c * n * L1 * L1 * lg / (epsilon * L2)), kappa, n)
+    if kappa < 1.0:
         p1 = max(1, math.ceil(n / s1))
     else:
-        s1 = _sized(s1_raw, 1.0, n)
         p1 = max(1, math.ceil(math.sqrt(n * epsilon * L2 / (c * L1 * L1 * lg))))
         if s1 >= n:
             p1 = 1  # a full pass every step, no sampling
@@ -178,20 +171,18 @@ def gradient_schedule_case2(
     n: int,
     delta: float,
     K0: int,
-    mode: str = "theory",
     kappa: float = 1.0,
 ) -> GradSchedule:
     """Schedule for the Hessian-corrected gradient estimator.
 
-    p1 = ceil(n^0.25), s1 = min(n, ceil(n^0.75 c log(K0/delta))), c = 1152.
+    p1 = ceil(n^0.25), s1 = min(n, ceil(kappa n^0.75 c log(K0/delta))), c = 1152.
     """
-    _validate_schedule_args(1.0, delta, kappa, mode)
+    _validate_schedule_args(1.0, delta, kappa)
     if n < 1 or K0 < 1:
         raise ValueError("n and K0 must be positive")
-    kap = kappa if mode == "practical" else 1.0
     lg = math.log(K0 / delta)
     p1 = max(1, math.ceil(n**0.25))
-    s1 = _sized(n**0.75 * SPIDER_CONSTANT * lg, kap, n)
+    s1 = _sized(n**0.75 * SPIDER_CONSTANT * lg, kappa, n)
     return GradSchedule(2, p1, s1)
 
 

@@ -124,13 +124,13 @@ def model_value(g: np.ndarray, H: np.ndarray, h: np.ndarray) -> float:
 
 
 def kkt_residual(g, H, r, sol: TrsSolution) -> KktResidual:
-    """Recompute the three optimality residuals from scratch."""
+    """Recompute the three optimality residuals from scratch, with scaled norms."""
     g = np.asarray(g, float)
     H = np.asarray(H, float)
     h, mu = sol.h, sol.mu
-    stationarity = float(np.linalg.norm(H @ h + mu * h + g))
+    stationarity = _norm(H @ h + mu * h + g)
     min_eig = float(np.linalg.eigvalsh((H + H.T) / 2.0)[0]) + mu
-    comp = abs(mu * (float(np.linalg.norm(h)) - r))
+    comp = abs(mu * (_norm(h) - r))
     return KktResidual(stationarity, min_eig, comp)
 
 

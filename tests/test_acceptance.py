@@ -319,20 +319,19 @@ def test_criterion_5_estimator_accuracy():
 # -- criterion 6: full-batch degeneracy --------------------------------------------
 
 
-def test_criterion_6_full_batch_degeneracy(descent_experiment):
+def test_criterion_6_full_batch_degeneracy(descent_experiment, run_path):
     with criterion(6, "full-batch degeneracy"):
         prob = descent_experiment["problem"]
         eps = descent_experiment["epsilon"]
-        exact = run("exact_tr", prob, RunConfig(variant="exact_tr", epsilon=eps, seed=0))
-        forced = RunConfig(
+        exact, exact_path = run_path(prob, RunConfig(variant="exact_tr", epsilon=eps, seed=0))
+        same, same_path = run_path(prob, RunConfig(
             variant="str1", epsilon=eps, seed=0,
             grad_schedule=GradSchedule(case=1, p1=1, s1=prob.n),
             hess_schedule=HessSchedule("I", p2=1, s2=prob.n, s2_prime=None),
-        )
-        same = run("str1", prob, forced)
+        ))
         assert same.stop_reason == exact.stop_reason
-        assert len(same.iterates) == len(exact.iterates)
-        for a, b in zip(same.iterates, exact.iterates):
+        assert len(same_path) == len(exact_path)
+        for a, b in zip(same_path, exact_path):
             assert np.max(np.abs(a - b)) <= 1e-12
 
 

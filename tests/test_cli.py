@@ -292,6 +292,26 @@ def test_overflowing_lipschitz_bounds_fail_the_run(tmp_path, capsys, extra):
     assert entry["counters"] == {"sfo": 0, "sso": 0, "fval": 0}
 
 
+@pytest.mark.parametrize("variant, epsilon, name", [
+    ("exact_tr", 1e-300, "K"),  # eps**1.5 underflows to 0
+    ("exact_tr", 1e250, "K"),   # eps**1.5 overflows
+    ("str1", 1e308, "r"),       # so does eps / L2, here below 1
+])
+def test_epsilon_past_the_iteration_cap_range_fails_the_run(tmp_path, capsys, variant,
+                                                            epsilon, name):
+    spec = tmp_path / "spec.json"
+    write_spec(spec, task="nls_nc", dataset={"synthetic": {"n": 200, "d": 5, "seed": 1}},
+               variants=[{"variant": variant, "epsilon": epsilon}])
+    assert main(["run", str(spec), "--out", str(tmp_path / "o")]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    (entry,) = json.loads((tmp_path / "o" / "summary.json").read_text())["runs"]
+    assert entry["failed"] is True
+    assert entry["error"].startswith(f"{name}=")
+    assert entry["error"].endswith("is not finite and positive")
+    assert entry["iterations"] == 0
+    assert entry["counters"] == {"sfo": 0, "sso": 0, "fval": 0}
+
+
 def test_aborted_run_reports_partial_counters(tmp_path, monkeypatch):
     import strbench.driver as drv
     from strbench.trs import TrsNumericError

@@ -126,18 +126,39 @@ def test_str2_runs_and_certifies(logistic_small):
     assert res.report.certified
 
 
-def test_full_batch_schedules_reproduce_exact(logistic_small):
+def _estimators(problem, cfg):
+    """The estimator callables ``run`` wires for ``cfg``."""
+    return make_estimators(cfg.variant, problem, cfg, np.random.default_rng(cfg.seed))
+
+
+def test_full_batch_schedules_reproduce_exact(logistic_small, run_path):
     eps = 1e-2
-    exact = run("exact_tr", logistic_small, RunConfig(variant="exact_tr", epsilon=eps, seed=0))
+    _, exact = run_path(logistic_small, RunConfig(variant="exact_tr", epsilon=eps, seed=0))
     forced = RunConfig(
         variant="str1", epsilon=eps, seed=0,
         grad_schedule=GradSchedule(case=1, p1=1, s1=logistic_small.n),
         hess_schedule=HessSchedule("I", p2=1, s2=logistic_small.n, s2_prime=None),
     )
-    res = run("str1", logistic_small, forced)
-    assert len(res.iterates) == len(exact.iterates)
-    for a, b in zip(res.iterates, exact.iterates):
+    _, same = run_path(logistic_small, forced)
+    assert len(same) == len(exact)
+    for a, b in zip(same, exact):
         assert np.max(np.abs(a - b)) <= 1e-12
+
+
+def test_theory_mode_is_kappa_one():
+    # theory mode ignores kappa: its schedules are the practical ones at kappa 1
+    # (n is large enough that kappa 0.3 shrinks the Hessian batches below n)
+    prob = from_dataset(generate_synthetic(20_000, 5, seed=3), "logistic_nc")
+
+    def str1(**knobs):
+        return run("str1", prob,
+                   RunConfig(variant="str1", epsilon=1e-2, seed=3, K_override=30, **knobs))
+
+    theory = str1(mode="theory", kappa=0.3)
+    practical = str1(mode="practical", kappa=1.0)
+    assert theory.counters == practical.counters
+    assert theory.x_final.tobytes() == practical.x_final.tobytes()
+    assert str1(mode="practical", kappa=0.3).counters != theory.counters
 
 
 def test_subsampled_uses_fixed_fresh_batches(logistic_small):
@@ -201,30 +222,51 @@ def test_verify_sosp_threshold_consistency(logistic_small):
 # -- expectation-stopping variant ------------------------------------------------
 
 
-def _exact_estimators(problem, cfg):
-    return make_estimators("exact_tr", problem, cfg, np.random.default_rng(cfg.seed))
-
-
 def test_expectation_interior_exit_at_minimum(quad_problem):
     x_star = quad_problem.anchors.mean(axis=0)
     cfg = RunConfig(variant="exact_tr", epsilon=1e-4, x0=x_star)
-    g_fn, h_fn = _exact_estimators(quad_problem, cfg)
+    g_fn, h_fn = _estimators(quad_problem, cfg)
     res = run_inexact_tr_expectation(quad_problem, cfg, g_fn, h_fn)
     assert res.stop_reason == "interior_step"
     assert len(res.trace) == 1
 
 
-def test_expectation_random_pick_reproducible(logistic_small):
+def test_expectation_random_pick_reproducible(logistic_small, monkeypatch, recording):
+    import strbench.driver as drv
+
+    solve = drv.solve_trs_exact
+    steps = []
+
+    def recording_solve(*args, **kwargs):
+        sol = solve(*args, **kwargs)
+        steps.append(sol.h)
+        return sol
+
+    monkeypatch.setattr(drv, "solve_trs_exact", recording_solve)
     cfg = RunConfig(variant="exact_tr", epsilon=1e-9, K_override=5, seed=9)
-    g_fn, h_fn = _exact_estimators(logistic_small, cfg)
-    a = run_inexact_tr_expectation(logistic_small, cfg, g_fn, h_fn)
+    g_fn, h_fn = _estimators(logistic_small, cfg)
+    points = []
+    a = run_inexact_tr_expectation(logistic_small, cfg, recording(g_fn, points), h_fn)
     assert a.stop_reason == "random_iterate"
-    assert len(a.trace) == 5
-    g_fn, h_fn = _exact_estimators(logistic_small, cfg)
+    assert len(a.trace) == len(points) == len(steps) == 5
+    g_fn, h_fn = _estimators(logistic_small, cfg)
     b = run_inexact_tr_expectation(logistic_small, cfg, g_fn, h_fn)
     assert np.array_equal(a.x_final, b.x_final)
-    # returned point is one of the five post-step iterates
-    assert any(np.array_equal(a.x_final, it) for it in a.iterates)
+    # the returned point is the post-step iterate of the seeded iteration kbar
+    kbar = int(np.random.default_rng([9, 1]).integers(0, 5))
+    assert np.array_equal(a.x_final, points[kbar] + steps[kbar])
+
+
+def test_expectation_tiny_radius_runs_to_the_cap(logistic_small):
+    # ||h||^2 underflows at r = 1e-160: every step is still on the boundary,
+    # so the no-dual run never takes an interior exit
+    r = 1e-160
+    cfg = RunConfig(variant="exact_tr", epsilon=1e-2, r_override=r, K_override=5)
+    res = run_inexact_tr_expectation(logistic_small, cfg, *_estimators(logistic_small, cfg))
+    assert res.stop_reason == "random_iterate"
+    assert len(res.trace) == 5
+    for rec in res.trace:
+        assert rec.step_norm == pytest.approx(r, rel=1e-12)
 
 
 def test_expectation_mean_gradient_small(logistic_small):
@@ -332,20 +374,20 @@ def _poisoned(estimator, at_call, value):
 
 @pytest.mark.parametrize("which", ["gradient", "Hessian"])
 @pytest.mark.parametrize("value", [math.inf, math.nan])
-def test_non_finite_estimate_aborts(logistic_small, which, value):
+def test_non_finite_estimate_aborts(logistic_small, run_path, which, value):
     cfg = RunConfig(variant="exact_tr", epsilon=1e-6, K_override=10)
-    g_fn, h_fn = _exact_estimators(logistic_small, cfg)
+    g_fn, h_fn = _estimators(logistic_small, cfg)
     if which == "gradient":
         g_fn = _poisoned(g_fn, 3, value)
     else:
         h_fn = _poisoned(h_fn, 3, value)
-    clean = run_inexact_tr(logistic_small, cfg, *_exact_estimators(logistic_small, cfg))
+    clean, path = run_path(logistic_small, cfg)
     counters = OracleCounters()
     with pytest.raises(RunAborted, match=f"non-finite {which} estimate at iteration 2") as info:
         run_inexact_tr(logistic_small, cfg, g_fn, h_fn, counters)
     assert [(r.k, r.fval, r.grad_norm, r.sfo, r.sso) for r in info.value.trace] == [
         (r.k, r.fval, r.grad_norm, r.sfo, r.sso) for r in clean.trace[:2]]
-    assert np.array_equal(info.value.x, clean.iterates[1])
+    assert np.array_equal(info.value.x, path[2])  # the post-step iterate of iteration 1
     assert info.value.counters is counters
     assert counters.sfo == counters.sso == 3 * logistic_small.n
 
@@ -356,7 +398,7 @@ def test_nan_subproblem_residual_aborts(logistic_small):
     # past the float range: the solve's residual is NaN, and the run ends in
     # RunAborted instead of taking a step
     cfg = RunConfig(variant="exact_tr", epsilon=1e-6, K_override=10)
-    g_fn, h_fn = _exact_estimators(logistic_small, cfg)
+    g_fn, h_fn = _estimators(logistic_small, cfg)
     g_fn = _poisoned(g_fn, 2, 1e307)
     with pytest.raises(RunAborted, match="subproblem solve failed at iteration 1: "
                                          "stationarity residual nan") as info:
@@ -364,21 +406,22 @@ def test_nan_subproblem_residual_aborts(logistic_small):
     assert len(info.value.trace) == 1
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
-def test_huge_gradient_estimate_takes_a_boundary_step(logistic_small):
+def test_huge_gradient_estimate_takes_a_boundary_step(logistic_small, recording, run_path):
     # a finite gradient estimate whose squares overflow is still solved: the
     # step goes to the boundary against it, and the run goes on
     cfg = RunConfig(variant="exact_tr", epsilon=1e-6, K_override=10)
-    g_fn, h_fn = _exact_estimators(logistic_small, cfg)
-    res = run_inexact_tr(logistic_small, cfg, _poisoned(g_fn, 2, 1e160), h_fn)
-    clean = run_inexact_tr(logistic_small, cfg, *_exact_estimators(logistic_small, cfg))
+    g_fn, h_fn = _estimators(logistic_small, cfg)
+    points = []
+    res = run_inexact_tr(logistic_small, cfg, recording(_poisoned(g_fn, 2, 1e160), points),
+                         h_fn)
+    _, clean = run_path(logistic_small, cfg)
     r = resolve_config(logistic_small, cfg).r
-    step = res.iterates[1] - res.iterates[0]
+    assert len(res.trace) >= 3
+    step = points[2] - points[1]
     assert step[0] == pytest.approx(-r, rel=1e-12)
     assert res.trace[1].step_norm == pytest.approx(r, rel=1e-12)
     assert res.trace[1].lambda_alg > 1e150
-    assert np.array_equal(res.iterates[0], clean.iterates[0])
-    assert len(res.trace) >= 3
+    assert np.array_equal(points[1], clean[1])
 
 
 def test_non_finite_iterate_aborts(logistic_small, monkeypatch):

@@ -67,12 +67,6 @@ def test_hessian_schedule_frozen_values():
     assert auto.option == "II"
 
 
-def test_hessian_schedule_kappa_one_is_theory():
-    a = hessian_schedule(500, 20, 1e-2, 0.3, 0.25, 0.2, 20, mode="theory")
-    b = hessian_schedule(500, 20, 1e-2, 0.3, 0.25, 0.2, 20, mode="practical", kappa=1.0)
-    assert a == b
-
-
 def test_hessian_schedule_option_selection_flip():
     # L1/sqrt(eps L2) < sqrt(n) makes option II cheaper, matching log factors
     small_ratio = hessian_schedule(10_000, 10, 1.0, 1.0, 1.0, 0.1, 10)
@@ -89,7 +83,7 @@ def test_hessian_schedule_rejects_bad_args():
     with pytest.raises(ValueError):
         hessian_schedule(100, 5, 1e-2, 1.0, 1.0, 1.5, 10)
     with pytest.raises(ValueError):
-        hessian_schedule(100, 5, 1e-2, 1.0, 1.0, 0.1, 10, mode="practical", kappa=0.0)
+        hessian_schedule(100, 5, 1e-2, 1.0, 1.0, 0.1, 10, kappa=0.0)
 
 
 def test_case1_frozen_values():
@@ -121,8 +115,7 @@ def test_case1_amortization_identity():
 
 
 def test_case1_practical_rescales_epoch():
-    sched = gradient_schedule_case1(1000, 1e-3, 1.0, 1.0, 0.1, 100,
-                                    mode="practical", kappa=0.002)
+    sched = gradient_schedule_case1(1000, 1e-3, 1.0, 1.0, 0.1, 100, kappa=0.002)
     assert 1 <= sched.s1 < 1000
     assert sched.s1 * sched.p1 >= 1000
 

@@ -671,6 +671,17 @@ def test_kkt_residual_flags_perturbation(rng):
     assert noisy.stationarity > 1e-4
 
 
+def test_kkt_residual_tiny_radius_boundary_step():
+    # ||h||^2 underflows at r = 1e-160; the recomputed residuals must not
+    # misread a boundary step as one inside the ball
+    g, H, r = np.array([1.0, 2.0]), np.diag([1.0, 2.0]), 1e-160
+    sol = solve_trs_exact(g, H, r, 1.0)
+    assert sol.on_boundary
+    res = kkt_residual(g, H, r, sol)
+    assert res.complementarity <= 1e-12 * sol.mu * r
+    assert res.stationarity <= 1e-8 * (np.linalg.norm(g) + 1.0)
+
+
 # -- Lanczos solver ------------------------------------------------------------
 
 
