@@ -18,18 +18,18 @@ import argparse
 import csv
 import dataclasses
 import json
+import operator
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .datasets import generate_synthetic, load_libsvm
-from .driver import RunAborted, RunConfig, RunResult, run
+from .driver import IterateRecord, RunAborted, RunConfig, run
 from .problems import (
+    KINDS,
     FiniteSumProblem,
     LipschitzBounds,
     from_dataset,
@@ -37,7 +37,9 @@ from .problems import (
     quadratic_problem,
 )
 
-TRACE_HEADER = ["k", "fval", "grad_norm", "lambda_alg", "step_norm", "sfo", "sso", "wall_ms"]
+# one column per IterateRecord field, in field order; ``wall_ms`` is last
+TRACE_HEADER = [f.name for f in dataclasses.fields(IterateRecord)]
+_TRACE_VALUES = operator.attrgetter(*TRACE_HEADER[:-1])
 COMPARE_HEADER = ["variant", "seed", "k", "fval_gap", "grad_norm", "sso", "sfo", "wall_ms"]
 
 SEED_ENV_VAR = "STR_SEED"
@@ -138,7 +140,7 @@ def load_spec(path) -> ExperimentSpec:
         raise SpecError("spec needs at least one variant and one seed")
     if not isinstance(spec.output_dir, str):
         raise SpecError(f"output_dir must be a string, got {spec.output_dir!r}")
-    if spec.task not in ("logistic_nc", "nls_nc", "synthetic_quad"):
+    if spec.task not in KINDS:
         raise SpecError(f"unknown task {spec.task!r}")
     if spec.lip_mode not in LIP_MODES:
         raise SpecError(f"unknown lip_mode {spec.lip_mode!r}, expected one of {LIP_MODES}")
@@ -224,58 +226,12 @@ def make_config(vspec: VariantSpec, seed: int,
 
 
 def write_trace(path, trace) -> None:
+    """One row per record in ``TRACE_HEADER`` order.  ``csv`` writes each
+    float as its ``repr``; ``wall_ms`` gets three decimals."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_HEADER)
-        for rec in trace:
-            writer.writerow(
-                [
-                    rec.k,
-                    repr(rec.fval),
-                    repr(rec.grad_norm),
-                    repr(rec.lambda_alg),
-                    repr(rec.step_norm),
-                    rec.sfo,
-                    rec.sso,
-                    f"{rec.wall_ms:.3f}",
-                ]
-            )
-
-
-def _config_echo(config: RunConfig) -> dict:
-    out = dataclasses.asdict(config)
-    for key, val in out.items():
-        if isinstance(val, np.ndarray):
-            out[key] = val.tolist()
-    return out
-
-
-def _summarize(label, seed, config, outcome: RunResult | RunAborted) -> dict:
-    """Summary entry of a finished run, or of an aborted one up to the abort."""
-    entry = {
-        "label": label,
-        "variant": config.variant,
-        "seed": seed,
-        "config": _config_echo(config),
-        "failed": isinstance(outcome, RunAborted),
-        "iterations": len(outcome.trace),
-        "counters": {
-            "sfo": outcome.counters.sfo,
-            "sso": outcome.counters.sso,
-            "fval": outcome.counters.fval,
-        },
-    }
-    if isinstance(outcome, RunAborted):
-        entry["error"] = str(outcome)
-    else:
-        entry.update(
-            {
-                "stop_reason": outcome.stop_reason,
-                "report": dataclasses.asdict(outcome.report),
-                "x_final": [float(v) for v in outcome.x_final],
-            }
-        )
-    return entry
+        writer.writerows((*_TRACE_VALUES(rec), f"{rec.wall_ms:.3f}") for rec in trace)
 
 
 def run_experiment(spec_path, out_dir=None, threads: int = 1) -> int:
@@ -309,36 +265,43 @@ def run_experiment(spec_path, out_dir=None, threads: int = 1) -> int:
     out = Path(out_dir if out_dir is not None else spec.output_dir)
     out.mkdir(parents=True, exist_ok=True)
 
-    jobs = [(vspec, seed) for vspec in spec.variants for seed in seeds]
-
-    def _one(job):
+    def _entry(job) -> dict:
+        """Summary entry of one (variant, seed) job, after writing its trace;
+        a config error or a numeric abort gives a failed entry."""
         vspec, seed = job
+        entry = {"label": vspec.label, "variant": vspec.variant, "seed": seed}
         try:
             config = make_config(vspec, seed, lip)
         except SpecError as exc:
-            return (vspec, seed, None, exc)
+            return {**entry, "failed": True, "error": str(exc)}
         try:
-            return (vspec, seed, config, run(vspec.variant, problem, config))
+            outcome = run(vspec.variant, problem, config)
         except RunAborted as exc:
-            return (vspec, seed, config, exc)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            outcomes = list(pool.map(_one, jobs))
-    else:
-        outcomes = [_one(job) for job in jobs]
-
-    entries = []
-    for vspec, seed, config, outcome in outcomes:
-        if config is None:
-            entries.append(
-                {"label": vspec.label, "variant": vspec.variant, "seed": seed,
-                 "failed": True, "error": str(outcome)}
-            )
-            continue
+            outcome = exc
         if outcome.trace:
             write_trace(out / f"trace_{vspec.label}_{seed}.csv", outcome.trace)
-        entries.append(_summarize(vspec.label, seed, config, outcome))
+        entry.update(
+            config=dataclasses.asdict(config),
+            failed=isinstance(outcome, RunAborted),
+            iterations=len(outcome.trace),
+            counters=dataclasses.asdict(outcome.counters),
+        )
+        if isinstance(outcome, RunAborted):
+            entry["error"] = str(outcome)
+        else:
+            entry.update(
+                stop_reason=outcome.stop_reason,
+                report=dataclasses.asdict(outcome.report),
+                x_final=outcome.x_final.tolist(),
+            )
+        return entry
+
+    jobs = [(vspec, seed) for vspec in spec.variants for seed in seeds]
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            entries = list(pool.map(_entry, jobs))
+    else:
+        entries = list(map(_entry, jobs))
 
     summary = {
         "version": __version__,
@@ -376,52 +339,33 @@ def compare(trace_paths, out_path=None) -> list[dict]:
                 if header != TRACE_HEADER:
                     raise TraceFormatError(f"{path}: header mismatch {header!r}")
                 for rec in reader:
+                    row = dict(zip(TRACE_HEADER, rec), variant=variant, seed=seed)
                     try:
                         if len(rec) != len(TRACE_HEADER):
                             raise ValueError(f"{len(rec)} fields, expected {len(TRACE_HEADER)}")
-                        k, fval, sfo, sso = int(rec[0]), float(rec[1]), int(rec[5]), int(rec[6])
+                        row["k"], row["fval"] = int(row["k"]), float(row["fval"])
+                        row["sfo"], row["sso"] = int(row["sfo"]), int(row["sso"])
                     except ValueError as exc:
                         raise TraceFormatError(f"{path}: line {reader.line_num}: {exc}") from None
-                    rows.append(
-                        {
-                            "variant": variant,
-                            "seed": seed,
-                            "k": k,
-                            "fval": fval,
-                            "grad_norm": rec[2],
-                            "sso": sso,
-                            "sfo": sfo,
-                            "wall_ms": rec[7],
-                        }
-                    )
+                    rows.append(row)
         except OSError as exc:
             raise TraceFormatError(f"{path}: {exc}") from exc
     if not rows:
         raise TraceFormatError("no trace rows found")
-    fmin = min(r["fval"] for r in rows)
-    rows.sort(key=lambda r: (r["variant"], r["seed"], r["k"]))
-    out_rows = [
-        {
-            "variant": r["variant"],
-            "seed": r["seed"],
-            "k": r["k"],
-            "fval_gap": repr(r["fval"] - fmin),
-            "grad_norm": r["grad_norm"],
-            "sso": r["sso"],
-            "sfo": r["sfo"],
-            "wall_ms": r["wall_ms"],
-        }
-        for r in rows
-    ]
+    fmin = min(map(operator.itemgetter("fval"), rows))
+    rows.sort(key=operator.itemgetter("variant", "seed", "k"))
+    for r in rows:
+        r["fval_gap"] = repr(r["fval"] - fmin)
+    table = list(map(operator.itemgetter(*COMPARE_HEADER), rows))
     sink = open(out_path, "w", encoding="utf-8", newline="") if out_path else sys.stdout
     try:
-        writer = csv.DictWriter(sink, fieldnames=COMPARE_HEADER)
-        writer.writeheader()
-        writer.writerows(out_rows)
+        writer = csv.writer(sink)
+        writer.writerow(COMPARE_HEADER)
+        writer.writerows(table)
     finally:
         if out_path:
             sink.close()
-    return out_rows
+    return [dict(zip(COMPARE_HEADER, t)) for t in table]
 
 
 def main(argv=None) -> int:

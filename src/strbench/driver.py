@@ -147,7 +147,6 @@ class RunResult:
     stop_reason: str  # dual_threshold | interior_step | random_iterate | iteration_cap
     report: SosReport
     counters: OracleCounters
-    seed: int
 
 
 class RunAborted(RuntimeError):
@@ -278,7 +277,6 @@ def _run_loop(problem, config, grad_estimator, hess_estimator, counters, use_dua
         stop_reason=stop_reason,
         report=report,
         counters=counters,
-        seed=config.seed,
     )
 
 
