@@ -41,6 +41,10 @@ from .problems import (
 TRACE_HEADER = [f.name for f in dataclasses.fields(IterateRecord)]
 _TRACE_VALUES = operator.attrgetter(*TRACE_HEADER[:-1])
 COMPARE_HEADER = ["variant", "seed", "k", "fval_gap", "grad_norm", "sso", "sfo", "wall_ms"]
+# A compare row is the trace's variant and seed, then these trace columns;
+# ``fval`` becomes ``fval_gap`` once the best value of all inputs is known.
+_COMPARE_FROM_TRACE = operator.itemgetter(
+    *("fval" if col == "fval_gap" else col for col in COMPARE_HEADER[2:]))
 
 SEED_ENV_VAR = "STR_SEED"
 LIP_MODES = ("analytic", "sampled")
@@ -280,13 +284,14 @@ def run_experiment(spec_path, out_dir=None, threads: int = 1) -> int:
             outcome = exc
         if outcome.trace:
             write_trace(out / f"trace_{vspec.label}_{seed}.csv", outcome.trace)
+        failed = isinstance(outcome, RunAborted)
         entry.update(
             config=dataclasses.asdict(config),
-            failed=isinstance(outcome, RunAborted),
+            failed=failed,
             iterations=len(outcome.trace),
             counters=dataclasses.asdict(outcome.counters),
         )
-        if isinstance(outcome, RunAborted):
+        if failed:
             entry["error"] = str(outcome)
         else:
             entry.update(
@@ -339,7 +344,7 @@ def compare(trace_paths, out_path=None) -> list[dict]:
                 if header != TRACE_HEADER:
                     raise TraceFormatError(f"{path}: header mismatch {header!r}")
                 for rec in reader:
-                    row = dict(zip(TRACE_HEADER, rec), variant=variant, seed=seed)
+                    row = dict(zip(TRACE_HEADER, rec))
                     try:
                         if len(rec) != len(TRACE_HEADER):
                             raise ValueError(f"{len(rec)} fields, expected {len(TRACE_HEADER)}")
@@ -347,25 +352,25 @@ def compare(trace_paths, out_path=None) -> list[dict]:
                         row["sfo"], row["sso"] = int(row["sfo"]), int(row["sso"])
                     except ValueError as exc:
                         raise TraceFormatError(f"{path}: line {reader.line_num}: {exc}") from None
-                    rows.append(row)
+                    rows.append(
+                        dict(zip(COMPARE_HEADER, (variant, seed, *_COMPARE_FROM_TRACE(row)))))
         except OSError as exc:
             raise TraceFormatError(f"{path}: {exc}") from exc
     if not rows:
         raise TraceFormatError("no trace rows found")
-    fmin = min(map(operator.itemgetter("fval"), rows))
+    fmin = min(map(operator.itemgetter("fval_gap"), rows))
     rows.sort(key=operator.itemgetter("variant", "seed", "k"))
     for r in rows:
-        r["fval_gap"] = repr(r["fval"] - fmin)
-    table = list(map(operator.itemgetter(*COMPARE_HEADER), rows))
+        r["fval_gap"] = repr(r["fval_gap"] - fmin)
     sink = open(out_path, "w", encoding="utf-8", newline="") if out_path else sys.stdout
     try:
         writer = csv.writer(sink)
         writer.writerow(COMPARE_HEADER)
-        writer.writerows(table)
+        writer.writerows(map(dict.values, rows))
     finally:
         if out_path:
             sink.close()
-    return [dict(zip(COMPARE_HEADER, t)) for t in table]
+    return rows
 
 
 def main(argv=None) -> int:

@@ -38,7 +38,7 @@ from .problems import (
     full_value,
     lipschitz_bounds,
 )
-from .trs import TrsNumericError, _norm, _sym_eigvals, solve_trs_exact
+from .trs import MIN_TOL, TrsNumericError, _norm, _sym_eigvals, solve_trs_exact
 
 VARIANTS = ("exact_tr", "str1", "str2", "subsampled")
 
@@ -51,8 +51,11 @@ class RunConfig:
     radius defaults to ``sqrt(epsilon/L2)`` and the iteration cap to
     ``ceil(6 sqrt(L2) delta_hat / epsilon^1.5)`` with ``delta_hat`` an upper
     estimate of the initial optimality gap (defaults to F(x0), valid for the
-    nonnegative losses shipped here).  ``kappa_grad``/``kappa_hess`` override
-    ``kappa`` per schedule; explicit schedule objects override everything.
+    nonnegative losses shipped here).  Theory mode takes the paper's
+    constants and rejects ``kappa_grad``/``kappa_hess``; practical mode scales
+    the gradient and Hessian sample sizes by them (default 1).  Explicit
+    schedule objects override both.  ``solver_tol`` is at least
+    ``trs.MIN_TOL``.
     """
 
     variant: str = "exact_tr"
@@ -64,7 +67,6 @@ class RunConfig:
     delta_hat: float | None = None
     solver_tol: float = 1e-8
     mode: str = "theory"
-    kappa: float = 1.0
     kappa_grad: float | None = None
     kappa_hess: float | None = None
     hess_option: str | None = None
@@ -82,15 +84,20 @@ class RunConfig:
             raise ValueError("delta must lie in (0, 1)")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
-        if not (_real(self.solver_tol) and self.solver_tol > 0):
-            raise ValueError("solver_tol must be positive")
+        if not (_real(self.solver_tol) and self.solver_tol >= MIN_TOL):
+            raise ValueError(f"solver_tol must be >= {MIN_TOL:g}")
         if self.mode not in ("theory", "practical"):
             raise ValueError("mode must be 'theory' or 'practical'")
         if self.hess_option not in (None, "I", "II"):
             raise ValueError("hess_option must be 'I' or 'II'")
-        for name in ("kappa", "kappa_grad", "kappa_hess"):
+        for name in ("kappa_grad", "kappa_hess"):
             value = getattr(self, name)
-            if not (value is None and name != "kappa" or _real(value) and 0 < value <= 1):
+            if value is None:
+                continue
+            if self.mode == "theory":
+                raise ValueError(f"{name} is a practical-mode option; theory mode uses "
+                                 "the paper's constants")
+            if not (_real(value) and 0 < value <= 1):
                 raise ValueError(f"{name} must lie in (0, 1]")
         for name in ("sub_s1", "sub_s2"):
             value = getattr(self, name)
@@ -115,6 +122,9 @@ def _integer(value) -> bool:
 
 @dataclass
 class IterateRecord:
+    """One iteration of a run.  The fields, in order, are the columns of the
+    trace CSV (``cli.TRACE_HEADER``); ``wall_ms`` stays last."""
+
     k: int
     fval: float
     grad_norm: float
@@ -206,7 +216,7 @@ def verify_sosp(problem: FiniteSumProblem, x, epsilon: float, L2: float) -> SosR
     scratch = OracleCounters()
     g = full_gradient(problem, x, scratch)
     H = full_hessian(problem, x, scratch)
-    grad_norm = float(np.linalg.norm(g))
+    grad_norm = _norm(g)
     min_eig = float(_sym_eigvals(H)[0])
     grad_ok = grad_norm <= 3.0 * epsilon
     eig_ok = min_eig >= -(10.0 / 3.0) * math.sqrt(L2 * epsilon)
@@ -230,7 +240,7 @@ def _run_loop(problem, config, grad_estimator, hess_estimator, counters, use_dua
         fval = full_value(problem, x, scratch)
         if not math.isfinite(fval):
             raise RunAborted(f"non-finite objective at iteration {k}", trace, x, counters)
-        gnorm_true = float(np.linalg.norm(full_gradient(problem, x, scratch)))
+        gnorm_true = _norm(full_gradient(problem, x, scratch))
         g = grad_estimator(x, counters)
         H = hess_estimator(x, counters)
         for name, estimate in (("gradient", g), ("Hessian", H)):
@@ -329,10 +339,8 @@ def make_estimators(variant, problem, config, rng, resolved: _Resolved | None = 
 
     res = resolved if resolved is not None else resolve_config(problem, config)
     K0 = 2 * res.K
-    kg = config.kappa_grad if config.kappa_grad is not None else config.kappa
-    kh = config.kappa_hess if config.kappa_hess is not None else config.kappa
-    if config.mode == "theory":  # the paper's constants
-        kg = kh = 1.0
+    kg = config.kappa_grad if config.kappa_grad is not None else 1.0
+    kh = config.kappa_hess if config.kappa_hess is not None else 1.0
     hsched = config.hess_schedule or est.hessian_schedule(
         n, problem.d, config.epsilon, res.lip.L1, res.lip.L2, config.delta, K0,
         kappa=kh, force_option=config.hess_option,

@@ -4,7 +4,10 @@ import csv
 import io
 import json
 import os
+import subprocess
+import sys
 import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -59,6 +62,13 @@ def test_run_quadratic_trace_schema(tmp_path):
     assert runs[0]["report"]["certified"] is True
     assert "x_final" in runs[0]
     assert runs[0]["counters"]["sso"] > 0
+
+
+def test_trace_columns_are_pinned():
+    # the columns come from IterateRecord's fields; a change there must not
+    # change the CSV contract unnoticed (perfbench reads wall_ms last)
+    assert TRACE_HEADER == [
+        "k", "fval", "grad_norm", "lambda_alg", "step_norm", "sfo", "sso", "wall_ms"]
 
 
 def test_run_reproducible_modulo_wall(tmp_path):
@@ -253,12 +263,33 @@ def test_main_run_and_compare(tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+def test_python_m_strbench_compare_exit_codes(tmp_path):
+    # the ``python -m strbench`` entry point, in a process of its own
+    spec = tmp_path / "spec.json"
+    write_spec(spec)
+    assert run_experiment(spec, out_dir=tmp_path / "o") == 0
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+
+    def strbench(*args):
+        return subprocess.run([sys.executable, "-m", "strbench", *args],
+                              capture_output=True, text=True, env=env, timeout=120)
+
+    ok = strbench("compare", str(tmp_path / "o" / "trace_exact_tr_0.csv"))
+    assert ok.returncode == 0, ok.stderr
+    assert ok.stdout.splitlines()[0] == ",".join(COMPARE_HEADER)
+    bad = strbench("compare", str(tmp_path / "o" / "summary.json"))
+    assert bad.returncode == 2
+    assert "error" in bad.stderr and "Traceback" not in bad.stderr
+
+
 def test_spec_config_keys_are_runconfig_fields():
     from strbench.cli import _CONFIG_KEYS
 
     assert _CONFIG_KEYS == {
         "epsilon", "delta", "r_override", "K_override", "delta_hat", "solver_tol",
-        "mode", "kappa", "kappa_grad", "kappa_hess", "hess_option", "sub_s1", "sub_s2",
+        "mode", "kappa_grad", "kappa_hess", "hess_option", "sub_s1", "sub_s2",
     }
 
 
@@ -270,6 +301,19 @@ def test_spec_defaults_match_protocol(tmp_path):
     assert loaded.reg_alpha == 10.0
     assert loaded.normalize_rows is False
     assert loaded.lip_mode == "analytic"
+
+
+def test_normalize_rows_gives_unit_rows_and_keeps_zero_rows(tmp_path):
+    data = tmp_path / "rows.svm"
+    data.write_text("+1 1:3 2:4\n-1\n+1 2:0.5\n-1 1:-2 2:1e-3\n")
+    spec = tmp_path / "spec.json"
+    write_spec(spec, task="logistic_nc", dataset={"path": str(data)}, normalize_rows=True,
+               variants=[{"variant": "exact_tr", "epsilon": 1e-2, "K_override": 3}])
+    X = build_problem(load_spec(spec)).X
+    assert np.array_equal(X[0], [0.6, 0.8])
+    assert np.allclose(np.linalg.norm(X[[0, 2, 3]], axis=1), 1.0, rtol=0.0, atol=1e-15)
+    assert np.array_equal(X[1], [0.0, 0.0])  # an all-zero row is left as it is
+    assert main(["run", str(spec), "--out", str(tmp_path / "o")]) == 0
 
 
 # -- numeric aborts and bad datasets ---------------------------------------------
@@ -354,10 +398,11 @@ def test_index_too_large_to_densify_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("option", [
     {"mode": "bogus"},
-    {"kappa": 5},
-    {"kappa_grad": 0},
+    {"kappa_hess": 0.5},  # theory mode (the default) rejects kappa_grad/kappa_hess
+    {"mode": "practical", "kappa_grad": 0},
     {"hess_option": "III"},
     {"solver_tol": "x"},
+    {"solver_tol": 1e-10},
     {"variant": "subsampled", "sub_s1": 0},
     {"solver": "lanczos"},  # not RunConfig fields: unknown keys fail the run,
     {"m_max": 2},           # they are not silently ignored
@@ -454,7 +499,7 @@ _BASE_SPEC = {
     "lip_mode": "analytic",
     "variants": [
         {"variant": "str2", "epsilon": 0.1, "K_override": 3, "mode": "practical",
-         "kappa": 0.5, "sub_s1": 5},
+         "kappa_hess": 0.5, "sub_s1": 5},
         {"variant": "exact_tr", "label": "ex", "L1": 1.0, "L2": 1.0, "K_override": 3},
     ],
 }

@@ -146,19 +146,23 @@ def test_full_batch_schedules_reproduce_exact(logistic_small, run_path):
 
 
 def test_theory_mode_is_kappa_one():
-    # theory mode ignores kappa: its schedules are the practical ones at kappa 1
-    # (n is large enough that kappa 0.3 shrinks the Hessian batches below n)
+    # theory mode's schedules are the practical ones at kappa 1, and it rejects
+    # a kappa rather than ignore it (n is large enough that kappa 0.3 shrinks
+    # the Hessian batches below n)
     prob = from_dataset(generate_synthetic(20_000, 5, seed=3), "logistic_nc")
 
     def str1(**knobs):
         return run("str1", prob,
                    RunConfig(variant="str1", epsilon=1e-2, seed=3, K_override=30, **knobs))
 
-    theory = str1(mode="theory", kappa=0.3)
-    practical = str1(mode="practical", kappa=1.0)
+    theory = str1(mode="theory")
+    practical = str1(mode="practical", kappa_grad=1.0, kappa_hess=1.0)
     assert theory.counters == practical.counters
     assert theory.x_final.tobytes() == practical.x_final.tobytes()
-    assert str1(mode="practical", kappa=0.3).counters != theory.counters
+    assert str1(mode="practical", kappa_hess=0.3).counters != theory.counters
+    for knob in ("kappa_grad", "kappa_hess"):
+        with pytest.raises(ValueError, match=f"{knob} is a practical-mode option"):
+            RunConfig(variant="str1", mode="theory", **{knob: 0.3})
 
 
 def test_subsampled_uses_fixed_fresh_batches(logistic_small):
@@ -217,6 +221,18 @@ def test_verify_sosp_threshold_consistency(logistic_small):
     assert rep.eig_ok == (
         np.linalg.eigvalsh(H)[0] >= -(10.0 / 3.0) * math.sqrt(L2 * eps)
     )
+
+
+def test_certificate_and_trace_measure_a_tiny_gradient():
+    # a gradient of 1e-170 squares to 0 at the caller's scale; the scaled norm
+    # keeps it, so the certificate fails it against 3 eps = 3e-200
+    prob = quadratic_problem(4, 2, anchors=np.zeros((4, 2)))
+    x = np.array([1e-170, 0.0])
+    rep = verify_sosp(prob, x, epsilon=1e-200, L2=1.0)
+    assert rep.grad_norm == 1e-170
+    assert not rep.grad_ok and not rep.certified
+    cfg = RunConfig(epsilon=1e-200, lipschitz=LipschitzBounds(1.0, 1.0), K_override=1, x0=x)
+    assert run("exact_tr", prob, cfg).trace[0].grad_norm == 1e-170
 
 
 # -- expectation-stopping variant ------------------------------------------------
@@ -451,13 +467,14 @@ def test_non_finite_iterate_aborts(logistic_small, monkeypatch):
 
 @pytest.mark.parametrize("overrides", [
     {"mode": "bogus"},
-    {"kappa": 5},
-    {"kappa": 0.0},
-    {"kappa_grad": 0},
-    {"kappa_hess": 1.5},
+    {"kappa_grad": 1.0},  # theory mode takes the paper's constants: no kappa
+    {"kappa_hess": 0.5},
+    {"mode": "practical", "kappa_grad": 0},
+    {"mode": "practical", "kappa_hess": 1.5},
     {"hess_option": "III"},
     {"solver_tol": "x"},
     {"solver_tol": 0.0},
+    {"solver_tol": 1e-10},  # below the solver's floor: refused, not floored
     {"sub_s1": 0},
     {"sub_s2": 2.5},
     {"K_override": "x"},

@@ -432,6 +432,18 @@ def test_solvers_reject_non_finite_radius_or_L2(solver, r):
         solve(1.0, r)
 
 
+@pytest.mark.parametrize("tol", [1e-10, 0.0, math.nan])
+@pytest.mark.parametrize("solver", ["exact", "lanczos"])
+def test_solvers_reject_tol_below_the_gate_floor(solver, tol):
+    # a tol below trs.MIN_TOL is refused, not silently run as MIN_TOL
+    g, H = np.array([1.0, 2.0]), np.diag([1.0, -1.0])
+    with pytest.raises(ValueError, match="tol"):
+        if solver == "exact":
+            solve_trs_exact(g, H, 1.0, 1.0, tol=tol)
+        else:
+            solve_trs_lanczos(g, lambda v: H @ v, 2, 1.0, 1.0, tol=tol)
+
+
 def _scaled(h, r):
     """``||h|| / r`` without squaring ``h`` at the caller's scale."""
     return float(np.linalg.norm(h / r))
