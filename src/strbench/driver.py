@@ -13,7 +13,9 @@ baseline with fresh batches each iteration.
 Per-iteration trace diagnostics (objective value, true gradient norm) are
 computed with a scratch counter and never billed to the run's oracle budget.
 They share the GLM problem's full pass at the iterate with the estimator and
-the certificate, so they cost at most the part of a pass not already paid for.
+the certificate, so they cost at most the part of a pass not already paid for;
+the problem keeps the last three such passes, from which a large sampled
+recurrent step takes the margins at all of its endpoints.
 A non-finite estimate or iterate ends the run with :class:`RunAborted`.
 """
 
@@ -41,6 +43,13 @@ from .problems import (
 from .trs import MIN_TOL, TrsNumericError, _norm, _sym_eigvals, solve_trs_exact
 
 VARIANTS = ("exact_tr", "str1", "str2", "subsampled")
+# the RunConfig fields only some variants read, and those variants
+_VARIANT_FIELDS = {
+    **dict.fromkeys(("kappa_grad", "kappa_hess", "hess_option", "grad_schedule",
+                     "hess_schedule"), ("str1", "str2")),
+    "sub_s1": ("subsampled",),
+    "sub_s2": ("subsampled",),
+}
 
 
 @dataclass
@@ -55,7 +64,9 @@ class RunConfig:
     constants and rejects ``kappa_grad``/``kappa_hess``; practical mode scales
     the gradient and Hessian sample sizes by them (default 1).  Explicit
     schedule objects override both.  ``solver_tol`` is at least
-    ``trs.MIN_TOL``.
+    ``trs.MIN_TOL``.  A field that the variant never reads (the kappas,
+    ``hess_option`` and the schedules outside ``str1``/``str2``, ``sub_s1`` and
+    ``sub_s2`` outside ``subsampled``) must stay None.
     """
 
     variant: str = "exact_tr"
@@ -84,6 +95,9 @@ class RunConfig:
             raise ValueError("delta must lie in (0, 1)")
         if self.variant not in VARIANTS:
             raise ValueError(f"unknown variant {self.variant!r}")
+        for name, readers in _VARIANT_FIELDS.items():
+            if getattr(self, name) is not None and self.variant not in readers:
+                raise ValueError(f"{name} is not read by variant {self.variant!r}")
         if not (_real(self.solver_tol) and self.solver_tol >= MIN_TOL):
             raise ValueError(f"solver_tol must be >= {MIN_TOL:g}")
         if self.mode not in ("theory", "practical"):

@@ -294,14 +294,12 @@ def corrected_step(
         if state.H_ref is None or state.x_ref is None:
             raise RuntimeError("estimator state lacks the cached epoch Hessian")
         idx = _draw(rng, problem.n, sch.s1)
+        # x_prev first: a problem that keeps its last three full passes then
+        # drops x_prev's, not x_ref's, when the next iterate's pass arrives
+        g_prev_point = batch_gradient(problem, state.x_prev, idx, counters)
         dx = x_k - state.x_prev
         correction = state.H_ref @ dx - batch_hvp(problem, state.x_ref, idx, dx, counters)
-        g = (
-            batch_gradient(problem, x_k, idx, counters)
-            - batch_gradient(problem, state.x_prev, idx, counters)
-            + state.g_prev
-            + correction
-        )
+        g = batch_gradient(problem, x_k, idx, counters) - g_prev_point + state.g_prev + correction
     state.g_prev = g
     _advance(state, x_k, sch.p1)
     return g

@@ -14,6 +14,8 @@ ROOT = Path(__file__).resolve().parent.parent
 @pytest.mark.parametrize("workload,extra", [
     pytest.param("tall", [], id="tall"),
     pytest.param("wide", [], id="wide"),
+    # the only workload that runs nls_nc, subsampled and the CLI
+    pytest.param("cli_small", [], id="cli_small"),
     # the traced run also checks the tracer's sfo/sso coverage and replays
     # sampled subproblems through the Krylov solver
     pytest.param("wide", ["--trace", "1"], id="wide-trace"),

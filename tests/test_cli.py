@@ -404,6 +404,8 @@ def test_index_too_large_to_densify_exits_2(tmp_path, capsys):
     {"solver_tol": "x"},
     {"solver_tol": 1e-10},
     {"variant": "subsampled", "sub_s1": 0},
+    {"sub_s1": 5},  # str1 never reads it: refused, not ignored
+    {"variant": "exact_tr", "hess_option": "I"},
     {"solver": "lanczos"},  # not RunConfig fields: unknown keys fail the run,
     {"m_max": 2},           # they are not silently ignored
     {"L1": "x", "L2": 1.0},
@@ -499,8 +501,9 @@ _BASE_SPEC = {
     "lip_mode": "analytic",
     "variants": [
         {"variant": "str2", "epsilon": 0.1, "K_override": 3, "mode": "practical",
-         "kappa_hess": 0.5, "sub_s1": 5},
+         "kappa_hess": 0.5, "hess_option": "I"},
         {"variant": "exact_tr", "label": "ex", "L1": 1.0, "L2": 1.0, "K_override": 3},
+        {"variant": "subsampled", "epsilon": 0.1, "K_override": 3, "sub_s1": 5},
     ],
 }
 

@@ -94,6 +94,14 @@ def test_boundary_step_law(logistic_small):
             assert rec.step_norm == pytest.approx(r, rel=1e-8)
 
 
+def _knobs(variant, kappa_grad):
+    """The practical knobs ``variant`` reads: the kappas for str1/str2, the
+    batch sizes for subsampled (RunConfig refuses a knob a variant ignores)."""
+    if variant in ("str1", "str2"):
+        return {"mode": "practical", "kappa_grad": kappa_grad, "kappa_hess": 0.2}
+    return {"sub_s1": 50, "sub_s2": 50} if variant == "subsampled" else {}
+
+
 def test_trace_monotone_counters(logistic_small):
     res = run("exact_tr", logistic_small, RunConfig(variant="exact_tr", epsilon=1e-2))
     ks = [r.k for r in res.trace]
@@ -358,8 +366,7 @@ def test_run_resolves_config_once(logistic_small, monkeypatch, variant):
         return original(problem, config)
 
     monkeypatch.setattr(drv, "resolve_config", counting)
-    cfg = RunConfig(variant=variant, epsilon=1e-2, mode="practical", kappa_grad=1.0,
-                    kappa_hess=0.2, sub_s1=50, sub_s2=50, K_override=3)
+    cfg = RunConfig(variant=variant, epsilon=1e-2, K_override=3, **_knobs(variant, 1.0))
     once = run(variant, logistic_small, cfg)
     assert len(calls) == 1
     monkeypatch.undo()
@@ -488,41 +495,79 @@ def test_config_rejects_bad_option(overrides):
         RunConfig(variant="subsampled", **overrides)
 
 
+_STOCHASTIC_KNOBS = {
+    "kappa_grad": 0.5, "kappa_hess": 0.01, "hess_option": "II",
+    "grad_schedule": GradSchedule(case=1, p1=2, s1=3),
+    "hess_schedule": HessSchedule("I", p2=2, s2=3, s2_prime=None),
+}
+
+
+@pytest.mark.parametrize("variant,field,value", [
+    *((v, f, x) for v in ("exact_tr", "subsampled") for f, x in _STOCHASTIC_KNOBS.items()),
+    *((v, f, 3) for v in ("exact_tr", "str1", "str2") for f in ("sub_s1", "sub_s2")),
+])
+def test_config_rejects_a_knob_its_variant_never_reads(variant, field, value):
+    # a knob the variant ignores would leave the run as if it were not set
+    with pytest.raises(ValueError, match=f"{field} is not read by variant {variant!r}"):
+        RunConfig(variant=variant, mode="practical", **{field: value})
+    RunConfig(variant=variant, mode="practical", **{field: None})  # the default passes
+
+
 # -- one full pass per point -------------------------------------------------------
 
 
-class _CountingX(np.ndarray):
-    """``X`` that counts the margin passes ``X @ x`` over all of its rows."""
+class _Products(np.ndarray):
+    """``X`` that keeps the operand of each product ``X @ v`` over all of its rows
+    (not over a gathered block or the transpose, which are other arrays)."""
 
-    passes = 0
-    full_shape = None
+    target = None
+    operands: list = []
 
     def __matmul__(self, other):
-        if self.shape == type(self).full_shape and np.ndim(other) == 1:
-            type(self).passes += 1
+        if self is type(self).target:
+            type(self).operands.append(np.array(other).tobytes())
         return np.asarray(self) @ other
 
 
 def test_exact_tr_reads_x_once_per_iterate():
     prob = from_dataset(generate_synthetic(200, 10, seed=3), "logistic_nc")
-    prob.X = prob.X.view(_CountingX)
-    _CountingX.passes, _CountingX.full_shape = 0, prob.X.shape
+    prob.X = _Products.target = prob.X.view(_Products)
+    _Products.operands = []
     result = run("exact_tr", prob, RunConfig(variant="exact_tr", epsilon=1e-2, seed=4))
     assert result.stop_reason == "dual_threshold"
     # one pass per iterate (value, gradient diagnostic, estimate and Hessian
     # share it), plus one for the certificate at the final, unvisited point
-    assert _CountingX.passes == len(result.trace) + 1
+    assert len(_Products.operands) == len(result.trace) + 1
+
+
+def test_str2_reads_x_once_per_iterate():
+    # s1 = n: each recurrent step takes the multiplicity path, and its endpoints
+    # x_k, x_prev and x_ref are all among the last three full passes
+    prob = from_dataset(generate_synthetic(200, 10, seed=3), "logistic_nc")
+    prob.X = _Products.target = prob.X.view(_Products)
+    _Products.operands = []
+    x0 = np.full(prob.d, 0.1)  # not 0, so no step x_1 - x_0 equals the point x_1
+    result = run("str2", prob, RunConfig(variant="str2", epsilon=1e-3, seed=4, K_override=30,
+                                         x0=x0))
+    n = prob.n
+    sfo = [0] + [rec.sfo for rec in result.trace]
+    recurrent = sum(b - a == 2 * n for a, b in zip(sfo, sfo[1:]))
+    assert recurrent >= 2 * (len(result.trace) - recurrent) > 0  # several steps per epoch
+    # one margin pass per iterate and one for the certificate at the final point,
+    # plus the X dx of each recurrent step's Hessian-vector product; no operand twice
+    assert len(_Products.operands) == len(result.trace) + 1 + recurrent
+    assert len(set(_Products.operands)) == len(_Products.operands)
 
 
 class _RecordFree(FiniteSumProblem):
-    """A problem that never keeps its last full pass or its last gather."""
+    """A problem that never keeps a full pass, a gather or a multiplicity count."""
 
     @property
-    def _full_pass(self):
-        return None
+    def _passes(self):
+        return ()
 
-    @_full_pass.setter
-    def _full_pass(self, record):
+    @_passes.setter
+    def _passes(self, record):
         pass
 
     @property
@@ -533,6 +578,14 @@ class _RecordFree(FiniteSumProblem):
     def _gather(self, record):
         pass
 
+    @property
+    def _counts(self):
+        return None
+
+    @_counts.setter
+    def _counts(self, record):
+        pass
+
 
 @pytest.mark.parametrize("variant", ["exact_tr", "str1", "str2", "subsampled"])
 def test_runs_equal_record_free_runs(variant):
@@ -540,8 +593,8 @@ def test_runs_equal_record_free_runs(variant):
     prob = from_dataset(ds, "nls_nc")
     free = _RecordFree("nls_nc", X=ds.X, y=ds.y, reg_lambda=prob.reg_lambda,
                        reg_alpha=prob.reg_alpha)
-    cfg = RunConfig(variant=variant, epsilon=1e-2, mode="practical", kappa_grad=0.5,
-                    kappa_hess=0.2, sub_s1=50, sub_s2=50, K_override=25, seed=5)
+    cfg = RunConfig(variant=variant, epsilon=1e-2, K_override=25, seed=5,
+                    **_knobs(variant, 0.5))
     got, want = run(variant, prob, cfg), run(variant, free, cfg)
     assert [(r.fval, r.grad_norm, r.lambda_alg, r.sfo, r.sso) for r in got.trace] == [
         (r.fval, r.grad_norm, r.lambda_alg, r.sfo, r.sso) for r in want.trace]
@@ -570,8 +623,8 @@ def test_subproblem_hessians_are_bitwise_symmetric(monkeypatch, kind, variant):
 
     monkeypatch.setattr(driver_module, "solve_trs_exact", recording_solve)
     prob = from_dataset(generate_synthetic(200, 10, seed=3), kind)
-    cfg = RunConfig(variant=variant, epsilon=1e-3, mode="practical", kappa_grad=0.5,
-                    kappa_hess=0.2, sub_s1=50, sub_s2=50, K_override=40, seed=2)
+    cfg = RunConfig(variant=variant, epsilon=1e-3, K_override=40, seed=2,
+                    **_knobs(variant, 0.5))
     result = run(variant, prob, cfg)
     assert len(seen) == len(result.trace) >= 2
     assert all(seen)

@@ -17,6 +17,7 @@ from strbench.estimators import (
     hessian_schedule,
     spider_step,
 )
+from strbench import problems
 from strbench.problems import (
     OracleCounters,
     from_dataset,
@@ -24,6 +25,7 @@ from strbench.problems import (
     full_hessian,
     quadratic_problem,
 )
+from test_problems import _ref_oracles, summed_bound
 
 
 class FixedDraws:
@@ -397,3 +399,44 @@ def test_recurrent_step_gathers_its_multiset_once(monkeypatch, kind, step, sched
     s = len(S)
     assert grown == {spider_step: (2 * s, 0, 0), corrected_step: (2 * s, s, 0),
                      hessian_estimate_step: (0, 2 * s, 0)}[step]
+
+
+@pytest.mark.parametrize("kind", ["logistic_nc", "nls_nc"])
+@pytest.mark.parametrize("step", [spider_step, corrected_step])
+def test_large_batch_step_matches_the_gathered_formula(kind, step):
+    # a multiset of at least the multiplicity share of n, with duplicates, is
+    # summed over X from the points' full passes instead of gathered
+    prob = from_dataset(generate_synthetic(50, 6, seed=31), kind, reg_lambda=1e-3)
+    n, u = prob.n, 2.0**-53
+    S = np.concatenate([np.arange(0, n, 2), [3, 3]])
+    T = np.concatenate([np.arange(1, n, 2), [0, 0]])
+    assert len(S) == len(T) >= problems._MULTIPLICITY_SHARE * n
+    state = GradEstimatorState(schedule=GradSchedule(case=1 if step is spider_step else 2,
+                                                     p1=4, s1=len(S)))
+    rng = np.random.default_rng(8)
+    x_ref, x1, x2 = (rng.standard_normal(prob.d) * 0.5 for _ in range(3))
+    c = OracleCounters()
+    step(state, prob, x_ref, c, FixedDraws())  # epoch start: full batch, no draw
+    g1 = step(state, prob, x1, c, FixedDraws(S))
+    before = c.snapshot()
+    g2 = step(state, prob, x2, c, FixedDraws(T))  # x_prev = x1, not x_ref
+    s = len(T)
+    grown = tuple(a - b for a, b in zip(c.snapshot(), before))
+    assert grown == ((2 * s, 0, 0) if step is spider_step else (2 * s, s, 0))
+    assert prob._gather is None and prob._counts[0] == T.tobytes()  # nothing gathered
+
+    _, gk, _, _ = _ref_oracles(prob, x2, T, x2)
+    _, gp, _, _ = _ref_oracles(prob, x1, T, x2)
+    terms = [gk, gp, g1]
+    bound = summed_bound(prob, x2, T) + summed_bound(prob, x1, T)
+    want = gk - gp + g1
+    if step is corrected_step:
+        dx = x2 - x1
+        _, _, _, hv = _ref_oracles(prob, x_ref, T, dx)
+        H_dx = full_hessian(prob, x_ref, OracleCounters()) @ dx
+        terms += [H_dx, hv]
+        bound = bound + summed_bound(prob, x_ref, T, dx)
+        want = want + (H_dx - hv)
+    # the rounding of the regularizer terms and of the sum of the terms, on each side
+    bound = bound + 8 * u * sum(np.abs(t) for t in terms)
+    assert np.all(np.abs(g2 - want) <= bound)

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from strbench.datasets import generate_synthetic
+from strbench import problems
+from strbench.datasets import Dataset, generate_synthetic
 from strbench.problems import (
     FiniteSumProblem,
     OracleCounters,
@@ -369,26 +370,25 @@ def _ref_reg_terms(x, lam, alpha):
     return lam * value, lam * grad, lam * hess_diag
 
 
+def _ref_rows(prob, Xr, yr, x):
+    """Loss values, gradient coefficients and Hessian weights of the rows ``Xr``."""
+    if prob.kind == "logistic_nc":
+        z = yr * (Xr @ x)
+        p = _ref_sigmoid(z)
+        return _ref_log1pexp(-z), (_ref_sigmoid(z) - 1.0) * yr, p * (1.0 - p)
+    t = (yr + 1.0) / 2.0
+    p = _ref_sigmoid(Xr @ x)
+    e = p - t
+    sp = p * (1.0 - p)
+    return 0.5 * e * e, (p - t) * p * (1.0 - p), sp * sp + (p - t) * sp * (1.0 - 2.0 * p)
+
+
 def _ref_oracles(prob, x, idx, v):
     """Value, gradient, Hessian and HVP averaged over the rows ``idx``."""
     Xs, ys = prob.X[idx], prob.y[idx]
     lam = prob.reg_lambda
     rv, rg, rd = _ref_reg_terms(x, lam, prob.reg_alpha)
-    if prob.kind == "logistic_nc":
-        z = ys * (Xs @ x)
-        values = _ref_log1pexp(-z)
-        coef = (_ref_sigmoid(z) - 1.0) * ys
-        p = _ref_sigmoid(z)
-        w = p * (1.0 - p)
-    else:
-        t = (ys + 1.0) / 2.0
-        z = Xs @ x
-        e = _ref_sigmoid(z) - t
-        values = 0.5 * e * e
-        p = _ref_sigmoid(z)
-        coef = (p - t) * p * (1.0 - p)
-        sp = p * (1.0 - p)
-        w = sp * sp + (p - t) * sp * (1.0 - 2.0 * p)
+    values, coef, w = _ref_rows(prob, Xs, ys, x)
     value = float(values.mean() + rv)
     g = Xs.T @ coef / len(idx) + rg
     H = (Xs * w[:, None]).T @ Xs / len(idx)
@@ -421,6 +421,40 @@ def assert_hessian_matches(prob, x, idx, H, H_ref):
     assert np.all(np.abs(H - H_ref) <= bound)
 
 
+def summed_bound(prob, x, idx, v=None):
+    """Elementwise bound on the difference between the data term of a gradient
+    (``v`` None) or Hessian-vector product summed over ``X`` by multiplicity and
+    the same sum over the gathered rows ``X_S``.
+
+    Both sum per-row terms ``t``: the gradient coefficient, or ``w * (X v)``.  The
+    multiplicity path takes them from the full pass (margins ``X x`` and ``X v``
+    over all rows, then the rows ``idx``), the reference from ``X_S x`` and
+    ``X_S v``; the two can differ by rounding (``t_S - t'``).  The n-term sum of
+    ``m * t`` and the s-term sum of ``t'`` each add at most ``(n + 2) u`` or
+    ``(s + 1) u`` times ``|X_S|'|t|/s``, since the multiplicities count the rows
+    of ``idx``:
+    ``|X_S|'(|t_S - t'| + (n + s + 8) u (|t_S| + |t'|))/s`` with ``u = 2^-53``."""
+    u, s = 2.0**-53, len(idx)
+
+    def terms(Xr, yr):
+        _, coef, w = _ref_rows(prob, Xr, yr, x)
+        return coef if v is None else w * (Xr @ v)
+
+    t_full = terms(prob.X, prob.y)[idx]
+    t_rows = terms(prob.X[idx], prob.y[idx])
+    slack = (prob.n + s + 8) * u * (np.abs(t_full) + np.abs(t_rows))
+    return np.abs(prob.X[idx]).T @ (np.abs(t_full - t_rows) + slack) / s
+
+
+def assert_summed_matches(prob, x, idx, v, got, ref):
+    """``got`` from the multiplicity path within :func:`summed_bound` of the
+    gathered ``ref``, plus the rounding of the regularizer term both add."""
+    u = 2.0**-53
+    bound = summed_bound(prob, x, idx, v) + 4 * u * (np.abs(got) + np.abs(ref))
+    assert got.shape == ref.shape and got.dtype == ref.dtype
+    assert np.all(np.abs(got - ref) <= bound)
+
+
 @pytest.mark.parametrize("kind", ["logistic_nc", "nls_nc"])
 @pytest.mark.parametrize("n,d", [(37, 1), (37, 5), (300, 40)])
 @pytest.mark.parametrize("lam", [0.0, 1e-3])
@@ -433,7 +467,10 @@ def test_oracles_bitwise_equal_reference(kind, n, d, lam, order):
     prob = FiniteSumProblem(kind, X=np.asarray(X, order=order), y=y,
                             reg_lambda=lam, reg_alpha=10.0)
     full = np.arange(n)
+    # above the multiplicity share of n (summed over X), and below it (gathered)
     multiset = np.concatenate([rng.integers(0, n, size=2 * n), [0, 0, n - 1, n - 1]])
+    small = np.concatenate([multiset[: n // 4], [0, 0]])
+    assert len(small) < problems._MULTIPLICITY_SHARE * n <= len(multiset)
     for scale in (0.01, 1.0, 5.0):
         x = rng.standard_normal(d) * scale
         v = rng.standard_normal(d)
@@ -447,9 +484,13 @@ def test_oracles_bitwise_equal_reference(kind, n, d, lam, order):
         assert_bitwise(batch_hvp(prob, x, full, v, c), hv)
         assert c.snapshot() == (2 * n, 3 * n, n)
         _, g, H, hv = _ref_oracles(prob, x, multiset, v)
-        assert_bitwise(batch_gradient(prob, x, multiset, c), g)
+        assert_summed_matches(prob, x, multiset, None, batch_gradient(prob, x, multiset, c), g)
         assert_hessian_matches(prob, x, multiset, batch_hessian(prob, x, multiset, c), H)
-        assert_bitwise(batch_hvp(prob, x, multiset, v, c), hv)
+        assert_summed_matches(prob, x, multiset, v, batch_hvp(prob, x, multiset, v, c), hv)
+        _, g, H, hv = _ref_oracles(prob, x, small, v)
+        assert_bitwise(batch_gradient(prob, x, small, c), g)
+        assert_hessian_matches(prob, x, small, batch_hessian(prob, x, small, c), H)
+        assert_bitwise(batch_hvp(prob, x, small, v, c), hv)
 
 
 def test_links_bitwise_equal_reference_at_edge_margins():
@@ -554,6 +595,26 @@ def test_full_pass_record_shared_by_threads(kind):
     assert not any(t.is_alive() for t in threads)
     assert len(finished) == workers
     assert mismatches == []
+
+
+def test_full_pass_record_keeps_the_last_three_points():
+    prob = _glm("logistic_nc", 1e-3)
+    a, b, c, d = (np.full(prob.d, t) for t in (0.1, 0.2, 0.3, 0.4))
+
+    def keys():
+        return [rec.key for rec in prob._passes]
+
+    for x in (a, b, c):
+        full_value(prob, x, OracleCounters())
+    assert keys() == [c.tobytes(), b.tobytes(), a.tobytes()]
+    record = prob._passes
+    full_gradient(prob, c, OracleCounters())  # a hit on the newest: left as it is
+    assert prob._passes is record
+    full_gradient(prob, a, OracleCounters())  # an older hit moves to the front
+    assert keys() == [a.tobytes(), c.tobytes(), b.tobytes()]
+    assert prob._passes[0] is record[2]
+    full_value(prob, d, OracleCounters())  # a miss drops the oldest
+    assert keys() == [d.tobytes(), a.tobytes(), c.tobytes()]
 
 
 @pytest.mark.parametrize("kind", ["logistic_nc", "nls_nc"])
@@ -669,7 +730,9 @@ def test_gather_record_shared_by_threads(kind):
     prob = _glm(kind, 1e-3, n=400, d=20)
     rng = np.random.default_rng(6)
     x, v = rng.standard_normal(prob.d), rng.standard_normal(prob.d)
-    multisets = [rng.integers(0, prob.n, size=rng.integers(1, 60)) for _ in range(8)]
+    # each worker alternates a gathered multiset and one summed by multiplicity
+    multisets = [rng.integers(0, prob.n, size=300 if i % 2 else rng.integers(1, 60))
+                 for i in range(8)]
     expected = [[_record_free_batch(prob, o, x, idx, v).tobytes() for o in BATCH_ORACLES]
                 for idx in multisets]
     workers = 4
@@ -710,10 +773,13 @@ def test_gather_record_dropped_by_pickle(kind, lam):
     prob = _glm(kind, lam)
     x, v = np.full(prob.d, 0.3), np.full(prob.d, -0.7)
     idx = np.array([1, 2, 2, 30])
-    batch_gradient(prob, x, idx, OracleCounters())  # fill the record
-    assert prob._gather is not None
+    batch_gradient(prob, x, idx, OracleCounters())  # fill the records
+    batch_gradient(prob, x, np.arange(prob.n), OracleCounters())
+    assert prob._gather is not None and prob._counts is not None and prob._passes
     copy = pickle.loads(pickle.dumps(prob))
-    assert "_gather" not in copy.__dict__ and copy._gather is None
+    for record in ("_gather", "_counts", "_passes"):
+        assert record not in copy.__dict__
+    assert copy._gather is None and copy._counts is None and copy._passes == ()
     assert not (copy.X.flags.writeable or copy.y.flags.writeable
                 or copy.labels.flags.writeable)
     for oracle in BATCH_ORACLES:
@@ -733,5 +799,16 @@ def test_nls_value_reuses_the_pass_sigmoid(lam):
         c = OracleCounters()
         assert_bitwise(full_value(prob, x, c),
                        float(values.mean() + _ref_reg_terms(x, lam, prob.reg_alpha)[0]))
-        assert prob._full_pass.p is not None
+        assert prob._passes[0].key == x.tobytes() and prob._passes[0].p is not None
         assert_bitwise(full_gradient(prob, x, c), _record_free(prob, full_gradient, x))
+
+
+@pytest.mark.filterwarnings("error")  # no overflow in the row norms
+def test_normalize_rows_at_extreme_scales():
+    X = np.array([[1e-170, 1e-170], [1e200, 1e200], [3.0, 4.0], [0.0, 0.0],
+                  [-5e-324, 0.0], [1.7e308, -1.7e308]])
+    prob = from_dataset(Dataset(X, np.ones(len(X))), "logistic_nc", normalize_rows=True)
+    h = math.sqrt(0.5)
+    assert np.allclose(prob.X, [[h, h], [h, h], [0.6, 0.8], [0.0, 0.0], [-1.0, 0.0],
+                                [h, -h]], rtol=2e-16, atol=0.0)
+    assert prob.X[3].tobytes() == np.zeros(2).tobytes()  # an all-zero row stays as it is
