@@ -8,8 +8,9 @@
 long-format CSV with the objective gap against the best value seen anywhere.
 
 Exit codes: 0 all runs completed (a failed certificate is reported, not an
-error), 1 a run aborted numerically, 2 unreadable spec/dataset/trace or a bad
-``STR_SEED`` or ``--threads`` value.
+error), 1 a run aborted numerically, 2 unreadable spec/dataset/trace, an
+unknown spec or dataset key, a repeated label or seed, or a bad ``STR_SEED``
+or ``--threads`` value.
 """
 
 from __future__ import annotations
@@ -21,6 +22,7 @@ import json
 import operator
 import os
 import sys
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -76,12 +78,16 @@ class ExperimentSpec:
     task: str  # logistic_nc | nls_nc | synthetic_quad
     dataset: dict
     variants: list[VariantSpec]
-    seeds: list[int]
+    seeds: list[int] = field(default_factory=lambda: [0])
     reg_lambda: float = 1e-3
     reg_alpha: float = 10.0
     normalize_rows: bool = False
     lip_mode: str = "analytic"  # how variants without L1/L2 get their bounds
     output_dir: str = "out"
+
+
+_SPEC_KEYS = frozenset(f.name for f in dataclasses.fields(ExperimentSpec))
+_DATASET_FORMS = ({"path"}, {"path", "d"}, {"synthetic"})  # a LibSVM file or generated data
 
 
 def _json_int(value, name: str) -> int:
@@ -110,38 +116,56 @@ def _json_bool(value, name: str) -> bool:
     return value
 
 
+def _object(value, name: str, keys) -> dict:
+    """A JSON object whose keys all lie in ``keys``; no key is ignored."""
+    if not isinstance(value, dict):
+        raise SpecError(f"{name} must be a JSON object, got {value!r}")
+    unknown = sorted(set(value) - set(keys))
+    if unknown:
+        raise SpecError(f"unknown {name} keys {unknown}, expected some of {sorted(keys)}")
+    return value
+
+
+def _variant_spec(frag) -> VariantSpec:
+    frag = dict(frag)
+    name = frag.pop("variant")
+    label = frag.pop("label", name)
+    # the label names the trace file
+    if not (isinstance(label, str) and label) or "/" in label or "\0" in label:
+        raise ValueError(f"label {label!r} cannot name a trace file")
+    return VariantSpec(variant=name, label=label, options=frag)
+
+
 def load_spec(path) -> ExperimentSpec:
+    """Read and check an experiment spec.  Its keys are the ``ExperimentSpec``
+    fields, whose defaults fill the keys it omits; any other key is an error."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise SpecError(f"cannot read spec {path}: {exc}") from exc
+    raw = _object(raw, "spec", _SPEC_KEYS)
     try:
-        variants = []
-        for frag in raw["variants"]:
-            frag = dict(frag)
-            name = frag.pop("variant")
-            label = frag.pop("label", name)
-            # the label names the trace file
-            if not (isinstance(label, str) and label) or "/" in label or "\0" in label:
-                raise ValueError(f"label {label!r} cannot name a trace file")
-            variants.append(VariantSpec(variant=name, label=label, options=frag))
-        spec = ExperimentSpec(
-            task=raw["task"],
-            dataset=raw["dataset"] if isinstance(raw["dataset"], dict)
-            else {"path": raw["dataset"]},
-            variants=variants,
-            seeds=_json_ints(raw.get("seeds", [0]), "seeds"),
-            reg_lambda=_json_number(raw.get("reg_lambda", 1e-3), "reg_lambda"),
-            reg_alpha=_json_number(raw.get("reg_alpha", 10.0), "reg_alpha"),
-            normalize_rows=_json_bool(raw.get("normalize_rows", False), "normalize_rows"),
-            lip_mode=raw.get("lip_mode", "analytic"),
-            output_dir=raw.get("output_dir", "out"),
+        spec = ExperimentSpec(**raw)
+        spec = dataclasses.replace(
+            spec,
+            variants=[_variant_spec(frag) for frag in spec.variants],
+            seeds=_json_ints(spec.seeds, "seeds"),
+            reg_lambda=_json_number(spec.reg_lambda, "reg_lambda"),
+            reg_alpha=_json_number(spec.reg_alpha, "reg_alpha"),
+            normalize_rows=_json_bool(spec.normalize_rows, "normalize_rows"),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as exc:
         raise SpecError(f"invalid spec {path}: {exc}") from exc
     if not spec.variants or not spec.seeds:
         raise SpecError("spec needs at least one variant and one seed")
+    for name, values in (("labels", [v.label for v in spec.variants]), ("seeds", spec.seeds)):
+        repeated = sorted(v for v, count in Counter(values).items() if count > 1)
+        if repeated:
+            raise SpecError(f"{name} {repeated} repeat: each (label, seed) names one trace file")
+    if not isinstance(spec.dataset, dict) or set(spec.dataset) not in _DATASET_FORMS:
+        raise SpecError("dataset must be {'path': file} with an optional 'd', or "
+                        f"{{'synthetic': params}}, got {spec.dataset!r}")
     if not isinstance(spec.output_dir, str):
         raise SpecError(f"output_dir must be a string, got {spec.output_dir!r}")
     if spec.task not in KINDS:
@@ -153,16 +177,24 @@ def load_spec(path) -> ExperimentSpec:
 
 def build_problem(spec: ExperimentSpec) -> FiniteSumProblem:
     ds_spec = spec.dataset
-    if spec.task == "synthetic_quad":
-        params = ds_spec.get("synthetic", ds_spec)
+    if "synthetic" in ds_spec:
+        quad = spec.task == "synthetic_quad"
+        params = _object(ds_spec["synthetic"], "synthetic",
+                         ("n", "d", "seed") if quad else ("n", "d", "seed", "separable"))
         try:
-            return quadratic_problem(
-                n=_json_int(params["n"], "n"), d=_json_int(params["d"], "d"),
-                seed=_json_int(params.get("seed", 0), "seed"),
+            n, d = _json_int(params["n"], "n"), _json_int(params["d"], "d")
+            seed = _json_int(params.get("seed", 0), "seed")
+            if quad:
+                return quadratic_problem(n=n, d=d, seed=seed)
+            dataset = generate_synthetic(
+                n=n, d=d, seed=seed,
+                separable=_json_bool(params.get("separable", False), "separable"),
             )
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise SpecError(f"invalid synthetic_quad dataset spec: {exc}") from exc
-    if "path" in ds_spec:
+            raise SpecError(f"invalid synthetic dataset spec: {exc}") from exc
+    elif spec.task == "synthetic_quad":
+        raise SpecError("task synthetic_quad needs a 'synthetic' dataset")
+    else:
         if not isinstance(ds_spec["path"], str):  # an int would open a file descriptor
             raise SpecError(f"dataset path must be a string, got {ds_spec['path']!r}")
         d = ds_spec.get("d")
@@ -172,19 +204,6 @@ def build_problem(spec: ExperimentSpec) -> FiniteSumProblem:
             dataset = load_libsvm(ds_spec["path"], d_override=d)
         except (OSError, TypeError, ValueError) as exc:
             raise SpecError(f"cannot load dataset {ds_spec['path']}: {exc}") from exc
-    elif "synthetic" in ds_spec:
-        params = ds_spec["synthetic"]
-        try:
-            dataset = generate_synthetic(
-                n=_json_int(params["n"], "n"),
-                d=_json_int(params["d"], "d"),
-                seed=_json_int(params.get("seed", 0), "seed"),
-                separable=_json_bool(params.get("separable", False), "separable"),
-            )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
-            raise SpecError(f"invalid synthetic dataset spec: {exc}") from exc
-    else:
-        raise SpecError("dataset must provide 'path' or 'synthetic'")
     try:
         return from_dataset(
             dataset,

@@ -8,8 +8,10 @@ Solves ``min_{||h|| <= r} <g, h> + 0.5 <H h, h>`` two ways:
   ``1/||u(mu)|| - 1`` (More-Sorensen style), with explicit hard-case
   handling, and a gate on the unit problem's KKT conditions.
 * :func:`solve_trs_lanczos` -- matrix-free Krylov method with full
-  reorthogonalization; the reduced problem is solved exactly and expanded
-  until the lifted stationarity residual meets tolerance.
+  reorthogonalization; column m >= 2 of the basis is ``H q_{m-2}``, so g's
+  chain takes the even columns and a random probe's the odd ones.  The
+  reduced problem is solved exactly and expanded until the lifted
+  stationarity residual meets tolerance and a Ritz test certifies it.
 
 A global minimizer is characterized by a multiplier ``mu >= 0`` with
 ``(H + mu I) h = -g``, ``H + mu I`` positive semidefinite, and
@@ -336,15 +338,30 @@ def _solve_in_eigenbasis(g, w, V, r, L2, tol) -> TrsSolution:
 
 
 def _fresh_direction(rng, Q, m, d):
-    """Random direction orthogonalized (twice) against the current basis."""
+    """Random direction orthogonalized (twice) against the first m columns of Q."""
     for _ in range(50):
         v = rng.standard_normal(d)
         v -= Q[:, :m] @ (Q[:, :m].T @ v)
         v -= Q[:, :m] @ (Q[:, :m].T @ v)
-        nv = float(np.linalg.norm(v))
+        nv = _norm(v)
         if nv > 1e-8:
             return v / nv
     raise TrsNumericError("could not extend the Krylov basis")
+
+
+def _krylov_column(rng, Q, W, j, d):
+    """Column ``j >= 1`` of the Krylov basis: ``H q_{j-2}`` (``W[:, j-2]``)
+    orthogonalized twice against ``q_0 .. q_{j-1}``, so the even columns extend
+    g's chain and the odd ones the random probe's.  Column 1 seeds the probe
+    with a fresh random direction, and so does a breakdown,
+    ``beta <= 1e-10 (1 + ||H q_{j-1}||)``."""
+    if j >= 2:
+        v = W[:, j - 2] - Q[:, :j] @ (Q[:, :j].T @ W[:, j - 2])
+        v -= Q[:, :j] @ (Q[:, :j].T @ v)
+        beta = _norm(v)
+        if beta > 1e-10 * (1.0 + _norm(W[:, j - 1])):
+            return v / beta
+    return _fresh_direction(rng, Q, j, d)
 
 
 def solve_trs_lanczos(
@@ -359,12 +376,14 @@ def solve_trs_lanczos(
 ) -> TrsSolution:
     """Approximate TRS solve in a Hessian-generated Krylov subspace.
 
-    Two chains grow an orthonormal basis with full reorthogonalization: the
-    main chain seeded by g, and an auxiliary chain seeded by a random vector
-    whose job is to pin down the bottom eigenpair.  At each size m the
-    reduced problem on Q'HQ is solved exactly (equal to the Lanczos
-    tridiagonal solve up to rounding) in the eigenbasis that also gives the
-    Ritz pairs, and accepted once
+    Two interleaved chains grow an orthonormal basis with full
+    reorthogonalization: g's chain takes the even columns, and an auxiliary
+    chain seeded by a random vector, whose job is to pin down the bottom
+    eigenpair, the odd ones.  So column m >= 2 is ``H q_{m-2}`` orthogonalized
+    against the basis; column 1, a breakdown and the start at g = 0 draw a
+    fresh random direction.  At each size m the reduced problem on Q'HQ is
+    solved exactly (equal to the Lanczos tridiagonal solve up to rounding) in
+    the eigenbasis that also gives the Ritz pairs, and accepted once
 
     * the lifted stationarity residual is <= tol (||g|| + 1), and
     * the bottom Ritz pair (theta, y) is converged and certifies approximate
@@ -373,9 +392,9 @@ def solve_trs_lanczos(
     The Ritz safeguard is what makes hard cases (g orthogonal to the bottom
     eigenspace) land on the global solution instead of a subspace-stationary
     point with an equally small residual; a residual test alone cannot tell
-    the two apart.  Chain breakdown inserts a fresh random direction.  If
-    ``m_max`` is exhausted the best iterate is returned with
-    ``converged=False``.  A ``tol`` below :data:`MIN_TOL` is a ``ValueError``.
+    the two apart.  If ``m_max`` is exhausted the iterate with the smallest
+    residual is returned with ``converged=False``.  A ``tol`` below
+    :data:`MIN_TOL` is a ``ValueError``.
     """
     g = np.asarray(g, dtype=float)
     _check_inputs(g, r, L2, tol)
@@ -385,58 +404,46 @@ def solve_trs_lanczos(
         raise ValueError("need 1 <= m_max <= d")
     if rng is None:
         rng = np.random.default_rng(0)
-    gnorm = float(np.linalg.norm(g))
+    gnorm = _norm(g)
 
     Q = np.zeros((d, m_max))
     W = np.zeros((d, m_max))  # W[:, j] = H @ Q[:, j]
-    B = np.zeros((m_max, m_max))
-
-    if gnorm == 0.0:
-        q1 = rng.standard_normal(d)
-        q1 /= np.linalg.norm(q1)
-    else:
-        q1 = g / gnorm
-    Q[:, 0] = q1
-    tails = {"main": 0, "probe": None}  # column index of each chain's tip
-    pending: dict[str, np.ndarray | None] = {"main": None, "probe": None}
+    B = np.zeros((m_max, m_max))  # Q'HQ, filled bitwise symmetric
+    Q[:, 0] = g / gnorm if gnorm > 0.0 else _fresh_direction(rng, Q, 0, d)
 
     best: TrsSolution | None = None
-    sol = None
-    probes = 0
     theta_hist: list[float] = []
     for m in range(1, m_max + 1):
         j = m - 1
+        if j:
+            Q[:, j] = _krylov_column(rng, Q, W, j, d)
         wv = np.asarray(hvp(Q[:, j]), dtype=float)
         W[:, j] = wv
         B[:m, j] = Q[:, :m].T @ wv
         B[j, :m] = B[:m, j]
-        # store the unreduced continuation of whichever chain q_j tips
-        chain = "main" if tails["main"] == j else "probe"
-        w_perp = wv - Q[:, :m] @ (Q[:, :m].T @ wv)
-        w_perp -= Q[:, :m] @ (Q[:, :m].T @ w_perp)
-        pending[chain] = w_perp
 
         gt = np.zeros(m)
         gt[0] = gnorm
-        Bm = (B[:m, :m] + B[:m, :m].T) / 2.0
+        Bm = B[:m, :m]
         theta, U = sym_eig(Bm)
         red = _solve_in_eigenbasis(gt, theta, U, r, L2, tol)
         h = Q[:, :m] @ red.h
         Hh = W[:, :m] @ red.h
-        resid = float(np.linalg.norm(Hh + red.mu * h + g))
+        resid = _norm(Hh + red.mu * h + g)
         resid_ok = resid <= tol * (gnorm + 1.0)
         # Acceptance below full dimension needs the bottom eigenpair pinned
         # down, or a small residual alone can certify a subspace-stationary
         # point that is not the global solution (the hard case).
         theta_hist.append(float(theta[0]))
         scale = 1.0 + abs(theta[0])
-        ritz_res = float(np.linalg.norm(W[:, :m] @ U[:, 0] - theta[0] * (Q[:, :m] @ U[:, 0])))
+        ritz_res = _norm(W[:, :m] @ U[:, 0] - theta[0] * (Q[:, :m] @ U[:, 0]))
         ritz_ok = ritz_res <= tol * scale
         dual_ok = red.mu + theta[0] >= -(ritz_res + tol * scale)
         theta_stable = (
             len(theta_hist) >= 3 and abs(theta_hist[-1] - theta_hist[-3]) <= tol * scale
         )
-        certified = probes >= 2 and ritz_ok and dual_ok and theta_stable
+        # m >= 4: the probe's chain has two columns
+        certified = m >= 4 and ritz_ok and dual_ok and theta_stable
         sol = TrsSolution(
             h=h,
             mu=red.mu,
@@ -451,29 +458,4 @@ def solve_trs_lanczos(
             best = sol
         if sol.converged:
             return sol
-        if m == m_max:
-            break
-        # grow: odd steps extend the probe chain, even steps the main chain
-        grow = "probe" if m % 2 == 1 else "main"
-        cand = pending[grow]
-        if cand is not None:
-            # pending continuations can predate later columns; re-orthogonalize
-            cand = cand - Q[:, :m] @ (Q[:, :m].T @ cand)
-            cand -= Q[:, :m] @ (Q[:, :m].T @ cand)
-            beta = float(np.linalg.norm(cand))
-        else:
-            beta = 0.0
-        if cand is None or beta <= 1e-10 * (1.0 + float(np.linalg.norm(wv))):
-            Q[:, m] = _fresh_direction(rng, Q, m, d)  # seed or breakdown restart
-        else:
-            Q[:, m] = cand / beta
-        pending[grow] = None
-        tails[grow] = m
-        if grow == "probe":
-            probes += 1
-
-    assert sol is not None
-    if not sol.converged and best is not None and best is not sol:
-        best.converged = False
-        return best
-    return sol
+    return best

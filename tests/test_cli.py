@@ -491,6 +491,48 @@ def test_negative_seed_env_exits_2(tmp_path, monkeypatch, capsys):
     assert "STR_SEED" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("overrides,key", [
+    ({"reg_lamda": 0.5}, "reg_lamda"),  # misspelt: reg_lambda would silently stay 1e-3
+    ({"epsilon": 1e-2}, "epsilon"),  # a variant option, not a spec key
+    ({"dataset": {"path": "DATA", "normalise": True}}, "normalise"),
+    ({"dataset": {"path": "DATA", "synthetic": {"n": 40, "d": 3}}}, "synthetic"),
+    ({"dataset": {"synthetic": {"n": 40, "d": 3, "seperable": True}}}, "seperable"),
+    ({"dataset": {"synthetic": {"n": 40, "d": 3}, "d": 3}}, "'d'"),
+    ({"task": "synthetic_quad", "dataset": {"n": 30, "d": 5, "path": "DATA"}}, "'n'"),
+    ({"task": "synthetic_quad", "dataset": {"synthetic": {"n": 30, "d": 5, "separable": True}}},
+     "separable"),  # the quadratic family has no labels to separate
+    ({"task": "synthetic_quad", "dataset": {"path": "DATA"}}, "synthetic"),
+    ({"dataset": "DATA"}, "dataset"),  # a bare path is not a dataset object
+])
+def test_unknown_spec_key_exits_2(tmp_path, capsys, overrides, key):
+    data = tmp_path / "d.svm"
+    data.write_text("+1 1:0.5 3:1\n-1 2:-0.3\n+1 1:1\n")
+    overrides = json.loads(json.dumps(overrides).replace('"DATA"', json.dumps(str(data))))
+    spec = tmp_path / "spec.json"
+    write_spec(spec, **{"task": "logistic_nc", **overrides})
+    assert main(["run", str(spec), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert key in err and "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("overrides,repeated", [
+    ({"variants": [{"variant": "str1"}, {"variant": "str1", "K_override": 3}]}, "str1"),
+    ({"variants": [{"variant": "str1", "label": "a"}, {"variant": "str2", "label": "a"}]}, "a"),
+    ({"variants": [{"variant": "exact_tr", "label": "str1"}, {"variant": "str1"}]}, "str1"),
+    ({"seeds": [0, 1, 0]}, 0),
+])
+def test_repeated_label_or_seed_exits_2(tmp_path, capsys, overrides, repeated):
+    # each (label, seed) names one trace file: a repeat would overwrite a trace
+    # that summary.json still lists
+    spec = tmp_path / "spec.json"
+    write_spec(spec, **overrides)
+    assert main(["run", str(spec), "--out", str(tmp_path / "o"), "--threads", "2"]) == 2
+    err = capsys.readouterr().err
+    assert "repeat" in err and repr(repeated) in err
+    assert not (tmp_path / "o").exists()
+
+
 # -- exit contract: any spec mutation ends in exit 0, 1 or 2 -----------------------
 
 _BASE_SPEC = {

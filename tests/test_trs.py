@@ -59,7 +59,8 @@ def oracle_objective(g, H, r):
         with np.errstate(divide="ignore", invalid="ignore"):
             ht = np.nan_to_num(-gt / (w + mu), nan=0.0)
         cands.append(V @ ht)
-    feasible = [h for h in cands if np.linalg.norm(h) <= r * (1 + 1e-8)]
+    # hypot scales: a candidate past the float range reads inf, not an overflow
+    feasible = [h for h in cands if math.hypot(*h) <= r * (1 + 1e-8)]
     assert feasible, "oracle produced no feasible candidate"
     return min(model_value(g, H, h) for h in feasible)
 
@@ -791,3 +792,35 @@ def test_lanczos_tiny_radius_reaches_boundary(r):
 def test_lanczos_rejects_bad_m_max():
     with pytest.raises(ValueError):
         solve_trs_lanczos(np.ones(3), lambda v: v, 3, 1.0, 1.0, m_max=5)
+
+
+def test_lanczos_gradient_below_the_square_root_of_the_float_range():
+    # ||g||^2 underflows: a squared norm would read g = 0 and start at a random
+    # vector instead of g
+    H = np.diag([1.0, 2.0, 3.0])
+    g = 1e-170 * np.array([1.0, 2.0, 0.0])
+    a = solve_trs_exact(g, H, 1.0, 1.0)
+    b = solve_trs_lanczos(g, lambda v: H @ v, 3, 1.0, 1.0)
+    assert a.h == pytest.approx([-1e-170, -1e-170, 0.0], rel=1e-12, abs=1e-182)
+    assert b.converged
+    assert b.h == pytest.approx(a.h, rel=1e-12, abs=1e-182)
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_lanczos_hard_case_certifies_below_full_dimension(seed):
+    # g orthogonal to the bottom eigenvector and small enough that mu = -lambda_1:
+    # g's chain never sees that eigenvector, the random probe's chain finds it
+    d = 60
+    rng = np.random.default_rng(seed)
+    V = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    w = np.sort(rng.uniform(-1.0, 2.0, d))
+    w[0] = -1.5
+    H = V @ np.diag(w) @ V.T
+    g = rng.standard_normal(d)
+    g -= (g @ V[:, 0]) * V[:, 0]
+    g *= 0.5 / np.linalg.norm((V.T @ g)[1:] / (w[1:] - w[0]))
+    a = solve_trs_exact(g, H, 1.0, 1.0)
+    b = solve_trs_lanczos(g, lambda v: H @ v, d, 1.0, 1.0, rng=np.random.default_rng(seed))
+    assert a.mu == pytest.approx(1.5, rel=1e-12)
+    assert b.converged and b.krylov_dim < d
+    assert abs(model_value(g, H, b.h) - model_value(g, H, a.h)) <= 1e-12
