@@ -19,6 +19,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import operator
 import os
 import sys
@@ -104,6 +105,25 @@ def _json_number(value, name: str) -> float:
     return float(value)
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"number {text} overflows a float64")
+    return value
+
+
+def _int64(text: str) -> int:
+    value = int(text)  # raises past Python's digit limit
+    if not -2**63 <= value < 2**63:
+        raise ValueError(f"integer {text[:20]}{'...' if len(text) > 20 else ''} "
+                         "does not fit in an int64")
+    return value
+
+
+def _no_constant(name: str):
+    raise ValueError(f"{name} is not a JSON number")
+
+
 def _json_ints(value, name: str) -> list[int]:
     if not isinstance(value, list):
         raise SpecError(f"{name} must be a list of integers, got {value!r}")
@@ -138,11 +158,13 @@ def _variant_spec(frag) -> VariantSpec:
 
 def load_spec(path) -> ExperimentSpec:
     """Read and check an experiment spec.  Its keys are the ``ExperimentSpec``
-    fields, whose defaults fill the keys it omits; any other key is an error."""
+    fields, whose defaults fill the keys it omits; any other key is an error.
+    Every number must fit a float64 or, written as an integer, an int64."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            raw = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+            raw = json.load(fh, parse_float=_finite_float, parse_int=_int64,
+                            parse_constant=_no_constant)
+    except (OSError, ValueError) as exc:  # a JSONDecodeError is a ValueError
         raise SpecError(f"cannot read spec {path}: {exc}") from exc
     raw = _object(raw, "spec", _SPEC_KEYS)
     try:
@@ -369,6 +391,8 @@ def compare(trace_paths, out_path=None) -> list[dict]:
                             raise ValueError(f"{len(rec)} fields, expected {len(TRACE_HEADER)}")
                         row["k"], row["fval"] = int(row["k"]), float(row["fval"])
                         row["sfo"], row["sso"] = int(row["sfo"]), int(row["sso"])
+                        if not math.isfinite(row["fval"]):  # it would reach every gap
+                            raise ValueError(f"fval {row['fval']!r} is not finite")
                     except ValueError as exc:
                         raise TraceFormatError(f"{path}: line {reader.line_num}: {exc}") from None
                     rows.append(

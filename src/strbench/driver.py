@@ -24,7 +24,7 @@ from __future__ import annotations
 import math
 import numbers
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -40,7 +40,7 @@ from .problems import (
     full_value,
     lipschitz_bounds,
 )
-from .trs import MIN_TOL, TrsNumericError, _norm, _sym_eigvals, solve_trs_exact
+from .trs import TrsNumericError, _norm, _sym_eigvals, solve_trs_exact
 
 VARIANTS = ("exact_tr", "str1", "str2", "subsampled")
 # the RunConfig fields only some variants read, and those variants
@@ -57,14 +57,13 @@ class RunConfig:
     """Knobs for one optimization run.
 
     ``lipschitz=None`` resolves to analytic bounds of the problem.  The
-    radius defaults to ``sqrt(epsilon/L2)`` and the iteration cap to
-    ``ceil(6 sqrt(L2) delta_hat / epsilon^1.5)`` with ``delta_hat`` an upper
-    estimate of the initial optimality gap (defaults to F(x0), valid for the
-    nonnegative losses shipped here).  Theory mode takes the paper's
-    constants and rejects ``kappa_grad``/``kappa_hess``; practical mode scales
-    the gradient and Hessian sample sizes by them (default 1).  Explicit
-    schedule objects override both.  ``solver_tol`` is at least
-    ``trs.MIN_TOL``.  A field that the variant never reads (the kappas,
+    radius is ``sqrt(epsilon/L2)``, and the iteration cap ``K_override`` or
+    ``ceil(6 sqrt(L2) F(x0) / epsilon^1.5)``: F(x0) bounds the initial
+    optimality gap of the nonnegative losses shipped here.  Each subproblem is
+    solved to ``trs.MIN_TOL``.  Theory mode takes the paper's constants and
+    rejects ``kappa_grad``/``kappa_hess``; practical mode scales the gradient
+    and Hessian sample sizes by them (default 1).  Explicit schedule objects
+    override both.  A field that the variant never reads (the kappas,
     ``hess_option`` and the schedules outside ``str1``/``str2``, ``sub_s1`` and
     ``sub_s2`` outside ``subsampled``) must stay None.
     """
@@ -73,10 +72,7 @@ class RunConfig:
     epsilon: float = 1e-3
     delta: float = 0.1
     lipschitz: LipschitzBounds | None = None
-    r_override: float | None = None
     K_override: int | None = None
-    delta_hat: float | None = None
-    solver_tol: float = 1e-8
     mode: str = "theory"
     kappa_grad: float | None = None
     kappa_hess: float | None = None
@@ -98,8 +94,6 @@ class RunConfig:
         for name, readers in _VARIANT_FIELDS.items():
             if getattr(self, name) is not None and self.variant not in readers:
                 raise ValueError(f"{name} is not read by variant {self.variant!r}")
-        if not (_real(self.solver_tol) and self.solver_tol >= MIN_TOL):
-            raise ValueError(f"solver_tol must be >= {MIN_TOL:g}")
         if self.mode not in ("theory", "practical"):
             raise ValueError("mode must be 'theory' or 'practical'")
         if self.hess_option not in (None, "I", "II"):
@@ -117,13 +111,14 @@ class RunConfig:
             value = getattr(self, name)
             if not (value is None or _integer(value) and value >= 1):
                 raise ValueError(f"{name} must be an integer >= 1")
-        if not (self.delta_hat is None or _real(self.delta_hat) and self.delta_hat >= 0):
-            raise ValueError("delta_hat must be >= 0")
-        # resolve_config checks the ranges of these
-        if not (self.r_override is None or _real(self.r_override)):
-            raise ValueError("r_override must be a number")
+        # resolve_config checks its range
         if not (self.K_override is None or _integer(self.K_override)):
             raise ValueError("K_override must be an integer")
+
+
+def _check_variant(variant, config: RunConfig) -> None:
+    if variant != config.variant:
+        raise ValueError(f"variant {variant!r} is not config.variant {config.variant!r}")
 
 
 def _real(value) -> bool:
@@ -190,14 +185,13 @@ class _Resolved:
     lip: LipschitzBounds
     r: float
     K: int
-    threshold: float
     x0: np.ndarray
 
 
 def resolve_config(problem: FiniteSumProblem, config: RunConfig) -> _Resolved:
     lip = config.lipschitz or lipschitz_bounds(problem, mode="analytic")
     eps = config.epsilon
-    r = config.r_override if config.r_override is not None else math.sqrt(eps / lip.L2)
+    r = math.sqrt(eps / lip.L2)
     x0 = (
         np.zeros(problem.d)
         if config.x0 is None
@@ -208,9 +202,7 @@ def resolve_config(problem: FiniteSumProblem, config: RunConfig) -> _Resolved:
     if config.K_override is not None:
         K = int(config.K_override)
     else:
-        gap = config.delta_hat
-        if gap is None:
-            gap = full_value(problem, x0, OracleCounters())
+        gap = full_value(problem, x0, OracleCounters())
         try:
             bound = 6.0 * math.sqrt(lip.L2) * gap / eps**1.5
         except ArithmeticError:  # eps**1.5 under- or overflows
@@ -221,8 +213,7 @@ def resolve_config(problem: FiniteSumProblem, config: RunConfig) -> _Resolved:
         if not (math.isfinite(value) and value > 0):
             raise RunAborted(f"{name}={value!r} is not finite and positive", [], x0,
                              OracleCounters())
-    threshold = 2.0 * math.sqrt(eps / lip.L2)
-    return _Resolved(lip=lip, r=r, K=K, threshold=threshold, x0=x0)
+    return _Resolved(lip=lip, r=r, K=K, x0=x0)
 
 
 def verify_sosp(problem: FiniteSumProblem, x, epsilon: float, L2: float) -> SosReport:
@@ -262,7 +253,7 @@ def _run_loop(problem, config, grad_estimator, hess_estimator, counters, use_dua
                 raise RunAborted(f"non-finite {name} estimate at iteration {k}",
                                  trace, x, counters)
         try:
-            sol = solve_trs_exact(g, H, res.r, res.lip.L2, tol=config.solver_tol)
+            sol = solve_trs_exact(g, H, res.r, res.lip.L2)
         except TrsNumericError as exc:
             raise RunAborted(f"subproblem solve failed at iteration {k}: {exc}",
                              trace, x, counters) from exc
@@ -285,7 +276,7 @@ def _run_loop(problem, config, grad_estimator, hess_estimator, counters, use_dua
             )
         )
         if use_dual_stop:
-            if sol.lambda_alg <= res.threshold:
+            if sol.lambda_alg <= 2.0 * res.r:  # 2 sqrt(eps/L2)
                 stop_reason = "dual_threshold"
                 break
         elif not sol.on_boundary:
@@ -327,10 +318,11 @@ def make_estimators(variant, problem, config, rng, resolved: _Resolved | None = 
     """Estimator callables for a variant, sharing one sampling stream.
 
     The gradient estimator draws before the Hessian estimator inside each
-    iteration, so runs are reproducible from (config, seed).  ``resolved`` is
-    ``resolve_config(problem, config)`` if already computed; only ``str1`` and
-    ``str2`` need it.
+    iteration, so runs are reproducible from (config, seed).  ``variant`` must
+    be ``config.variant``.  ``resolved`` is ``resolve_config(problem, config)``
+    if already computed; only ``str1`` and ``str2`` need it.
     """
+    _check_variant(variant, config)
     n = problem.n
     if variant == "exact_tr":
         return (
@@ -348,8 +340,6 @@ def make_estimators(variant, problem, config, rng, resolved: _Resolved | None = 
             return batch_hessian(problem, x, rng.integers(0, n, size=s2), counters)
 
         return sub_grad, sub_hess
-    if variant not in ("str1", "str2"):
-        raise ValueError(f"unknown variant {variant!r}")
 
     res = resolved if resolved is not None else resolve_config(problem, config)
     K0 = 2 * res.K
@@ -377,11 +367,9 @@ def make_estimators(variant, problem, config, rng, resolved: _Resolved | None = 
 
 
 def run(variant: str, problem: FiniteSumProblem, config: RunConfig) -> RunResult:
-    """Wire estimators for ``variant`` and execute the dual-threshold loop."""
-    if variant not in VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}")
-    if config.variant != variant:
-        config = replace(config, variant=variant)
+    """Wire estimators for ``variant`` (which must be ``config.variant``) and
+    execute the dual-threshold loop."""
+    _check_variant(variant, config)
     rng = np.random.default_rng(config.seed)
     res = resolve_config(problem, config)
     grad_fn, hess_fn = make_estimators(variant, problem, config, rng, res)

@@ -69,17 +69,17 @@ class TrsNumericError(RuntimeError):
         self.best = best
 
 
-_SYM_TOL = 1e-12  # default relative asymmetry tolerance of the eigensolvers
+_SYM_TOL = 1e-12  # relative asymmetry tolerance of the eigensolvers
 # The smallest ``tol`` the solvers accept.  Below it the gate starts to refuse
 # solves that are exact up to rounding: of 2,000 random instances (d < 60,
 # scales 1e-6 to 1e3), none at 1e-8, 11 at 1e-10 and 163 at 1e-12.
 MIN_TOL = 1e-8
 
 
-def _symmetric(A, sym_tol: float) -> np.ndarray:
+def _symmetric(A) -> np.ndarray:
     """``A`` as a finite symmetric float matrix, for the LAPACK eigensolvers.
 
-    Rejects inputs whose asymmetry exceeds ``sym_tol`` relative to the
+    Rejects inputs whose asymmetry exceeds ``_SYM_TOL`` relative to the
     largest entry.  A bitwise symmetric input (every Hessian the oracles and
     estimators build) is returned as is: ``(A + A')/2`` would reproduce it bit
     for bit.  Any other input within tolerance is symmetrized.
@@ -93,19 +93,19 @@ def _symmetric(A, sym_tol: float) -> np.ndarray:
     if (bits == bits.T).all():
         return A
     scale = float(np.max(np.abs(A))) if A.size else 0.0
-    if float(np.max(np.abs(A - A.T), initial=0.0)) > sym_tol * (1.0 + scale):
+    if float(np.max(np.abs(A - A.T), initial=0.0)) > _SYM_TOL * (1.0 + scale):
         raise ValueError("matrix is not symmetric within tolerance")
     return (A + A.T) / 2.0
 
 
-def sym_eig(A: np.ndarray, sym_tol: float = _SYM_TOL):
+def sym_eig(A: np.ndarray):
     """Eigendecomposition of a symmetric matrix, eigenvalues ascending.
 
     Rejects inputs that are not square, not finite, or asymmetric beyond
-    ``sym_tol`` relative to the largest entry (see :func:`_symmetric`); wraps
+    ``_SYM_TOL`` relative to the largest entry (see :func:`_symmetric`); wraps
     LAPACK non-convergence in :class:`TrsNumericError`.
     """
-    A = _symmetric(A, sym_tol)
+    A = _symmetric(A)
     try:
         w, V = np.linalg.eigh(A)
     except np.linalg.LinAlgError as exc:
@@ -116,9 +116,9 @@ def sym_eig(A: np.ndarray, sym_tol: float = _SYM_TOL):
 def _sym_eigvals(A: np.ndarray) -> np.ndarray:
     """Eigenvalues of a symmetric matrix, ascending, without eigenvectors.
 
-    Same checks and errors as :func:`sym_eig` at its default tolerance.
+    Same checks and errors as :func:`sym_eig`.
     """
-    A = _symmetric(A, _SYM_TOL)
+    A = _symmetric(A)
     try:
         return np.linalg.eigvalsh(A)
     except np.linalg.LinAlgError as exc:
@@ -212,13 +212,13 @@ def _check_inputs(g, r, L2, tol) -> None:
         raise ValueError("radius must be positive and finite")
     if not 0.0 < L2 < math.inf:
         raise ValueError("L2 must be positive and finite")
-    if not tol >= MIN_TOL:
-        raise ValueError(f"tol must be >= {MIN_TOL:g}, got {tol!r}")
+    if not MIN_TOL <= tol < math.inf:
+        raise ValueError(f"tol must be finite and >= {MIN_TOL:g}, got {tol!r}")
     if not np.all(np.isfinite(g)):
         raise ValueError("non-finite inputs")
 
 
-def solve_trs_exact(g, H, r: float, L2: float, tol: float = 1e-8) -> TrsSolution:
+def solve_trs_exact(g, H, r: float, L2: float, tol: float = MIN_TOL) -> TrsSolution:
     """Global minimizer of the quadratic model over the ball of radius r.
 
     Interior Newton step when the Hessian is definite and the step fits;
@@ -228,7 +228,7 @@ def solve_trs_exact(g, H, r: float, L2: float, tol: float = 1e-8) -> TrsSolution
     :class:`TrsNumericError` with the best iterate attached if the
     stationarity residual misses ``tol (||g|| + 1)`` (a NaN always misses),
     ``||h|| > r``, or ``mu > 0`` with ``||h|| < r``, each judged relative to r.
-    A ``tol`` below :data:`MIN_TOL` is a ``ValueError``.
+    A ``tol`` below :data:`MIN_TOL` or not finite is a ``ValueError``.
     """
     g = np.asarray(g, dtype=float)
     H = np.asarray(H, dtype=float)
@@ -293,14 +293,18 @@ def _solve_in_eigenbasis(g, w, V, r, L2, tol) -> TrsSolution:
     shifted = w + mu_lo  # exact zero on the bottom eigenvalue when lam1 <= 0
 
     def boundary_without_bottom(delta, bottom):
-        """Step at mu_lo + delta, bottom eigenspace zeroed, padded to the boundary."""
+        """Step at mu_lo + delta, bottom eigenspace zeroed, padded to the boundary
+        along the first bottom eigenvector, signed so that its largest-magnitude
+        entry is positive: the eigensolver's sign choice does not reach the step."""
         denom = np.where(bottom, 1.0, shifted + delta)
         ut = np.where(bottom, 0.0, -gt / denom)
         n0 = _norm(ut)
         if n0 > 1.0:
             ut /= n0
         elif n0 < 1.0 - _PAD_RTOL:
-            ut[int(np.argmax(bottom))] += math.sqrt(1.0 - n0 * n0)
+            j = int(np.argmax(bottom))
+            v = V[:, j]
+            ut[j] += math.copysign(math.sqrt(1.0 - n0 * n0), v[np.argmax(np.abs(v))])
         return ut
 
     # Bottom eigenspace: eigenvalues tied with lam1 up to rounding.
@@ -371,7 +375,7 @@ def solve_trs_lanczos(
     r: float,
     L2: float,
     m_max: int | None = None,
-    tol: float = 1e-8,
+    tol: float = MIN_TOL,
     rng: np.random.Generator | None = None,
 ) -> TrsSolution:
     """Approximate TRS solve in a Hessian-generated Krylov subspace.
@@ -394,7 +398,7 @@ def solve_trs_lanczos(
     point with an equally small residual; a residual test alone cannot tell
     the two apart.  If ``m_max`` is exhausted the iterate with the smallest
     residual is returned with ``converged=False``.  A ``tol`` below
-    :data:`MIN_TOL` is a ``ValueError``.
+    :data:`MIN_TOL` or not finite is a ``ValueError``.
     """
     g = np.asarray(g, dtype=float)
     _check_inputs(g, r, L2, tol)

@@ -4,6 +4,7 @@ import csv
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -243,6 +244,19 @@ def test_compare_malformed_row_names_file_and_line(tmp_path, capsys, row):
     assert "trace_x_0.csv" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("fval", ["nan", "inf", "-inf"])
+def test_compare_non_finite_fval_names_file_and_line(tmp_path, capsys, fval):
+    # one such row would turn every fval_gap of the merged file into nan or inf
+    bad = tmp_path / "trace_x_0.csv"
+    bad.write_text(",".join(TRACE_HEADER) + "\n0,1.0,0.1,0.0,0.0,0,0,1.0\n"
+                   f"1,{fval},0.1,0.0,0.0,10,10,1.0\n")
+    with pytest.raises(TraceFormatError, match="trace_x_0.csv.*line 3.*fval"):
+        compare([bad])
+    assert main(["compare", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert "trace_x_0.csv" in err and "Traceback" not in err
+
+
 def test_compare_bad_filename(tmp_path):
     bad = tmp_path / "notatrace.csv"
     bad.write_text(",".join(TRACE_HEADER) + "\n")
@@ -288,9 +302,19 @@ def test_spec_config_keys_are_runconfig_fields():
     from strbench.cli import _CONFIG_KEYS
 
     assert _CONFIG_KEYS == {
-        "epsilon", "delta", "r_override", "K_override", "delta_hat", "solver_tol",
-        "mode", "kappa_grad", "kappa_hess", "hess_option", "sub_s1", "sub_s2",
+        "epsilon", "delta", "K_override", "mode", "kappa_grad", "kappa_hess",
+        "hess_option", "sub_s1", "sub_s2",
     }
+
+
+def test_readme_lists_the_variant_option_keys():
+    from strbench.cli import _CONFIG_KEYS
+
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+    [paragraph] = [p for p in readme.split("\n\n") if p.startswith("Variant option keys:")]
+    listed = re.findall(r"`(\w+)`", paragraph)
+    assert len(listed) == len(set(listed))
+    assert set(listed) == _CONFIG_KEYS | {"variant", "label", "L1", "L2"}
 
 
 def test_spec_defaults_match_protocol(tmp_path):
@@ -412,7 +436,8 @@ def test_index_too_large_to_densify_exits_2(tmp_path, capsys):
     {"L1": -1.0, "L2": 1.0},
     {"L1": "2", "L2": 1.0},  # numeric strings and booleans are not coerced
     {"L1": 1.0, "L2": True},
-    {"L1": 10**400, "L2": 1.0},  # a JSON integer too large for a float
+    {"r_override": 1.0},  # the radius is sqrt(epsilon/L2), with no second setting
+    {"delta_hat": 1.0},   # the cap's gap is F(x0)
 ])
 def test_bad_variant_option_fails_the_run(tmp_path, capsys, option):
     spec = tmp_path / "spec.json"
@@ -471,6 +496,50 @@ def test_spec_field_of_the_wrong_json_type_exits_2(tmp_path, capsys, overrides, 
     err = capsys.readouterr().err
     assert field in err and "Traceback" not in err
     assert not (tmp_path / "o").exists()
+
+
+_BIG = "1" + "0" * 400  # a JSON integer past float64 and int64
+
+
+@pytest.mark.parametrize("field,literal", [
+    ("epsilon", _BIG),
+    ("K_override", _BIG),
+    ("sub_s1", str(2**63)),
+    ("sub_s2", str(2**63)),
+    ("K_override", str(-2**63 - 1)),
+    ("epsilon", "1e999"),
+    ("L1", "1e999"),
+    ("L1", _BIG),
+    ("epsilon", "NaN"),
+    ("epsilon", "Infinity"),
+    ("epsilon", "-Infinity"),
+], ids=lambda v: v if len(v) < 25 else f"{len(v)}-digits")
+def test_spec_number_no_float64_or_int64_holds_exits_2(tmp_path, capsys, field, literal):
+    variant = {"variant": "subsampled" if field.startswith("sub_") else "str1",
+               "K_override": 3, field: "X", **({"L2": 1.0} if field == "L1" else {})}
+    spec = tmp_path / "spec.json"
+    write_spec(spec, task="nls_nc", dataset={"synthetic": {"n": 40, "d": 3, "seed": 1}},
+               variants=[variant])
+    spec.write_text(spec.read_text().replace('"X"', literal))
+    out = tmp_path / "o"
+    assert main(["run", str(spec), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "error" in err and "Traceback" not in err
+    for summary in out.glob("summary.json"):  # strict JSON: no NaN or Infinity
+        json.loads(summary.read_text(), parse_constant=_refuse_constant)
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def test_spec_that_is_not_utf8_exits_2(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    write_spec(spec, variants=[{"variant": "exact_tr", "label": "LABEL"}])
+    spec.write_bytes(spec.read_bytes().replace(b"LABEL", b"\xff"))
+    assert main(["run", str(spec), "--out", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert "utf-8" in err and "Traceback" not in err
 
 
 @pytest.mark.parametrize("d", ["x", 2.5, [1], 1e300, True])

@@ -44,14 +44,15 @@ def test_config_validation():
 
 
 def test_scalar_quadratic_converges_fast():
-    # F(x) = x^2/2, start at 1: with radius 1 the first step is the Newton
-    # step to the minimizer, so the dual threshold fires immediately.
+    # F(x) = x^2/2, start at 1: with radius sqrt(eps/L2) = 1 the first step is
+    # the Newton step to the minimizer, so the dual threshold fires immediately.
+    # A quadratic's Hessian is constant, so any L2 > 0 bounds its Lipschitz constant.
     prob = quadratic_problem(1, 1, anchors=np.zeros((1, 1)))
     cfg = RunConfig(
         variant="exact_tr", epsilon=1e-4,
-        lipschitz=LipschitzBounds(1.0, 1.0, "user"),
-        r_override=1.0, x0=np.array([1.0]),
+        lipschitz=LipschitzBounds(1.0, 1e-4, "user"), x0=np.array([1.0]),
     )
+    assert resolve_config(prob, cfg).r == 1.0
     res = run("exact_tr", prob, cfg)
     assert res.stop_reason == "dual_threshold"
     assert len(res.trace) <= 3
@@ -282,10 +283,13 @@ def test_expectation_random_pick_reproducible(logistic_small, monkeypatch, recor
 
 
 def test_expectation_tiny_radius_runs_to_the_cap(logistic_small):
-    # ||h||^2 underflows at r = 1e-160: every step is still on the boundary,
-    # so the no-dual run never takes an interior exit
-    r = 1e-160
-    cfg = RunConfig(variant="exact_tr", epsilon=1e-2, r_override=r, K_override=5)
+    # ||h||^2 underflows at r = sqrt(eps/L2) = 1e-160: every step is still on the
+    # boundary, so the no-dual run never takes an interior exit.  eps**1.5
+    # underflows too, so the cap comes from K_override.
+    cfg = RunConfig(variant="exact_tr", epsilon=1e-300, K_override=5,
+                    lipschitz=LipschitzBounds(1.0, 1e20, "user"))
+    r = resolve_config(logistic_small, cfg).r
+    assert r == math.sqrt(1e-300 / 1e20) and 0.99e-160 < r < 1.01e-160
     res = run_inexact_tr_expectation(logistic_small, cfg, *_estimators(logistic_small, cfg))
     assert res.stop_reason == "random_iterate"
     assert len(res.trace) == 5
@@ -330,7 +334,7 @@ def test_non_finite_objective_aborts():
 
     prob = qp(4, 2, seed=0)
     cfg = RunConfig(variant="exact_tr", epsilon=1e-3, x0=np.array([1e200, 0.0]),
-                    delta_hat=1.0, K_override=10)
+                    K_override=10)
     with pytest.raises(RunAborted) as info:
         run("exact_tr", prob, cfg)
     assert info.value.trace == []
@@ -341,13 +345,13 @@ def test_non_finite_objective_aborts():
 @pytest.mark.parametrize("overrides", [
     {"lipschitz": LipschitzBounds(math.inf, 1.0)},
     {"lipschitz": LipschitzBounds(1.0, math.inf)},
-    {"r_override": 0.0},
-    {"r_override": math.nan},
+    {"epsilon": 1e-300, "lipschitz": LipschitzBounds(1.0, 1e300)},  # r = sqrt(eps/L2) = 0
+    {"epsilon": 1e300, "lipschitz": LipschitzBounds(1.0, 1e-300)},  # r = inf
     {"K_override": 0},
-    {"delta_hat": math.inf},
+    {"epsilon": 1e-250},  # eps**1.5 underflows: the cap from F(x0) is not finite
 ])
 def test_resolve_config_rejects_non_finite_or_non_positive(logistic_small, overrides):
-    cfg = RunConfig(variant="exact_tr", epsilon=1e-2, **overrides)
+    cfg = RunConfig(**{"variant": "exact_tr", "epsilon": 1e-2, **overrides})
     with pytest.raises(RunAborted, match="finite and positive") as info:
         resolve_config(logistic_small, cfg)
     assert info.value.trace == [] and info.value.counters == OracleCounters()
@@ -479,20 +483,38 @@ def test_non_finite_iterate_aborts(logistic_small, monkeypatch):
     {"mode": "practical", "kappa_grad": 0},
     {"mode": "practical", "kappa_hess": 1.5},
     {"hess_option": "III"},
-    {"solver_tol": "x"},
-    {"solver_tol": 0.0},
-    {"solver_tol": 1e-10},  # below the solver's floor: refused, not floored
+    {"delta": "x"},
+    {"delta": math.nan},
+    {"epsilon": math.nan},
     {"sub_s1": 0},
     {"sub_s2": 2.5},
     {"K_override": "x"},
-    {"r_override": "x"},
-    {"delta_hat": "x"},
-    {"delta_hat": -1.0},
+    {"K_override": 2.5},
+    {"K_override": True},  # booleans are not integers here
+    {"sub_s1": True},
     {"epsilon": "x"},
 ])
 def test_config_rejects_bad_option(overrides):
     with pytest.raises(ValueError):
         RunConfig(variant="subsampled", **overrides)
+
+
+@pytest.mark.parametrize("name", ["r_override", "delta_hat", "solver_tol"])
+def test_config_has_one_setting_per_run_decision(name):
+    # the radius is sqrt(eps/L2), the cap K_override or the one computed from
+    # F(x0), and the subproblem tolerance the solver's MIN_TOL
+    with pytest.raises(TypeError, match=name):
+        RunConfig(variant="exact_tr", **{name: 1.0})
+
+
+@pytest.mark.parametrize("call", ["run", "make_estimators"])
+def test_variant_argument_must_match_the_config(logistic_small, call):
+    cfg = RunConfig(variant="exact_tr", epsilon=1e-2)
+    with pytest.raises(ValueError, match="'str1'.*'exact_tr'"):
+        if call == "run":
+            run("str1", logistic_small, cfg)
+        else:
+            make_estimators("str1", logistic_small, cfg, np.random.default_rng(0))
 
 
 _STOCHASTIC_KNOBS = {

@@ -226,6 +226,10 @@ def _ref_package(g, H_mul, h, mu, r, L2, min_eig_shifted):
 
 
 def _ref_solve_in_eigenbasis(g, w, V, r, L2, tol):
+    def pad(ht, j, length):
+        # along V[:, j], with the sign that makes its largest-magnitude entry positive
+        ht[j] += length if V[np.argmax(np.abs(V[:, j])), j] > 0 else -length
+
     gt = V.T @ g
     c = gt * gt
     gnorm = float(np.linalg.norm(g))
@@ -251,7 +255,7 @@ def _ref_solve_in_eigenbasis(g, w, V, r, L2, tol):
         if n0 > r:
             ht *= r / n0
         elif n0 < r * (1.0 - 1e-12):
-            ht[int(np.argmax(bottom))] += math.sqrt(r * r - n0 * n0)
+            pad(ht, int(np.argmax(bottom)), math.sqrt(r * r - n0 * n0))
         return ht
 
     gap_tol = 1e-12 * (1.0 + float(np.max(np.abs(w))))
@@ -273,7 +277,7 @@ def _ref_solve_in_eigenbasis(g, w, V, r, L2, tol):
         if n0 <= r:
             if mu_lo == 0.0:
                 return gated(_ref_package(g, H_mul, V @ ht, 0.0, r, L2, lam1))
-            ht[int(np.argmax(bottom))] += math.sqrt(max(r * r - n0 * n0, 0.0))
+            pad(ht, int(np.argmax(bottom)), math.sqrt(max(r * r - n0 * n0, 0.0)))
             return gated(_ref_package(g, H_mul, V @ ht, mu_lo, r, L2, 0.0))
         delta, _ = _ref_secular_root(shifted, ct, r, gnorm / r, singular_at_lo=False)
         ht = boundary_without_bottom(delta, bottom)
@@ -443,6 +447,39 @@ def test_solvers_reject_tol_below_the_gate_floor(solver, tol):
             solve_trs_exact(g, H, 1.0, 1.0, tol=tol)
         else:
             solve_trs_lanczos(g, lambda v: H @ v, 2, 1.0, 1.0, tol=tol)
+
+
+@pytest.mark.parametrize("tol", [math.inf, -math.inf])
+@pytest.mark.parametrize("solver", ["exact", "lanczos"])
+def test_solvers_reject_a_non_finite_tol(solver, tol):
+    # tol = inf would turn the KKT gate off
+    g, H = np.array([1.0, 2.0]), np.diag([1.0, -1.0])
+    with pytest.raises(ValueError, match="tol"):
+        if solver == "exact":
+            solve_trs_exact(g, H, 1.0, 1.0, tol=tol)
+        else:
+            solve_trs_lanczos(g, lambda v: H @ v, 2, 1.0, 1.0, tol=tol)
+
+
+def test_sym_eig_takes_only_the_matrix():
+    with pytest.raises(TypeError):
+        sym_eig(np.eye(2), 1e-3)
+
+
+def test_hard_case_pad_sign_follows_the_matrix_not_the_eigensolver():
+    # The pad runs along the bottom eigenvector, whose sign LAPACK picks.  Its
+    # largest-magnitude entry is made positive, so for a simple bottom
+    # eigenvalue the step depends only on H.
+    g, w = np.array([0.0, 1.0, 1.0]), np.array([-1.0, 1.0, 2.0])
+    Q = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))[0]
+    for V in (np.eye(3), Q):
+        flipped = V * np.array([-1.0, 1.0, 1.0])
+        steps = [trs._solve_in_eigenbasis(V @ g, w, B, 1.0, 1.0, trs.MIN_TOL).h
+                 for B in (V, flipped)]
+        assert np.array_equal(steps[0], steps[1])
+        pad = V[:, 0] * (V[:, 0] @ steps[0])  # the step's bottom component
+        assert pad[np.argmax(np.abs(pad))] > 0
+        assert _scaled(steps[0], 1.0) == pytest.approx(1.0, abs=1e-12)
 
 
 def _scaled(h, r):
