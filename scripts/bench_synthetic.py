@@ -34,7 +34,6 @@ def build_spec(args) -> dict:
         "task": args.task,
         "dataset": {"synthetic": {"n": args.n, "d": args.d, "seed": args.data_seed}},
         "seeds": args.seeds,
-        "output_dir": str(args.out),
         "variants": variants,
     }
 

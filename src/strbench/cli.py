@@ -1,16 +1,17 @@
 """Benchmark harness CLI.
 
-``strbench run <spec.json> [--out DIR] [--threads N]`` executes every
-(variant, seed) pair of an experiment spec, writing one
-``trace_<label>_<seed>.csv`` per run plus a ``summary.json``.
+``strbench run <spec.json> [--out DIR] [--threads N]`` checks the whole
+experiment spec, every variant option included, then executes each of its
+(variant, seed) pairs, writing one ``trace_<label>_<seed>.csv`` per run plus a
+``summary.json`` under ``DIR`` (default ``out``).
 
 ``strbench compare <trace.csv>... [--out FILE]`` merges traces into one
 long-format CSV with the objective gap against the best value seen anywhere.
 
-Exit codes: 0 all runs completed (a failed certificate is reported, not an
-error), 1 a run aborted numerically, 2 unreadable spec/dataset/trace, an
-unknown spec or dataset key, a repeated label or seed, or a bad ``STR_SEED``
-or ``--threads`` value.
+Exit codes: 2 any bad input (an unreadable or invalid spec, dataset, variant
+option or trace, or ``--threads`` below 1), with nothing run or written; 1 a
+run aborted numerically, reported in ``summary.json``; 0 otherwise (a failed
+certificate is reported, not an error).
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ import dataclasses
 import json
 import math
 import operator
-import os
 import sys
 from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
@@ -30,7 +30,7 @@ from pathlib import Path
 
 from . import __version__
 from .datasets import generate_synthetic, load_libsvm
-from .driver import IterateRecord, RunAborted, RunConfig, run
+from .driver import IterateRecord, RunAborted, RunConfig, check_batch_sizes, run
 from .problems import (
     KINDS,
     FiniteSumProblem,
@@ -49,7 +49,6 @@ COMPARE_HEADER = ["variant", "seed", "k", "fval_gap", "grad_norm", "sso", "sfo",
 _COMPARE_FROM_TRACE = operator.itemgetter(
     *("fval" if col == "fval_gap" else col for col in COMPARE_HEADER[2:]))
 
-SEED_ENV_VAR = "STR_SEED"
 LIP_MODES = ("analytic", "sampled")
 
 # RunConfig fields a variant spec may set; the rest come from the spec's
@@ -84,7 +83,6 @@ class ExperimentSpec:
     reg_alpha: float = 10.0
     normalize_rows: bool = False
     lip_mode: str = "analytic"  # how variants without L1/L2 get their bounds
-    output_dir: str = "out"
 
 
 _SPEC_KEYS = frozenset(f.name for f in dataclasses.fields(ExperimentSpec))
@@ -181,6 +179,9 @@ def load_spec(path) -> ExperimentSpec:
         raise SpecError(f"invalid spec {path}: {exc}") from exc
     if not spec.variants or not spec.seeds:
         raise SpecError("spec needs at least one variant and one seed")
+    bad = [s for s in spec.seeds if not 0 <= s < 2**63]  # numpy seeds, file-name sized
+    if bad:
+        raise SpecError(f"seeds must lie in [0, 2**63), got {bad[0]}")
     for name, values in (("labels", [v.label for v in spec.variants]), ("seeds", spec.seeds)):
         repeated = sorted(v for v, count in Counter(values).items() if count > 1)
         if repeated:
@@ -188,8 +189,6 @@ def load_spec(path) -> ExperimentSpec:
     if not isinstance(spec.dataset, dict) or set(spec.dataset) not in _DATASET_FORMS:
         raise SpecError("dataset must be {'path': file} with an optional 'd', or "
                         f"{{'synthetic': params}}, got {spec.dataset!r}")
-    if not isinstance(spec.output_dir, str):
-        raise SpecError(f"output_dir must be a string, got {spec.output_dir!r}")
     if spec.task not in KINDS:
         raise SpecError(f"unknown task {spec.task!r}")
     if spec.lip_mode not in LIP_MODES:
@@ -249,13 +248,15 @@ def _default_lipschitz(spec: ExperimentSpec, problem: FiniteSumProblem):
         raise SpecError(f"lip_mode {spec.lip_mode!r}: {exc}") from exc
 
 
-def make_config(vspec: VariantSpec, seed: int,
-                lipschitz: LipschitzBounds | None = None) -> RunConfig:
+def make_config(vspec: VariantSpec, seed: int, lipschitz: LipschitzBounds | None,
+                n: int) -> RunConfig:
+    """The config of one (variant, seed) run on a problem of ``n`` rows; a bad
+    variant option is a ``SpecError`` that names the label."""
     opts = dict(vspec.options)
     lip = lipschitz
     if "L1" in opts or "L2" in opts:
         if not ("L1" in opts and "L2" in opts):
-            raise SpecError("L1 and L2 must be given together")
+            raise SpecError(f"L1 and L2 must be given together for {vspec.label}")
         try:
             lip = LipschitzBounds(_json_number(opts.pop("L1"), "L1"),
                                   _json_number(opts.pop("L2"), "L2"), "user")
@@ -265,9 +266,11 @@ def make_config(vspec: VariantSpec, seed: int,
     if unknown:
         raise SpecError(f"unknown config fields for {vspec.label}: {sorted(unknown)}")
     try:
-        return RunConfig(variant=vspec.variant, lipschitz=lip, seed=seed, **opts)
+        config = RunConfig(variant=vspec.variant, lipschitz=lip, seed=seed, **opts)
+        check_batch_sizes(config, n)
     except (TypeError, ValueError) as exc:
         raise SpecError(f"invalid config for {vspec.label}: {exc}") from exc
+    return config
 
 
 def write_trace(path, trace) -> None:
@@ -279,59 +282,44 @@ def write_trace(path, trace) -> None:
         writer.writerows((*_TRACE_VALUES(rec), f"{rec.wall_ms:.3f}") for rec in trace)
 
 
-def run_experiment(spec_path, out_dir=None, threads: int = 1) -> int:
-    """Execute every (variant, seed) pair of the experiment spec.
+def run_experiment(spec_path, out_dir="out", threads: int = 1) -> int:
+    """Check the whole experiment spec, then execute its every (variant, seed)
+    pair into ``out_dir``.
 
-    Returns 0 when all runs completed, 1 when a run aborted numerically,
-    2 when the spec or dataset is unreadable or ``threads`` or ``STR_SEED``
-    is invalid.
+    Returns 2, having run and written nothing, when the spec, its dataset, a
+    variant option or ``threads`` is invalid; otherwise 1 when a run aborted
+    numerically and 0 when all runs completed.
     """
     try:
         if threads < 1:
             raise SpecError(f"threads must be >= 1, got {threads}")
         spec = load_spec(spec_path)
-        seeds = spec.seeds
-        env_seed = os.environ.get(SEED_ENV_VAR)
-        if env_seed is not None:
-            try:
-                seeds = [int(env_seed)]
-            except ValueError:
-                raise SpecError(f"{SEED_ENV_VAR}={env_seed!r} is not an integer") from None
-        bad = [s for s in seeds if not 0 <= s < 2**63]  # numpy seeds, file-name sized
-        if bad:
-            source = SEED_ENV_VAR if env_seed is not None else "seeds"
-            raise SpecError(f"{source}: seeds must lie in [0, 2**63), got {bad[0]}")
         problem = build_problem(spec)
         lip = _default_lipschitz(spec, problem)
+        jobs = [(vspec, make_config(vspec, seed, lip, problem.n))
+                for vspec in spec.variants for seed in spec.seeds]
     except SpecError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    out = Path(out_dir if out_dir is not None else spec.output_dir)
+    out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
 
     def _entry(job) -> dict:
-        """Summary entry of one (variant, seed) job, after writing its trace;
-        a config error or a numeric abort gives a failed entry."""
-        vspec, seed = job
-        entry = {"label": vspec.label, "variant": vspec.variant, "seed": seed}
-        try:
-            config = make_config(vspec, seed, lip)
-        except SpecError as exc:
-            return {**entry, "failed": True, "error": str(exc)}
+        """Summary entry of one (variant, config) job, after writing its trace;
+        a numeric abort gives a failed entry."""
+        vspec, config = job
         try:
             outcome = run(vspec.variant, problem, config)
         except RunAborted as exc:
             outcome = exc
         if outcome.trace:
-            write_trace(out / f"trace_{vspec.label}_{seed}.csv", outcome.trace)
+            write_trace(out / f"trace_{vspec.label}_{config.seed}.csv", outcome.trace)
         failed = isinstance(outcome, RunAborted)
-        entry.update(
-            config=dataclasses.asdict(config),
-            failed=failed,
-            iterations=len(outcome.trace),
-            counters=dataclasses.asdict(outcome.counters),
-        )
+        entry = {"label": vspec.label, "variant": vspec.variant, "seed": config.seed,
+                 "config": dataclasses.asdict(config), "failed": failed,
+                 "iterations": len(outcome.trace),
+                 "counters": dataclasses.asdict(outcome.counters)}
         if failed:
             entry["error"] = str(outcome)
         else:
@@ -342,7 +330,6 @@ def run_experiment(spec_path, out_dir=None, threads: int = 1) -> int:
             )
         return entry
 
-    jobs = [(vspec, seed) for vspec in spec.variants for seed in seeds]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             entries = list(pool.map(_entry, jobs))
@@ -367,7 +354,7 @@ def _variant_seed_from_name(path: Path) -> tuple[str, int]:
         raise TraceFormatError(f"{path}: trace files are named trace_<variant>_<seed>.csv")
     body = stem[len("trace_"):]
     variant, _, seed_s = body.rpartition("_")
-    if not variant or not seed_s.lstrip("-").isdigit():
+    if not (variant and seed_s.isascii() and seed_s.removeprefix("-").isdigit()):
         raise TraceFormatError(f"{path}: cannot split variant/seed from name")
     return variant, int(seed_s)
 
@@ -425,7 +412,7 @@ def main(argv=None) -> int:
 
     p_run = sub.add_parser("run", help="execute an experiment spec")
     p_run.add_argument("spec", help="path to the JSON experiment spec")
-    p_run.add_argument("--out", default=None, help="output directory override")
+    p_run.add_argument("--out", default="out", help="output directory (default out)")
     p_run.add_argument("--threads", type=int, default=1)
 
     p_cmp = sub.add_parser("compare", help="merge trace CSVs")

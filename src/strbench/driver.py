@@ -50,6 +50,9 @@ _VARIANT_FIELDS = {
     "sub_s1": ("subsampled",),
     "sub_s2": ("subsampled",),
 }
+# the str1/str2 knobs an explicit schedule object overrides, and that schedule
+_SCHEDULE_OF = {"kappa_grad": "grad_schedule", "kappa_hess": "hess_schedule",
+                "hess_option": "hess_schedule"}
 
 
 @dataclass
@@ -65,7 +68,10 @@ class RunConfig:
     and Hessian sample sizes by them (default 1).  Explicit schedule objects
     override both.  A field that the variant never reads (the kappas,
     ``hess_option`` and the schedules outside ``str1``/``str2``, ``sub_s1`` and
-    ``sub_s2`` outside ``subsampled``) must stay None.
+    ``sub_s2`` outside ``subsampled``, ``kappa_grad`` next to ``grad_schedule``,
+    ``kappa_hess`` and ``hess_option`` next to ``hess_schedule``) must stay None.
+    ``sub_s1`` and ``sub_s2`` may not exceed the problem's n
+    (:func:`check_batch_sizes`).
     """
 
     variant: str = "exact_tr"
@@ -94,6 +100,10 @@ class RunConfig:
         for name, readers in _VARIANT_FIELDS.items():
             if getattr(self, name) is not None and self.variant not in readers:
                 raise ValueError(f"{name} is not read by variant {self.variant!r}")
+        for name, schedule in _SCHEDULE_OF.items():
+            if getattr(self, name) is not None and getattr(self, schedule) is not None:
+                raise ValueError(f"{name} is not read by variant {self.variant!r} next to "
+                                 f"{schedule}, which overrides it")
         if self.mode not in ("theory", "practical"):
             raise ValueError("mode must be 'theory' or 'practical'")
         if self.hess_option not in (None, "I", "II"):
@@ -114,6 +124,14 @@ class RunConfig:
         # resolve_config checks its range
         if not (self.K_override is None or _integer(self.K_override)):
             raise ValueError("K_override must be an integer")
+
+
+def check_batch_sizes(config: RunConfig, n: int) -> None:
+    """Refuse a ``sub_s1``/``sub_s2`` above the ``n`` rows its batches draw from."""
+    for name in ("sub_s1", "sub_s2"):
+        value = getattr(config, name)
+        if value is not None and value > n:
+            raise ValueError(f"{name}={value} exceeds the n={n} rows it samples")
 
 
 def _check_variant(variant, config: RunConfig) -> None:
@@ -319,11 +337,13 @@ def make_estimators(variant, problem, config, rng, resolved: _Resolved | None = 
 
     The gradient estimator draws before the Hessian estimator inside each
     iteration, so runs are reproducible from (config, seed).  ``variant`` must
-    be ``config.variant``.  ``resolved`` is ``resolve_config(problem, config)``
+    be ``config.variant``, and a batch size above n is a ``ValueError``
+    raised before any draw.  ``resolved`` is ``resolve_config(problem, config)``
     if already computed; only ``str1`` and ``str2`` need it.
     """
     _check_variant(variant, config)
     n = problem.n
+    check_batch_sizes(config, n)
     if variant == "exact_tr":
         return (
             lambda x, counters: full_gradient(problem, x, counters),

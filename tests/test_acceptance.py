@@ -71,7 +71,6 @@ def descent_experiment(tmp_path_factory):
         "task": "logistic_nc",
         "dataset": {"synthetic": {"n": 500, "d": 20, "seed": 3}},
         "seeds": [0],
-        "output_dir": str(base / "out"),
         "variants": [{"variant": "exact_tr", "epsilon": 1e-3, "delta": 0.2}],
     }
     spec_path = base / "spec.json"
@@ -92,7 +91,6 @@ def complexity_experiment(tmp_path_factory):
         "task": "logistic_nc",
         "dataset": {"synthetic": {"n": 2000, "d": 30, "seed": 8}},
         "seeds": [0],
-        "output_dir": str(base / "out"),
         "variants": [
             {"variant": "exact_tr", "epsilon": 1e-3, "delta": 0.2},
             {

@@ -33,7 +33,6 @@ def write_spec(path, **overrides):
         "task": "synthetic_quad",
         "dataset": {"synthetic": {"n": 30, "d": 5, "seed": 2}},
         "seeds": [0],
-        "output_dir": str(path.parent / "out"),
         "variants": [{"variant": "exact_tr", "epsilon": 1e-4, "K_override": 300}],
     }
     spec.update(overrides)
@@ -44,6 +43,15 @@ def write_spec(path, **overrides):
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def run_exits_2(spec, out, capsys, *flags) -> str:
+    """Run ``spec`` into ``out``; a bad input exits 2 with nothing written."""
+    assert main(["run", str(spec), "--out", str(out), *flags]) == 2
+    err = capsys.readouterr().err
+    assert "error" in err and "Traceback" not in err
+    assert not out.exists() and not (out / "summary.json").exists()
+    return err
 
 
 def test_run_quadratic_trace_schema(tmp_path):
@@ -85,31 +93,29 @@ def test_run_reproducible_modulo_wall(tmp_path):
 
 
 def test_run_missing_spec_exits_2(tmp_path, capsys):
-    assert run_experiment(tmp_path / "nope.json") == 2
-    assert "error" in capsys.readouterr().err
+    run_exits_2(tmp_path / "nope.json", tmp_path / "o", capsys)
 
 
-def test_run_bad_dataset_exits_2(tmp_path):
+def test_run_bad_dataset_exits_2(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     write_spec(spec, task="logistic_nc", dataset={"path": str(tmp_path / "missing.libsvm")})
-    assert run_experiment(spec, out_dir=tmp_path / "o") == 2
+    run_exits_2(spec, tmp_path / "o", capsys)
 
 
-def test_run_unknown_config_key_fails_run(tmp_path):
+def test_run_unknown_config_key_fails_run(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     write_spec(spec, variants=[{"variant": "exact_tr", "bogus_knob": 1}])
-    assert run_experiment(spec, out_dir=tmp_path / "o") == 1
-    summary = json.loads((tmp_path / "o" / "summary.json").read_text())
-    assert summary["runs"][0]["failed"] is True
+    err = run_exits_2(spec, tmp_path / "o", capsys)
+    assert "bogus_knob" in err and "exact_tr" in err
 
 
-def test_seed_env_override(tmp_path, monkeypatch):
+def test_run_reads_no_seed_from_the_environment(tmp_path, monkeypatch):
     spec = tmp_path / "spec.json"
-    write_spec(spec, seeds=[0, 1, 2])
+    write_spec(spec, seeds=[0, 1])
     monkeypatch.setenv("STR_SEED", "7")
-    run_experiment(spec, out_dir=tmp_path / "o")
+    assert main(["run", str(spec), "--out", str(tmp_path / "o")]) == 0
     names = sorted(p.name for p in (tmp_path / "o").glob("trace_*.csv"))
-    assert names == ["trace_exact_tr_7.csv"]
+    assert names == ["trace_exact_tr_0.csv", "trace_exact_tr_1.csv"]
 
 
 def test_run_logistic_synthetic_with_label(tmp_path):
@@ -140,29 +146,17 @@ def test_threads_match_sequential(tmp_path):
         assert [r[:7] for r in a] == [r[:7] for r in b]
 
 
-def test_seed_env_not_an_integer_exits_2(tmp_path, monkeypatch, capsys):
-    spec = tmp_path / "spec.json"
-    write_spec(spec)
-    monkeypatch.setenv("STR_SEED", "abc")
-    assert run_experiment(spec, out_dir=tmp_path / "o") == 2
-    assert "STR_SEED" in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
-
-
 @pytest.mark.parametrize("threads", ["0", "-1"])
 def test_threads_below_one_exit_2(tmp_path, capsys, threads):
     spec = tmp_path / "spec.json"
     write_spec(spec)
-    assert main(["run", str(spec), "--out", str(tmp_path / "o"), "--threads", threads]) == 2
-    assert "threads" in capsys.readouterr().err
-    assert not (tmp_path / "o").exists()
+    assert "threads" in run_exits_2(spec, tmp_path / "o", capsys, "--threads", threads)
 
 
 def test_lip_mode_unknown_exits_2(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     write_spec(spec, lip_mode="bogus")
-    assert run_experiment(spec, out_dir=tmp_path / "o") == 2
-    assert "lip_mode" in capsys.readouterr().err
+    assert "lip_mode" in run_exits_2(spec, tmp_path / "o", capsys)
 
 
 def test_lip_mode_sampled_used_unless_variant_gives_bounds(tmp_path):
@@ -262,6 +256,18 @@ def test_compare_bad_filename(tmp_path):
     bad.write_text(",".join(TRACE_HEADER) + "\n")
     with pytest.raises(TraceFormatError):
         compare([bad])
+
+
+@pytest.mark.parametrize("name", [
+    "trace_a_--1.csv", "trace_b_\u00b2.csv", "trace_c_+1.csv", "trace_d_None.csv",
+])
+def test_compare_misnamed_seed_exits_2(tmp_path, capsys, name):
+    # the seed part must be an integer as written: no second sign, no superscript
+    bad = tmp_path / name
+    bad.write_text(",".join(TRACE_HEADER) + "\n0,1.0,0.1,0.0,0.0,0,0,1.0\n")
+    assert main(["compare", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert name in err and "Traceback" not in err
 
 
 # -- argparse entry ------------------------------------------------------------
@@ -413,11 +419,10 @@ def test_index_too_large_to_densify_exits_2(tmp_path, capsys):
     data.write_text(f"+1 1:1.0 {2**62}:1.0\n-1 2:1.0\n")
     spec = tmp_path / "spec.json"
     write_spec(spec, task="logistic_nc", dataset={"path": str(data)})
-    assert main(["run", str(spec), "--out", str(tmp_path / "o")]) == 2
-    assert "error" in capsys.readouterr().err
+    run_exits_2(spec, tmp_path / "o", capsys)
 
 
-# -- bad variant options end in a failed entry -------------------------------------
+# -- a bad variant option stops the whole spec before any run -----------------------
 
 
 @pytest.mark.parametrize("option", [
@@ -438,17 +443,16 @@ def test_index_too_large_to_densify_exits_2(tmp_path, capsys):
     {"L1": 1.0, "L2": True},
     {"r_override": 1.0},  # the radius is sqrt(epsilon/L2), with no second setting
     {"delta_hat": 1.0},   # the cap's gap is F(x0)
+    {"variant": "subsampled", "sub_s1": 2**62},  # a batch past the n = 200 rows
+    {"variant": "subsampled", "sub_s2": 201},
 ])
 def test_bad_variant_option_fails_the_run(tmp_path, capsys, option):
+    # the good variant listed first does not run either: a spec runs whole or not at all
     spec = tmp_path / "spec.json"
     variant = {"variant": "str1", "label": "v", "epsilon": 1e-2, "K_override": 3, **option}
     write_spec(spec, task="nls_nc", dataset={"synthetic": {"n": 200, "d": 5, "seed": 1}},
-               variants=[variant, {"variant": "exact_tr", "epsilon": 1e-2, "K_override": 3}])
-    assert main(["run", str(spec), "--out", str(tmp_path / "o")]) == 1
-    assert "Traceback" not in capsys.readouterr().err
-    bad, good = json.loads((tmp_path / "o" / "summary.json").read_text())["runs"]
-    assert bad["failed"] is True and bad["label"] == "v" and bad["error"]
-    assert good["failed"] is False
+               variants=[{"variant": "exact_tr", "epsilon": 1e-2, "K_override": 3}, variant])
+    assert "for v:" in run_exits_2(spec, tmp_path / "o", capsys)
 
 
 @pytest.mark.parametrize("overrides", [
@@ -458,17 +462,14 @@ def test_bad_variant_option_fails_the_run(tmp_path, capsys, option):
     {"dataset": {"synthetic": {"n": float("inf"), "d": 3}}},
     {"reg_lambda": -1.0},
     {"reg_alpha": 0.0},
-    {"output_dir": 5},
+    {"output_dir": "o"},  # not a spec key: ``--out`` names the output directory
     {"variants": [{"variant": "exact_tr", "label": "a/b"}]},
 ])
 def test_bad_spec_field_exits_2(tmp_path, capsys, overrides):
     spec = tmp_path / "spec.json"
     write_spec(spec, **{"task": "logistic_nc",
                         "dataset": {"synthetic": {"n": 40, "d": 3, "seed": 1}}, **overrides})
-    out = tmp_path / "o"
-    assert main(["run", str(spec)] + ([] if "output_dir" in overrides else ["--out", str(out)])) == 2
-    assert "error" in capsys.readouterr().err
-    assert not out.exists()
+    run_exits_2(spec, tmp_path / "o", capsys)
 
 
 @pytest.mark.parametrize("overrides,field", [
@@ -492,10 +493,7 @@ def test_spec_field_of_the_wrong_json_type_exits_2(tmp_path, capsys, overrides, 
     spec = tmp_path / "spec.json"
     write_spec(spec, **{"task": "logistic_nc",
                         "dataset": {"synthetic": {"n": 40, "d": 3, "seed": 1}}, **overrides})
-    assert main(["run", str(spec), "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert field in err and "Traceback" not in err
-    assert not (tmp_path / "o").exists()
+    assert field in run_exits_2(spec, tmp_path / "o", capsys)
 
 
 _BIG = "1" + "0" * 400  # a JSON integer past float64 and int64
@@ -521,25 +519,14 @@ def test_spec_number_no_float64_or_int64_holds_exits_2(tmp_path, capsys, field, 
     write_spec(spec, task="nls_nc", dataset={"synthetic": {"n": 40, "d": 3, "seed": 1}},
                variants=[variant])
     spec.write_text(spec.read_text().replace('"X"', literal))
-    out = tmp_path / "o"
-    assert main(["run", str(spec), "--out", str(out)]) == 2
-    err = capsys.readouterr().err
-    assert "error" in err and "Traceback" not in err
-    for summary in out.glob("summary.json"):  # strict JSON: no NaN or Infinity
-        json.loads(summary.read_text(), parse_constant=_refuse_constant)
-
-
-def _refuse_constant(name):
-    raise ValueError(f"{name} is not strict JSON")
+    run_exits_2(spec, tmp_path / "o", capsys)
 
 
 def test_spec_that_is_not_utf8_exits_2(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     write_spec(spec, variants=[{"variant": "exact_tr", "label": "LABEL"}])
     spec.write_bytes(spec.read_bytes().replace(b"LABEL", b"\xff"))
-    assert main(["run", str(spec), "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert "utf-8" in err and "Traceback" not in err
+    assert "utf-8" in run_exits_2(spec, tmp_path / "o", capsys)
 
 
 @pytest.mark.parametrize("d", ["x", 2.5, [1], 1e300, True])
@@ -548,16 +535,7 @@ def test_non_integer_dataset_width_exits_2(tmp_path, capsys, d):
     data.write_text("+1 1:0.5\n-1 1:-0.3\n")  # one feature: true would read as width 1
     spec = tmp_path / "spec.json"
     write_spec(spec, task="logistic_nc", dataset={"path": str(data), "d": d})
-    assert main(["run", str(spec), "--out", str(tmp_path / "o")]) == 2
-    assert "d must be an integer" in capsys.readouterr().err
-
-
-def test_negative_seed_env_exits_2(tmp_path, monkeypatch, capsys):
-    spec = tmp_path / "spec.json"
-    write_spec(spec)
-    monkeypatch.setenv("STR_SEED", "-3")
-    assert run_experiment(spec, out_dir=tmp_path / "o") == 2
-    assert "STR_SEED" in capsys.readouterr().err
+    assert "d must be an integer" in run_exits_2(spec, tmp_path / "o", capsys)
 
 
 @pytest.mark.parametrize("overrides,key", [
@@ -579,10 +557,7 @@ def test_unknown_spec_key_exits_2(tmp_path, capsys, overrides, key):
     overrides = json.loads(json.dumps(overrides).replace('"DATA"', json.dumps(str(data))))
     spec = tmp_path / "spec.json"
     write_spec(spec, **{"task": "logistic_nc", **overrides})
-    assert main(["run", str(spec), "--out", str(tmp_path / "o")]) == 2
-    err = capsys.readouterr().err
-    assert key in err and "Traceback" not in err
-    assert not (tmp_path / "o").exists()
+    assert key in run_exits_2(spec, tmp_path / "o", capsys)
 
 
 @pytest.mark.parametrize("overrides,repeated", [
@@ -596,10 +571,8 @@ def test_repeated_label_or_seed_exits_2(tmp_path, capsys, overrides, repeated):
     # that summary.json still lists
     spec = tmp_path / "spec.json"
     write_spec(spec, **overrides)
-    assert main(["run", str(spec), "--out", str(tmp_path / "o"), "--threads", "2"]) == 2
-    err = capsys.readouterr().err
+    err = run_exits_2(spec, tmp_path / "o", capsys, "--threads", "2")
     assert "repeat" in err and repr(repeated) in err
-    assert not (tmp_path / "o").exists()
 
 
 # -- exit contract: any spec mutation ends in exit 0, 1 or 2 -----------------------
@@ -671,5 +644,14 @@ def test_any_spec_mutation_keeps_the_exit_contract(mutation):
         with contextlib.redirect_stderr(err):
             code = main(["run", spec_path, "--out", out])
         assert code in (0, 1, 2)
-        assert os.path.exists(os.path.join(out, "summary.json")) == (code != 2)
+        # exit 2 writes nothing; exit 1 is a numeric abort, reported in the summary
+        assert os.path.exists(out) == os.path.exists(os.path.join(out, "summary.json")) == (
+            code != 2)
+        if code != 2:
+            with open(os.path.join(out, "summary.json")) as fh:
+                runs = json.load(fh)["runs"]
+            # each entry is a finished run or a numeric abort, with no third shape
+            for e in runs:
+                assert "config" in e and ("error" in e) == e["failed"] != ("stop_reason" in e)
+            assert any(e["failed"] for e in runs) == (code == 1)
         assert "Traceback" not in err.getvalue()

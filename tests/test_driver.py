@@ -185,6 +185,23 @@ def test_subsampled_uses_fixed_fresh_batches(logistic_small):
     assert all(p == (40, 30) for p in per_iter)
 
 
+@pytest.mark.parametrize("sizes", [{"sub_s1": 201}, {"sub_s2": 201}, {"sub_s1": 2**62}])
+def test_subsampled_batch_above_n_is_refused_before_any_draw(logistic_small, sizes):
+    # a batch past the n = 200 rows is refused, not drawn (2**62 indices would not fit
+    # in memory); a batch of all n rows is the largest one taken
+    cfg = RunConfig(variant="subsampled", epsilon=1e-2, **sizes)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    name = next(iter(sizes))
+    with pytest.raises(ValueError, match=f"{name}={sizes[name]} exceeds the n=200 rows"):
+        make_estimators("subsampled", logistic_small, cfg, rng)
+    with pytest.raises(ValueError, match=name):
+        run("subsampled", logistic_small, cfg)
+    assert rng.bit_generator.state == state
+    make_estimators("subsampled", logistic_small,
+                    RunConfig(variant="subsampled", sub_s1=200, sub_s2=200), rng)
+
+
 def test_unknown_variant_rejected(logistic_small):
     with pytest.raises(ValueError):
         run("sgd", logistic_small, RunConfig(variant="exact_tr"))
@@ -517,22 +534,27 @@ def test_variant_argument_must_match_the_config(logistic_small, call):
             make_estimators("str1", logistic_small, cfg, np.random.default_rng(0))
 
 
-_STOCHASTIC_KNOBS = {
-    "kappa_grad": 0.5, "kappa_hess": 0.01, "hess_option": "II",
+_SCHEDULES = {
     "grad_schedule": GradSchedule(case=1, p1=2, s1=3),
     "hess_schedule": HessSchedule("I", p2=2, s2=3, s2_prime=None),
 }
+_STOCHASTIC_KNOBS = {"kappa_grad": 0.5, "kappa_hess": 0.01, "hess_option": "II", **_SCHEDULES}
 
 
 @pytest.mark.parametrize("variant,field,value", [
     *((v, f, x) for v in ("exact_tr", "subsampled") for f, x in _STOCHASTIC_KNOBS.items()),
     *((v, f, 3) for v in ("exact_tr", "str1", "str2") for f in ("sub_s1", "sub_s2")),
+    # str1 and str2 read these only where no explicit schedule overrides them
+    *((v, f, _STOCHASTIC_KNOBS[f]) for v in ("str1", "str2")
+      for f in ("kappa_grad", "kappa_hess", "hess_option")),
 ])
 def test_config_rejects_a_knob_its_variant_never_reads(variant, field, value):
-    # a knob the variant ignores would leave the run as if it were not set
+    # a knob the variant ignores would leave the run as if it were not set; str1
+    # and str2 are given both schedules, which override the kappas and hess_option
+    schedules = _SCHEDULES if variant in ("str1", "str2") else {}
     with pytest.raises(ValueError, match=f"{field} is not read by variant {variant!r}"):
-        RunConfig(variant=variant, mode="practical", **{field: value})
-    RunConfig(variant=variant, mode="practical", **{field: None})  # the default passes
+        RunConfig(variant=variant, mode="practical", **schedules, **{field: value})
+    RunConfig(variant=variant, mode="practical", **schedules, **{field: None})  # the default passes
 
 
 # -- one full pass per point -------------------------------------------------------

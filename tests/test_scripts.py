@@ -13,7 +13,6 @@ def run_script(name, *args):
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
     )
-    env.pop("STR_SEED", None)
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *map(str, args)],
         capture_output=True, text=True, env=env, timeout=120,
