@@ -8,7 +8,9 @@ stops on the first step the solver puts inside the ball, and otherwise returns
 the post-step iterate of a seeded iteration drawn uniformly before the loop.
 Four variants are wired: exact differentials, the two
 variance-reduced combinations (``str1``, ``str2``), and a plain subsampled
-baseline with fresh batches each iteration.
+baseline with fresh batches each iteration.  All four step their estimates
+through the estimators' one epoch recurrence; the two baselines reset at
+every step.
 
 Per-iteration trace diagnostics (objective value, true gradient norm) are
 computed with a scratch counter and never billed to the run's oracle budget.
@@ -33,8 +35,6 @@ from .problems import (
     FiniteSumProblem,
     LipschitzBounds,
     OracleCounters,
-    batch_gradient,
-    batch_hessian,
     full_gradient,
     full_hessian,
     full_value,
@@ -60,16 +60,18 @@ class RunConfig:
     """Knobs for one optimization run.
 
     ``lipschitz=None`` resolves to analytic bounds of the problem.  The
-    radius is ``sqrt(epsilon/L2)``, and the iteration cap ``K_override`` or
-    ``ceil(6 sqrt(L2) F(x0) / epsilon^1.5)``: F(x0) bounds the initial
-    optimality gap of the nonnegative losses shipped here.  Each subproblem is
-    solved to ``trs.MIN_TOL``.  Theory mode takes the paper's constants and
-    rejects ``kappa_grad``/``kappa_hess``; practical mode scales the gradient
-    and Hessian sample sizes by them (default 1).  Explicit schedule objects
-    override both.  A field that the variant never reads (the kappas,
-    ``hess_option`` and the schedules outside ``str1``/``str2``, ``sub_s1`` and
-    ``sub_s2`` outside ``subsampled``, ``kappa_grad`` next to ``grad_schedule``,
-    ``kappa_hess`` and ``hess_option`` next to ``hess_schedule``) must stay None.
+    radius is ``sqrt(epsilon/L2)``, and the iteration cap ``K_override`` (an
+    integer >= 1) or ``ceil(6 sqrt(L2) F(x0) / epsilon^1.5)``: F(x0) bounds the
+    initial optimality gap of the nonnegative losses shipped here.  Each
+    subproblem is solved to ``trs.MIN_TOL``.  Theory mode takes the paper's
+    constants and rejects ``kappa_grad``/``kappa_hess``; practical mode scales
+    the gradient and Hessian sample sizes by them (default 1).  Explicit
+    :class:`~strbench.estimators.Schedule` objects override both; ``str2``'s
+    ``grad_schedule`` must reset with an exact pass.  A field that the variant
+    never reads (the kappas, ``hess_option`` and the schedules outside
+    ``str1``/``str2``, ``sub_s1`` and ``sub_s2`` outside ``subsampled``,
+    ``kappa_grad`` next to ``grad_schedule``, ``kappa_hess`` and
+    ``hess_option`` next to ``hess_schedule``) must stay None.
     ``sub_s1`` and ``sub_s2`` may not exceed the problem's n
     (:func:`check_batch_sizes`).
     """
@@ -83,8 +85,8 @@ class RunConfig:
     kappa_grad: float | None = None
     kappa_hess: float | None = None
     hess_option: str | None = None
-    grad_schedule: est.GradSchedule | None = None
-    hess_schedule: est.HessSchedule | None = None
+    grad_schedule: est.Schedule | None = None
+    hess_schedule: est.Schedule | None = None
     sub_s1: int | None = None  # subsampled baseline batch sizes
     sub_s2: int | None = None
     seed: int = 0
@@ -121,9 +123,8 @@ class RunConfig:
             value = getattr(self, name)
             if not (value is None or _integer(value) and value >= 1):
                 raise ValueError(f"{name} must be an integer >= 1")
-        # resolve_config checks its range
-        if not (self.K_override is None or _integer(self.K_override)):
-            raise ValueError("K_override must be an integer")
+        if not (self.K_override is None or _integer(self.K_override) and self.K_override >= 1):
+            raise ValueError("K_override must be an integer >= 1")
 
 
 def check_batch_sizes(config: RunConfig, n: int) -> None:
@@ -335,6 +336,11 @@ def run_inexact_tr_expectation(problem, config, grad_estimator, hess_estimator,
 def make_estimators(variant, problem, config, rng, resolved: _Resolved | None = None):
     """Estimator callables for a variant, sharing one sampling stream.
 
+    Every variant steps its gradient and Hessian estimates by an
+    :class:`~strbench.estimators.Schedule`: ``exact_tr`` resets to the exact
+    differentials at every step, ``subsampled`` to fresh batches of
+    ``sub_s1``/``sub_s2`` draws (default n), and ``str1``/``str2`` follow the
+    paper's schedules, ``str2`` through the Hessian-corrected gradient step.
     The gradient estimator draws before the Hessian estimator inside each
     iteration, so runs are reproducible from (config, seed).  ``variant`` must
     be ``config.variant``, and a batch size above n is a ``ValueError``
@@ -345,45 +351,30 @@ def make_estimators(variant, problem, config, rng, resolved: _Resolved | None = 
     n = problem.n
     check_batch_sizes(config, n)
     if variant == "exact_tr":
-        return (
-            lambda x, counters: full_gradient(problem, x, counters),
-            lambda x, counters: full_hessian(problem, x, counters),
-        )
-    if variant == "subsampled":
-        s1 = config.sub_s1 if config.sub_s1 is not None else n
-        s2 = config.sub_s2 if config.sub_s2 is not None else n
-
-        def sub_grad(x, counters):
-            return batch_gradient(problem, x, rng.integers(0, n, size=s1), counters)
-
-        def sub_hess(x, counters):
-            return batch_hessian(problem, x, rng.integers(0, n, size=s2), counters)
-
-        return sub_grad, sub_hess
-
-    res = resolved if resolved is not None else resolve_config(problem, config)
-    K0 = 2 * res.K
-    kg = config.kappa_grad if config.kappa_grad is not None else 1.0
-    kh = config.kappa_hess if config.kappa_hess is not None else 1.0
-    hsched = config.hess_schedule or est.hessian_schedule(
-        n, problem.d, config.epsilon, res.lip.L1, res.lip.L2, config.delta, K0,
-        kappa=kh, force_option=config.hess_option,
-    )
-    if variant == "str1":
-        gsched = config.grad_schedule or est.gradient_schedule_case1(
-            n, config.epsilon, res.lip.L1, res.lip.L2, config.delta, K0, kappa=kg,
-        )
-        gstate = est.GradEstimatorState(schedule=gsched)
-        grad_fn = lambda x, counters: est.spider_step(gstate, problem, x, counters, rng)
+        gsched = hsched = est.Schedule(1, n)
+    elif variant == "subsampled":
+        gsched = est.Schedule(1, n, config.sub_s1 or n)
+        hsched = est.Schedule(1, n, config.sub_s2 or n)
     else:
-        gsched = config.grad_schedule or est.gradient_schedule_case2(
-            n, config.delta, K0, kappa=kg,
+        res = resolved if resolved is not None else resolve_config(problem, config)
+        K0 = 2 * res.K
+        kg = config.kappa_grad if config.kappa_grad is not None else 1.0
+        kh = config.kappa_hess if config.kappa_hess is not None else 1.0
+        hsched = config.hess_schedule or est.hessian_schedule(
+            n, problem.d, config.epsilon, res.lip.L1, res.lip.L2, config.delta, K0,
+            kappa=kh, force_option=config.hess_option,
         )
-        gstate = est.GradEstimatorState(schedule=gsched)
-        grad_fn = lambda x, counters: est.corrected_step(gstate, problem, x, counters, rng)
-    hstate = est.HessEstimatorState(schedule=hsched)
-    hess_fn = lambda x, counters: est.hessian_estimate_step(hstate, problem, x, counters, rng)
-    return grad_fn, hess_fn
+        gsched = config.grad_schedule or (
+            est.gradient_schedule_case1(n, config.epsilon, res.lip.L1, res.lip.L2,
+                                        config.delta, K0, kappa=kg)
+            if variant == "str1" else est.gradient_schedule_case2(n, config.delta, K0, kappa=kg)
+        )
+    grad_step = est.corrected_step if variant == "str2" else est.spider_step
+    gstate, hstate = est.EstimatorState(gsched), est.EstimatorState(hsched)
+    return (
+        lambda x, counters: grad_step(gstate, problem, x, counters, rng),
+        lambda x, counters: est.hessian_estimate_step(hstate, problem, x, counters, rng),
+    )
 
 
 def run(variant: str, problem: FiniteSumProblem, config: RunConfig) -> RunResult:

@@ -1,9 +1,13 @@
 """Variance-reduced differential estimators and their sample-size schedules.
 
-All estimators are epoch based: an exact (or large-batch) reset at the start
-of each epoch, then recurrent corrections.  Every sampled step draws ONE
-index multiset (with replacement) and evaluates both endpoints on it, which
-is what makes the telescoping error a martingale.
+All estimators share one epoch recurrence, set by a :class:`Schedule` of
+``p`` steps per epoch.  The first step resets, with an exact full pass
+(``reset=None``) or a fresh batch of ``reset`` draws; the other ``p - 1`` are
+recurrent corrections on ``s`` draws each.  Exact differentials are
+``Schedule(1, n)`` and the subsampled baseline ``Schedule(1, n, batch)``: every
+step resets.  Every recurrent step draws ONE index multiset (with replacement)
+and evaluates both endpoints on it, which is what makes the telescoping error
+a martingale.
 
 Schedules enforce the per-step accuracy targets ``||g - grad F|| <= eps/6``
 and ``||H - hess F|| <= sqrt(eps L2)/3`` with probability ``1 - delta/K0``
@@ -32,50 +36,30 @@ SPIDER_CONSTANT = 1152  # concentration constant c in the gradient schedules
 
 
 @dataclass(frozen=True)
-class HessSchedule:
-    option: str  # "I" (exact reset) or "II" (subsampled reset)
-    p2: int
-    s2: int
-    s2_prime: int | None
+class Schedule:
+    """One estimator's epoch: ``p`` steps, the first a reset, the others
+    recurrent steps on ``s`` shared draws.  ``reset=None`` resets with an exact
+    full pass, an integer with a fresh batch of that many draws."""
+
+    p: int
+    s: int
+    reset: int | None = None
 
     def __post_init__(self):
-        if self.option not in ("I", "II"):
-            raise ValueError("option must be 'I' or 'II'")
-        if self.p2 < 1 or self.s2 < 1:
-            raise ValueError("p2 and s2 must be >= 1")
-        if self.option == "II" and (self.s2_prime is None or self.s2_prime < 1):
-            raise ValueError("option II needs s2_prime >= 1")
-
-
-@dataclass(frozen=True)
-class GradSchedule:
-    case: int  # 1 = plain recurrent, 2 = Hessian-corrected
-    p1: int
-    s1: int
-
-    def __post_init__(self):
-        if self.case not in (1, 2):
-            raise ValueError("case must be 1 or 2")
-        if self.p1 < 1 or self.s1 < 1:
-            raise ValueError("p1 and s1 must be >= 1")
+        if self.p < 1 or self.s < 1:
+            raise ValueError("p and s must be >= 1")
+        if self.reset is not None and self.reset < 1:
+            raise ValueError("a sampled reset needs >= 1 draws")
 
 
 @dataclass
-class GradEstimatorState:
-    schedule: GradSchedule
+class EstimatorState:
+    schedule: Schedule
     k_in_epoch: int = 0
-    g_prev: np.ndarray | None = None
-    x_prev: np.ndarray | None = None
-    x_ref: np.ndarray | None = None  # case 2 epoch reference point
-    H_ref: np.ndarray | None = None  # case 2 cached full Hessian at x_ref
-
-
-@dataclass
-class HessEstimatorState:
-    schedule: HessSchedule
-    k_in_epoch: int = 0
-    H_prev: np.ndarray | None = None
-    x_prev: np.ndarray | None = None
+    prev: np.ndarray | None = None  # the last estimate
+    x_prev: np.ndarray | None = None  # the point it was taken at
+    x_ref: np.ndarray | None = None  # corrected_step's epoch reference point
+    H_ref: np.ndarray | None = None  # and its full Hessian there
 
 
 def _validate_schedule_args(epsilon, delta, kappa):
@@ -101,7 +85,7 @@ def hessian_schedule(
     K0: int,
     kappa: float = 1.0,
     force_option: str | None = None,
-) -> HessSchedule:
+) -> Schedule:
     """Epoch length and sample sizes for the recurrent Hessian estimator.
 
     Option I:  p2 = ceil(sqrt(n)),             s2 = ceil(32 sqrt(n) log(d K0/delta)).
@@ -110,7 +94,8 @@ def hessian_schedule(
                s2  = ceil(32 L1/sqrt(eps L2) log(d K0/delta)).
 
     The option with the smaller amortized cost 2 s2 wins (ties go to I).
-    Sample sizes are scaled by kappa and always capped at n.
+    Sample sizes are scaled by kappa and always capped at n.  Option I resets
+    with the exact Hessian, option II with a fresh batch of s2' draws.
     """
     _validate_schedule_args(epsilon, delta, kappa)
     if n < 1 or d < 1 or L1 <= 0 or L2 <= 0 or K0 < 1:
@@ -130,9 +115,9 @@ def hessian_schedule(
     else:
         option = force_option
     if option == "I":
-        return HessSchedule("I", p2_i, s2_i, None)
+        return Schedule(p2_i, s2_i)
     if option == "II":
-        return HessSchedule("II", p2_ii, s2_ii, s2p_ii)
+        return Schedule(p2_ii, s2_ii, s2p_ii)
     raise ValueError(f"unknown option {force_option!r}")
 
 
@@ -144,7 +129,7 @@ def gradient_schedule_case1(
     delta: float,
     K0: int,
     kappa: float = 1.0,
-) -> GradSchedule:
+) -> Schedule:
     """Schedule for the plain recurrent gradient estimator.
 
     p1 = max(1, ceil(sqrt(n eps L2 / (c L1^2 log(K0/delta))))) and
@@ -164,7 +149,7 @@ def gradient_schedule_case1(
         p1 = max(1, math.ceil(math.sqrt(n * epsilon * L2 / (c * L1 * L1 * lg))))
         if s1 >= n:
             p1 = 1  # a full pass every step, no sampling
-    return GradSchedule(1, p1, s1)
+    return Schedule(p1, s1)
 
 
 def gradient_schedule_case2(
@@ -172,7 +157,7 @@ def gradient_schedule_case2(
     delta: float,
     K0: int,
     kappa: float = 1.0,
-) -> GradSchedule:
+) -> Schedule:
     """Schedule for the Hessian-corrected gradient estimator.
 
     p1 = ceil(n^0.25), s1 = min(n, ceil(kappa n^0.75 c log(K0/delta))), c = 1152.
@@ -183,20 +168,46 @@ def gradient_schedule_case2(
     lg = math.log(K0 / delta)
     p1 = max(1, math.ceil(n**0.25))
     s1 = _sized(n**0.75 * SPIDER_CONSTANT * lg, kappa, n)
-    return GradSchedule(2, p1, s1)
+    return Schedule(p1, s1)
 
 
-def _draw(rng: np.random.Generator, n: int, size: int) -> np.ndarray:
-    return rng.integers(0, n, size=size)
+def _epoch_step(state: EstimatorState, problem, x_k, rng, reset, recur) -> np.ndarray:
+    """The shared epoch recurrence.  At the epoch start the estimate is
+    ``reset(x_k, idx)``, with ``idx`` None for an exact pass or the schedule's
+    fresh batch; at any other step it is ``recur(x_k, idx)`` on ``s`` new draws."""
+    x_k = np.asarray(x_k, dtype=float)
+    if x_k.shape != (problem.d,):
+        raise ValueError(f"x_k must have shape ({problem.d},)")
+    sch = state.schedule
+    if state.k_in_epoch == 0:
+        est = reset(x_k, None if sch.reset is None
+                    else rng.integers(0, problem.n, size=sch.reset))
+    else:
+        if state.prev is None or state.x_prev is None:
+            raise RuntimeError("estimator state lacks previous step data")
+        est = recur(x_k, rng.integers(0, problem.n, size=sch.s))
+    state.prev = est
+    state.x_prev = np.array(x_k, copy=True)
+    state.k_in_epoch = (state.k_in_epoch + 1) % sch.p
+    return est
 
 
-def _advance(state, x_k: np.ndarray, period: int):
-    state.x_prev = np.array(x_k, dtype=float, copy=True)
-    state.k_in_epoch = (state.k_in_epoch + 1) % period
+def _recurrent_step(state, problem, x_k, counters, rng, full, batch) -> np.ndarray:
+    """Reset to ``full`` (or ``batch`` on a fresh batch), then step
+    ``batch(x_k; G) - batch(x_prev; G) + prev`` on one multiset G."""
+
+    def reset(x, idx):
+        return full(problem, x, counters) if idx is None else batch(problem, x, idx, counters)
+
+    def recur(x, idx):  # one expression: each batch term is freed once subtracted
+        return (batch(problem, x, idx, counters)
+                - batch(problem, state.x_prev, idx, counters) + state.prev)
+
+    return _epoch_step(state, problem, x_k, rng, reset, recur)
 
 
 def hessian_estimate_step(
-    state: HessEstimatorState,
+    state: EstimatorState,
     problem: FiniteSumProblem,
     x_k,
     counters: OracleCounters,
@@ -204,37 +215,16 @@ def hessian_estimate_step(
 ) -> np.ndarray:
     """One step of the recurrent Hessian estimator.
 
-    Epoch start: option I takes the exact full Hessian (n queries), option II
-    a batch of s2' fresh samples.  Otherwise the previous estimate is updated
-    with the difference of two batch Hessians on one shared multiset of size
-    s2 (2 s2 queries).
+    Epoch start takes the exact full Hessian (n queries) or, with a sampled
+    reset (option II), a batch of s2' fresh samples.  Otherwise the previous
+    estimate is updated with the difference of two batch Hessians on one
+    shared multiset of size s2 (2 s2 queries).
     """
-    sch = state.schedule
-    x_k = np.asarray(x_k, dtype=float)
-    if x_k.shape != (problem.d,):
-        raise ValueError(f"x_k must have shape ({problem.d},)")
-    if state.k_in_epoch == 0:
-        if sch.option == "I":
-            H = full_hessian(problem, x_k, counters)
-        else:
-            idx = _draw(rng, problem.n, sch.s2_prime)
-            H = batch_hessian(problem, x_k, idx, counters)
-    else:
-        if state.H_prev is None or state.x_prev is None:
-            raise RuntimeError("estimator state lacks previous step data")
-        idx = _draw(rng, problem.n, sch.s2)
-        H = (
-            batch_hessian(problem, x_k, idx, counters)
-            - batch_hessian(problem, state.x_prev, idx, counters)
-            + state.H_prev
-        )
-    state.H_prev = H
-    _advance(state, x_k, sch.p2)
-    return H
+    return _recurrent_step(state, problem, x_k, counters, rng, full_hessian, batch_hessian)
 
 
 def spider_step(
-    state: GradEstimatorState,
+    state: EstimatorState,
     problem: FiniteSumProblem,
     x_k,
     counters: OracleCounters,
@@ -242,31 +232,15 @@ def spider_step(
 ) -> np.ndarray:
     """One step of the plain recurrent gradient estimator (case 1).
 
-    Epoch start computes the exact full gradient; otherwise
-    ``g_k = grad f(x_k; G) - grad f(x_prev; G) + g_prev`` on one multiset G.
+    Epoch start computes the exact full gradient (or a fresh batch one);
+    otherwise ``g_k = grad f(x_k; G) - grad f(x_prev; G) + g_prev`` on one
+    multiset G.
     """
-    sch = state.schedule
-    if sch.case != 1:
-        raise ValueError("state is not configured for case 1")
-    x_k = np.asarray(x_k, dtype=float)
-    if state.k_in_epoch == 0:
-        g = full_gradient(problem, x_k, counters)
-    else:
-        if state.g_prev is None or state.x_prev is None:
-            raise RuntimeError("estimator state lacks previous step data")
-        idx = _draw(rng, problem.n, sch.s1)
-        g = (
-            batch_gradient(problem, x_k, idx, counters)
-            - batch_gradient(problem, state.x_prev, idx, counters)
-            + state.g_prev
-        )
-    state.g_prev = g
-    _advance(state, x_k, sch.p1)
-    return g
+    return _recurrent_step(state, problem, x_k, counters, rng, full_gradient, batch_gradient)
 
 
 def corrected_step(
-    state: GradEstimatorState,
+    state: EstimatorState,
     problem: FiniteSumProblem,
     x_k,
     counters: OracleCounters,
@@ -275,31 +249,28 @@ def corrected_step(
     """One step of the Hessian-corrected gradient estimator (case 2).
 
     Epoch start caches the reference point, its exact gradient and its exact
-    Hessian.  Recurrent steps add the correction
-    ``c_k = [hess F(x_ref) - hess f(x_ref; G)] (x_k - x_prev)`` to the plain
-    recurrence, with the batch term as a Hessian-vector product on the same
-    multiset G (s1 extra second-order queries).
+    Hessian, so the schedule must reset with an exact pass.  Recurrent steps
+    add the correction ``c_k = [hess F(x_ref) - hess f(x_ref; G)] (x_k - x_prev)``
+    to the plain recurrence, with the batch term as a Hessian-vector product on
+    the same multiset G (s1 extra second-order queries).
     """
-    sch = state.schedule
-    if sch.case != 2:
-        raise ValueError("state is not configured for case 2")
-    x_k = np.asarray(x_k, dtype=float)
-    if state.k_in_epoch == 0:
-        state.x_ref = np.array(x_k, copy=True)
-        g = full_gradient(problem, x_k, counters)
-        state.H_ref = full_hessian(problem, x_k, counters)
-    else:
-        if state.g_prev is None or state.x_prev is None:
-            raise RuntimeError("estimator state lacks previous step data")
+    if state.schedule.reset is not None:
+        raise ValueError("corrected_step resets with an exact pass, not a sampled batch")
+
+    def reset(x, _):
+        state.x_ref = np.array(x, copy=True)
+        g = full_gradient(problem, x, counters)
+        state.H_ref = full_hessian(problem, x, counters)
+        return g
+
+    def recur(x, idx):
         if state.H_ref is None or state.x_ref is None:
             raise RuntimeError("estimator state lacks the cached epoch Hessian")
-        idx = _draw(rng, problem.n, sch.s1)
         # x_prev first: a problem that keeps its last three full passes then
         # drops x_prev's, not x_ref's, when the next iterate's pass arrives
         g_prev_point = batch_gradient(problem, state.x_prev, idx, counters)
-        dx = x_k - state.x_prev
+        dx = x - state.x_prev
         correction = state.H_ref @ dx - batch_hvp(problem, state.x_ref, idx, dx, counters)
-        g = batch_gradient(problem, x_k, idx, counters) - g_prev_point + state.g_prev + correction
-    state.g_prev = g
-    _advance(state, x_k, sch.p1)
-    return g
+        return batch_gradient(problem, x, idx, counters) - g_prev_point + state.prev + correction
+
+    return _epoch_step(state, problem, x_k, rng, reset, recur)

@@ -74,14 +74,13 @@ KINDS = ("logistic_nc", "nls_nc", "synthetic_quad")
 
 @dataclass
 class OracleCounters:
-    """Counts of single-component oracle queries (gradient / Hessian / value)."""
+    """Counts of single-component gradient (sfo) and Hessian (sso) queries."""
 
     sfo: int = 0
     sso: int = 0
-    fval: int = 0
 
-    def snapshot(self) -> tuple[int, int, int]:
-        return (self.sfo, self.sso, self.fval)
+    def snapshot(self) -> tuple[int, int]:
+        return (self.sfo, self.sso)
 
 
 @dataclass(frozen=True)
@@ -426,8 +425,9 @@ def batch_hvp(problem, x, idx, v, counters: OracleCounters) -> np.ndarray:
 
 
 def full_value(problem, x, counters: OracleCounters) -> float:
+    """F(x).  Values lie outside the sfo/sso budget: ``counters`` keeps the
+    signature of the other full oracles, and nothing is billed to it."""
     x = _check_point(problem, x)
-    counters.fval += problem.n
     return float(problem._data_values(x).mean() + problem._reg_term(x, "value"))
 
 

@@ -23,10 +23,8 @@ from strbench.driver import (
     verify_sosp,
 )
 from strbench.estimators import (
-    GradEstimatorState,
-    GradSchedule,
-    HessEstimatorState,
-    HessSchedule,
+    EstimatorState,
+    Schedule,
     corrected_step,
     gradient_schedule_case1,
     gradient_schedule_case2,
@@ -283,26 +281,26 @@ def test_criterion_5_estimator_accuracy():
                                      force_option=option)
             cases.append((
                 f"hessian option {option}",
-                lambda s=sched: HessEstimatorState(schedule=s),
+                lambda s=sched: EstimatorState(schedule=s),
                 lambda st, pb, x, c, rng: (
                     hessian_estimate_step(st, pb, x, c, rng), hess_err),
-                sched.p2,
+                sched.p,
                 h_thr,
             ))
         g1 = gradient_schedule_case1(n, eps, lip.L1, lip.L2, delta, K0)
         cases.append((
             "gradient case 1",
-            lambda: GradEstimatorState(schedule=g1),
+            lambda: EstimatorState(schedule=g1),
             lambda st, pb, x, c, rng: (spider_step(st, pb, x, c, rng), grad_err),
-            g1.p1,
+            g1.p,
             g_thr,
         ))
         g2 = gradient_schedule_case2(n, delta, K0)
         cases.append((
             "gradient case 2",
-            lambda: GradEstimatorState(schedule=g2),
+            lambda: EstimatorState(schedule=g2),
             lambda st, pb, x, c, rng: (corrected_step(st, pb, x, c, rng), grad_err),
-            g2.p1,
+            g2.p,
             g_thr,
         ))
         for name, make_state, step_fn, epoch_len, threshold in cases:
@@ -324,8 +322,8 @@ def test_criterion_6_full_batch_degeneracy(descent_experiment, run_path):
         exact, exact_path = run_path(prob, RunConfig(variant="exact_tr", epsilon=eps, seed=0))
         same, same_path = run_path(prob, RunConfig(
             variant="str1", epsilon=eps, seed=0,
-            grad_schedule=GradSchedule(case=1, p1=1, s1=prob.n),
-            hess_schedule=HessSchedule("I", p2=1, s2=prob.n, s2_prime=None),
+            grad_schedule=Schedule(p=1, s=prob.n),
+            hess_schedule=Schedule(p=1, s=prob.n),
         ))
         assert same.stop_reason == exact.stop_reason
         assert len(same_path) == len(exact_path)
@@ -353,8 +351,8 @@ def test_criterion_7_oracle_accounting(tmp_path):
             K = 40  # common multiple of p1 and p2: whole epochs only
             cfg = RunConfig(
                 variant="str1", epsilon=1e-9, seed=1, K_override=K,
-                grad_schedule=GradSchedule(case=1, p1=p1, s1=s1),
-                hess_schedule=HessSchedule(option, p2=p2, s2=s2, s2_prime=s2_prime),
+                grad_schedule=Schedule(p=p1, s=s1),
+                hess_schedule=Schedule(p=p2, s=s2, reset=s2_prime),
             )
             res = run("str1", prob, cfg)
             assert len(res.trace) == K

@@ -363,7 +363,7 @@ def test_overflowing_lipschitz_bounds_fail_the_run(tmp_path, capsys, extra):
     assert entry["failed"] is True
     assert "L1" in entry["error"] or "L2" in entry["error"]
     assert entry["iterations"] == 0
-    assert entry["counters"] == {"sfo": 0, "sso": 0, "fval": 0}
+    assert entry["counters"] == {"sfo": 0, "sso": 0}
 
 
 @pytest.mark.parametrize("variant, epsilon, name", [
@@ -383,7 +383,7 @@ def test_epsilon_past_the_iteration_cap_range_fails_the_run(tmp_path, capsys, va
     assert entry["error"].startswith(f"{name}=")
     assert entry["error"].endswith("is not finite and positive")
     assert entry["iterations"] == 0
-    assert entry["counters"] == {"sfo": 0, "sso": 0, "fval": 0}
+    assert entry["counters"] == {"sfo": 0, "sso": 0}
 
 
 def test_aborted_run_reports_partial_counters(tmp_path, monkeypatch):
@@ -445,6 +445,8 @@ def test_index_too_large_to_densify_exits_2(tmp_path, capsys):
     {"delta_hat": 1.0},   # the cap's gap is F(x0)
     {"variant": "subsampled", "sub_s1": 2**62},  # a batch past the n = 200 rows
     {"variant": "subsampled", "sub_s2": 201},
+    {"K_override": 0},  # an iteration cap below 1 is a bad option, not a numeric abort
+    {"K_override": -3},
 ])
 def test_bad_variant_option_fails_the_run(tmp_path, capsys, option):
     # the good variant listed first does not run either: a spec runs whole or not at all

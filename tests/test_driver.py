@@ -14,11 +14,13 @@ from strbench.driver import (
     run_inexact_tr_expectation,
     verify_sosp,
 )
-from strbench.estimators import GradSchedule, HessSchedule
+from strbench.estimators import Schedule
 from strbench.problems import (
     FiniteSumProblem,
     LipschitzBounds,
     OracleCounters,
+    batch_gradient,
+    batch_hessian,
     from_dataset,
     full_gradient,
     full_hessian,
@@ -145,8 +147,8 @@ def test_full_batch_schedules_reproduce_exact(logistic_small, run_path):
     _, exact = run_path(logistic_small, RunConfig(variant="exact_tr", epsilon=eps, seed=0))
     forced = RunConfig(
         variant="str1", epsilon=eps, seed=0,
-        grad_schedule=GradSchedule(case=1, p1=1, s1=logistic_small.n),
-        hess_schedule=HessSchedule("I", p2=1, s2=logistic_small.n, s2_prime=None),
+        grad_schedule=Schedule(p=1, s=logistic_small.n),
+        hess_schedule=Schedule(p=1, s=logistic_small.n),
     )
     _, same = run_path(logistic_small, forced)
     assert len(same) == len(exact)
@@ -183,6 +185,51 @@ def test_subsampled_uses_fixed_fresh_batches(logistic_small):
     for a, b in zip(res.trace, res.trace[1:]):
         per_iter.append((b.sfo - a.sfo, b.sso - a.sso))
     assert all(p == (40, 30) for p in per_iter)
+
+
+def _closure_estimators(variant, problem, config, rng):
+    """The per-variant closures the baselines were once wired with, kept as the
+    reference for their epoch-recurrence wiring: an exact or a fresh-batch oracle
+    call at every step."""
+    n = problem.n
+    if variant == "exact_tr":
+        return (lambda x, counters: full_gradient(problem, x, counters),
+                lambda x, counters: full_hessian(problem, x, counters))
+    s1 = config.sub_s1 if config.sub_s1 is not None else n
+    s2 = config.sub_s2 if config.sub_s2 is not None else n
+    return (
+        lambda x, counters: batch_gradient(problem, x, rng.integers(0, n, size=s1), counters),
+        lambda x, counters: batch_hessian(problem, x, rng.integers(0, n, size=s2), counters),
+    )
+
+
+@pytest.mark.parametrize("kind", ["logistic_nc", "nls_nc"])
+@pytest.mark.parametrize("variant,sizes", [
+    ("exact_tr", {}),
+    ("subsampled", {}),  # n draws: the sampled gradient is summed by multiplicity
+    ("subsampled", {"sub_s1": 30, "sub_s2": 17}),  # gathered batches
+])
+def test_baselines_match_their_per_variant_closures(kind, variant, sizes):
+    ds = generate_synthetic(120, 6, seed=5)
+    cfg = RunConfig(variant=variant, epsilon=1e-2, **sizes)
+    walk = np.random.default_rng(9).standard_normal((6, 6)) * 0.2  # six steps in d = 6
+    outputs, streams = [], []
+    for wire in (make_estimators, _closure_estimators):
+        # a problem each, so neither sequence reads the other's full-pass record
+        prob = from_dataset(ds, kind, reg_lambda=1e-3)
+        rng = np.random.default_rng(4)
+        g_fn, h_fn = wire(variant, prob, cfg, rng)
+        c, seen, x = OracleCounters(), [], np.full(prob.d, 0.1)
+        for step in walk:
+            seen.append((g_fn(x, c), h_fn(x, c), c.snapshot()))
+            x = x + step
+        outputs.append(seen)
+        streams.append(rng.bit_generator.state)
+    new, old = outputs
+    for (g, H, counts), (g_ref, H_ref, counts_ref) in zip(new, old, strict=True):
+        assert g.tobytes() == g_ref.tobytes() and H.tobytes() == H_ref.tobytes()
+        assert counts == counts_ref
+    assert streams[0] == streams[1]
 
 
 @pytest.mark.parametrize("sizes", [{"sub_s1": 201}, {"sub_s2": 201}, {"sub_s1": 2**62}])
@@ -364,7 +411,6 @@ def test_non_finite_objective_aborts():
     {"lipschitz": LipschitzBounds(1.0, math.inf)},
     {"epsilon": 1e-300, "lipschitz": LipschitzBounds(1.0, 1e300)},  # r = sqrt(eps/L2) = 0
     {"epsilon": 1e300, "lipschitz": LipschitzBounds(1.0, 1e-300)},  # r = inf
-    {"K_override": 0},
     {"epsilon": 1e-250},  # eps**1.5 underflows: the cap from F(x0) is not finite
 ])
 def test_resolve_config_rejects_non_finite_or_non_positive(logistic_small, overrides):
@@ -510,6 +556,7 @@ def test_non_finite_iterate_aborts(logistic_small, monkeypatch):
     {"K_override": True},  # booleans are not integers here
     {"sub_s1": True},
     {"epsilon": "x"},
+    {"K_override": 0},  # a cap below one iteration is a bad option, not a numeric abort
 ])
 def test_config_rejects_bad_option(overrides):
     with pytest.raises(ValueError):
@@ -535,8 +582,8 @@ def test_variant_argument_must_match_the_config(logistic_small, call):
 
 
 _SCHEDULES = {
-    "grad_schedule": GradSchedule(case=1, p1=2, s1=3),
-    "hess_schedule": HessSchedule("I", p2=2, s2=3, s2_prime=None),
+    "grad_schedule": Schedule(p=2, s=3),
+    "hess_schedule": Schedule(p=2, s=3),
 }
 _STOCHASTIC_KNOBS = {"kappa_grad": 0.5, "kappa_hess": 0.01, "hess_option": "II", **_SCHEDULES}
 

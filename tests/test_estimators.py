@@ -6,10 +6,8 @@ import pytest
 
 from strbench.datasets import generate_synthetic
 from strbench.estimators import (
-    GradEstimatorState,
-    GradSchedule,
-    HessEstimatorState,
-    HessSchedule,
+    EstimatorState,
+    Schedule,
     corrected_step,
     gradient_schedule_case1,
     gradient_schedule_case2,
@@ -56,27 +54,28 @@ def test_hessian_schedule_frozen_values():
     # n=10000, d=100, eps=1e-2, L1=L2=1, delta=0.1, K0=1000
     # log(d K0 / delta) = ln(1e6) = 13.815510557964274
     sched_i = hessian_schedule(10000, 100, 1e-2, 1.0, 1.0, 0.1, 1000, force_option="I")
-    assert sched_i.p2 == 100
-    assert sched_i.s2 == 10000  # ceil(3200 * 13.8155...) = 44210, capped at n
+    assert sched_i.p == 100
+    assert sched_i.s == 10000  # ceil(3200 * 13.8155...) = 44210, capped at n
+    assert sched_i.reset is None  # option I resets with the exact Hessian
     uncapped = hessian_schedule(10**8, 100, 1e-2, 1.0, 1.0, 0.1, 1000, force_option="I")
-    assert uncapped.s2 == math.ceil(32 * 10**4 * math.log(100 * 1000 / 0.1))
+    assert uncapped.s == math.ceil(32 * 10**4 * math.log(100 * 1000 / 0.1))
     sched_ii = hessian_schedule(10000, 100, 1e-2, 1.0, 1.0, 0.1, 1000, force_option="II")
-    assert sched_ii.p2 == 5  # ceil(1 / (2 sqrt(1e-2)))
-    assert sched_ii.s2 == 4421  # ceil(320 * 13.8155...)
-    assert sched_ii.s2_prime == 10000  # ceil(1600 * 13.8155...) = 22105, capped
-    # амortized 2 s2: option II (8842) beats option I (20000)
+    assert sched_ii.p == 5  # ceil(1 / (2 sqrt(1e-2)))
+    assert sched_ii.s == 4421  # ceil(320 * 13.8155...)
+    assert sched_ii.reset == 10000  # s2' = ceil(1600 * 13.8155...) = 22105, capped
+    # amortized 2 s2: option II (8842) beats option I (20000)
     auto = hessian_schedule(10000, 100, 1e-2, 1.0, 1.0, 0.1, 1000)
-    assert auto.option == "II"
+    assert auto == sched_ii
 
 
 def test_hessian_schedule_option_selection_flip():
     # L1/sqrt(eps L2) < sqrt(n) makes option II cheaper, matching log factors
     small_ratio = hessian_schedule(10_000, 10, 1.0, 1.0, 1.0, 0.1, 10)
     assert 1.0 / math.sqrt(1.0) < math.sqrt(10_000)
-    assert small_ratio.option == "II"
+    assert small_ratio.reset is not None  # option II: a sampled reset
     big_ratio = hessian_schedule(16, 10, 1e-8, 10.0, 1.0, 0.1, 10)
     assert 10.0 / math.sqrt(1e-8) > math.sqrt(16)
-    assert big_ratio.option == "I"
+    assert big_ratio.reset is None  # option I: an exact reset
 
 
 def test_hessian_schedule_rejects_bad_args():
@@ -91,16 +90,16 @@ def test_hessian_schedule_rejects_bad_args():
 def test_case1_frozen_values():
     # n=1e6, eps=1e-2, L1=L2=1, delta=0.1, K0=100: log = ln(1000) = 6.907755...
     sched = gradient_schedule_case1(1_000_000, 1e-2, 1.0, 1.0, 0.1, 100)
-    assert sched.s1 == 892062  # ceil(sqrt(1152e6 * 6.907755.../1e-2))
-    assert sched.p1 == 2  # ceil(sqrt(1e4 / 7957.73...)) = ceil(1.1210)
-    assert sched.case == 1
+    assert sched.s == 892062  # ceil(sqrt(1152e6 * 6.907755.../1e-2))
+    assert sched.p == 2  # ceil(sqrt(1e4 / 7957.73...)) = ceil(1.1210)
+    assert sched.reset is None
 
 
 def test_case1_saturation_full_gradient():
     # c L1^2 log(K0/delta) / (eps L2) >= n forces s1 = n, p1 = 1
     sched = gradient_schedule_case1(100, 1e-3, 1.0, 1.0, 0.1, 1000)
-    assert sched.s1 == 100
-    assert sched.p1 == 1
+    assert sched.s == 100
+    assert sched.p == 1
 
 
 def test_case1_amortization_identity():
@@ -112,31 +111,31 @@ def test_case1_amortization_identity():
         L2 = 10.0 ** rng.uniform(-1, 1)
         K0 = int(rng.integers(2, 100_000))
         sched = gradient_schedule_case1(n, eps, L1, L2, 0.1, K0)
-        if sched.s1 < n:
-            assert sched.s1 * sched.p1 >= n
+        if sched.s < n:
+            assert sched.s * sched.p >= n
 
 
 def test_case1_practical_rescales_epoch():
     sched = gradient_schedule_case1(1000, 1e-3, 1.0, 1.0, 0.1, 100, kappa=0.002)
-    assert 1 <= sched.s1 < 1000
-    assert sched.s1 * sched.p1 >= 1000
+    assert 1 <= sched.s < 1000
+    assert sched.s * sched.p >= 1000
 
 
 def test_case2_frozen_values():
     # constructed so log(K0/delta) == 1
     delta = 2.0 / math.e
     sched = gradient_schedule_case2(16, delta, 2)
-    assert sched.p1 == 2
-    assert sched.s1 == 16  # min(16, ceil(8 * 1152 * 1))
+    assert sched.p == 2
+    assert sched.s == 16  # min(16, ceil(8 * 1152 * 1))
     big = gradient_schedule_case2(100_000_000, delta, 2)
-    assert big.p1 == 100
-    assert big.s1 == 100_000_000  # capped at n
+    assert big.p == 100
+    assert big.s == 100_000_000  # capped at n
 
 
 def test_case2_sizes_always_positive():
     for n in (1, 2, 7, 31):
         sched = gradient_schedule_case2(n, 0.5, 10)
-        assert sched.p1 >= 1 and 1 <= sched.s1 <= n
+        assert sched.p >= 1 and 1 <= sched.s <= n
 
 
 # -- step behavior -------------------------------------------------------------
@@ -144,8 +143,8 @@ def test_case2_sizes_always_positive():
 
 def test_hessian_step_constant_hessian_identity():
     prob = quadratic_problem(10, 4, seed=0)
-    sched = HessSchedule("I", p2=3, s2=2, s2_prime=None)
-    state = HessEstimatorState(schedule=sched)
+    sched = Schedule(p=3, s=2)
+    state = EstimatorState(schedule=sched)
     rng = np.random.default_rng(0)
     c = OracleCounters()
     x = np.zeros(4)
@@ -156,8 +155,8 @@ def test_hessian_step_constant_hessian_identity():
 
 
 def test_hessian_step_zero_displacement(logistic20):
-    sched = HessSchedule("I", p2=5, s2=3, s2_prime=None)
-    state = HessEstimatorState(schedule=sched)
+    sched = Schedule(p=5, s=3)
+    state = EstimatorState(schedule=sched)
     rng = np.random.default_rng(1)
     c = OracleCounters()
     x = np.full(logistic20.d, 0.2)
@@ -168,8 +167,8 @@ def test_hessian_step_zero_displacement(logistic20):
 
 def test_hessian_step_counters_and_epoch(logistic20):
     n = logistic20.n
-    sched = HessSchedule("II", p2=3, s2=4, s2_prime=7)
-    state = HessEstimatorState(schedule=sched)
+    sched = Schedule(p=3, s=4, reset=7)
+    state = EstimatorState(schedule=sched)
     rng = np.random.default_rng(2)
     c = OracleCounters()
     x = np.zeros(logistic20.d)
@@ -182,8 +181,8 @@ def test_hessian_step_counters_and_epoch(logistic20):
 
 
 def test_spider_zero_displacement(logistic20):
-    sched = GradSchedule(case=1, p1=4, s1=5)
-    state = GradEstimatorState(schedule=sched)
+    sched = Schedule(p=4, s=5)
+    state = EstimatorState(schedule=sched)
     rng = np.random.default_rng(3)
     c = OracleCounters()
     x = np.full(logistic20.d, -0.1)
@@ -195,8 +194,8 @@ def test_spider_zero_displacement(logistic20):
 
 def test_spider_full_cover_telescopes(logistic20):
     n, d = logistic20.n, logistic20.d
-    sched = GradSchedule(case=1, p1=4, s1=n)
-    state = GradEstimatorState(schedule=sched)
+    sched = Schedule(p=4, s=n)
+    state = EstimatorState(schedule=sched)
     cover = np.random.default_rng(4).permutation(n)  # each component exactly once
     rng = FixedDraws(cover)
     c = OracleCounters()
@@ -210,8 +209,8 @@ def test_spider_full_cover_telescopes(logistic20):
 
 def test_corrected_exact_on_quadratic():
     prob = quadratic_problem(12, 3, seed=6)
-    sched = GradSchedule(case=2, p1=5, s1=2)
-    state = GradEstimatorState(schedule=sched)
+    sched = Schedule(p=5, s=2)
+    state = EstimatorState(schedule=sched)
     rng = np.random.default_rng(7)
     c = OracleCounters()
     x = np.zeros(3)
@@ -223,8 +222,8 @@ def test_corrected_exact_on_quadratic():
 
 
 def test_corrected_zero_displacement_zero_correction(logistic20):
-    sched = GradSchedule(case=2, p1=4, s1=6)
-    state = GradEstimatorState(schedule=sched)
+    sched = Schedule(p=4, s=6)
+    state = EstimatorState(schedule=sched)
     rng = np.random.default_rng(8)
     c = OracleCounters()
     x = np.full(logistic20.d, 0.3)
@@ -235,8 +234,8 @@ def test_corrected_zero_displacement_zero_correction(logistic20):
 
 def test_corrected_counters(logistic20):
     n = logistic20.n
-    sched = GradSchedule(case=2, p1=3, s1=4)
-    state = GradEstimatorState(schedule=sched)
+    sched = Schedule(p=3, s=4)
+    state = EstimatorState(schedule=sched)
     rng = np.random.default_rng(9)
     c = OracleCounters()
     x = np.zeros(logistic20.d)
@@ -247,25 +246,25 @@ def test_corrected_counters(logistic20):
 
 
 def test_corrected_requires_cached_hessian(logistic20):
-    sched = GradSchedule(case=2, p1=3, s1=4)
-    state = GradEstimatorState(
+    sched = Schedule(p=3, s=4)
+    state = EstimatorState(
         schedule=sched, k_in_epoch=1,
-        g_prev=np.zeros(logistic20.d), x_prev=np.zeros(logistic20.d),
+        prev=np.zeros(logistic20.d), x_prev=np.zeros(logistic20.d),
     )
     with pytest.raises(RuntimeError):
         corrected_step(state, logistic20, np.ones(logistic20.d),
                        OracleCounters(), np.random.default_rng(0))
 
 
-def test_case_mismatch_rejected(logistic20):
-    s1 = GradEstimatorState(schedule=GradSchedule(case=1, p1=2, s1=2))
-    with pytest.raises(ValueError):
-        corrected_step(s1, logistic20, np.zeros(logistic20.d),
-                       OracleCounters(), np.random.default_rng(0))
-    s2 = GradEstimatorState(schedule=GradSchedule(case=2, p1=2, s1=2))
-    with pytest.raises(ValueError):
-        spider_step(s2, logistic20, np.zeros(logistic20.d),
-                    OracleCounters(), np.random.default_rng(0))
+def test_corrected_step_refuses_a_sampled_reset(logistic20):
+    # its epoch start caches the exact gradient and Hessian at x_ref, which a
+    # fresh batch would not give: refused before any draw or oracle call
+    state = EstimatorState(schedule=Schedule(p=2, s=2, reset=3))
+    rng, c = FixedDraws(), OracleCounters()
+    with pytest.raises(ValueError, match="exact pass"):
+        corrected_step(state, logistic20, np.zeros(logistic20.d), c, rng)
+    assert rng.calls == 0 and c == OracleCounters()
+    assert state == EstimatorState(schedule=Schedule(p=2, s=2, reset=3))
 
 
 # -- unbiasedness by exhaustive enumeration -------------------------------------
@@ -283,9 +282,9 @@ def test_spider_one_step_unbiased_enumeration():
     acc = np.zeros(3)
     count = 0
     for draw in itertools.product(range(n), repeat=s1):
-        state = GradEstimatorState(
-            schedule=GradSchedule(case=1, p1=10, s1=s1),
-            k_in_epoch=1, g_prev=g_prev.copy(), x_prev=x_prev.copy(),
+        state = EstimatorState(
+            schedule=Schedule(p=10, s=s1),
+            k_in_epoch=1, prev=g_prev.copy(), x_prev=x_prev.copy(),
         )
         g = spider_step(state, prob, x_new, OracleCounters(), FixedDraws(list(draw)))
         acc += g
@@ -309,9 +308,9 @@ def test_hessian_one_step_unbiased_enumeration():
     acc = np.zeros((2, 2))
     count = 0
     for draw in itertools.product(range(n), repeat=s2):
-        state = HessEstimatorState(
-            schedule=HessSchedule("I", p2=10, s2=s2, s2_prime=None),
-            k_in_epoch=1, H_prev=H_prev.copy(), x_prev=x_prev.copy(),
+        state = EstimatorState(
+            schedule=Schedule(p=10, s=s2),
+            k_in_epoch=1, prev=H_prev.copy(), x_prev=x_prev.copy(),
         )
         H = hessian_estimate_step(state, prob, x_new, OracleCounters(), FixedDraws(list(draw)))
         acc += H
@@ -330,8 +329,8 @@ def test_hessian_one_step_unbiased_enumeration():
 def test_same_multiset_replay(logistic20):
     """One rng draw per sampled step; replaying it reproduces the estimate."""
     n = logistic20.n
-    sched = GradSchedule(case=1, p1=4, s1=7)
-    state = GradEstimatorState(schedule=sched)
+    sched = Schedule(p=4, s=7)
+    state = EstimatorState(schedule=sched)
     rng = np.random.default_rng(77)
     c = OracleCounters()
     x0 = np.zeros(logistic20.d)
@@ -353,22 +352,22 @@ def test_same_multiset_replay(logistic20):
 def test_epoch_reset_zero_error(logistic20):
     x = np.full(logistic20.d, 0.4)
     for sched, step in [
-        (GradSchedule(case=1, p1=3, s1=2), spider_step),
-        (GradSchedule(case=2, p1=3, s1=2), corrected_step),
+        (Schedule(p=3, s=2), spider_step),
+        (Schedule(p=3, s=2), corrected_step),
     ]:
-        state = GradEstimatorState(schedule=sched)
+        state = EstimatorState(schedule=sched)
         g = step(state, logistic20, x, OracleCounters(), np.random.default_rng(0))
         assert np.allclose(g, full_gradient(logistic20, x, OracleCounters()), atol=1e-15)
-    hstate = HessEstimatorState(schedule=HessSchedule("I", p2=3, s2=2, s2_prime=None))
+    hstate = EstimatorState(schedule=Schedule(p=3, s=2))
     H = hessian_estimate_step(hstate, logistic20, x, OracleCounters(), np.random.default_rng(0))
     assert np.allclose(H, full_hessian(logistic20, x, OracleCounters()), atol=1e-15)
 
 
 @pytest.mark.parametrize("kind", ["logistic_nc", "nls_nc"])
 @pytest.mark.parametrize("step,schedule", [
-    (spider_step, GradSchedule(case=1, p1=3, s1=9)),
-    (corrected_step, GradSchedule(case=2, p1=3, s1=9)),
-    (hessian_estimate_step, HessSchedule("I", p2=3, s2=9, s2_prime=None)),
+    (spider_step, Schedule(p=3, s=9)),
+    (corrected_step, Schedule(p=3, s=9)),
+    (hessian_estimate_step, Schedule(p=3, s=9)),
 ])
 def test_recurrent_step_gathers_its_multiset_once(monkeypatch, kind, step, schedule):
     prob = from_dataset(generate_synthetic(50, 6, seed=31), kind, reg_lambda=1e-3)
@@ -381,8 +380,7 @@ def test_recurrent_step_gathers_its_multiset_once(monkeypatch, kind, step, sched
         return out
 
     monkeypatch.setattr(prob, "_rows", recording_rows)
-    state = (GradEstimatorState if isinstance(schedule, GradSchedule)
-             else HessEstimatorState)(schedule=schedule)
+    state = EstimatorState(schedule=schedule)
     S = np.array([0, 4, 4, 17, 23, 23, 23, 41, 49])
     c = OracleCounters()
     x = np.full(prob.d, 0.2)
@@ -397,8 +395,8 @@ def test_recurrent_step_gathers_its_multiset_once(monkeypatch, kind, step, sched
     assert np.array_equal(blocks[0], prob.X[S])
     grown = tuple(a - b for a, b in zip(c.snapshot(), before))
     s = len(S)
-    assert grown == {spider_step: (2 * s, 0, 0), corrected_step: (2 * s, s, 0),
-                     hessian_estimate_step: (0, 2 * s, 0)}[step]
+    assert grown == {spider_step: (2 * s, 0), corrected_step: (2 * s, s),
+                     hessian_estimate_step: (0, 2 * s)}[step]
 
 
 @pytest.mark.parametrize("kind", ["logistic_nc", "nls_nc"])
@@ -411,8 +409,7 @@ def test_large_batch_step_matches_the_gathered_formula(kind, step):
     S = np.concatenate([np.arange(0, n, 2), [3, 3]])
     T = np.concatenate([np.arange(1, n, 2), [0, 0]])
     assert len(S) == len(T) >= problems._MULTIPLICITY_SHARE * n
-    state = GradEstimatorState(schedule=GradSchedule(case=1 if step is spider_step else 2,
-                                                     p1=4, s1=len(S)))
+    state = EstimatorState(schedule=Schedule(p=4, s=len(S)))
     rng = np.random.default_rng(8)
     x_ref, x1, x2 = (rng.standard_normal(prob.d) * 0.5 for _ in range(3))
     c = OracleCounters()
@@ -422,7 +419,7 @@ def test_large_batch_step_matches_the_gathered_formula(kind, step):
     g2 = step(state, prob, x2, c, FixedDraws(T))  # x_prev = x1, not x_ref
     s = len(T)
     grown = tuple(a - b for a, b in zip(c.snapshot(), before))
-    assert grown == ((2 * s, 0, 0) if step is spider_step else (2 * s, s, 0))
+    assert grown == ((2 * s, 0) if step is spider_step else (2 * s, s))
     assert prob._gather is None and prob._counts[0] == T.tobytes()  # nothing gathered
 
     _, gk, _, _ = _ref_oracles(prob, x2, T, x2)

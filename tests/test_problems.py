@@ -186,7 +186,7 @@ def test_non_integer_indices_rejected(small_logistic, idx):
         batch_hessian(small_logistic, x, idx, c)
     with pytest.raises(IndexError, match="integers"):
         batch_hvp(small_logistic, x, idx, x, c)
-    assert c.snapshot() == (0, 0, 0)
+    assert c.snapshot() == (0, 0)
 
 
 @pytest.mark.parametrize("idx", [[1, 2], np.array([1, 2], dtype=np.int32),
@@ -215,7 +215,7 @@ def test_logistic_value_at_zero_is_log2():
     prob = from_dataset(ds, "logistic_nc", reg_lambda=0.0)
     c = OracleCounters()
     assert full_value(prob, np.zeros(5), c) == pytest.approx(math.log(2.0), abs=1e-14)
-    assert c.fval == 30
+    assert c == OracleCounters()  # values are not billed
 
 
 def test_nls_value_at_zero():
@@ -275,7 +275,7 @@ def test_counter_exactness_composite(small_logistic):
     batch_hessian(small_logistic, x, [0, 1], c)
     batch_hvp(small_logistic, x, [5], x, c)
     full_value(small_logistic, x, c)
-    assert c.snapshot() == (3, 3, small_logistic.n)
+    assert c.snapshot() == (3, 3)
 
 
 # -- Lipschitz bounds ----------------------------------------------------------
@@ -482,7 +482,7 @@ def test_oracles_bitwise_equal_reference(kind, n, d, lam, order):
         assert_bitwise(batch_gradient(prob, x, full, c), g)
         assert_hessian_matches(prob, x, full, batch_hessian(prob, x, full, c), H)
         assert_bitwise(batch_hvp(prob, x, full, v, c), hv)
-        assert c.snapshot() == (2 * n, 3 * n, n)
+        assert c.snapshot() == (2 * n, 3 * n)
         _, g, H, hv = _ref_oracles(prob, x, multiset, v)
         assert_summed_matches(prob, x, multiset, None, batch_gradient(prob, x, multiset, c), g)
         assert_hessian_matches(prob, x, multiset, batch_hessian(prob, x, multiset, c), H)
@@ -554,7 +554,7 @@ def test_full_pass_record_matches_record_free_calls(kind, lam):
             assert_bitwise(batch_gradient(prob, x, idx, c),
                            _record_free(prob, lambda p, x, c: batch_gradient(p, x, idx, c), x))
     k = len(points)
-    assert c.snapshot() == (k * (prob.n + 3 * len(idx)), k * prob.n, k * prob.n)
+    assert c.snapshot() == (k * (prob.n + 3 * len(idx)), k * prob.n)
 
 
 @pytest.mark.parametrize("kind", ["logistic_nc", "nls_nc"])
@@ -700,7 +700,7 @@ def test_gather_record_matches_record_free_calls(kind, lam):
                                _record_free_batch(prob, oracle, x, idx, v))
             full_gradient(prob, x, c)
     rows = len(points) * sum(len(idx) for idx in multisets)
-    assert c.snapshot() == (rows + len(points) * len(multisets) * prob.n, 2 * rows, 0)
+    assert c.snapshot() == (rows + len(points) * len(multisets) * prob.n, 2 * rows)
 
 
 @pytest.mark.parametrize("kind", ["logistic_nc", "nls_nc"])
