@@ -106,6 +106,9 @@ class RunConfig:
             if getattr(self, name) is not None and getattr(self, schedule) is not None:
                 raise ValueError(f"{name} is not read by variant {self.variant!r} next to "
                                  f"{schedule}, which overrides it")
+        if self.variant == "str2" and getattr(self.grad_schedule, "reset", None) is not None:
+            raise ValueError("str2's grad_schedule must reset with an exact pass, "
+                             "not a sampled batch")
         if self.mode not in ("theory", "practical"):
             raise ValueError("mode must be 'theory' or 'practical'")
         if self.hess_option not in (None, "I", "II"):

@@ -6,7 +6,12 @@ Solves ``min_{||h|| <= r} <g, h> + 0.5 <H h, h>`` two ways:
   scaled to the unit ball (``u = h / r``, every entry at most 1), a
   safeguarded Newton iteration on the reciprocal secular equation
   ``1/||u(mu)|| - 1`` (More-Sorensen style), with explicit hard-case
-  handling, and a gate on the unit problem's KKT conditions.
+  handling, and a gate on the unit problem's KKT conditions.  From
+  ``d = _KRYLOV_MIN_D`` on it first solves in g's Krylov space (one Lanczos
+  chain, cf. GLTR, Gould, Lucidi, Roma & Toint 1999) and proves the lifted
+  step globally optimal with one Cholesky factorization of ``H + mu I``
+  shifted down by a rounding margin; a case that proof cannot cover, such
+  as the hard case, takes the eigendecomposition.
 * :func:`solve_trs_lanczos` -- matrix-free Krylov method with full
   reorthogonalization; column m >= 2 of the basis is ``H q_{m-2}``, so g's
   chain takes the even columns and a random probe's the odd ones.  The
@@ -38,11 +43,28 @@ _MAX_SECULAR_ITERS = 200
 # pad, about sqrt(2 deficit), adds (mu + lambda_1) times its length to the
 # stationarity residual.
 _PAD_RTOL = 1e-12
+# From this dimension on, solve_trs_exact first solves in g's Krylov space,
+# with no d x d eigendecomposition.  scripts/trs_crossover.py times both paths
+# per solve on exact_tr subproblems, one BLAS thread: eigen 3.4 ms and Krylov
+# 2.7 ms at d = 150, 1.1 and 1.4 ms at d = 100, 0.35 and 1.1 ms at d = 50.
+_KRYLOV_MIN_D = 150
+# The Krylov step stops growing once the lifted residual beta_m |u_m| is at
+# most this times sigma.  On the d = 400 benchmark subproblems its step then
+# lies within 3e-15 r of the eigen path's; at 1e-13 it lay within 8e-14 r.
+_KRYLOV_RTOL = 1e-15
+# A Krylov attempt gives up after this many steps, by which it has cost about
+# one d = 400 eigendecomposition (20 ms).  The benchmark's solves take 6 to 18.
+_KRYLOV_MAX_M = 64
 
 
 @dataclass(frozen=True)
 class KktResidual:
-    """Stationarity norm, lambda_min(H + mu I), and |mu (||h|| - r)|."""
+    """Stationarity norm, lambda_min(H + mu I), and |mu (||h|| - r)|.
+
+    On the Krylov path of :func:`solve_trs_exact` (``krylov_dim`` set) the
+    middle field is a lower bound on lambda_min(H + mu I), the margin its
+    factorization proved, not the eigenvalue.
+    """
 
     stationarity: float
     min_eig_shifted: float
@@ -224,7 +246,13 @@ def solve_trs_exact(g, H, r: float, L2: float, tol: float = MIN_TOL) -> TrsSolut
     Interior Newton step when the Hessian is definite and the step fits;
     otherwise the boundary multiplier is found on the secular equation, and
     (near-)hard cases are resolved by padding along a bottom eigenvector, all
-    on the unit ball (see :func:`_solve_in_eigenbasis`).  Raises
+    on the unit ball (see :func:`_solve_in_eigenbasis`).  At ``d >=
+    _KRYLOV_MIN_D`` the step is first sought in g's Krylov space with no d x d
+    eigendecomposition (see :func:`_krylov_solution`); a step found there
+    carries ``krylov_dim``, is proved globally optimal by a factorization of
+    ``H + mu I`` and passes the same gate.  Where that path finds none (g = 0,
+    hard or semidefinite cases, no convergence) the eigendecomposition
+    solves, so its pads, errors and results are those of smaller d.  Raises
     :class:`TrsNumericError` with the best iterate attached if the
     stationarity residual misses ``tol (||g|| + 1)`` (a NaN always misses),
     ``||h|| > r``, or ``mu > 0`` with ``||h|| < r``, each judged relative to r.
@@ -233,6 +261,11 @@ def solve_trs_exact(g, H, r: float, L2: float, tol: float = MIN_TOL) -> TrsSolut
     g = np.asarray(g, dtype=float)
     H = np.asarray(H, dtype=float)
     _check_inputs(g, r, L2, tol)
+    if g.size >= _KRYLOV_MIN_D:
+        H = _symmetric(H)
+        sol = _krylov_solution(g, H, r, L2, tol)
+        if sol is not None:
+            return sol
     w, V = sym_eig(H)
     return _solve_in_eigenbasis(g, w, V, r, L2, tol)
 
@@ -257,38 +290,8 @@ def _solve_in_eigenbasis(g, w, V, r, L2, tol) -> TrsSolution:
     def solution(ut, mu) -> TrsSolution:
         """The unit step ``V ut`` at multiplier ``mu``, gated, in the caller's units."""
         u = V @ ut
-        unorm = _norm(u)
-        Hu = V @ (w * (V.T @ u))
-        stationarity = _norm(Hu + mu * u + g)
-        mu_out = sigma * mu
-        sol = TrsSolution(
-            h=r * u,
-            mu=mu_out,
-            lambda_alg=2.0 * mu_out / L2,
-            on_boundary=unorm >= 1.0 - 1e-8,
-            kkt=KktResidual(stationarity * sigma * r, sigma * (lam1 + mu),
-                            mu_out * (r * abs(unorm - 1.0))),
-            model_decrease=float(g @ u + 0.5 * u @ Hu) * sigma * r * r,
-        )
-        # tol (||g|| + 1) divided by r sigma; written as ``not <=``, so a NaN
-        # residual or step norm fails the gate
-        if not stationarity <= tol * (gnorm + 1.0 / r / sigma):
-            raise TrsNumericError(
-                f"stationarity residual {sol.kkt.stationarity:.3e} above tolerance",
-                best=sol,
-            )
-        if not unorm <= 1.0 + 1e-8:
-            raise TrsNumericError(
-                f"step outside the trust region: ||h|| / r = {unorm:.3e} at r = {r:.3e}",
-                best=sol,
-            )
-        if mu > 0.0 and not sol.on_boundary:
-            raise TrsNumericError(
-                f"multiplier {mu_out:.3e} > 0 with a step inside the trust region: "
-                f"||h|| / r = {unorm:.3e}",
-                best=sol,
-            )
-        return sol
+        return _gated_solution(u, V @ (w * (V.T @ u)), mu, g, gnorm, sigma, r, L2, tol,
+                               sigma * (lam1 + mu))
 
     shifted = w + mu_lo  # exact zero on the bottom eigenvalue when lam1 <= 0
 
@@ -339,6 +342,131 @@ def _solve_in_eigenbasis(g, w, V, r, L2, tol) -> TrsSolution:
     else:
         ut = -gt / (shifted + delta)
     return solution(ut, mu_lo + delta)
+
+
+def _gated_solution(u, Hu, mu, g, gnorm, sigma, r, L2, tol, min_eig_shifted) -> TrsSolution:
+    """The step ``u`` at multiplier ``mu`` of the unit-ball problem with gradient
+    ``g`` (of norm ``gnorm``) and ``Hu`` its Hessian times ``u``, in the
+    caller's units: ``h = r u`` and multiplier ``sigma mu``.
+
+    Raises :class:`TrsNumericError`, the solution attached, unless the
+    stationarity residual meets ``tol (||g|| + 1)`` in the caller's units
+    (divided by ``r sigma`` here; a NaN residual or step norm always misses),
+    ``||u|| <= 1 + 1e-8``, and ``mu > 0`` comes with a boundary step.
+    """
+    unorm = _norm(u)
+    stationarity = _norm(Hu + mu * u + g)
+    mu_out = sigma * mu
+    sol = TrsSolution(
+        h=r * u,
+        mu=mu_out,
+        lambda_alg=2.0 * mu_out / L2,
+        on_boundary=unorm >= 1.0 - 1e-8,
+        kkt=KktResidual(stationarity * sigma * r, min_eig_shifted,
+                        mu_out * (r * abs(unorm - 1.0))),
+        model_decrease=float(g @ u + 0.5 * u @ Hu) * sigma * r * r,
+    )
+    # written as ``not <=``, so a NaN fails
+    if not stationarity <= tol * (gnorm + 1.0 / r / sigma):
+        raise TrsNumericError(
+            f"stationarity residual {sol.kkt.stationarity:.3e} above tolerance",
+            best=sol,
+        )
+    if not unorm <= 1.0 + 1e-8:
+        raise TrsNumericError(
+            f"step outside the trust region: ||h|| / r = {unorm:.3e} at r = {r:.3e}",
+            best=sol,
+        )
+    if mu > 0.0 and not sol.on_boundary:
+        raise TrsNumericError(
+            f"multiplier {mu_out:.3e} > 0 with a step inside the trust region: "
+            f"||h|| / r = {unorm:.3e}",
+            best=sol,
+        )
+    return sol
+
+
+def _krylov_solution(g, H, r, L2, tol) -> TrsSolution | None:
+    """The global minimizer from g's Krylov space, or None where that space
+    does not certify one.
+
+    One Lanczos chain from ``g / ||g||``: each new vector is orthogonalized
+    twice against the basis, which is stored by rows and grown by doubling,
+    and the tridiagonal is kept as two vectors.  At each size m the reduced
+    problem on the tridiagonal is solved exactly, on the unit ball of the scale
+    ``sigma = max(|theta_1|, |theta_m|, ||g|| / r)`` of its Ritz values, until
+    the lifted residual ``beta_m |u_m|`` is at most ``_KRYLOV_RTOL sigma``.
+    The lifted step is accepted only if a Cholesky factorization of
+    ``H + (mu - tau) I``, ``tau = 1e-12 sigma``, proves ``H + mu I`` positive
+    definite, so that the step is the unique global minimizer, and if it
+    passes the eigen path's gate (:func:`_gated_solution`).  Its
+    ``kkt.min_eig_shifted`` is then ``tau``, a lower bound on
+    ``lambda_min(H + mu I)``.  None on g = 0, on a reduced problem that is
+    hard or fails, on a failed factorization (a hard or semidefinite case) or
+    gate, and after ``_KRYLOV_MAX_M`` steps.
+    """
+    d = g.size
+    gnorm = _norm(g)
+    if gnorm == 0.0:
+        return None
+    m_max = min(d, _KRYLOV_MAX_M)
+    Q = np.empty((min(32, m_max), d))
+    alpha = np.empty(m_max)
+    beta = np.empty(m_max)
+    Q[0] = g / gnorm
+    for m in range(1, m_max + 1):
+        j = m - 1
+        v = H @ Q[j]
+        B = Q[:m]
+        c = B @ v
+        v -= B.T @ c
+        v -= B.T @ (B @ v)
+        alpha[j] = c[j]
+        beta[j] = _norm(v)
+        if not (math.isfinite(alpha[j]) and math.isfinite(beta[j])):
+            return None
+        T = np.diag(alpha[:m]) + np.diag(beta[:j], 1) + np.diag(beta[:j], -1)
+        try:
+            theta, U = np.linalg.eigh(T)
+        except np.linalg.LinAlgError:
+            return None
+        sigma = max(abs(float(theta[0])), abs(float(theta[-1])), gnorm / r) or 1.0
+        gt = np.zeros(m)
+        gt[0] = gnorm / r / sigma
+        theta = theta / sigma
+        try:
+            # sigma makes the largest of the reduced scales exactly 1, so the
+            # reduced solve at r = 1 works on this unit problem unscaled
+            red = _solve_in_eigenbasis(gt, theta, U, 1.0, L2, tol)
+        except TrsNumericError:
+            return None
+        if red.mu <= -theta[0]:
+            # a hard case of the reduced problem: as lambda_1 <= theta_1,
+            # H + mu I is not positive definite, and no factorization certifies it
+            return None
+        if beta[j] * abs(red.h[-1]) <= _KRYLOV_RTOL * sigma:
+            break
+        if m == m_max or beta[j] == 0.0:
+            return None
+        if m == len(Q):
+            Q = np.concatenate([Q, np.empty((min(m, m_max - m), d))])
+        Q[m] = v / beta[j]
+    u = Q[:m].T @ red.h
+    mu = red.mu
+    tau = 1e-12 * sigma
+    shifted = H.copy()
+    shifted.flat[:: d + 1] += sigma * mu - tau
+    try:
+        np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        return None
+    g = g / r / sigma
+    try:
+        sol = _gated_solution(u, (H @ u) / sigma, mu, g, _norm(g), sigma, r, L2, tol, tau)
+    except TrsNumericError:
+        return None
+    sol.krylov_dim = m
+    return sol
 
 
 def _fresh_direction(rng, Q, m, d):

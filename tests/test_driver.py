@@ -563,6 +563,14 @@ def test_config_rejects_bad_option(overrides):
         RunConfig(variant="subsampled", **overrides)
 
 
+def test_config_refuses_str2_with_a_sampled_gradient_reset():
+    # corrected_step resets with an exact pass; the config says so before any run
+    with pytest.raises(ValueError, match="exact pass"):
+        RunConfig(variant="str2", grad_schedule=Schedule(2, 2, 3))
+    RunConfig(variant="str1", grad_schedule=Schedule(2, 2, 3))
+    RunConfig(variant="str2", grad_schedule=Schedule(2, 2))
+
+
 @pytest.mark.parametrize("name", ["r_override", "delta_hat", "solver_tol"])
 def test_config_has_one_setting_per_run_decision(name):
     # the radius is sqrt(eps/L2), the cap K_override or the one computed from

@@ -33,3 +33,14 @@ def test_sweep_kappa_runs():
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n")[0].split() == [
         "kappa", "iters", "sfo", "sso", "|grad|", "certified", "stop"]
+
+
+def test_trs_crossover_runs():
+    proc = run_script("trs_crossover.py", "--n", 60, "--dims", 5, 150, "--max-iters", 2,
+                      "--repeats", 1)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].split() == ["d", "solves", "eigen_ms", "krylov_ms", "krylov_dim",
+                                "fallbacks"]
+    assert [line.split()[0] for line in lines[1:3]] == ["5", "150"]
+    assert lines[-1].startswith("solve_trs_exact takes the Krylov path from d = ")

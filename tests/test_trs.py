@@ -732,6 +732,178 @@ def test_kkt_residual_tiny_radius_boundary_step():
     assert res.stationarity <= 1e-8 * (np.linalg.norm(g) + 1.0)
 
 
+# -- the Krylov path of solve_trs_exact ------------------------------------------
+
+KRYLOV_DIMS = [trs._KRYLOV_MIN_D, 2 * trs._KRYLOV_MIN_D]
+
+
+def _eigen_path(g, H, r):
+    return trs._solve_in_eigenbasis(g, *sym_eig(H), r, 0.7, trs.MIN_TOL)
+
+
+def _fields(sol):
+    """Every field of a solution, the step as bytes."""
+    return (sol.h.tobytes(), sol.mu, sol.lambda_alg, sol.on_boundary, sol.kkt,
+            sol.model_decrease, sol.converged, sol.krylov_dim)
+
+
+def _with_spectrum(rng, w):
+    V = np.linalg.qr(rng.standard_normal((len(w), len(w))))[0]
+    H = V @ np.diag(w) @ V.T
+    return (H + H.T) / 2.0, V
+
+
+def _easy_instance(rng, d, case):
+    """A subproblem whose solution has ``H + mu I`` definite: boundary on an
+    indefinite or definite H, or interior."""
+    w = rng.uniform(-1.0, 1.0, d) if case == "indefinite" else rng.uniform(0.5, 2.0, d)
+    H, _ = _with_spectrum(rng, w)
+    g = rng.standard_normal(d)
+    if case == "indefinite":
+        return g, H, 0.5
+    newton = np.linalg.norm(np.linalg.solve(H, g))
+    return g, H, (1.5 if case == "interior" else 0.5) * newton
+
+
+@pytest.fixture
+def eig_sizes(monkeypatch):
+    """The size of each matrix that solve_trs_exact hands to sym_eig."""
+    sizes = []
+
+    def recording(A):
+        sizes.append(len(A))
+        return sym_eig(A)
+
+    monkeypatch.setattr(trs, "sym_eig", recording)
+    return sizes
+
+
+@pytest.mark.parametrize("d", KRYLOV_DIMS)
+@pytest.mark.parametrize("case", ["indefinite", "definite", "interior"])
+def test_exact_krylov_path_matches_the_eigen_path(d, case, eig_sizes):
+    rng = np.random.default_rng(d)
+    for _ in range(3):
+        g, H, r = _easy_instance(rng, d, case)
+        sol = solve_trs_exact(g, H, r, 0.7)
+        ref = _eigen_path(g, H, r)
+        assert 1 <= sol.krylov_dim <= trs._KRYLOV_MAX_M
+        assert np.linalg.norm(sol.h - ref.h) <= 1e-13 * r
+        assert abs(sol.mu - ref.mu) <= 1e-12 * max(1.0, ref.mu)
+        assert sol.lambda_alg == 2.0 * sol.mu / 0.7
+        assert sol.on_boundary == ref.on_boundary == (case != "interior")
+        # on this path min_eig_shifted is the factorization's margin, a lower
+        # bound on lambda_min(H + mu I)
+        assert 0.0 < sol.kkt.min_eig_shifted <= kkt_residual(g, H, r, sol).min_eig_shifted
+        assert sol.kkt.stationarity <= 1e-8 * (np.linalg.norm(g) + 1.0)
+    assert eig_sizes == []  # no d x d eigendecomposition
+
+
+@pytest.mark.parametrize("d", KRYLOV_DIMS)
+@pytest.mark.parametrize("case", ["hard", "hard_spread", "singular"])
+def test_exact_krylov_uncertified_cases_are_the_eigen_path(d, case, eig_sizes):
+    # g orthogonal to the bottom eigenvector, the step without it inside the
+    # ball.  "hard": lambda_1 = -1 and three other eigenvalues, so g's Krylov
+    # space is invariant after three steps and the factorization refuses the
+    # step found there; the solution pads along the bottom eigenvector at
+    # mu = 1.  "hard_spread": the other eigenvalues spread close to -1, and
+    # rounding brings the bottom eigenvector into the space, where the
+    # reduced problem turns hard.  "singular": lambda_1 = 0, so H + mu I is
+    # only semidefinite at mu = 0
+    rng = np.random.default_rng(d + 1)
+    if case == "hard_spread":
+        w = rng.uniform(-0.9, 1.0, d)
+    else:
+        w = rng.choice([0.5, 1.0, 2.0], d)
+    w[0] = 0.0 if case == "singular" else -1.0
+    H, V = _with_spectrum(rng, w)
+    g = rng.standard_normal(d)
+    g -= (g @ V[:, 0]) * V[:, 0]
+    r = 2.0 * np.linalg.norm((V.T @ g)[1:] / (w[1:] - w[0]))
+    sol = solve_trs_exact(g, H, r, 0.7)
+    assert _fields(sol) == _fields(_eigen_path(g, H, r))
+    assert sol.krylov_dim is None
+    assert sol.mu == pytest.approx(0.0 if case == "singular" else 1.0, abs=1e-12)
+    assert sol.on_boundary or case == "singular"  # there, the sign of lambda_1's rounding decides
+    assert eig_sizes == [d]
+
+
+@pytest.mark.parametrize("d", KRYLOV_DIMS)
+@pytest.mark.parametrize("low", [-1.0, 0.5])
+def test_exact_krylov_zero_gradient_is_the_eigen_path(d, low, eig_sizes):
+    H, _ = _with_spectrum(np.random.default_rng(d), np.linspace(low, 2.0, d))
+    g = np.zeros(d)
+    sol = solve_trs_exact(g, H, 0.3, 0.7)
+    assert _fields(sol) == _fields(_eigen_path(g, H, 0.3))
+    assert sol.krylov_dim is None and sol.on_boundary == (low < 0.0)
+    assert eig_sizes == [d]
+
+
+def _fail_first_call(monkeypatch, name):
+    """Make the first call of ``trs.<name>`` raise TrsNumericError."""
+    fn = getattr(trs, name)
+    calls = []
+
+    def failing_first(*args):
+        calls.append(1)
+        if len(calls) == 1:
+            raise TrsNumericError(f"{name} failed")
+        return fn(*args)
+
+    monkeypatch.setattr(trs, name, failing_first)
+
+
+@pytest.mark.parametrize("failure", ["step_cap", "_solve_in_eigenbasis", "_gated_solution"])
+def test_exact_krylov_failure_falls_back_to_the_eigen_path(monkeypatch, eig_sizes, failure):
+    # a chain that does not converge within the step cap, a reduced solve that
+    # raises, and a lifted step that misses the gate each end in the eigen path
+    d = trs._KRYLOV_MIN_D
+    g, H, r = _easy_instance(np.random.default_rng(5), d, "indefinite")
+    ref = _eigen_path(g, H, r)
+    if failure == "step_cap":
+        monkeypatch.setattr(trs, "_KRYLOV_MAX_M", 2)
+    else:
+        _fail_first_call(monkeypatch, failure)
+    assert _fields(solve_trs_exact(g, H, r, 0.7)) == _fields(ref)
+    assert eig_sizes == [d]
+
+
+@pytest.mark.parametrize("d", [trs._KRYLOV_MIN_D - 1, trs._KRYLOV_MIN_D])
+@pytest.mark.parametrize("defect,message", [
+    ("asymmetric", "not symmetric"), ("nan", "non-finite matrix"), ("inf", "non-finite matrix"),
+])
+def test_exact_refuses_a_bad_matrix_on_both_paths(d, defect, message):
+    H = np.eye(d)
+    if defect == "asymmetric":
+        H[0, 1] = 1e-3
+    else:
+        H[0, 1] = H[1, 0] = math.nan if defect == "nan" else math.inf
+    with pytest.raises(ValueError, match=message):
+        solve_trs_exact(np.ones(d), H, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("d", [2, 30, trs._KRYLOV_MIN_D - 1])
+def test_exact_below_the_krylov_dimension_is_the_eigen_path(d):
+    rng = np.random.default_rng(d)
+    for case in ("indefinite", "definite", "interior"):
+        g, H, r = _easy_instance(rng, d, case)
+        assert _fields(solve_trs_exact(g, H, r, 0.7)) == _fields(_eigen_path(g, H, r))
+
+
+def test_exact_krylov_path_scale_equivariance():
+    # solve(alpha g, (alpha / beta) H, beta r) = (beta h, (alpha / beta) mu), as
+    # on the eigen path
+    g, H, r = _easy_instance(np.random.default_rng(7), trs._KRYLOV_MIN_D, "indefinite")
+    base = solve_trs_exact(g, H, r, 1.0)
+    assert base.krylov_dim is not None
+    scales = (1e-150, 1.0, 1e150)
+    for alpha in scales:
+        for beta in scales:
+            sol = solve_trs_exact(alpha * g, (alpha / beta) * H, beta * r, 1.0)
+            assert np.linalg.norm(sol.h / beta - base.h) <= 1e-12 * np.linalg.norm(base.h)
+            assert abs(sol.mu / (alpha / beta) - base.mu) <= 1e-12 * base.mu
+            assert sol.on_boundary == base.on_boundary
+
+
 # -- Lanczos solver ------------------------------------------------------------
 
 
