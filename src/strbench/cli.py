@@ -211,7 +211,7 @@ def build_problem(spec: ExperimentSpec) -> FiniteSumProblem:
                 n=n, d=d, seed=seed,
                 separable=_json_bool(params.get("separable", False), "separable"),
             )
-        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (KeyError, TypeError, ValueError, OverflowError, MemoryError) as exc:
             raise SpecError(f"invalid synthetic dataset spec: {exc}") from exc
     elif spec.task == "synthetic_quad":
         raise SpecError("task synthetic_quad needs a 'synthetic' dataset")

@@ -167,30 +167,58 @@ def to_libsvm(dataset: Dataset) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
+def _row_dots(A: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``A[i] @ b[i]`` (or ``A[i] @ b`` for a vector ``b``) for every row, each
+    through the same dot kernel as a 1-D ``x @ x``, so bit for bit the same."""
+    return (A[:, None, :] @ b[..., :, None]).reshape(-1)
+
+
 def generate_synthetic(n: int, d: int, seed: int, separable: bool = False) -> Dataset:
     """Deterministic synthetic dataset: unit-norm Gaussian rows, labels from a
     random hyperplane, 10% label flips unless ``separable``.
 
     Rows with relative margin below ``0.05/sqrt(d)`` are redrawn so that the
     separable variant is strictly separable with a usable margin.
+
+    Stream contract: the generator of ``seed`` gives the unit normal ``w``
+    (``d`` draws), then candidate rows of ``d`` draws each, in order, until
+    ``n`` are accepted, then ``n`` uniforms for the label flips.  A candidate
+    is accepted if its norm is nonzero and its normalized margin ``|w @ x|``
+    is at least the floor.  Candidates are drawn in blocks straight into
+    ``X``: with ``a`` rows accepted, the next ``n - a`` candidates fill
+    ``X[a:]``, never more than the rows still needed take, and the accepted
+    ones move up over the rejected ones.  Norms and margins are row dots
+    through the kernel of ``x @ x``; a matrix-vector product or ``einsum``
+    sums in another order, so its last bit differs, which flips near-margin
+    rows and changes every row and label after them.
+
+    Raises :class:`DimensionError` if the ``(n, d)`` matrix cannot be
+    allocated.
     """
     if n < 1 or d < 1:
         raise ValueError("n and d must be >= 1")
+    try:
+        X = np.empty((n, d))
+    except (ValueError, MemoryError) as exc:
+        raise DimensionError(f"cannot allocate a dense {n} x {d} matrix: {exc}") from None
     rng = np.random.default_rng(seed)
     w = rng.standard_normal(d)
     w /= np.linalg.norm(w)
     margin = _MARGIN_FLOOR / math.sqrt(d)
-    X = np.empty((n, d))
-    for i in range(n):
-        while True:
-            x = rng.standard_normal(d)
-            nrm = np.linalg.norm(x)
-            if nrm == 0.0:
-                continue
-            x /= nrm
-            if abs(float(w @ x)) >= margin:
-                break
-        X[i] = x
+    a = 0  # rows accepted so far
+    while a < n:
+        C = X[a:]
+        rng.standard_normal(out=C)
+        nrm = np.sqrt(_row_dots(C, C))
+        ok = nrm > 0.0
+        np.divide(C, nrm[:, None], out=C, where=ok[:, None])
+        ok &= np.abs(_row_dots(C, w)) >= margin
+        rejected = (a + np.flatnonzero(~ok)).tolist()
+        # move each run of accepted rows up to row a, the end of those kept so far
+        for start, stop in zip([a] + [r + 1 for r in rejected], rejected + [n]):
+            if a != start:
+                X[a:a + stop - start] = X[start:stop]
+            a += stop - start
     y = np.where(X @ w > 0, 1.0, -1.0)
     if not separable:
         flips = rng.random(n) < 0.1

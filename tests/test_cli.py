@@ -422,6 +422,15 @@ def test_index_too_large_to_densify_exits_2(tmp_path, capsys):
     run_exits_2(spec, tmp_path / "o", capsys)
 
 
+@pytest.mark.parametrize("task", ["logistic_nc", "synthetic_quad"])
+def test_synthetic_too_large_to_allocate_exits_2(tmp_path, capsys, task):
+    # 8e15 bytes: above 2**47, so no overcommit setting lets it succeed, and below
+    # 2**63, so numpy reports a failed allocation rather than "array is too big"
+    spec = tmp_path / "spec.json"
+    write_spec(spec, task=task, dataset={"synthetic": {"n": 10**9, "d": 10**6}})
+    assert "allocate" in run_exits_2(spec, tmp_path / "o", capsys)
+
+
 # -- a bad variant option stops the whole spec before any run -----------------------
 
 

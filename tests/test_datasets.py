@@ -2,12 +2,14 @@ import io
 import math
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import strbench.datasets as ds_module
 from strbench.datasets import (
     Dataset,
     DimensionError,
@@ -277,7 +279,7 @@ def _ref_generate(n, d, seed, separable=False):
     rng = np.random.default_rng(seed)
     w = rng.standard_normal(d)
     w /= np.linalg.norm(w)
-    margin = 0.05 / math.sqrt(d)
+    margin = ds_module._MARGIN_FLOOR / math.sqrt(d)
     X = np.empty((n, d))
     for i in range(n):
         while True:
@@ -378,11 +380,59 @@ def test_parse_errors_match_tuple_reference(text):
 @pytest.mark.parametrize(
     "n,d,seed,separable",
     [(1, 1, 0, False), (4, 2, 7, False), (50, 6, 1, False), (200, 10, 1, True),
-     (300, 10, 5, False), (37, 400, 3, True)],
+     (300, 10, 5, False), (37, 400, 3, True),
+     (12000, 50, 8, False), (1000, 400, 8, False)],  # the tall and wide benchmark data
 )
 def test_synthetic_matches_tuple_reference(n, d, seed, separable):
     ds = generate_synthetic(n, d, seed, separable=separable)
     _assert_matches_reference(ds, _ref_generate(n, d, seed, separable))
+
+
+@pytest.mark.parametrize("n,d,seed,separable", [(500, 3, 0, False), (400, 20, 9, True)])
+def test_synthetic_matches_tuple_reference_over_many_redraw_rounds(monkeypatch, n, d, seed,
+                                                                   separable):
+    # a floor of 1.0 rejects about 2/3 of all candidates, so the blocks of
+    # candidates shrink over many rounds and often end in a rejected row
+    monkeypatch.setattr(ds_module, "_MARGIN_FLOOR", 1.0)
+    ds = generate_synthetic(n, d, seed, separable=separable)
+    _assert_matches_reference(ds, _ref_generate(n, d, seed, separable))
+
+
+@pytest.mark.parametrize("d", [16, 64])
+def test_synthetic_first_candidate_on_the_margin_floor_is_kept(monkeypatch, d):
+    # The floor is set so that the first candidate's margin, as the per-row
+    # ``w @ x`` computes it, equals it exactly (sqrt(d) is a power of two).  A
+    # matrix-vector product sums in another order and misses it by an ulp for
+    # some seeds, which would reject that row.
+    for seed in range(20):
+        rng = np.random.default_rng(seed)
+        w = rng.standard_normal(d)
+        w /= np.linalg.norm(w)
+        x = rng.standard_normal(d)
+        x /= np.linalg.norm(x)
+        monkeypatch.setattr(ds_module, "_MARGIN_FLOOR", math.sqrt(d) * abs(float(w @ x)))
+        ds = generate_synthetic(3, d, seed)
+        assert _same_bits(ds.X[0], x)
+        _assert_matches_reference(ds, _ref_generate(3, d, seed))
+
+
+def test_synthetic_traced_peak_stays_near_the_matrix():
+    # The per-row generator peaked at 1.148 X.nbytes on the tall benchmark data:
+    # X, the labels and the finiteness mask that Dataset checks.  Candidates are
+    # drawn into X and moved up in place, so blocks add no copy of X.
+    generate_synthetic(10, 5, 0)
+    tracemalloc.start()
+    try:
+        ds = generate_synthetic(12000, 50, 8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.15 * ds.X.nbytes
+
+
+def test_synthetic_too_large_to_allocate():
+    with pytest.raises(DimensionError, match="allocate"):
+        generate_synthetic(10**9, 10**6, seed=0)
 
 
 def test_to_libsvm_matches_tuple_reference_on_benchmark_file():
