@@ -17,9 +17,11 @@ The GLM kinds share one set of kernels and differ only in their entry of the
 link table ``_LINKS`` (margin, loss, gradient coefficient, Hessian weight).
 Every Hessian is bitwise symmetric.  Where the link's Hessian weight ``w`` is
 nonnegative by construction (logistic), the data Hessian is the Gram matrix
-``B'B`` with ``B = diag(sqrt(w/s)) X_S``, formed by one symmetric rank-k
-product; a signed weight (nls) takes the general product, symmetrized as
-``(A + A')/2``.
+``B'B`` with ``B = diag(sqrt(w/s)) X_S``, a sum of symmetric rank-k products;
+a signed weight (nls) sums general products, symmetrized as ``(A + A')/2``.
+Hessians and the analytic Lipschitz bound walk the rows in consecutive blocks
+(:func:`strbench.datasets.row_blocks`) and sum them in row order, so no
+temporary the size of ``X_S`` is made; a batch of one block is one product.
 Each call reads its rows of ``X`` at most once, and consecutive calls often
 share that read.  ``full_*`` oracles use ``X`` in place, and the problem keeps
 a record of its last three full passes (margins, sigmoid, data gradient),
@@ -48,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datasets import Dataset
+from .datasets import Dataset, row_blocks
 
 # sup |sigma''| and sup |sigma'''| over the real line (sigma = logistic).
 _SIG_D2_MAX = 1.0 / (6.0 * math.sqrt(3.0))
@@ -375,15 +377,26 @@ def _hessian(problem, x, idx, counters: OracleCounters) -> np.ndarray:
         H = np.diag(problem.quad_scales)
     else:
         Xs, w = problem._weights(x, idx)
-        if problem.link.gram:
-            # B'B with B = diag(sqrt(w/s)) X_S: numpy computes a buffer times its own
-            # transpose with syrk and mirrors the triangle, so H is bitwise symmetric
-            B = Xs * np.sqrt(w / len(w))[:, None]
-            H = B.T @ B
+        s, gram = len(w), problem.link.gram
+        if gram:
+            w = np.sqrt(w / s)
+
+        def block(b):
+            # Gram: B'B with B = diag(sqrt(w/s)) X_b; numpy computes a buffer times
+            # its own transpose with syrk and mirrors the triangle, so each block's
+            # product, and their sum, is bitwise symmetric
+            B = Xs[b] * w[b, None]
+            return B.T @ B if gram else B.T @ Xs[b]
+
+        first, *rest = row_blocks(s, problem.d)
+        H = block(first)
+        for b in rest:  # in row order; one block is the single product
+            H += block(b)
+        if gram:
             H.flat[:: problem.d + 1] += problem._reg_term(x, "diag")
-            counters.sso += len(w)
+            counters.sso += s
             return H
-        H = (Xs * w[:, None]).T @ Xs / len(w)
+        H /= s
     if problem.reg_lambda != 0.0:
         H = H + np.diag(problem._reg_term(x, "diag"))
     counters.sso += problem.n if idx is _ALL else len(idx)
@@ -398,9 +411,10 @@ def batch_gradient(problem, x, idx, counters: OracleCounters) -> np.ndarray:
 def batch_hessian(problem, x, idx, counters: OracleCounters) -> np.ndarray:
     """Average Hessian over the multiset, bitwise symmetric.
 
-    A link whose Hessian weight is nonnegative (logistic) forms it as one
-    symmetric rank-k product; the others symmetrize the general product as
-    (A + A')/2."""
+    The rows are taken in consecutive blocks (:func:`strbench.datasets.row_blocks`)
+    and the blocks' products summed in row order.  A link whose Hessian weight
+    is nonnegative (logistic) forms each as a symmetric rank-k product; the
+    others sum general products and symmetrize the total as (A + A')/2."""
     return _hessian(problem, _check_point(problem, x), _check_idx(problem, idx), counters)
 
 
@@ -454,12 +468,17 @@ def from_dataset(
     X = dataset.to_dense()
     if normalize_rows:
         # scale each row by the power of two of its max-abs first, so no square
-        # under- or overflows; the scaling is exact, so ordinary rows are unchanged
-        _, e = np.frexp(np.max(np.abs(X), axis=1, initial=0.0))
-        X = np.ldexp(X, -e[:, None])
-        norms = np.linalg.norm(X, axis=1)
-        norms[norms == 0.0] = 1.0
-        X = X / norms[:, None]
+        # under- or overflows; the scaling is exact, so ordinary rows are unchanged.
+        # Each block is written into the output, which also holds its |x|.
+        out = np.empty_like(X)
+        for b in row_blocks(*X.shape):
+            Xb, Ob = X[b], out[b]
+            _, e = np.frexp(np.abs(Xb, out=Ob).max(axis=1, initial=0.0))
+            np.ldexp(Xb, -e[:, None], out=Ob)
+            norms = np.linalg.norm(Ob, axis=1)
+            norms[norms == 0.0] = 1.0
+            Ob /= norms[:, None]
+        X = out
         X.flags.writeable = False  # nobody else holds it: no copy needed
     return FiniteSumProblem(
         kind, X=X, y=dataset.label_array(), reg_lambda=reg_lambda, reg_alpha=reg_alpha
@@ -499,7 +518,8 @@ def lipschitz_bounds(problem, mode: str = "analytic", seed: int = 0) -> Lipschit
             L1 = float(np.max(np.abs(problem.quad_scales)))
             L2 = _L_FLOOR
         else:
-            m = float(np.linalg.norm(problem.X, axis=1).max())
+            X = problem.X  # a row's norm reads only that row, so blocks change no bit
+            m = max(float(np.linalg.norm(X[b], axis=1).max()) for b in row_blocks(*X.shape))
             L1 = problem.link.l1 * (m * m) + reg_l1
             L2 = problem.link.l2 * (m * m * m) + reg_l2
         return LipschitzBounds(max(L1, _L_FLOOR), max(L2, _L_FLOOR), provenance="analytic")

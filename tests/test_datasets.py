@@ -17,6 +17,7 @@ from strbench.datasets import (
     generate_synthetic,
     load_libsvm,
     parse_libsvm,
+    row_blocks,
     to_libsvm,
 )
 
@@ -419,7 +420,8 @@ def test_synthetic_first_candidate_on_the_margin_floor_is_kept(monkeypatch, d):
 def test_synthetic_traced_peak_stays_near_the_matrix():
     # The per-row generator peaked at 1.148 X.nbytes on the tall benchmark data:
     # X, the labels and the finiteness mask that Dataset checks.  Candidates are
-    # drawn into X and moved up in place, so blocks add no copy of X.
+    # drawn into X and moved up in place, so blocks add no copy of X, and Dataset
+    # checks finiteness one row block at a time (1.063 X.nbytes).
     generate_synthetic(10, 5, 0)
     tracemalloc.start()
     try:
@@ -427,7 +429,28 @@ def test_synthetic_traced_peak_stays_near_the_matrix():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 1.15 * ds.X.nbytes
+    assert peak <= 1.08 * ds.X.nbytes
+
+
+@pytest.mark.parametrize("d", [1, 50, 128, 400])
+def test_row_blocks_cover_the_rows_in_order(d):
+    step = max(ds_module._BLOCK_ROWS, 16 * d)
+    for n in (0, 1, step - 1, step, step + 1, 3 * step + 7):
+        rows = [np.arange(n)[b] for b in row_blocks(n, d)]
+        assert np.array_equal(np.concatenate([np.arange(0)] + rows), np.arange(n))
+        assert [len(r) for r in rows] == [step] * (n // step) + [n % step] * (n % step > 0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_value_in_any_row_block_rejected(bad):
+    d = 3
+    B = row_blocks(10**5, d)[0].stop
+    for n in (B - 1, B + 1, 2 * B + 1):
+        for row in {0, B - 1, B, n - 1} & set(range(n)):
+            X = np.ones((n, d))
+            X[row, 1] = bad
+            with pytest.raises(ValueError, match="non-finite"):
+                Dataset(X, np.ones(n))
 
 
 def test_synthetic_too_large_to_allocate():

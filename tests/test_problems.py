@@ -1,10 +1,11 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from strbench import problems
-from strbench.datasets import Dataset, generate_synthetic
+from strbench.datasets import Dataset, generate_synthetic, row_blocks
 from strbench.problems import (
     FiniteSumProblem,
     OracleCounters,
@@ -803,6 +804,15 @@ def test_nls_value_reuses_the_pass_sigmoid(lam):
         assert_bitwise(full_gradient(prob, x, c), _record_free(prob, full_gradient, x))
 
 
+def _ref_normalize(X):
+    """Row normalization over the whole matrix at once, as first written."""
+    _, e = np.frexp(np.max(np.abs(X), axis=1, initial=0.0))
+    X = np.ldexp(X, -e[:, None])
+    norms = np.linalg.norm(X, axis=1)
+    norms[norms == 0.0] = 1.0
+    return X / norms[:, None]
+
+
 @pytest.mark.filterwarnings("error")  # no overflow in the row norms
 def test_normalize_rows_at_extreme_scales():
     X = np.array([[1e-170, 1e-170], [1e200, 1e200], [3.0, 4.0], [0.0, 0.0],
@@ -812,3 +822,111 @@ def test_normalize_rows_at_extreme_scales():
     assert np.allclose(prob.X, [[h, h], [h, h], [0.6, 0.8], [0.0, 0.0], [-1.0, 0.0],
                                 [h, -h]], rtol=2e-16, atol=0.0)
     assert prob.X[3].tobytes() == np.zeros(2).tobytes()  # an all-zero row stays as it is
+    # over several row blocks, with the extreme rows and a zero row in the last,
+    # partial one, the blocks write what one pass over the matrix writes
+    B = row_blocks(10**5, 2)[0].stop
+    rng = np.random.default_rng(3)
+    n = 2 * B + len(X)
+    big = rng.standard_normal((n, 2)) * 10.0 ** rng.integers(-300, 300, (n, 1))
+    big[B - 1] = big[B] = 0.0
+    big[2 * B:] = X
+    prob = from_dataset(Dataset(big, np.ones(n)), "logistic_nc", normalize_rows=True)
+    assert_bitwise(prob.X, _ref_normalize(big))
+    assert not prob.X.flags.writeable
+
+
+def test_normalize_rows_traced_peak_stays_near_the_matrix():
+    # the normalized matrix plus one row block: no whole-matrix temporary
+    ds = generate_synthetic(12000, 50, 8)
+    from_dataset(generate_synthetic(10, 5, 0), "logistic_nc", normalize_rows=True)
+    tracemalloc.start()
+    try:
+        from_dataset(ds, "logistic_nc", normalize_rows=True)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * ds.X.nbytes
+
+
+# -- row blocks ----------------------------------------------------------------
+#
+# Hessians and the analytic Lipschitz bound walk X in consecutive row blocks.
+# Up to one block they are the single product over all rows, bit for bit; beyond
+# it only the order of the block sums moves.
+
+
+def _single_product_hessian(prob, x, idx):
+    """The Hessian from one product over all rows of the batch, before blocks."""
+    Xs, w = prob._weights(x, idx)
+    reg = prob._reg_term(x, "diag")
+    if prob.link.gram:
+        B = Xs * np.sqrt(w / len(w))[:, None]
+        H = B.T @ B
+        H.flat[:: prob.d + 1] += reg
+        return H
+    H = (Xs * w[:, None]).T @ Xs / len(w)
+    if prob.reg_lambda != 0.0:
+        H = H + np.diag(reg)
+    return (H + H.T) / 2.0
+
+
+@pytest.mark.parametrize("kind", ["logistic_nc", "nls_nc"])
+@pytest.mark.parametrize("lam", [0.0, 1e-3])
+def test_hessian_row_blocks_match_the_single_product(kind, lam):
+    d = 5
+    B = row_blocks(10**5, d)[0].stop
+    rng = np.random.default_rng(4)
+    for n in (B - 1, B, B + 1, 2 * B + 1):
+        prob = _glm(kind, lam, n=n, d=d, seed=n)
+        x = rng.standard_normal(d)
+        multiset = rng.integers(0, n, size=n)  # as long as n, with repeated rows
+        c = OracleCounters()
+        for idx, H in ((problems._ALL, full_hessian(prob, x, c)),
+                       (multiset, batch_hessian(prob, x, multiset, c))):
+            ref = _single_product_hessian(prob, x, idx)
+            if n <= B:
+                assert_bitwise(H, ref)
+            else:
+                assert np.max(np.abs(H - ref)) <= 1e-14 * np.max(np.abs(ref))
+            assert np.array_equal(H, H.T)
+        assert c.snapshot() == (0, 2 * n)
+
+
+def test_lipschitz_bounds_equal_the_unblocked_row_norm_max(monkeypatch):
+    d = 3
+    B = row_blocks(10**5, d)[0].stop
+    rng = np.random.default_rng(5)
+    for n in (1, B - 1, B, B + 1, 2 * B + 1):
+        X = rng.standard_normal((n, d)) * 10.0 ** rng.integers(-3, 3, (n, 1))
+        for longest in {0, B - 1, B, n - 1} & set(range(n)):  # a block's first or last row
+            Xl = X.copy()
+            Xl[longest] *= 1e6
+            for kind in ("logistic_nc", "nls_nc"):
+                prob = FiniteSumProblem(kind, X=Xl, y=np.ones(n), reg_lambda=1e-3)
+                got = lipschitz_bounds(prob)
+                with monkeypatch.context() as m:
+                    m.setattr(problems, "row_blocks", lambda n, d: [slice(None)])
+                    ref = lipschitz_bounds(prob)
+                assert (got.L1, got.L2) == (ref.L1, ref.L2)
+
+
+def _traced_peak(call):
+    """Peak bytes allocated during ``call()``; memory held before it is not traced."""
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind", ["logistic_nc", "nls_nc"])
+def test_full_hessian_and_lipschitz_traced_peaks_stay_below_the_matrix(kind):
+    # a whole-matrix temporary (a scaled copy of X, or the squares behind the row
+    # norms) would take X.nbytes by itself; row blocks take a fifth of it
+    prob = from_dataset(generate_synthetic(12000, 50, 8), kind)
+    x = np.random.default_rng(6).standard_normal(prob.d) * 0.3
+    full_gradient(prob, x, OracleCounters())  # the full pass at x is recorded
+    limit = 0.35 * prob.X.nbytes
+    assert _traced_peak(lambda: full_hessian(prob, x, OracleCounters())) <= limit
+    assert _traced_peak(lambda: lipschitz_bounds(prob)) <= limit
