@@ -6,12 +6,13 @@ radius ``sqrt(eps/L2)``, dual-threshold stop) on ``logistic_nc`` over
 ``generate_synthetic(n, d)`` and keeps its subproblems.  Each subproblem is then
 solved by the eigen path (``sym_eig`` and the eigenbasis solve) and by the
 Krylov path (``_krylov_solution``), and the median wall time per solve of each
-is printed.  The smallest d at which the Krylov path wins is where
-``trs._KRYLOV_MIN_D`` belongs.  BLAS runs on one thread unless the
+is printed, with ``step_us``, the median Krylov time per Lanczos step (over the
+solves that path certifies).  The smallest d at which the Krylov path wins is
+where ``trs._KRYLOV_MIN_D`` belongs.  BLAS runs on one thread unless the
 environment already sets ``OPENBLAS_NUM_THREADS``.
 
 Example:
-    python scripts/trs_crossover.py --dims 30 50 100 150 200 400
+    python scripts/trs_crossover.py --dims 30 50 100 125 150 200 400
 """
 
 import argparse
@@ -62,7 +63,8 @@ def krylov_path(g, H, r, L2):
     return trs._krylov_solution(g, trs._symmetric(H), r, L2, trs.MIN_TOL)
 
 
-def median_ms(solve, subproblems, repeats):
+def best_times(solve, subproblems, repeats):
+    """The best of ``repeats`` wall times of each subproblem's solve, in s."""
     times = []
     for g, H, r, L2 in subproblems:
         best = math.inf
@@ -71,7 +73,7 @@ def median_ms(solve, subproblems, repeats):
             solve(g, H, r, L2)
             best = min(best, time.perf_counter() - t0)
         times.append(best)
-    return 1e3 * float(np.median(times))
+    return times
 
 
 def main(argv=None) -> int:
@@ -86,16 +88,19 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     print(f"{'d':>5} {'solves':>6} {'eigen_ms':>9} {'krylov_ms':>9} {'krylov_dim':>10} "
-          f"{'fallbacks':>9}")
+          f"{'step_us':>8} {'fallbacks':>9}")
     for d in args.dims:
         subproblems = exact_tr_subproblems(args.n, d, args.data_seed, args.epsilon,
                                            args.max_iters)
         krylov = [krylov_path(*sp) for sp in subproblems]
         dims = [s.krylov_dim for s in krylov if s is not None]
+        krylov_s = best_times(krylov_path, subproblems, args.repeats)
+        step_s = [t / s.krylov_dim for t, s in zip(krylov_s, krylov) if s is not None]
         print(f"{d:>5} {len(subproblems):>6} "
-              f"{median_ms(eigen_path, subproblems, args.repeats):>9.2f} "
-              f"{median_ms(krylov_path, subproblems, args.repeats):>9.2f} "
+              f"{1e3 * np.median(best_times(eigen_path, subproblems, args.repeats)):>9.2f} "
+              f"{1e3 * np.median(krylov_s):>9.2f} "
               f"{float(np.median(dims)) if dims else math.nan:>10g} "
+              f"{1e6 * np.median(step_s) if step_s else math.nan:>8.1f} "
               f"{len(krylov) - len(dims):>9}")
     print(f"solve_trs_exact takes the Krylov path from d = {trs._KRYLOV_MIN_D}")
     return 0

@@ -9,7 +9,8 @@ experiment spec, every variant option included, then executes each of its
 long-format CSV with the objective gap against the best value seen anywhere.
 
 Exit codes: 2 any bad input (an unreadable or invalid spec, dataset, variant
-option or trace, or ``--threads`` below 1), with nothing run or written; 1 a
+option or trace, an ``--out`` that cannot be created or written, or
+``--threads`` below 1), with nothing run or written; 1 a
 run aborted numerically, reported in ``summary.json``; 0 otherwise (a failed
 certificate is reported, not an error).
 """
@@ -303,7 +304,11 @@ def run_experiment(spec_path, out_dir="out", threads: int = 1) -> int:
         return 2
 
     out = Path(out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # e.g. an existing file of that name
+        print(f"error: cannot create output directory {out}: {exc}", file=sys.stderr)
+        return 2
 
     def _entry(job) -> dict:
         """Summary entry of one (variant, config) job, after writing its trace;
@@ -360,7 +365,12 @@ def _variant_seed_from_name(path: Path) -> tuple[str, int]:
 
 
 def compare(trace_paths, out_path=None) -> list[dict]:
-    """Merge trace CSVs into long format with gaps against the global best."""
+    """Merge trace CSVs into long format with gaps against the global best.
+
+    A trace that cannot be read, is not UTF-8 or is malformed raises
+    :class:`TraceFormatError`; an ``out_path`` that cannot be written raises
+    the ``OSError`` of opening it.
+    """
     rows = []
     for p in trace_paths:
         path = Path(p)
@@ -384,7 +394,7 @@ def compare(trace_paths, out_path=None) -> list[dict]:
                         raise TraceFormatError(f"{path}: line {reader.line_num}: {exc}") from None
                     rows.append(
                         dict(zip(COMPARE_HEADER, (variant, seed, *_COMPARE_FROM_TRACE(row)))))
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise TraceFormatError(f"{path}: {exc}") from exc
     if not rows:
         raise TraceFormatError("no trace rows found")
@@ -425,7 +435,7 @@ def main(argv=None) -> int:
     try:
         compare(args.traces, out_path=args.out)
         return 0
-    except TraceFormatError as exc:
+    except (TraceFormatError, OSError) as exc:  # OSError: an unwritable --out
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

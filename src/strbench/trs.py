@@ -7,11 +7,13 @@ Solves ``min_{||h|| <= r} <g, h> + 0.5 <H h, h>`` two ways:
   safeguarded Newton iteration on the reciprocal secular equation
   ``1/||u(mu)|| - 1`` (More-Sorensen style), with explicit hard-case
   handling, and a gate on the unit problem's KKT conditions.  From
-  ``d = _KRYLOV_MIN_D`` on it first solves in g's Krylov space (one Lanczos
-  chain, cf. GLTR, Gould, Lucidi, Roma & Toint 1999) and proves the lifted
-  step globally optimal with one Cholesky factorization of ``H + mu I``
-  shifted down by a rounding margin; a case that proof cannot cover, such
-  as the hard case, takes the eigendecomposition.
+  ``d = _KRYLOV_MIN_D`` on it first solves in g's Krylov space (GLTR, Gould,
+  Lucidi, Roma & Toint 1999: one Lanczos chain, and at each step the same
+  Newton on an O(m) ``LDL'`` factorization of the tridiagonal, warm-started
+  from the previous step) and proves the lifted step globally optimal with
+  one Cholesky factorization of ``H + mu I`` shifted down by a rounding
+  margin; a case that proof cannot cover, such as the hard case, takes the
+  eigendecomposition.
 * :func:`solve_trs_lanczos` -- matrix-free Krylov method with full
   reorthogonalization; column m >= 2 of the basis is ``H q_{m-2}``, so g's
   chain takes the even columns and a random probe's the odd ones.  The
@@ -37,6 +39,9 @@ _HARD_CASE_RTOL = 1e-11
 # Secular iteration targets near machine precision; `tol` is only the
 # acceptance threshold below which a solve counts as converged.
 _SECULAR_RTOL = 1e-13
+# The O(m) tridiagonal Newton of the Krylov path iterates on to this gap, the
+# rounding level of ||u||, where a step no longer moves mu.
+_SECULAR_ROUNDING = 1e-15
 _MAX_SECULAR_ITERS = 200
 # A boundary deficit 1 - ||u|| at or below this is rounding of the unit
 # secular root, not room for a bottom-eigenvector pad.  At mu > -lambda_1 the
@@ -45,15 +50,23 @@ _MAX_SECULAR_ITERS = 200
 _PAD_RTOL = 1e-12
 # From this dimension on, solve_trs_exact first solves in g's Krylov space,
 # with no d x d eigendecomposition.  scripts/trs_crossover.py times both paths
-# per solve on exact_tr subproblems, one BLAS thread: eigen 3.4 ms and Krylov
-# 2.7 ms at d = 150, 1.1 and 1.4 ms at d = 100, 0.35 and 1.1 ms at d = 50.
-_KRYLOV_MIN_D = 150
+# per solve on exact_tr subproblems, one BLAS thread: eigen 1.52 ms and Krylov
+# 0.71 ms at d = 100, 1.02 and 0.59 at d = 75, 0.70 and 0.52 at d = 60, 0.55
+# and 0.53 at d = 50, 0.29 and 0.45 at d = 30.  With --n 12000 --epsilon 1e-2
+# Krylov wins at d = 75 (1.21 against 0.91 ms, faster on each of 51 solves
+# timed interleaved) and loses at d = 50 (0.65 against 0.72); at d = 60 (0.83
+# against 0.75) it was faster on only 28 of 48 solves timed interleaved.
+_KRYLOV_MIN_D = 75
 # The Krylov step stops growing once the lifted residual beta_m |u_m| is at
 # most this times sigma.  On the d = 400 benchmark subproblems its step then
-# lies within 3e-15 r of the eigen path's; at 1e-13 it lay within 8e-14 r.
+# lies within 2.6e-15 r of the eigen path's run to a rounding-level secular
+# gap, and within 9.4e-14 r of the eigen path as it stands, which stops at the
+# first gap below _SECULAR_RTOL; at 1e-13 it lay within 8e-14 r.
 _KRYLOV_RTOL = 1e-15
-# A Krylov attempt gives up after this many steps, by which it has cost about
-# one d = 400 eigendecomposition (20 ms).  The benchmark's solves take 6 to 18.
+# A Krylov attempt gives up after this many steps.  On a definite d = 150
+# instance whose chain needs 69, the 64 steps cost 6.6 ms against 2.2 ms for
+# the eigen path it then takes (one BLAS thread); from m of about 40 on, the
+# step's eigvalsh of T_m dominates it.  The benchmark's solves take 6 to 18.
 _KRYLOV_MAX_M = 64
 
 
@@ -271,7 +284,9 @@ def solve_trs_exact(g, H, r: float, L2: float, tol: float = MIN_TOL) -> TrsSolut
 
 
 def _solve_in_eigenbasis(g, w, V, r, L2, tol) -> TrsSolution:
-    """:func:`solve_trs_exact` for ``H = V diag(w) V'``, eigenvalues ascending.
+    """:func:`solve_trs_exact` for ``H = V diag(w) V'``, eigenvalues ascending:
+    its path below ``_KRYLOV_MIN_D`` and the Krylov path's fallbacks, and the
+    reduced solve of :func:`solve_trs_lanczos`.
 
     Solves for ``u = h / r`` on the unit ball with eigenvalues ``w / sigma``
     and gradient ``g / (r sigma)``, ``sigma = max(|lambda_1|, |lambda_d|,
@@ -386,24 +401,127 @@ def _gated_solution(u, Hu, mu, g, gnorm, sigma, r, L2, tol, min_eig_shifted) -> 
     return sol
 
 
+def _tridiagonal_ldl(a, b, gamma, mu):
+    """``u = -(T + mu I)^{-1} gamma e_1`` for the tridiagonal ``T`` of diagonal
+    ``a`` and off-diagonal ``b`` (lists of floats), from ``T + mu I = L D L'``
+    with ``L`` unit lower bidiagonal; returns ``u``, ``D`` and the subdiagonal
+    of ``L``, or None unless every pivot in ``D`` is positive (``T + mu I`` is
+    then not positive definite, up to rounding)."""
+    piv = a[0] + mu
+    if not piv > 0.0:
+        return None
+    D, low = [piv], []
+    for ai, bi in zip(a[1:], b):
+        li = bi / piv
+        piv = ai + mu - li * bi
+        if not piv > 0.0:
+            return None
+        low.append(li)
+        D.append(piv)
+    # L z = -gamma e_1 gives z_i = -l_{i-1} z_{i-1}; then L' u = z / D
+    z = -gamma
+    u = [z / D[0]]
+    for li, pi in zip(low, D[1:]):
+        z = -li * z
+        u.append(z / pi)
+    for i in range(len(low) - 1, -1, -1):
+        u[i] -= low[i] * u[i + 1]
+    return u, D, low
+
+
+def _tridiagonal_trs(a, b, gamma, theta1, mu):
+    """Step and multiplier of ``min gamma u_1 + u'Tu / 2`` over the unit ball,
+    for the tridiagonal ``T`` of diagonal ``a``, off-diagonal ``b`` and bottom
+    eigenvalue ``theta1``, in O(m) per iteration.
+
+    The interior Newton step when ``T`` is definite and the step fits;
+    otherwise the multiplier in ``(max(0, -theta1), max(0, -theta1) +
+    gamma]`` where ``||u|| = 1``, by Newton on ``1/||u(mu)|| - 1`` over an
+    ``LDL'`` of ``T + mu I`` (More & Sorensen 1983), started at ``mu`` (the
+    previous Lanczos step's) and safeguarded by a bisection bracket.  The
+    interior step is tried first when ``mu`` is 0, else only once some
+    ``mu > 0`` gives ``||u|| < 1``.  The iteration runs past the gap
+    ``_SECULAR_RTOL`` to ``_SECULAR_ROUNDING``, or until it stalls.  Raises
+    :class:`TrsNumericError` where no multiplier above ``-theta1`` meets
+    ``_SECULAR_RTOL``: the reduced problem is hard, or so nearly hard that its
+    root lies within the rounding of ``T + mu I`` at the pole ``-theta1``
+    (the eigenbasis solve keeps that pole exact).
+    """
+    def interior():
+        ldl = _tridiagonal_ldl(a, b, gamma, 0.0)
+        return ldl[0] if ldl is not None and math.hypot(*ldl[0]) <= 1.0 else None
+
+    untried = theta1 > 0.0  # the interior step may be the solution
+    if untried and not mu > 0.0:
+        untried = False
+        u0 = interior()
+        if u0 is not None:
+            return u0, 0.0
+    lo = max(0.0, -theta1)
+    hi = lo + gamma
+    if not lo < mu < hi:
+        mu = 0.5 * (lo + hi)
+    best_u, best_mu, best_gap = None, mu, math.inf
+    for _ in range(_MAX_SECULAR_ITERS):
+        ldl = _tridiagonal_ldl(a, b, gamma, mu)
+        if ldl is None:  # mu at the pole up to rounding
+            lo = mu
+            mu_new = 0.5 * (lo + hi)
+        else:
+            u, D, low = ldl
+            n = math.hypot(*u)
+            gap = abs(n - 1.0)
+            if gap < best_gap:
+                best_u, best_mu, best_gap = u, mu, gap
+                if gap <= _SECULAR_ROUNDING:
+                    break
+            elif best_gap <= _SECULAR_RTOL:
+                break  # stalled: a further step makes no progress
+            if n > 1.0:
+                lo = mu
+            else:
+                hi = mu
+                if untried:
+                    untried = False
+                    u0 = interior()
+                    if u0 is not None:
+                        return u0, 0.0
+            # Newton step (n - 1) n^2 / ||L^{-1} u||_D^2, with s = L^{-1} u / n
+            s = u[0] / n
+            q = s * s / D[0]
+            for ui, li, pi in zip(u[1:], low, D[1:]):
+                s = ui / n - li * s
+                q += s * s / pi
+            mu_new = mu + (n - 1.0) / q if q > 0.0 else math.nan
+            if not lo < mu_new < hi:  # also an inf or NaN step
+                mu_new = 0.5 * (lo + hi)
+        if mu_new == mu:
+            break
+        mu = mu_new
+    if not best_gap <= _SECULAR_RTOL:
+        raise TrsNumericError("reduced secular equation unresolved: a hard case")
+    return best_u, best_mu
+
+
 def _krylov_solution(g, H, r, L2, tol) -> TrsSolution | None:
     """The global minimizer from g's Krylov space, or None where that space
     does not certify one.
 
     One Lanczos chain from ``g / ||g||``: each new vector is orthogonalized
     twice against the basis, which is stored by rows and grown by doubling,
-    and the tridiagonal is kept as two vectors.  At each size m the reduced
-    problem on the tridiagonal is solved exactly, on the unit ball of the scale
-    ``sigma = max(|theta_1|, |theta_m|, ||g|| / r)`` of its Ritz values, until
-    the lifted residual ``beta_m |u_m|`` is at most ``_KRYLOV_RTOL sigma``.
-    The lifted step is accepted only if a Cholesky factorization of
-    ``H + (mu - tau) I``, ``tau = 1e-12 sigma``, proves ``H + mu I`` positive
-    definite, so that the step is the unique global minimizer, and if it
-    passes the eigen path's gate (:func:`_gated_solution`).  Its
-    ``kkt.min_eig_shifted`` is then ``tau``, a lower bound on
-    ``lambda_min(H + mu I)``.  None on g = 0, on a reduced problem that is
-    hard or fails, on a failed factorization (a hard or semidefinite case) or
-    gate, and after ``_KRYLOV_MAX_M`` steps.
+    and the tridiagonal ``T_m`` is kept as two lists.  At each size m the
+    reduced problem on ``T_m`` is solved on the unit ball of the scale
+    ``sigma = max(|theta_1|, |theta_m|, ||g|| / r)`` of its Ritz values (from
+    ``eigvalsh``, no eigenvectors) by :func:`_tridiagonal_trs`, an O(m) Newton
+    warm-started from step m - 1, until the lifted residual ``beta_m |u_m|``
+    is at most ``_KRYLOV_RTOL sigma``.  The lifted step is accepted only if a
+    Cholesky factorization of ``H + (mu - tau) I``, ``tau = 1e-12 sigma``,
+    proves ``H + mu I`` positive definite, so that the step is the unique
+    global minimizer, and if it passes the eigen path's gate
+    (:func:`_gated_solution`).  Its ``kkt.min_eig_shifted`` is then ``tau``,
+    a lower bound on ``lambda_min(H + mu I)``.  None on g = 0, on a reduced
+    problem that is hard or fails, on a failed factorization (a hard or
+    semidefinite case) or gate, and after ``_KRYLOV_MAX_M`` steps.
     """
     d = g.size
     gnorm = _norm(g)
@@ -411,8 +529,9 @@ def _krylov_solution(g, H, r, L2, tol) -> TrsSolution | None:
         return None
     m_max = min(d, _KRYLOV_MAX_M)
     Q = np.empty((min(32, m_max), d))
-    alpha = np.empty(m_max)
-    beta = np.empty(m_max)
+    T = np.zeros((m_max, m_max))  # lower triangle, for eigvalsh
+    alpha, beta = [], []
+    mu_c = 0.0  # the last multiplier in the caller's units, the next warm start
     Q[0] = g / gnorm
     for m in range(1, m_max + 1):
         j = m - 1
@@ -421,41 +540,37 @@ def _krylov_solution(g, H, r, L2, tol) -> TrsSolution | None:
         c = B @ v
         v -= B.T @ c
         v -= B.T @ (B @ v)
-        alpha[j] = c[j]
-        beta[j] = _norm(v)
+        alpha.append(float(c[j]))
+        beta.append(_norm(v))
         if not (math.isfinite(alpha[j]) and math.isfinite(beta[j])):
             return None
-        T = np.diag(alpha[:m]) + np.diag(beta[:j], 1) + np.diag(beta[:j], -1)
+        T[j, j] = alpha[j]
+        if j:
+            T[j, j - 1] = beta[j - 1]
         try:
-            theta, U = np.linalg.eigh(T)
+            theta = np.linalg.eigvalsh(T[:m, :m])
         except np.linalg.LinAlgError:
             return None
-        sigma = max(abs(float(theta[0])), abs(float(theta[-1])), gnorm / r) or 1.0
-        gt = np.zeros(m)
-        gt[0] = gnorm / r / sigma
-        theta = theta / sigma
+        theta1 = float(theta[0])
+        sigma = max(abs(theta1), abs(float(theta[-1])), gnorm / r) or 1.0
         try:
-            # sigma makes the largest of the reduced scales exactly 1, so the
-            # reduced solve at r = 1 works on this unit problem unscaled
-            red = _solve_in_eigenbasis(gt, theta, U, 1.0, L2, tol)
+            u_red, mu = _tridiagonal_trs([x / sigma for x in alpha],
+                                         [x / sigma for x in beta[:j]],
+                                         gnorm / r / sigma, theta1 / sigma, mu_c / sigma)
         except TrsNumericError:
             return None
-        if red.mu <= -theta[0]:
-            # a hard case of the reduced problem: as lambda_1 <= theta_1,
-            # H + mu I is not positive definite, and no factorization certifies it
-            return None
-        if beta[j] * abs(red.h[-1]) <= _KRYLOV_RTOL * sigma:
+        mu_c = sigma * mu
+        if beta[j] * abs(u_red[-1]) <= _KRYLOV_RTOL * sigma:
             break
         if m == m_max or beta[j] == 0.0:
             return None
         if m == len(Q):
             Q = np.concatenate([Q, np.empty((min(m, m_max - m), d))])
         Q[m] = v / beta[j]
-    u = Q[:m].T @ red.h
-    mu = red.mu
+    u = Q[:m].T @ np.array(u_red)
     tau = 1e-12 * sigma
     shifted = H.copy()
-    shifted.flat[:: d + 1] += sigma * mu - tau
+    shifted.flat[:: d + 1] += mu_c - tau
     try:
         np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:

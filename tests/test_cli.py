@@ -15,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from strbench import cli
 from strbench.cli import (
     COMPARE_HEADER,
     TRACE_HEADER,
@@ -268,6 +269,39 @@ def test_compare_misnamed_seed_exits_2(tmp_path, capsys, name):
     assert main(["compare", str(bad)]) == 2
     err = capsys.readouterr().err
     assert name in err and "Traceback" not in err
+
+
+def test_compare_trace_that_is_not_utf8_exits_2(tmp_path, capsys):
+    bad = tmp_path / "trace_x_0.csv"
+    bad.write_bytes(b"\xff\xfe")
+    with pytest.raises(TraceFormatError, match="trace_x_0.csv.*utf-8"):
+        compare([bad])
+    assert main(["compare", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "trace_x_0.csv" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("out", ["dir", "missing/m.csv"])
+def test_compare_unwritable_out_exits_2(tmp_path, capsys, out):
+    trace = _run_once(tmp_path)
+    (tmp_path / "dir").mkdir()
+    assert main(["compare", str(trace), "--out", str(tmp_path / out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and out in err and "Traceback" not in err
+    assert not (tmp_path / "missing").exists()
+
+
+def test_run_out_that_is_a_file_exits_2_and_runs_nothing(tmp_path, capsys, monkeypatch):
+    spec = tmp_path / "spec.json"
+    write_spec(spec)
+    out = tmp_path / "o"
+    out.write_text("kept")
+    ran = []
+    monkeypatch.setattr(cli, "run", lambda *args: ran.append(args))
+    assert main(["run", str(spec), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(out) in err and "Traceback" not in err
+    assert ran == [] and out.read_text() == "kept"
 
 
 # -- argparse entry ------------------------------------------------------------

@@ -734,7 +734,7 @@ def test_kkt_residual_tiny_radius_boundary_step():
 
 # -- the Krylov path of solve_trs_exact ------------------------------------------
 
-KRYLOV_DIMS = [trs._KRYLOV_MIN_D, 2 * trs._KRYLOV_MIN_D]
+KRYLOV_DIMS = sorted({trs._KRYLOV_MIN_D, 150, 300})
 
 
 def _eigen_path(g, H, r):
@@ -778,14 +778,33 @@ def eig_sizes(monkeypatch):
     return sizes
 
 
+def _counted(monkeypatch, owner, name) -> list:
+    """Replace ``owner.<name>`` by a wrapper that appends the arguments of each
+    call to the returned list."""
+    fn = getattr(owner, name)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return fn(*args, **kwargs)
+
+    monkeypatch.setattr(owner, name, counting)
+    return calls
+
+
 @pytest.mark.parametrize("d", KRYLOV_DIMS)
 @pytest.mark.parametrize("case", ["indefinite", "definite", "interior"])
-def test_exact_krylov_path_matches_the_eigen_path(d, case, eig_sizes):
+def test_exact_krylov_path_matches_the_eigen_path(monkeypatch, d, case, eig_sizes):
+    eighs = _counted(monkeypatch, np.linalg, "eigh")
     rng = np.random.default_rng(d)
     for _ in range(3):
         g, H, r = _easy_instance(rng, d, case)
         sol = solve_trs_exact(g, H, r, 0.7)
+        # the reduced problem is solved by an LDL' Newton on the tridiagonal,
+        # its Ritz values come from eigvalsh: no eigh of any size
+        assert eighs == []
         ref = _eigen_path(g, H, r)
+        eighs.clear()
         assert 1 <= sol.krylov_dim <= trs._KRYLOV_MAX_M
         assert np.linalg.norm(sol.h - ref.h) <= 1e-13 * r
         assert abs(sol.mu - ref.mu) <= 1e-12 * max(1.0, ref.mu)
@@ -796,6 +815,81 @@ def test_exact_krylov_path_matches_the_eigen_path(d, case, eig_sizes):
         assert 0.0 < sol.kkt.min_eig_shifted <= kkt_residual(g, H, r, sol).min_eig_shifted
         assert sol.kkt.stationarity <= 1e-8 * (np.linalg.norm(g) + 1.0)
     assert eig_sizes == []  # no d x d eigendecomposition
+
+
+def test_exact_krylov_step_cap_is_the_eigen_path(monkeypatch, eig_sizes):
+    # a definite H whose Chebyshev-spaced spectrum in [0.1, 2.1] makes the
+    # chain converge at the slowest rate (it needs 69 steps), and a radius ten
+    # times the Newton step's norm: the chain runs to the step cap, then the
+    # eigen path solves
+    d = 150
+    rng = np.random.default_rng(0)
+    H, _ = _with_spectrum(rng, 1.1 + np.cos(np.pi * (np.arange(d) + 0.5) / d))
+    g = rng.standard_normal(d)
+    r = 10.0 * np.linalg.norm(np.linalg.solve(H, g))
+    steps = _counted(monkeypatch, trs, "_tridiagonal_trs")
+    sol = solve_trs_exact(g, H, r, 0.7)
+    assert len(steps) == trs._KRYLOV_MAX_M
+    assert _fields(sol) == _fields(_eigen_path(g, H, r))
+    assert sol.krylov_dim is None and not sol.on_boundary and sol.mu == 0.0
+    assert eig_sizes == [d]
+
+
+def _tridiagonal(a, b):
+    return np.diag(a) + np.diag(b, 1) + np.diag(b, -1)
+
+
+def _lanczos_tridiagonal(rng, w):
+    """The tridiagonal of a full Lanczos run on ``diag(w)`` from a random start,
+    as the Krylov path builds it from g."""
+    m = len(w)
+    Q, a, b = np.zeros((m, m)), np.zeros(m), np.zeros(m - 1)
+    q = rng.standard_normal(m)
+    Q[0] = q / np.linalg.norm(q)
+    for j in range(m):
+        v = w * Q[j]
+        a[j] = Q[j] @ v
+        for _ in range(2):
+            v -= Q[:j + 1].T @ (Q[:j + 1] @ v)
+        if j < m - 1:
+            b[j] = np.linalg.norm(v)
+            Q[j + 1] = v / b[j]
+    return a, b
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("case", ["indefinite", "definite", "interior"])
+def test_tridiagonal_trs_matches_the_eigenbasis_solve(seed, case):
+    # warm-started at the solution, at 0 and far above it, the O(m) Newton
+    # lands where the eigenbasis solve of the same unit problem does
+    rng = np.random.default_rng(seed)
+    m = int(rng.integers(1, 30))
+    w = rng.uniform(-1.0, 1.0, m) if case == "indefinite" else rng.uniform(0.5, 2.0, m)
+    a, b = _lanczos_tridiagonal(rng, w)
+    gamma = 0.1 if case == "interior" else 3.0
+    theta, U = np.linalg.eigh(_tridiagonal(a, b))
+    sigma = max(abs(theta[0]), abs(theta[-1]), gamma)
+    a, b, gamma, theta = a / sigma, b / sigma, gamma / sigma, theta / sigma
+    gt = np.zeros(m)
+    gt[0] = gamma
+    ref = trs._solve_in_eigenbasis(gt, theta, U, 1.0, 1.0, trs.MIN_TOL)
+    assert (ref.mu == 0.0) == (case == "interior")
+    for mu0 in (ref.mu, 0.0, 10.0):
+        u, mu = trs._tridiagonal_trs(list(a), list(b), gamma, float(theta[0]), mu0)
+        assert np.linalg.norm(np.array(u) - ref.h) <= 1e-13
+        assert abs(mu - ref.mu) <= 1e-13 * max(1.0, ref.mu)
+        assert (mu == 0.0) == (case == "interior")
+
+
+def test_tridiagonal_trs_refuses_a_hard_case():
+    # beta = 0 splits T, and gamma e_1 misses the lower block that holds the
+    # bottom eigenvalue: for every mu above -theta_1 the step lies inside the
+    # ball, so no multiplier meets the secular equation
+    a, b = [1.0, 1.0, -1.0, 0.5], [0.2, 0.0, 0.3]
+    theta1 = float(np.linalg.eigvalsh(_tridiagonal(a, b))[0])
+    for mu0 in (0.0, 1.2, 5.0):
+        with pytest.raises(TrsNumericError, match="hard case"):
+            trs._tridiagonal_trs(a, b, 0.1, theta1, mu0)
 
 
 @pytest.mark.parametrize("d", KRYLOV_DIMS)
@@ -852,7 +946,7 @@ def _fail_first_call(monkeypatch, name):
     monkeypatch.setattr(trs, name, failing_first)
 
 
-@pytest.mark.parametrize("failure", ["step_cap", "_solve_in_eigenbasis", "_gated_solution"])
+@pytest.mark.parametrize("failure", ["step_cap", "_tridiagonal_trs", "_gated_solution"])
 def test_exact_krylov_failure_falls_back_to_the_eigen_path(monkeypatch, eig_sizes, failure):
     # a chain that does not converge within the step cap, a reduced solve that
     # raises, and a lifted step that misses the gate each end in the eigen path
@@ -867,7 +961,9 @@ def test_exact_krylov_failure_falls_back_to_the_eigen_path(monkeypatch, eig_size
     assert eig_sizes == [d]
 
 
-@pytest.mark.parametrize("d", [trs._KRYLOV_MIN_D - 1, trs._KRYLOV_MIN_D])
+# the eigen path just below the threshold, the Krylov path at it and at an
+# odd and an even size well above it
+@pytest.mark.parametrize("d", [trs._KRYLOV_MIN_D - 1, trs._KRYLOV_MIN_D, 149, 150])
 @pytest.mark.parametrize("defect,message", [
     ("asymmetric", "not symmetric"), ("nan", "non-finite matrix"), ("inf", "non-finite matrix"),
 ])
@@ -961,19 +1057,12 @@ def test_lanczos_truncated_flags_unconverged():
 
 def test_lanczos_one_eigendecomposition_per_krylov_step(monkeypatch):
     # the reduced solve and the Ritz test share one eigendecomposition of Q'HQ
-    calls = []
-    eigh = np.linalg.eigh
-
-    def counting_eigh(A, *args, **kwargs):
-        calls.append(A.shape)
-        return eigh(A, *args, **kwargs)
-
     rng = np.random.default_rng(5)
     d = 30
     A = rng.standard_normal((d, d))
     H = (A + A.T) / 2.0
     g = rng.standard_normal(d)
-    monkeypatch.setattr(np.linalg, "eigh", counting_eigh)
+    calls = _counted(monkeypatch, np.linalg, "eigh")
     sol = solve_trs_lanczos(g, lambda v: H @ v, d, 0.5, 1.0, rng=np.random.default_rng(0))
     assert sol.converged
     assert len(calls) == sol.krylov_dim
