@@ -155,10 +155,16 @@ def _variant_spec(frag) -> VariantSpec:
     return VariantSpec(variant=name, label=label, options=frag)
 
 
+def _trace_name(label: str, seed: int) -> str:
+    return f"trace_{label}_{seed}.csv"
+
+
 def load_spec(path) -> ExperimentSpec:
     """Read and check an experiment spec.  Its keys are the ``ExperimentSpec``
     fields, whose defaults fill the keys it omits; any other key is an error.
-    Every number must fit a float64 or, written as an integer, an int64."""
+    Every number must fit a float64 or, written as an integer, an int64.  Each
+    label must make ``trace_<label>_<seed>.csv`` a UTF-8 file name of at most
+    255 bytes at every seed."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh, parse_float=_finite_float, parse_int=_int64,
@@ -183,6 +189,15 @@ def load_spec(path) -> ExperimentSpec:
     bad = [s for s in spec.seeds if not 0 <= s < 2**63]  # numpy seeds, file-name sized
     if bad:
         raise SpecError(f"seeds must lie in [0, 2**63), got {bad[0]}")
+    for v in spec.variants:
+        name = _trace_name(v.label, max(spec.seeds))  # the seed with the most digits
+        try:
+            fits = len(name.encode("utf-8")) <= 255  # a file name's byte limit
+        except UnicodeEncodeError:
+            fits = False
+        if not fits:
+            raise SpecError(f"label {v.label!r} cannot name a trace file: {name!r} is not "
+                            "a UTF-8 name of at most 255 bytes")
     for name, values in (("labels", [v.label for v in spec.variants]), ("seeds", spec.seeds)):
         repeated = sorted(v for v, count in Counter(values).items() if count > 1)
         if repeated:
@@ -319,7 +334,7 @@ def run_experiment(spec_path, out_dir="out", threads: int = 1) -> int:
         except RunAborted as exc:
             outcome = exc
         if outcome.trace:
-            write_trace(out / f"trace_{vspec.label}_{config.seed}.csv", outcome.trace)
+            write_trace(out / _trace_name(vspec.label, config.seed), outcome.trace)
         failed = isinstance(outcome, RunAborted)
         entry = {"label": vspec.label, "variant": vspec.variant, "seed": config.seed,
                  "config": dataclasses.asdict(config), "failed": failed,

@@ -513,7 +513,10 @@ def lipschitz_bounds(problem, mode: str = "analytic", seed: int = 0) -> Lipschit
     if mode == "analytic":
         lam, alpha = problem.reg_lambda, problem.reg_alpha
         reg_l1 = 2.0 * lam * alpha
-        reg_l2 = 24.0 * _REG_D3_SHAPE * lam * alpha**1.5
+        try:
+            reg_l2 = 24.0 * _REG_D3_SHAPE * lam * alpha**1.5
+        except OverflowError:  # alpha above about 3.2e205; inf unless lam brings it back
+            reg_l2 = 24.0 * _REG_D3_SHAPE * lam * alpha * math.sqrt(alpha)
         if problem.kind == "synthetic_quad":
             L1 = float(np.max(np.abs(problem.quad_scales)))
             L2 = _L_FLOOR

@@ -9,11 +9,12 @@ Solves ``min_{||h|| <= r} <g, h> + 0.5 <H h, h>`` two ways:
   handling, and a gate on the unit problem's KKT conditions.  From
   ``d = _KRYLOV_MIN_D`` on it first solves in g's Krylov space (GLTR, Gould,
   Lucidi, Roma & Toint 1999: one Lanczos chain, and at each step the same
-  Newton on an O(m) ``LDL'`` factorization of the tridiagonal, warm-started
-  from the previous step) and proves the lifted step globally optimal with
-  one Cholesky factorization of ``H + mu I`` shifted down by a rounding
-  margin; a case that proof cannot cover, such as the hard case, takes the
-  eigendecomposition.
+  Newton on an O(m) ``LDL'`` factorization of the tridiagonal, kept as its
+  two diagonals and scaled by a Gershgorin bound, with no eigenvalue of it
+  computed, warm-started from the previous step) and proves the lifted step
+  globally optimal with one Cholesky factorization of ``H + mu I`` shifted
+  down by a rounding margin; a case that proof cannot cover, such as the
+  hard case, takes the eigendecomposition.
 * :func:`solve_trs_lanczos` -- matrix-free Krylov method with full
   reorthogonalization; column m >= 2 of the basis is ``H q_{m-2}``, so g's
   chain takes the even columns and a random probe's the odd ones.  The
@@ -50,13 +51,13 @@ _MAX_SECULAR_ITERS = 200
 _PAD_RTOL = 1e-12
 # From this dimension on, solve_trs_exact first solves in g's Krylov space,
 # with no d x d eigendecomposition.  scripts/trs_crossover.py times both paths
-# per solve on exact_tr subproblems, one BLAS thread: eigen 1.52 ms and Krylov
-# 0.71 ms at d = 100, 1.02 and 0.59 at d = 75, 0.70 and 0.52 at d = 60, 0.55
-# and 0.53 at d = 50, 0.29 and 0.45 at d = 30.  With --n 12000 --epsilon 1e-2
-# Krylov wins at d = 75 (1.21 against 0.91 ms, faster on each of 51 solves
-# timed interleaved) and loses at d = 50 (0.65 against 0.72); at d = 60 (0.83
-# against 0.75) it was faster on only 28 of 48 solves timed interleaved.
-_KRYLOV_MIN_D = 75
+# per solve on exact_tr subproblems, one BLAS thread: eigen 2.00 ms and Krylov
+# 0.70 ms at d = 100, 1.33 and 0.56 at d = 75, 0.85 and 0.50 at d = 60, 0.71
+# and 0.43 at d = 50, 0.34 and 0.39 at d = 30.  Timed interleaved, best of 7,
+# Krylov was faster on each of 60 solves at d = 60, and with --n 12000
+# --epsilon 1e-2 on each of 48 (0.65 against 0.90 ms).  It also wins at d = 50,
+# but the threshold stays above it, where the d = 50 benchmark solves.
+_KRYLOV_MIN_D = 60
 # The Krylov step stops growing once the lifted residual beta_m |u_m| is at
 # most this times sigma.  On the d = 400 benchmark subproblems its step then
 # lies within 2.6e-15 r of the eigen path's run to a rounding-level secular
@@ -64,9 +65,10 @@ _KRYLOV_MIN_D = 75
 # first gap below _SECULAR_RTOL; at 1e-13 it lay within 8e-14 r.
 _KRYLOV_RTOL = 1e-15
 # A Krylov attempt gives up after this many steps.  On a definite d = 150
-# instance whose chain needs 69, the 64 steps cost 6.6 ms against 2.2 ms for
-# the eigen path it then takes (one BLAS thread); from m of about 40 on, the
-# step's eigvalsh of T_m dominates it.  The benchmark's solves take 6 to 18.
+# instance whose chain needs 69, the 64 steps cost 3.2-5.0 ms against 4.0 ms
+# for the eigen path it then takes (one BLAS thread); about 40% of that is the
+# reduced solves, each a pure-Python O(m) LDL' of T_m.  The benchmark's
+# solves take 6 to 18.
 _KRYLOV_MAX_M = 64
 
 
@@ -165,12 +167,17 @@ def model_value(g: np.ndarray, H: np.ndarray, h: np.ndarray) -> float:
 
 
 def kkt_residual(g, H, r, sol: TrsSolution) -> KktResidual:
-    """Recompute the three optimality residuals from scratch, with scaled norms."""
+    """Recompute the three optimality residuals from scratch, with scaled norms.
+
+    ``H`` goes through the solvers' checks (see :func:`_symmetric`): a matrix
+    that is not square, not finite, or asymmetric beyond ``_SYM_TOL`` is a
+    ``ValueError``.
+    """
     g = np.asarray(g, float)
     H = np.asarray(H, float)
     h, mu = sol.h, sol.mu
+    min_eig = float(_sym_eigvals(H)[0]) + mu
     stationarity = _norm(H @ h + mu * h + g)
-    min_eig = float(np.linalg.eigvalsh((H + H.T) / 2.0)[0]) + mu
     comp = abs(mu * (_norm(h) - r))
     return KktResidual(stationarity, min_eig, comp)
 
@@ -429,36 +436,35 @@ def _tridiagonal_ldl(a, b, gamma, mu):
     return u, D, low
 
 
-def _tridiagonal_trs(a, b, gamma, theta1, mu):
+def _tridiagonal_trs(a, b, gamma, mu):
     """Step and multiplier of ``min gamma u_1 + u'Tu / 2`` over the unit ball,
-    for the tridiagonal ``T`` of diagonal ``a``, off-diagonal ``b`` and bottom
-    eigenvalue ``theta1``, in O(m) per iteration.
+    for the tridiagonal ``T`` of diagonal ``a`` and off-diagonal ``b``, whose
+    eigenvalues lie in [-1, 1], in O(m) per iteration.
 
-    The interior Newton step when ``T`` is definite and the step fits;
-    otherwise the multiplier in ``(max(0, -theta1), max(0, -theta1) +
+    The interior Newton step when ``T`` is definite (every pivot of its
+    ``LDL'`` positive) and the step fits; otherwise the multiplier in ``(0, 1 +
     gamma]`` where ``||u|| = 1``, by Newton on ``1/||u(mu)|| - 1`` over an
     ``LDL'`` of ``T + mu I`` (More & Sorensen 1983), started at ``mu`` (the
-    previous Lanczos step's) and safeguarded by a bisection bracket.  The
-    interior step is tried first when ``mu`` is 0, else only once some
-    ``mu > 0`` gives ``||u|| < 1``.  The iteration runs past the gap
-    ``_SECULAR_RTOL`` to ``_SECULAR_ROUNDING``, or until it stalls.  Raises
-    :class:`TrsNumericError` where no multiplier above ``-theta1`` meets
-    ``_SECULAR_RTOL``: the reduced problem is hard, or so nearly hard that its
-    root lies within the rounding of ``T + mu I`` at the pole ``-theta1``
-    (the eigenbasis solve keeps that pole exact).
+    previous Lanczos step's) and safeguarded by a bisection bracket whose
+    lower end a non-positive pivot raises.  The interior step is tried first
+    when ``mu`` is 0, else only once some ``mu > 0`` gives ``||u|| < 1``.  The
+    iteration runs past the gap ``_SECULAR_RTOL`` to ``_SECULAR_ROUNDING``, or
+    until it stalls.  Raises :class:`TrsNumericError` where no multiplier
+    meets ``_SECULAR_RTOL``: the reduced problem is hard, or so nearly hard
+    that its root lies within the rounding of ``T + mu I`` of the pole ``mu =
+    -theta_1``, ``theta_1`` the bottom eigenvalue of ``T`` (the eigenbasis
+    solve keeps that pole exact).
     """
     def interior():
         ldl = _tridiagonal_ldl(a, b, gamma, 0.0)
         return ldl[0] if ldl is not None and math.hypot(*ldl[0]) <= 1.0 else None
 
-    untried = theta1 > 0.0  # the interior step may be the solution
-    if untried and not mu > 0.0:
-        untried = False
+    untried = mu > 0.0  # the interior step may yet be the solution
+    if not untried:
         u0 = interior()
         if u0 is not None:
             return u0, 0.0
-    lo = max(0.0, -theta1)
-    hi = lo + gamma
+    lo, hi = 0.0, 1.0 + gamma
     if not lo < mu < hi:
         mu = 0.5 * (lo + hi)
     best_u, best_mu, best_gap = None, mu, math.inf
@@ -509,19 +515,20 @@ def _krylov_solution(g, H, r, L2, tol) -> TrsSolution | None:
 
     One Lanczos chain from ``g / ||g||``: each new vector is orthogonalized
     twice against the basis, which is stored by rows and grown by doubling,
-    and the tridiagonal ``T_m`` is kept as two lists.  At each size m the
-    reduced problem on ``T_m`` is solved on the unit ball of the scale
-    ``sigma = max(|theta_1|, |theta_m|, ||g|| / r)`` of its Ritz values (from
-    ``eigvalsh``, no eigenvectors) by :func:`_tridiagonal_trs`, an O(m) Newton
-    warm-started from step m - 1, until the lifted residual ``beta_m |u_m|``
-    is at most ``_KRYLOV_RTOL sigma``.  The lifted step is accepted only if a
-    Cholesky factorization of ``H + (mu - tau) I``, ``tau = 1e-12 sigma``,
-    proves ``H + mu I`` positive definite, so that the step is the unique
-    global minimizer, and if it passes the eigen path's gate
-    (:func:`_gated_solution`).  Its ``kkt.min_eig_shifted`` is then ``tau``,
-    a lower bound on ``lambda_min(H + mu I)``.  None on g = 0, on a reduced
-    problem that is hard or fails, on a failed factorization (a hard or
-    semidefinite case) or gate, and after ``_KRYLOV_MAX_M`` steps.
+    and the tridiagonal ``T_m`` is kept as two lists and nowhere else.  At
+    each size m the reduced problem on ``T_m`` is solved on the unit ball of
+    the scale ``sigma = max(||g|| / r, max_i |alpha_i| + beta_{i-1} +
+    beta_i)``, a running Gershgorin bound on the spectral radius of ``T_m``,
+    by :func:`_tridiagonal_trs`, an O(m) Newton warm-started from step m - 1,
+    until the lifted residual ``beta_m |u_m|`` is at most ``_KRYLOV_RTOL
+    sigma``.  The lifted step is accepted only if a Cholesky factorization of
+    ``H + (mu - tau) I``, ``tau = 1e-12 sigma``, proves ``H + mu I`` positive
+    definite, so that the step is the unique global minimizer, and if it
+    passes the eigen path's gate (:func:`_gated_solution`).  Its
+    ``kkt.min_eig_shifted`` is then ``tau``, a lower bound on ``lambda_min(H +
+    mu I)``.  None on g = 0, on a reduced problem that is hard or fails, on a
+    failed factorization (a hard or semidefinite case) or gate, and after
+    ``_KRYLOV_MAX_M`` steps.
     """
     d = g.size
     gnorm = _norm(g)
@@ -529,8 +536,8 @@ def _krylov_solution(g, H, r, L2, tol) -> TrsSolution | None:
         return None
     m_max = min(d, _KRYLOV_MAX_M)
     Q = np.empty((min(32, m_max), d))
-    T = np.zeros((m_max, m_max))  # lower triangle, for eigvalsh
     alpha, beta = [], []
+    sigma = gnorm / r
     mu_c = 0.0  # the last multiplier in the caller's units, the next warm start
     Q[0] = g / gnorm
     for m in range(1, m_max + 1):
@@ -544,19 +551,12 @@ def _krylov_solution(g, H, r, L2, tol) -> TrsSolution | None:
         beta.append(_norm(v))
         if not (math.isfinite(alpha[j]) and math.isfinite(beta[j])):
             return None
-        T[j, j] = alpha[j]
-        if j:
-            T[j, j - 1] = beta[j - 1]
-        try:
-            theta = np.linalg.eigvalsh(T[:m, :m])
-        except np.linalg.LinAlgError:
-            return None
-        theta1 = float(theta[0])
-        sigma = max(abs(theta1), abs(float(theta[-1])), gnorm / r) or 1.0
+        # Gershgorin row j of T_{m+1}: an upper bound on the spectral radius of T_m
+        sigma = max(sigma, abs(alpha[j]) + (beta[j - 1] if j else 0.0) + beta[j]) or 1.0
         try:
             u_red, mu = _tridiagonal_trs([x / sigma for x in alpha],
                                          [x / sigma for x in beta[:j]],
-                                         gnorm / r / sigma, theta1 / sigma, mu_c / sigma)
+                                         gnorm / r / sigma, mu_c / sigma)
         except TrsNumericError:
             return None
         mu_c = sigma * mu

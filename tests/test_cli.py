@@ -400,6 +400,20 @@ def test_overflowing_lipschitz_bounds_fail_the_run(tmp_path, capsys, extra):
     assert entry["counters"] == {"sfo": 0, "sso": 0}
 
 
+def test_huge_reg_alpha_fails_the_run(tmp_path, capsys):
+    # alpha**1.5 overflows a float from alpha of about 3.2e205 on; the analytic
+    # L2 is then inf, a numeric abort
+    spec = tmp_path / "spec.json"
+    write_spec(spec, task="logistic_nc", dataset={"synthetic": {"n": 40, "d": 3, "seed": 1}},
+               reg_alpha=1e300, variants=[{"variant": "exact_tr", "epsilon": 1e-2}])
+    assert main(["run", str(spec), "--out", str(tmp_path / "o")]) == 1
+    assert "Traceback" not in capsys.readouterr().err
+    (entry,) = json.loads((tmp_path / "o" / "summary.json").read_text())["runs"]
+    assert entry["failed"] is True
+    assert entry["error"] == "L2=inf is not finite and positive"
+    assert entry["counters"] == {"sfo": 0, "sso": 0}
+
+
 @pytest.mark.parametrize("variant, epsilon, name", [
     ("exact_tr", 1e-300, "K"),  # eps**1.5 underflows to 0
     ("exact_tr", 1e250, "K"),   # eps**1.5 overflows
@@ -509,6 +523,10 @@ def test_bad_variant_option_fails_the_run(tmp_path, capsys, option):
     {"reg_alpha": 0.0},
     {"output_dir": "o"},  # not a spec key: ``--out`` names the output directory
     {"variants": [{"variant": "exact_tr", "label": "a/b"}]},
+    # trace_<label>_<seed>.csv must be a UTF-8 file name of at most 255 bytes
+    {"variants": [{"variant": "exact_tr", "label": "a" * 300}]},
+    {"seeds": [0, 2**63 - 1], "variants": [{"variant": "exact_tr", "label": "a" * 226}]},
+    {"variants": [{"variant": "exact_tr", "label": "\ud800"}]},
 ])
 def test_bad_spec_field_exits_2(tmp_path, capsys, overrides):
     spec = tmp_path / "spec.json"

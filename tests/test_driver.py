@@ -743,3 +743,21 @@ def test_certificate_eigenvalue_matches_full_eigendecomposition(kind):
         assert abs(rep.min_eig - min_eig) <= 1e-12
         assert rep.eig_ok == (min_eig >= -(10.0 / 3.0) * math.sqrt(L2 * eps))
         assert rep.certified == (rep.grad_ok and rep.eig_ok)
+
+
+def test_theory_mode_str1_sso_does_not_grow_with_n():
+    # the paper's claim: fewer second-order oracle calls than exact TR.  In
+    # theory mode at this eps, str1's option-II Hessian batches do not depend
+    # on n, while exact_tr bills n sso an iteration
+    sso, iterations = {}, {}
+    for n in (12000, 48000):
+        problem = from_dataset(generate_synthetic(n, 50, seed=8), "logistic_nc")
+        for variant in ("exact_tr", "str1"):
+            res = run(variant, problem, RunConfig(variant=variant, epsilon=1e-2, delta=0.1,
+                                                  seed=0))
+            assert res.report.certified
+            sso[variant, n] = res.counters.sso
+            iterations[variant, n] = len(res.trace)
+    assert sso["str1", 48000] <= 1.5 * sso["str1", 12000]
+    for n in (12000, 48000):
+        assert sso["exact_tr", n] == n * iterations["exact_tr", n]

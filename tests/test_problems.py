@@ -910,6 +910,19 @@ def test_lipschitz_bounds_equal_the_unblocked_row_norm_max(monkeypatch):
                 assert (got.L1, got.L2) == (ref.L1, ref.L2)
 
 
+def test_lipschitz_bounds_past_the_float_range_of_alpha_to_the_1_5():
+    # alpha**1.5 overflows from alpha of about 3.2e205: the regularizer's L2
+    # term is then inf, unless lam brings the product back into range
+    def L2(lam, alpha):
+        prob = FiniteSumProblem("logistic_nc", X=np.ones((2, 2)), y=np.ones(2),
+                                reg_lambda=lam, reg_alpha=alpha)
+        return lipschitz_bounds(prob).L2
+
+    assert L2(1e-3, 1e300) == math.inf
+    assert L2(0.0, 1e300) == L2(0.0, 1.0)  # the data term alone
+    assert L2(1e-200, 1e250) == pytest.approx(24.0 * 0.2 * 1e175, rel=1e-12)
+
+
 def _traced_peak(call):
     """Peak bytes allocated during ``call()``; memory held before it is not traced."""
     tracemalloc.start()

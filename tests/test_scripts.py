@@ -44,3 +44,12 @@ def test_trs_crossover_runs():
                                 "step_us", "fallbacks"]
     assert [line.split()[0] for line in lines[1:3]] == ["5", "150"]
     assert lines[-1].startswith("solve_trs_exact takes the Krylov path from d = ")
+
+
+def test_sso_scaling_runs():
+    proc = run_script("sso_scaling.py", "--n", 200, 400, "--d", 5)
+    assert proc.returncode == 0, proc.stderr
+    lines = proc.stdout.splitlines()
+    assert lines[0].split() == ["n", "exact_tr_sso", "str1_sso", "str2_sso", "exact_tr_iters",
+                                "str1_iters", "str2_iters", "certified"]
+    assert [line.split()[0] for line in lines[1:]] == ["200", "400"]

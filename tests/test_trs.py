@@ -732,6 +732,22 @@ def test_kkt_residual_tiny_radius_boundary_step():
     assert res.stationarity <= 1e-8 * (np.linalg.norm(g) + 1.0)
 
 
+@pytest.mark.parametrize("defect,message", [
+    ("nan", "non-finite matrix"), ("asymmetric", "not symmetric"), ("non-square", "square"),
+])
+def test_kkt_residual_refuses_a_bad_matrix(defect, message):
+    g, H, r = np.array([1.0, 2.0]), np.diag([1.0, 2.0]), 0.5
+    sol = solve_trs_exact(g, H, r, 1.0)
+    if defect == "nan":
+        H[0, 1] = H[1, 0] = math.nan
+    elif defect == "asymmetric":
+        H[0, 1] = 5.0
+    else:
+        H = np.ones((2, 3))
+    with pytest.raises(ValueError, match=message):
+        kkt_residual(g, H, r, sol)
+
+
 # -- the Krylov path of solve_trs_exact ------------------------------------------
 
 KRYLOV_DIMS = sorted({trs._KRYLOV_MIN_D, 150, 300})
@@ -796,15 +812,15 @@ def _counted(monkeypatch, owner, name) -> list:
 @pytest.mark.parametrize("case", ["indefinite", "definite", "interior"])
 def test_exact_krylov_path_matches_the_eigen_path(monkeypatch, d, case, eig_sizes):
     eighs = _counted(monkeypatch, np.linalg, "eigh")
+    eigvalshs = _counted(monkeypatch, np.linalg, "eigvalsh")
     rng = np.random.default_rng(d)
     for _ in range(3):
         g, H, r = _easy_instance(rng, d, case)
         sol = solve_trs_exact(g, H, r, 0.7)
         # the reduced problem is solved by an LDL' Newton on the tridiagonal,
-        # its Ritz values come from eigvalsh: no eigh of any size
-        assert eighs == []
+        # scaled by a Gershgorin bound: no eigh or eigvalsh of any size
+        assert eighs == [] and eigvalshs == []
         ref = _eigen_path(g, H, r)
-        eighs.clear()
         assert 1 <= sol.krylov_dim <= trs._KRYLOV_MAX_M
         assert np.linalg.norm(sol.h - ref.h) <= 1e-13 * r
         assert abs(sol.mu - ref.mu) <= 1e-12 * max(1.0, ref.mu)
@@ -814,6 +830,8 @@ def test_exact_krylov_path_matches_the_eigen_path(monkeypatch, d, case, eig_size
         # bound on lambda_min(H + mu I)
         assert 0.0 < sol.kkt.min_eig_shifted <= kkt_residual(g, H, r, sol).min_eig_shifted
         assert sol.kkt.stationarity <= 1e-8 * (np.linalg.norm(g) + 1.0)
+        eighs.clear()
+        eigvalshs.clear()
     assert eig_sizes == []  # no d x d eigendecomposition
 
 
@@ -875,7 +893,7 @@ def test_tridiagonal_trs_matches_the_eigenbasis_solve(seed, case):
     ref = trs._solve_in_eigenbasis(gt, theta, U, 1.0, 1.0, trs.MIN_TOL)
     assert (ref.mu == 0.0) == (case == "interior")
     for mu0 in (ref.mu, 0.0, 10.0):
-        u, mu = trs._tridiagonal_trs(list(a), list(b), gamma, float(theta[0]), mu0)
+        u, mu = trs._tridiagonal_trs(list(a), list(b), gamma, mu0)
         assert np.linalg.norm(np.array(u) - ref.h) <= 1e-13
         assert abs(mu - ref.mu) <= 1e-13 * max(1.0, ref.mu)
         assert (mu == 0.0) == (case == "interior")
@@ -884,12 +902,14 @@ def test_tridiagonal_trs_matches_the_eigenbasis_solve(seed, case):
 def test_tridiagonal_trs_refuses_a_hard_case():
     # beta = 0 splits T, and gamma e_1 misses the lower block that holds the
     # bottom eigenvalue: for every mu above -theta_1 the step lies inside the
-    # ball, so no multiplier meets the secular equation
-    a, b = [1.0, 1.0, -1.0, 0.5], [0.2, 0.0, 0.3]
-    theta1 = float(np.linalg.eigvalsh(_tridiagonal(a, b))[0])
+    # ball, so no multiplier meets the secular equation.  T is scaled by its
+    # spectral radius, so its eigenvalues lie in [-1, 1]
+    a, b = np.array([1.0, 1.0, -1.0, 0.5]), np.array([0.2, 0.0, 0.3])
+    rho = float(np.max(np.abs(np.linalg.eigvalsh(_tridiagonal(a, b)))))
+    a, b = list(a / rho), list(b / rho)
     for mu0 in (0.0, 1.2, 5.0):
         with pytest.raises(TrsNumericError, match="hard case"):
-            trs._tridiagonal_trs(a, b, 0.1, theta1, mu0)
+            trs._tridiagonal_trs(a, b, 0.1, mu0)
 
 
 @pytest.mark.parametrize("d", KRYLOV_DIMS)
