@@ -750,7 +750,8 @@ def test_kkt_residual_refuses_a_bad_matrix(defect, message):
 
 # -- the Krylov path of solve_trs_exact ------------------------------------------
 
-KRYLOV_DIMS = sorted({trs._KRYLOV_MIN_D, 150, 300})
+# the threshold, the earlier threshold 75, and two sizes well above them
+KRYLOV_DIMS = sorted({trs._KRYLOV_MIN_D, 75, 150, 300})
 
 
 def _eigen_path(g, H, r):
@@ -982,8 +983,8 @@ def test_exact_krylov_failure_falls_back_to_the_eigen_path(monkeypatch, eig_size
 
 
 # the eigen path just below the threshold, the Krylov path at it and at an
-# odd and an even size well above it
-@pytest.mark.parametrize("d", [trs._KRYLOV_MIN_D - 1, trs._KRYLOV_MIN_D, 149, 150])
+# odd and an even size both near it and well above it
+@pytest.mark.parametrize("d", [trs._KRYLOV_MIN_D - 1, trs._KRYLOV_MIN_D, 74, 75, 149, 150])
 @pytest.mark.parametrize("defect,message", [
     ("asymmetric", "not symmetric"), ("nan", "non-finite matrix"), ("inf", "non-finite matrix"),
 ])
