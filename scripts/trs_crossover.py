@@ -7,12 +7,15 @@ radius ``sqrt(eps/L2)``, dual-threshold stop) on ``logistic_nc`` over
 solved by the eigen path (``sym_eig`` and the eigenbasis solve) and by the
 Krylov path (``_krylov_solution``), and the median wall time per solve of each
 is printed, with ``step_us``, the median Krylov time per Lanczos step (over the
-solves that path certifies).  The smallest d at which the Krylov path wins is
-where ``trs._KRYLOV_MIN_D`` belongs.  BLAS runs on one thread unless the
+solves that path certifies), and ``gersh``, how many of those solves
+Gershgorin's circles certified with no Cholesky factorization.  The crossover,
+the smallest d at which the Krylov path wins, bounds ``trs._KRYLOV_MIN_D`` from
+below; the threshold also stays above the d = 50 ``tall`` benchmark workload,
+so that its solves keep the eigen path.  BLAS runs on one thread unless the
 environment already sets ``OPENBLAS_NUM_THREADS``.
 
 Example:
-    python scripts/trs_crossover.py --dims 30 50 100 125 150 200 400
+    python scripts/trs_crossover.py --dims 30 50 60 75 100 150 400
 """
 
 import argparse
@@ -63,6 +66,14 @@ def krylov_path(g, H, r, L2):
     return trs._krylov_solution(g, trs._symmetric(H), r, L2, trs.MIN_TOL)
 
 
+def gershgorin_certified(subproblem, sol) -> bool:
+    """Whether the Krylov path proved ``sol`` optimal with no factorization:
+    its ``kkt.min_eig_shifted`` is the margin ``tau`` it proved, and it tries
+    Gershgorin's circles on ``H + (mu - tau) I`` first."""
+    H = trs._symmetric(subproblem[1])
+    return trs._gershgorin_definite(H, sol.mu - sol.kkt.min_eig_shifted)
+
+
 def best_times(solve, subproblems, repeats):
     """The best of ``repeats`` wall times of each subproblem's solve, in s."""
     times = []
@@ -88,7 +99,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
 
     print(f"{'d':>5} {'solves':>6} {'eigen_ms':>9} {'krylov_ms':>9} {'krylov_dim':>10} "
-          f"{'step_us':>8} {'fallbacks':>9}")
+          f"{'step_us':>8} {'gersh':>6} {'fallbacks':>9}")
     for d in args.dims:
         subproblems = exact_tr_subproblems(args.n, d, args.data_seed, args.epsilon,
                                            args.max_iters)
@@ -96,11 +107,14 @@ def main(argv=None) -> int:
         dims = [s.krylov_dim for s in krylov if s is not None]
         krylov_s = best_times(krylov_path, subproblems, args.repeats)
         step_s = [t / s.krylov_dim for t, s in zip(krylov_s, krylov) if s is not None]
+        gersh = sum(gershgorin_certified(sp, s) for sp, s in zip(subproblems, krylov)
+                    if s is not None)
         print(f"{d:>5} {len(subproblems):>6} "
               f"{1e3 * np.median(best_times(eigen_path, subproblems, args.repeats)):>9.2f} "
               f"{1e3 * np.median(krylov_s):>9.2f} "
               f"{float(np.median(dims)) if dims else math.nan:>10g} "
               f"{1e6 * np.median(step_s) if step_s else math.nan:>8.1f} "
+              f"{gersh:>6} "
               f"{len(krylov) - len(dims):>9}")
     print(f"solve_trs_exact takes the Krylov path from d = {trs._KRYLOV_MIN_D}")
     return 0

@@ -12,9 +12,10 @@ Solves ``min_{||h|| <= r} <g, h> + 0.5 <H h, h>`` two ways:
   Newton on an O(m) ``LDL'`` factorization of the tridiagonal, kept as its
   two diagonals and scaled by a Gershgorin bound, with no eigenvalue of it
   computed, warm-started from the previous step) and proves the lifted step
-  globally optimal with one Cholesky factorization of ``H + mu I`` shifted
-  down by a rounding margin; a case that proof cannot cover, such as the
-  hard case, takes the eigendecomposition.
+  globally optimal by showing ``H + mu I``, shifted down by a rounding
+  margin, positive definite: by Gershgorin's circles in O(d^2) where they
+  suffice, else by one Cholesky factorization; a case that proof cannot
+  cover, such as the hard case, takes the eigendecomposition.
 * :func:`solve_trs_lanczos` -- matrix-free Krylov method with full
   reorthogonalization; column m >= 2 of the basis is ``H q_{m-2}``, so g's
   chain takes the even columns and a random probe's the odd ones.  The
@@ -51,12 +52,13 @@ _MAX_SECULAR_ITERS = 200
 _PAD_RTOL = 1e-12
 # From this dimension on, solve_trs_exact first solves in g's Krylov space,
 # with no d x d eigendecomposition.  scripts/trs_crossover.py times both paths
-# per solve on exact_tr subproblems, one BLAS thread: eigen 2.00 ms and Krylov
-# 0.70 ms at d = 100, 1.33 and 0.56 at d = 75, 0.85 and 0.50 at d = 60, 0.71
-# and 0.43 at d = 50, 0.34 and 0.39 at d = 30.  Timed interleaved, best of 7,
-# Krylov was faster on each of 60 solves at d = 60, and with --n 12000
-# --epsilon 1e-2 on each of 48 (0.65 against 0.90 ms).  It also wins at d = 50,
-# but the threshold stays above it, where the d = 50 benchmark solves.
+# per solve on exact_tr subproblems, one BLAS thread: eigen 1.94 ms and Krylov
+# 0.60 ms at d = 100, 1.20 and 0.51 at d = 75, 0.83 and 0.48 at d = 60, 0.68
+# and 0.48 at d = 50, 0.34 and 0.42 at d = 30; with --n 12000 --epsilon 1e-2,
+# 0.53 and 0.31 at d = 60, 0.42 and 0.31 at d = 50.  Gershgorin's circles
+# certified every Krylov step there, with no Cholesky factorization.  Krylov
+# also wins at d = 50, but the threshold stays above it, where the d = 50
+# benchmark solves.
 _KRYLOV_MIN_D = 60
 # The Krylov step stops growing once the lifted residual beta_m |u_m| is at
 # most this times sigma.  On the d = 400 benchmark subproblems its step then
@@ -65,10 +67,11 @@ _KRYLOV_MIN_D = 60
 # first gap below _SECULAR_RTOL; at 1e-13 it lay within 8e-14 r.
 _KRYLOV_RTOL = 1e-15
 # A Krylov attempt gives up after this many steps.  On a definite d = 150
-# instance whose chain needs 69, the 64 steps cost 3.2-5.0 ms against 4.0 ms
-# for the eigen path it then takes (one BLAS thread); about 40% of that is the
-# reduced solves, each a pure-Python O(m) LDL' of T_m.  The benchmark's
-# solves take 6 to 18.
+# instance whose chain needs 69, the 64 steps cost 3.0-4.8 ms against 3.6-4.0
+# ms for the eigen path it then takes (one BLAS thread); about 40% of that is
+# the reduced solves, each a pure-Python O(m) LDL' of T_m.  The d = 400
+# benchmark's solves take 6 to 18 steps and 1.5-1.7 ms (median), certificate
+# included.
 _KRYLOV_MAX_M = 64
 
 
@@ -77,8 +80,9 @@ class KktResidual:
     """Stationarity norm, lambda_min(H + mu I), and |mu (||h|| - r)|.
 
     On the Krylov path of :func:`solve_trs_exact` (``krylov_dim`` set) the
-    middle field is a lower bound on lambda_min(H + mu I), the margin its
-    factorization proved, not the eigenvalue.
+    middle field is a lower bound on lambda_min(H + mu I), the margin that
+    path proved (by Gershgorin's circles or a Cholesky factorization), not
+    the eigenvalue.
     """
 
     stationarity: float
@@ -269,13 +273,14 @@ def solve_trs_exact(g, H, r: float, L2: float, tol: float = MIN_TOL) -> TrsSolut
     on the unit ball (see :func:`_solve_in_eigenbasis`).  At ``d >=
     _KRYLOV_MIN_D`` the step is first sought in g's Krylov space with no d x d
     eigendecomposition (see :func:`_krylov_solution`); a step found there
-    carries ``krylov_dim``, is proved globally optimal by a factorization of
-    ``H + mu I`` and passes the same gate.  Where that path finds none (g = 0,
-    hard or semidefinite cases, no convergence) the eigendecomposition
-    solves, so its pads, errors and results are those of smaller d.  Raises
-    :class:`TrsNumericError` with the best iterate attached if the
-    stationarity residual misses ``tol (||g|| + 1)`` (a NaN always misses),
-    ``||h|| > r``, or ``mu > 0`` with ``||h|| < r``, each judged relative to r.
+    carries ``krylov_dim``, is proved globally optimal by Gershgorin's
+    circles or a factorization of ``H + mu I`` and passes the same gate.
+    Where that path finds none (g = 0, hard or semidefinite cases, no
+    convergence) the eigendecomposition solves, so its pads, errors and
+    results are those of smaller d.  Raises :class:`TrsNumericError` with the
+    best iterate attached if the stationarity residual misses ``tol (||g|| +
+    1)`` (a NaN always misses), ``||h|| > r``, or ``mu > 0`` with ``||h|| <
+    r``, each judged relative to r.
     A ``tol`` below :data:`MIN_TOL` or not finite is a ``ValueError``.
     """
     g = np.asarray(g, dtype=float)
@@ -509,6 +514,25 @@ def _tridiagonal_trs(a, b, gamma, mu):
     return best_u, best_mu
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def _gershgorin_definite(H, shift) -> bool:
+    """Whether Gershgorin's circles prove ``H + shift I`` positive definite, in
+    O(d^2) and with no factorization.
+
+    Each eigenvalue of ``H`` lies right of ``min_i (H_ii - sum_{j != i}
+    |H_ij|)`` (Conn, Gould & Toint 2000, section 7.3).  That bound plus
+    ``shift`` must exceed ``2 d eps (max_i sum_j |H_ij| + |shift|)``, which
+    covers the rounding of the row sums and of the test itself.  A row sum
+    that overflows (or a NaN) makes the test fail, with no warning.  The
+    test is only sufficient: a definite ``H + shift I`` that is not
+    diagonally dominant fails it.
+    """
+    rows = np.abs(H).sum(axis=1)
+    diag = H.diagonal()
+    lower = float(np.min(diag - (rows - np.abs(diag)))) + shift
+    return lower > 2.0 * len(H) * np.finfo(float).eps * (float(np.max(rows)) + abs(shift))
+
+
 def _krylov_solution(g, H, r, L2, tol) -> TrsSolution | None:
     """The global minimizer from g's Krylov space, or None where that space
     does not certify one.
@@ -521,14 +545,16 @@ def _krylov_solution(g, H, r, L2, tol) -> TrsSolution | None:
     beta_i)``, a running Gershgorin bound on the spectral radius of ``T_m``,
     by :func:`_tridiagonal_trs`, an O(m) Newton warm-started from step m - 1,
     until the lifted residual ``beta_m |u_m|`` is at most ``_KRYLOV_RTOL
-    sigma``.  The lifted step is accepted only if a Cholesky factorization of
-    ``H + (mu - tau) I``, ``tau = 1e-12 sigma``, proves ``H + mu I`` positive
-    definite, so that the step is the unique global minimizer, and if it
-    passes the eigen path's gate (:func:`_gated_solution`).  Its
-    ``kkt.min_eig_shifted`` is then ``tau``, a lower bound on ``lambda_min(H +
-    mu I)``.  None on g = 0, on a reduced problem that is hard or fails, on a
-    failed factorization (a hard or semidefinite case) or gate, and after
-    ``_KRYLOV_MAX_M`` steps.
+    sigma``.  The lifted step is accepted only if ``H + (mu - tau) I``, ``tau
+    = 1e-12 sigma``, is proved positive definite, so that the step is the
+    unique global minimizer, and if it passes the eigen path's gate
+    (:func:`_gated_solution`).  The proof is Gershgorin's circles
+    (:func:`_gershgorin_definite`, O(d^2)) where they clear zero, else a
+    Cholesky factorization; either way ``kkt.min_eig_shifted`` is ``tau``, a
+    lower bound on ``lambda_min(H + mu I)``, and the solution is the same.
+    None on g = 0 or a unit gradient ``||g|| / (r sigma)`` that underflows to
+    0, on a reduced problem that is hard or fails, on a failed factorization (a
+    hard or semidefinite case) or gate, and after ``_KRYLOV_MAX_M`` steps.
     """
     d = g.size
     gnorm = _norm(g)
@@ -553,10 +579,13 @@ def _krylov_solution(g, H, r, L2, tol) -> TrsSolution | None:
             return None
         # Gershgorin row j of T_{m+1}: an upper bound on the spectral radius of T_m
         sigma = max(sigma, abs(alpha[j]) + (beta[j - 1] if j else 0.0) + beta[j]) or 1.0
+        gamma = gnorm / r / sigma
+        if gamma == 0.0:  # the unit gradient underflowed: as at g = 0
+            return None
         try:
             u_red, mu = _tridiagonal_trs([x / sigma for x in alpha],
                                          [x / sigma for x in beta[:j]],
-                                         gnorm / r / sigma, mu_c / sigma)
+                                         gamma, mu_c / sigma)
         except TrsNumericError:
             return None
         mu_c = sigma * mu
@@ -569,12 +598,13 @@ def _krylov_solution(g, H, r, L2, tol) -> TrsSolution | None:
         Q[m] = v / beta[j]
     u = Q[:m].T @ np.array(u_red)
     tau = 1e-12 * sigma
-    shifted = H.copy()
-    shifted.flat[:: d + 1] += mu_c - tau
-    try:
-        np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        return None
+    if not _gershgorin_definite(H, mu_c - tau):
+        shifted = H.copy()
+        shifted.flat[:: d + 1] += mu_c - tau
+        try:
+            np.linalg.cholesky(shifted)
+        except np.linalg.LinAlgError:
+            return None
     g = g / r / sigma
     try:
         sol = _gated_solution(u, (H @ u) / sigma, mu, g, _norm(g), sigma, r, L2, tol, tau)

@@ -29,3 +29,33 @@ def test_benchmark_fingerprints_match_references(workload, extra):
     result = json.loads(proc.stdout.strip().splitlines()[-1])
     assert result["correct"] is True, proc.stdout
     assert result["failed"] == 0, proc.stdout
+
+
+def test_wide_pass_certifies_every_krylov_step_without_a_factorization(monkeypatch):
+    # each d = 400 subproblem of a seed-43 `wide` pass is proved optimal by
+    # Gershgorin's circles, so the O(d^3) Cholesky factorization never runs
+    import numpy as np
+
+    from strbench import trs
+
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    import speed
+    import workloads
+
+    proofs, chols = [], []
+    gershgorin, cholesky = trs._gershgorin_definite, np.linalg.cholesky
+
+    def recording_proof(H, shift):
+        proofs.append(gershgorin(H, shift))
+        return proofs[-1]
+
+    def counting_cholesky(A):
+        chols.append(len(A))
+        return cholesky(A)
+
+    monkeypatch.setattr(trs, "_gershgorin_definite", recording_proof)
+    monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
+    ops = workloads.WORKLOADS["wide"]().run_pass(43, speed.Clock(calibrate=False)).ops
+    assert [op.error for op in ops] == [None, None, None]
+    assert len(proofs) == 27 and all(proofs)
+    assert chols == []

@@ -41,7 +41,7 @@ def test_trs_crossover_runs():
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0].split() == ["d", "solves", "eigen_ms", "krylov_ms", "krylov_dim",
-                                "step_us", "fallbacks"]
+                                "step_us", "gersh", "fallbacks"]
     assert [line.split()[0] for line in lines[1:3]] == ["5", "150"]
     assert lines[-1].startswith("solve_trs_exact takes the Krylov path from d = ")
 

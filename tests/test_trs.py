@@ -814,6 +814,7 @@ def _counted(monkeypatch, owner, name) -> list:
 def test_exact_krylov_path_matches_the_eigen_path(monkeypatch, d, case, eig_sizes):
     eighs = _counted(monkeypatch, np.linalg, "eigh")
     eigvalshs = _counted(monkeypatch, np.linalg, "eigvalsh")
+    chols = _counted(monkeypatch, np.linalg, "cholesky")
     rng = np.random.default_rng(d)
     for _ in range(3):
         g, H, r = _easy_instance(rng, d, case)
@@ -821,18 +822,24 @@ def test_exact_krylov_path_matches_the_eigen_path(monkeypatch, d, case, eig_size
         # the reduced problem is solved by an LDL' Newton on the tridiagonal,
         # scaled by a Gershgorin bound: no eigh or eigvalsh of any size
         assert eighs == [] and eigvalshs == []
+        # H's rows are not dominant: at the small mu of the definite and
+        # interior cases Gershgorin's circles do not prove H + mu I definite,
+        # and one Cholesky factorization does; the indefinite case's large mu
+        # clears every row's deficit
+        assert len(chols) == (case != "indefinite")
         ref = _eigen_path(g, H, r)
         assert 1 <= sol.krylov_dim <= trs._KRYLOV_MAX_M
         assert np.linalg.norm(sol.h - ref.h) <= 1e-13 * r
         assert abs(sol.mu - ref.mu) <= 1e-12 * max(1.0, ref.mu)
         assert sol.lambda_alg == 2.0 * sol.mu / 0.7
         assert sol.on_boundary == ref.on_boundary == (case != "interior")
-        # on this path min_eig_shifted is the factorization's margin, a lower
-        # bound on lambda_min(H + mu I)
+        # on this path min_eig_shifted is the margin its certificate proved, a
+        # lower bound on lambda_min(H + mu I)
         assert 0.0 < sol.kkt.min_eig_shifted <= kkt_residual(g, H, r, sol).min_eig_shifted
         assert sol.kkt.stationarity <= 1e-8 * (np.linalg.norm(g) + 1.0)
         eighs.clear()
         eigvalshs.clear()
+        chols.clear()
     assert eig_sizes == []  # no d x d eigendecomposition
 
 
@@ -852,6 +859,87 @@ def test_exact_krylov_step_cap_is_the_eigen_path(monkeypatch, eig_sizes):
     assert _fields(sol) == _fields(_eigen_path(g, H, r))
     assert sol.krylov_dim is None and not sol.on_boundary and sol.mu == 0.0
     assert eig_sizes == [d]
+
+
+def _dominant_instance(rng, d, case):
+    """A subproblem whose ``H + mu I`` is strictly diagonally dominant at the
+    solution: diagonal in [0.5, 2] ("definite", boundary, and "interior") or
+    in [-1, 1] with a radius that puts mu near 3 ("indefinite"), off-diagonal
+    row sums below 0.25."""
+    E = rng.uniform(-1.0, 1.0, (d, d))
+    E = (E + E.T) / 2.0 * (0.25 / d)
+    np.fill_diagonal(E, 0.0)
+    low, high = (-1.0, 1.0) if case == "indefinite" else (0.5, 2.0)
+    H = E + np.diag(rng.uniform(low, high, d))
+    g = rng.standard_normal(d)
+    if case == "indefinite":
+        return g, H, np.linalg.norm(g) / 3.0
+    newton = np.linalg.norm(np.linalg.solve(H, g))
+    return g, H, (1.5 if case == "interior" else 0.5) * newton
+
+
+@pytest.mark.parametrize("d", KRYLOV_DIMS)
+@pytest.mark.parametrize("case", ["indefinite", "definite", "interior"])
+def test_exact_krylov_dominant_step_is_certified_without_a_factorization(monkeypatch, d, case):
+    # Gershgorin's circles prove H + (mu - tau) I definite: no Cholesky, and
+    # the same solution, bit for bit, as the factorization's route
+    rng = np.random.default_rng(d)
+    for _ in range(2):
+        g, H, r = _dominant_instance(rng, d, case)
+        with monkeypatch.context() as m:
+            chols = _counted(m, np.linalg, "cholesky")
+            sol = solve_trs_exact(g, H, r, 0.7)
+            assert chols == []
+        with monkeypatch.context() as m:
+            chols = _counted(m, np.linalg, "cholesky")
+            m.setattr(trs, "_gershgorin_definite", lambda H, shift: False)
+            factorized = solve_trs_exact(g, H, r, 0.7)
+            assert len(chols) == 1
+        assert sol.krylov_dim is not None
+        assert _fields(sol) == _fields(factorized)
+        assert sol.on_boundary == (case != "interior")
+        assert 0.0 < sol.kkt.min_eig_shifted <= kkt_residual(g, H, r, sol).min_eig_shifted
+
+
+@pytest.mark.parametrize("d", KRYLOV_DIMS)
+def test_gershgorin_margin_inside_the_rounding_margin_is_factorized(monkeypatch, d):
+    # H = a I + b P, P a symmetric sign pattern with zero diagonal: every row's
+    # Gershgorin bound is c = a - (d - 1) b, exact in floats, while lambda_min(H)
+    # is about a - 2 b sqrt(d).  The interior solution has mu = 0, so the test
+    # sees c - tau; c puts that halfway inside the rounding margin
+    rng = np.random.default_rng(d)
+    P = np.triu(rng.choice([-1.0, 1.0], (d, d)), 1)
+    b = 2.0**-10
+    g = rng.standard_normal(d)
+    tests = _counted(monkeypatch, trs, "_gershgorin_definite")
+
+    def solve(c):
+        H = (c + (d - 1) * b) * np.eye(d) + b * (P + P.T)
+        r = 2.0 * np.linalg.norm(np.linalg.solve(H, g))
+        return H, solve_trs_exact(g, H, r, 0.7)
+
+    H, sol = solve(0.0)
+    shift = tests[-1][1]  # -tau
+    margin = 2.0 * d * np.finfo(float).eps * (np.max(np.abs(H).sum(axis=1)) - shift)
+    chols = _counted(monkeypatch, np.linalg, "cholesky")
+    H, sol = solve(-shift + margin / 2.0)
+    assert sol.mu == 0.0 and sol.krylov_dim is not None
+    c = H[0, 0] - (d - 1) * b
+    assert 0.0 < c + tests[-1][1] < margin
+    assert len(chols) == 1
+
+
+@pytest.mark.parametrize("scale", [1e308, 1.7e308])
+def test_gershgorin_overflowing_row_sums_decline_without_a_warning(scale):
+    # strictly dominant, but each row's absolute sum overflows: inconclusive,
+    # so the factorization decides (pytest turns a RuntimeWarning into an error)
+    d = trs._KRYLOV_MIN_D
+    H = np.full((d, d), scale / d) + np.diag(np.full(d, scale))
+    with np.errstate(over="ignore"):
+        assert np.isfinite(H).all() and not np.isfinite(np.abs(H).sum(axis=1)).any()
+    assert not trs._gershgorin_definite(H, 0.0)
+    assert not trs._gershgorin_definite(H, 1e308)
+    assert trs._gershgorin_definite(H / scale, 0.0)
 
 
 def _tridiagonal(a, b):
@@ -1004,6 +1092,28 @@ def test_exact_below_the_krylov_dimension_is_the_eigen_path(d):
     for case in ("indefinite", "definite", "interior"):
         g, H, r = _easy_instance(rng, d, case)
         assert _fields(solve_trs_exact(g, H, r, 0.7)) == _fields(_eigen_path(g, H, r))
+
+
+@pytest.mark.parametrize("gi,H_scale,r", [(1e-185, 1e108, 1e94), (1e-300, 1e108, 1e20)])
+def test_exact_krylov_underflowing_unit_gradient_is_the_eigen_path(gi, H_scale, r, eig_sizes):
+    # ||g|| / r / sigma underflows to 0: the Krylov path treats the unit
+    # problem as g = 0 and hands it to the eigen path, whose error or solution
+    # is that of smaller d (no ZeroDivisionError from an all-zero reduced step)
+    d = 64
+    A = np.random.default_rng(0).standard_normal((d, d))
+    g, H = np.full(d, gi), (A + A.T) / 2.0 * H_scale
+    try:
+        sol = solve_trs_exact(g, H, r, 1.0)
+    except TrsNumericError as exc:
+        outcome = str(exc)
+    else:
+        outcome = _fields(sol)
+    try:
+        ref = _fields(_eigen_path(g, H, r))
+    except TrsNumericError as exc:
+        ref = str(exc)
+    assert outcome == ref
+    assert eig_sizes == [d]
 
 
 def test_exact_krylov_path_scale_equivariance():
