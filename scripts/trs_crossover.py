@@ -8,10 +8,11 @@ solved by the eigen path (``sym_eig`` and the eigenbasis solve) and by the
 Krylov path (``_krylov_solution``), and the median wall time per solve of each
 is printed, with ``step_us``, the median Krylov time per Lanczos step (over the
 solves that path certifies), and ``gersh``, how many of those solves
-Gershgorin's circles certified with no Cholesky factorization.  The crossover,
-the smallest d at which the Krylov path wins, bounds ``trs._KRYLOV_MIN_D`` from
-below; the threshold also stays above the d = 50 ``tall`` benchmark workload,
-so that its solves keep the eigen path.  BLAS runs on one thread unless the
+Gershgorin's circles certified with no Cholesky factorization.  The two paths
+are timed in turn on each subproblem, so a change of machine speed during the
+run reaches both alike.  The last lines give the crossover, the smallest listed
+d from which the Krylov path wins at every larger listed d, which sets
+``trs._KRYLOV_MIN_D``, and that threshold.  BLAS runs on one thread unless the
 environment already sets ``OPENBLAS_NUM_THREADS``.
 
 Example:
@@ -74,17 +75,31 @@ def gershgorin_certified(subproblem, sol) -> bool:
     return trs._gershgorin_definite(H, sol.mu - sol.kkt.min_eig_shifted)
 
 
-def best_times(solve, subproblems, repeats):
-    """The best of ``repeats`` wall times of each subproblem's solve, in s."""
-    times = []
+def best_times(solves, subproblems, repeats):
+    """For each of ``solves``, the best of ``repeats`` wall times of each
+    subproblem's solve, in s; each repeat times every solve in turn."""
+    times = [[] for _ in solves]
     for g, H, r, L2 in subproblems:
-        best = math.inf
+        best = [math.inf for _ in solves]
         for _ in range(repeats):
-            t0 = time.perf_counter()
-            solve(g, H, r, L2)
-            best = min(best, time.perf_counter() - t0)
-        times.append(best)
+            for i, solve in enumerate(solves):
+                t0 = time.perf_counter()
+                solve(g, H, r, L2)
+                best[i] = min(best[i], time.perf_counter() - t0)
+        for out, t in zip(times, best):
+            out.append(t)
     return times
+
+
+def crossover(rows):
+    """The smallest d of ``rows``, ``(d, eigen_s, krylov_s)`` in ascending d,
+    from which the Krylov path wins at every larger d, or None."""
+    found = None
+    for d, eigen_s, krylov_s in reversed(rows):
+        if not krylov_s < eigen_s:
+            break
+        found = d
+    return found
 
 
 def main(argv=None) -> int:
@@ -100,22 +115,26 @@ def main(argv=None) -> int:
 
     print(f"{'d':>5} {'solves':>6} {'eigen_ms':>9} {'krylov_ms':>9} {'krylov_dim':>10} "
           f"{'step_us':>8} {'gersh':>6} {'fallbacks':>9}")
-    for d in args.dims:
+    rows = []
+    for d in sorted(args.dims):
         subproblems = exact_tr_subproblems(args.n, d, args.data_seed, args.epsilon,
                                            args.max_iters)
         krylov = [krylov_path(*sp) for sp in subproblems]
         dims = [s.krylov_dim for s in krylov if s is not None]
-        krylov_s = best_times(krylov_path, subproblems, args.repeats)
+        eigen_s, krylov_s = best_times([eigen_path, krylov_path], subproblems, args.repeats)
         step_s = [t / s.krylov_dim for t, s in zip(krylov_s, krylov) if s is not None]
         gersh = sum(gershgorin_certified(sp, s) for sp, s in zip(subproblems, krylov)
                     if s is not None)
+        rows.append((d, float(np.median(eigen_s)), float(np.median(krylov_s))))
         print(f"{d:>5} {len(subproblems):>6} "
-              f"{1e3 * np.median(best_times(eigen_path, subproblems, args.repeats)):>9.2f} "
-              f"{1e3 * np.median(krylov_s):>9.2f} "
+              f"{1e3 * rows[-1][1]:>9.2f} "
+              f"{1e3 * rows[-1][2]:>9.2f} "
               f"{float(np.median(dims)) if dims else math.nan:>10g} "
               f"{1e6 * np.median(step_s) if step_s else math.nan:>8.1f} "
               f"{gersh:>6} "
               f"{len(krylov) - len(dims):>9}")
+    found = crossover(rows)
+    print(f"the Krylov path wins from d = {'none' if found is None else found}")
     print(f"solve_trs_exact takes the Krylov path from d = {trs._KRYLOV_MIN_D}")
     return 0
 

@@ -7,15 +7,16 @@ Solves ``min_{||h|| <= r} <g, h> + 0.5 <H h, h>`` two ways:
   safeguarded Newton iteration on the reciprocal secular equation
   ``1/||u(mu)|| - 1`` (More-Sorensen style), with explicit hard-case
   handling, and a gate on the unit problem's KKT conditions.  From
-  ``d = _KRYLOV_MIN_D`` on it first solves in g's Krylov space (GLTR, Gould,
-  Lucidi, Roma & Toint 1999: one Lanczos chain, and at each step the same
-  Newton on an O(m) ``LDL'`` factorization of the tridiagonal, kept as its
-  two diagonals and scaled by a Gershgorin bound, with no eigenvalue of it
-  computed, warm-started from the previous step) and proves the lifted step
-  globally optimal by showing ``H + mu I``, shifted down by a rounding
-  margin, positive definite: by Gershgorin's circles in O(d^2) where they
-  suffice, else by one Cholesky factorization; a case that proof cannot
-  cover, such as the hard case, takes the eigendecomposition.
+  ``d = _KRYLOV_MIN_D`` (38, the measured crossover) on it first solves in
+  g's Krylov space (GLTR, Gould, Lucidi, Roma & Toint 1999: one Lanczos
+  chain, and at each step the same Newton on an O(m) ``LDL'`` factorization
+  of the tridiagonal, kept as its two diagonals and scaled by a Gershgorin
+  bound, with no eigenvalue of it computed, warm-started from the previous
+  step) and proves the lifted step globally optimal by showing ``H + mu I``,
+  shifted down by a rounding margin, positive definite: by Gershgorin's
+  circles in O(d^2) where they suffice, else by one Cholesky factorization;
+  a case that proof cannot cover, such as the hard case, takes the
+  eigendecomposition.
 * :func:`solve_trs_lanczos` -- matrix-free Krylov method with full
   reorthogonalization; column m >= 2 of the basis is ``H q_{m-2}``, so g's
   chain takes the even columns and a random probe's the odd ones.  The
@@ -52,14 +53,15 @@ _MAX_SECULAR_ITERS = 200
 _PAD_RTOL = 1e-12
 # From this dimension on, solve_trs_exact first solves in g's Krylov space,
 # with no d x d eigendecomposition.  scripts/trs_crossover.py times both paths
-# per solve on exact_tr subproblems, one BLAS thread: eigen 1.94 ms and Krylov
-# 0.60 ms at d = 100, 1.20 and 0.51 at d = 75, 0.83 and 0.48 at d = 60, 0.68
-# and 0.48 at d = 50, 0.34 and 0.42 at d = 30; with --n 12000 --epsilon 1e-2,
-# 0.53 and 0.31 at d = 60, 0.42 and 0.31 at d = 50.  Gershgorin's circles
-# certified every Krylov step there, with no Cholesky factorization.  Krylov
-# also wins at d = 50, but the threshold stays above it, where the d = 50
-# benchmark solves.
-_KRYLOV_MIN_D = 60
+# in turn per solve on exact_tr subproblems, one BLAS thread.  At d = 30..50 in
+# steps of 2, three runs put the crossover at d = 34, 34, 34 on its default
+# grid and at 36, 38, 36 with --n 12000 --epsilon 1e-2; this is the smallest d
+# at which Krylov won on both grids in every run.  Eigen and Krylov ms per
+# solve: 0.31 and 0.26 at d = 38, 0.47 and 0.31 at d = 50, 0.23 and 0.25 at
+# d = 30 (default grid); 0.33 and 0.31, 0.43 and 0.32, 0.22 and 0.27 with
+# --n 12000.  Gershgorin's circles certified every Krylov step there, with no
+# Cholesky factorization.
+_KRYLOV_MIN_D = 38
 # The Krylov step stops growing once the lifted residual beta_m |u_m| is at
 # most this times sigma.  On the d = 400 benchmark subproblems its step then
 # lies within 2.6e-15 r of the eigen path's run to a rounding-level secular
@@ -252,7 +254,10 @@ def _secular_root(e, gt, delta_hi, singular_at_lo):
     return best_delta, best_gap <= 1e-9
 
 
-def _check_inputs(g, r, L2, tol) -> None:
+def _check_inputs(g, r, L2, tol) -> tuple[float, float]:
+    """Refuse bad inputs; return ``r`` and ``L2`` as Python floats, whose
+    products and quotients go to inf past the float range with no warning,
+    where numpy scalars warn."""
     # written as ``not <``, so NaN fails; the unit-ball solve needs a finite r
     if not 0.0 < r < math.inf:
         raise ValueError("radius must be positive and finite")
@@ -262,6 +267,7 @@ def _check_inputs(g, r, L2, tol) -> None:
         raise ValueError(f"tol must be finite and >= {MIN_TOL:g}, got {tol!r}")
     if not np.all(np.isfinite(g)):
         raise ValueError("non-finite inputs")
+    return float(r), float(L2)
 
 
 def solve_trs_exact(g, H, r: float, L2: float, tol: float = MIN_TOL) -> TrsSolution:
@@ -280,12 +286,13 @@ def solve_trs_exact(g, H, r: float, L2: float, tol: float = MIN_TOL) -> TrsSolut
     results are those of smaller d.  Raises :class:`TrsNumericError` with the
     best iterate attached if the stationarity residual misses ``tol (||g|| +
     1)`` (a NaN always misses), ``||h|| > r``, or ``mu > 0`` with ``||h|| <
-    r``, each judged relative to r.
+    r``, each judged relative to r, and with none attached if the unit
+    problem's scale ``max_i |g_i| / r`` is past the float range.
     A ``tol`` below :data:`MIN_TOL` or not finite is a ``ValueError``.
     """
     g = np.asarray(g, dtype=float)
     H = np.asarray(H, dtype=float)
-    _check_inputs(g, r, L2, tol)
+    r, L2 = _check_inputs(g, r, L2, tol)
     if g.size >= _KRYLOV_MIN_D:
         H = _symmetric(H)
         sol = _krylov_solution(g, H, r, L2, tol)
@@ -304,9 +311,13 @@ def _solve_in_eigenbasis(g, w, V, r, L2, tol) -> TrsSolution:
     and gradient ``g / (r sigma)``, ``sigma = max(|lambda_1|, |lambda_d|,
     max_i |g_i| / r)`` or 1 if that is 0 (the max-norm of g cannot overflow
     where its 2-norm would), and maps back once: ``h = r u``, ``mu = sigma
-    mu_hat``.  A scale past the float range makes the unit problem NaN.
+    mu_hat``.  A scale past the float range raises :class:`TrsNumericError`.
     """
-    sigma = max(abs(float(w[0])), abs(float(w[-1])), float(np.max(np.abs(g))) / r) or 1.0
+    gmax = float(np.max(np.abs(g)))
+    sigma = max(abs(float(w[0])), abs(float(w[-1])), gmax / r) or 1.0
+    if sigma == math.inf:
+        raise TrsNumericError(f"unit-ball scale max_i |g_i| / r = {gmax:.3e} / {r:.3e} "
+                              "is past the float range")
     w = w / sigma
     g = g / r / sigma
     gt = V.T @ g
@@ -343,7 +354,8 @@ def _solve_in_eigenbasis(g, w, V, r, L2, tol) -> TrsSolution:
     p_bottom = _norm(gt[bottom])
 
     if lam1 > 0:
-        ut = -gt / w
+        with np.errstate(over="ignore"):  # a Newton step past the float range does not fit
+            ut = -gt / w
         if _norm(ut) <= 1.0:
             return solution(ut, 0.0)
         delta, _ = _secular_root(shifted, gt, gnorm, singular_at_lo=False)
@@ -552,18 +564,19 @@ def _krylov_solution(g, H, r, L2, tol) -> TrsSolution | None:
     (:func:`_gershgorin_definite`, O(d^2)) where they clear zero, else a
     Cholesky factorization; either way ``kkt.min_eig_shifted`` is ``tau``, a
     lower bound on ``lambda_min(H + mu I)``, and the solution is the same.
-    None on g = 0 or a unit gradient ``||g|| / (r sigma)`` that underflows to
-    0, on a reduced problem that is hard or fails, on a failed factorization (a
-    hard or semidefinite case) or gate, and after ``_KRYLOV_MAX_M`` steps.
+    None on g = 0, a scale ``||g|| / r`` past the float range or a unit
+    gradient ``||g|| / (r sigma)`` that underflows to 0, on a reduced problem
+    that is hard or fails, on a failed factorization (a hard or semidefinite
+    case) or gate, and after ``_KRYLOV_MAX_M`` steps.
     """
     d = g.size
     gnorm = _norm(g)
-    if gnorm == 0.0:
+    sigma = gnorm / r
+    if gnorm == 0.0 or sigma == math.inf:  # the eigen path solves or names the scale
         return None
     m_max = min(d, _KRYLOV_MAX_M)
     Q = np.empty((min(32, m_max), d))
     alpha, beta = [], []
-    sigma = gnorm / r
     mu_c = 0.0  # the last multiplier in the caller's units, the next warm start
     Q[0] = g / gnorm
     for m in range(1, m_max + 1):
@@ -674,7 +687,7 @@ def solve_trs_lanczos(
     :data:`MIN_TOL` or not finite is a ``ValueError``.
     """
     g = np.asarray(g, dtype=float)
-    _check_inputs(g, r, L2, tol)
+    r, L2 = _check_inputs(g, r, L2, tol)
     if m_max is None:
         m_max = d
     if not 1 <= m_max <= d:

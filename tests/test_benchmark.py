@@ -31,9 +31,10 @@ def test_benchmark_fingerprints_match_references(workload, extra):
     assert result["failed"] == 0, proc.stdout
 
 
-def test_wide_pass_certifies_every_krylov_step_without_a_factorization(monkeypatch):
-    # each d = 400 subproblem of a seed-43 `wide` pass is proved optimal by
-    # Gershgorin's circles, so the O(d^3) Cholesky factorization never runs
+def _certified_pass(monkeypatch, workload):
+    """Run one seed-43 pass of ``workload``; return the outcome of each
+    Gershgorin test of the Krylov path and the sizes of the matrices handed to
+    ``np.linalg.cholesky`` and to ``np.linalg.eigh``."""
     import numpy as np
 
     from strbench import trs
@@ -42,20 +43,40 @@ def test_wide_pass_certifies_every_krylov_step_without_a_factorization(monkeypat
     import speed
     import workloads
 
-    proofs, chols = [], []
-    gershgorin, cholesky = trs._gershgorin_definite, np.linalg.cholesky
+    proofs, chols, eighs = [], [], []
+    gershgorin, cholesky, eigh = trs._gershgorin_definite, np.linalg.cholesky, np.linalg.eigh
 
     def recording_proof(H, shift):
         proofs.append(gershgorin(H, shift))
         return proofs[-1]
 
-    def counting_cholesky(A):
-        chols.append(len(A))
-        return cholesky(A)
+    def counting(calls, fn):
+        def counted(A, *args, **kwargs):
+            calls.append(len(A))
+            return fn(A, *args, **kwargs)
+        return counted
 
     monkeypatch.setattr(trs, "_gershgorin_definite", recording_proof)
-    monkeypatch.setattr(np.linalg, "cholesky", counting_cholesky)
-    ops = workloads.WORKLOADS["wide"]().run_pass(43, speed.Clock(calibrate=False)).ops
+    monkeypatch.setattr(np.linalg, "cholesky", counting(chols, cholesky))
+    monkeypatch.setattr(np.linalg, "eigh", counting(eighs, eigh))
+    ops = workloads.WORKLOADS[workload]().run_pass(43, speed.Clock(calibrate=False)).ops
     assert [op.error for op in ops] == [None, None, None]
+    return proofs, chols, eighs
+
+
+def test_wide_pass_certifies_every_krylov_step_without_a_factorization(monkeypatch):
+    # each d = 400 subproblem of a seed-43 `wide` pass is proved optimal by
+    # Gershgorin's circles, so the O(d^3) Cholesky factorization never runs
+    proofs, chols, _ = _certified_pass(monkeypatch, "wide")
     assert len(proofs) == 27 and all(proofs)
     assert chols == []
+
+
+def test_tall_pass_solves_every_subproblem_on_the_krylov_path(monkeypatch):
+    # each d = 50 subproblem of a seed-43 `tall` pass is solved in g's Krylov
+    # space and proved optimal by Gershgorin's circles: no d x d
+    # eigendecomposition and no Cholesky factorization
+    proofs, chols, eighs = _certified_pass(monkeypatch, "tall")
+    assert len(proofs) == 147 and all(proofs)
+    assert chols == []
+    assert eighs == []

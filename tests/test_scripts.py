@@ -1,6 +1,7 @@
 """Smoke tests: the scripts under ``scripts/`` run end to end on a tiny instance."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -43,6 +44,8 @@ def test_trs_crossover_runs():
     assert lines[0].split() == ["d", "solves", "eigen_ms", "krylov_ms", "krylov_dim",
                                 "step_us", "gersh", "fallbacks"]
     assert [line.split()[0] for line in lines[1:3]] == ["5", "150"]
+    # the crossover: one of the listed dimensions, or none if Krylov loses at 150
+    assert re.fullmatch(r"the Krylov path wins from d = (5|150|none)", lines[-2])
     assert lines[-1].startswith("solve_trs_exact takes the Krylov path from d = ")
 
 

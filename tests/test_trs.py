@@ -333,7 +333,6 @@ def _reference_instances():
         yield g, (H + H.T) / 2.0, r
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered")
 def test_exact_matches_reference_solver():
     # the unit-ball solve moves results only in the last bits
     outcomes = set()
@@ -527,14 +526,46 @@ def test_exact_huge_gradient_reaches_boundary(H):
     assert math.isfinite(sol.kkt.stationarity)
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
 @pytest.mark.parametrize("H", [np.eye(2), np.diag([-1.0, 2.0])])
-def test_exact_nan_residual_raises(H):
-    # max |g_i| / r = 1e320 is past the float range, so the scale is infinite
-    # and the unit problem NaN; a NaN never passes the gate
+def test_exact_nan_residual_raises(monkeypatch, H):
+    # a NaN multiplier makes the step and its residual NaN; a NaN never passes
+    # the gate
+    monkeypatch.setattr(trs, "_secular_root", _bad_root(math.nan))
     with pytest.raises(TrsNumericError, match="stationarity residual nan") as info:
-        solve_trs_exact(np.array([1e160, 1e160]), H, 1e-160, 1.0)
+        solve_trs_exact(np.array([1e160, 1e160]), H, 1.0, 1.0)
     assert math.isnan(info.value.best.kkt.stationarity)
+
+
+@pytest.mark.parametrize("d", [2, 10, 70])
+@pytest.mark.parametrize("radius", [float, np.float64])
+def test_exact_scale_past_the_float_range_is_named(d, radius):
+    # max |g_i| / r is past the float range (about 1e381 here): the unit
+    # problem's scale and the multiplier have no float, so the solve ends in a
+    # TrsNumericError that names the scale, on both paths and for either type
+    # of radius, with no numpy overflow warning (pytest makes one an error)
+    rng = np.random.default_rng(d)
+    A = rng.standard_normal((d, d))
+    g = rng.standard_normal(d)
+    g *= 1.7e192 / np.linalg.norm(g)
+    with pytest.raises(TrsNumericError, match=r"unit-ball scale .* past the float range"):
+        solve_trs_exact(g, (A + A.T) / 2.0, radius(3.5e-190), 1.0)
+
+
+@pytest.mark.parametrize("d", [10, 70])
+def test_exact_float64_radius_is_the_float_radius(d):
+    # H near 1e300 and r = 1e10 put the caller-unit products of the gate past
+    # the float range; an np.float64 radius gives, with no overflow warning,
+    # what a float gives, bit for bit
+    rng = np.random.default_rng(d)
+    A = rng.standard_normal((d, d))
+    H, g = (A + A.T) / 2.0 * 1e300, rng.standard_normal(d)
+    outcomes = []
+    for r in (1e10, np.float64(1e10), 0.5, np.float64(0.5)):
+        try:
+            outcomes.append(_fields(solve_trs_exact(g, H, r, np.float64(0.7))))
+        except TrsNumericError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1] and outcomes[2] == outcomes[3]
 
 
 def _bad_root(delta):
@@ -588,12 +619,11 @@ def _kkt_failure(g, lam, V, r, sol):
     return None
 
 
-@pytest.mark.filterwarnings("ignore:invalid value encountered", "ignore:overflow encountered")
 @pytest.mark.parametrize("seed", [0, 1])
 def test_exact_extreme_scale_sweep(seed):
     # eigenvalues, g and r each at a random scale in 1e+-200: every returned
     # solution meets the KKT conditions on the unit problem, and every other
-    # instance ends in the documented TrsNumericError
+    # instance ends in the documented TrsNumericError, with no numpy warning
     rng = np.random.default_rng(seed)
     returned = 0
     for _ in range(1500):
@@ -750,8 +780,8 @@ def test_kkt_residual_refuses_a_bad_matrix(defect, message):
 
 # -- the Krylov path of solve_trs_exact ------------------------------------------
 
-# the threshold, the earlier threshold 75, and two sizes well above them
-KRYLOV_DIMS = sorted({trs._KRYLOV_MIN_D, 75, 150, 300})
+# the threshold, the earlier thresholds 60 and 75, and two sizes well above them
+KRYLOV_DIMS = sorted({trs._KRYLOV_MIN_D, 60, 75, 150, 300})
 
 
 def _eigen_path(g, H, r):
@@ -1072,7 +1102,8 @@ def test_exact_krylov_failure_falls_back_to_the_eigen_path(monkeypatch, eig_size
 
 # the eigen path just below the threshold, the Krylov path at it and at an
 # odd and an even size both near it and well above it
-@pytest.mark.parametrize("d", [trs._KRYLOV_MIN_D - 1, trs._KRYLOV_MIN_D, 74, 75, 149, 150])
+@pytest.mark.parametrize("d", [trs._KRYLOV_MIN_D - 1, trs._KRYLOV_MIN_D, 59, 60, 74, 75, 149,
+                               150])
 @pytest.mark.parametrize("defect,message", [
     ("asymmetric", "not symmetric"), ("nan", "non-finite matrix"), ("inf", "non-finite matrix"),
 ])
