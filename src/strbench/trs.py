@@ -17,11 +17,13 @@ Solves ``min_{||h|| <= r} <g, h> + 0.5 <H h, h>`` two ways:
   circles in O(d^2) where they suffice, else by one Cholesky factorization;
   a case that proof cannot cover, such as the hard case, takes the
   eigendecomposition.
-* :func:`solve_trs_lanczos` -- matrix-free Krylov method with full
-  reorthogonalization; column m >= 2 of the basis is ``H q_{m-2}``, so g's
-  chain takes the even columns and a random probe's the odd ones.  The
-  reduced problem is solved exactly and expanded until the lifted
-  stationarity residual meets tolerance and a Ritz test certifies it.
+* :func:`solve_trs_lanczos` -- matrix-free, through Hessian-vector
+  products: a probe Lanczos chain from a random vector finds the bottom Ritz
+  pair ``(theta, y)``, then g's chain solves as on the Krylov path above
+  with the multiplier held at or above ``max(0, -theta)``, and a step inside
+  the ball at that bound is padded to the boundary along ``y``.  Where the
+  O(m) Newton cannot resolve a root near the pole, g's chain is rerun with
+  each step solved in the eigenbasis of its tridiagonal.
 
 A global minimizer is characterized by a multiplier ``mu >= 0`` with
 ``(H + mu I) h = -g``, ``H + mu I`` positive semidefinite, and
@@ -63,10 +65,10 @@ _PAD_RTOL = 1e-12
 # Cholesky factorization.
 _KRYLOV_MIN_D = 38
 # The Krylov step stops growing once the lifted residual beta_m |u_m| is at
-# most this times sigma.  On the d = 400 benchmark subproblems its step then
-# lies within 2.6e-15 r of the eigen path's run to a rounding-level secular
-# gap, and within 9.4e-14 r of the eigen path as it stands, which stops at the
-# first gap below _SECULAR_RTOL; at 1e-13 it lay within 8e-14 r.
+# most this times sigma ||u||.  On the d = 400 benchmark subproblems its step
+# then lies within 2.6e-15 r of the eigen path's run to a rounding-level
+# secular gap, and within 9.4e-14 r of the eigen path as it stands, which
+# stops at the first gap below _SECULAR_RTOL; at 1e-13 it lay within 8e-14 r.
 _KRYLOV_RTOL = 1e-15
 # A Krylov attempt gives up after this many steps.  On a definite d = 150
 # instance whose chain needs 69, the 64 steps cost 3.0-4.8 ms against 3.6-4.0
@@ -304,8 +306,7 @@ def solve_trs_exact(g, H, r: float, L2: float, tol: float = MIN_TOL) -> TrsSolut
 
 def _solve_in_eigenbasis(g, w, V, r, L2, tol) -> TrsSolution:
     """:func:`solve_trs_exact` for ``H = V diag(w) V'``, eigenvalues ascending:
-    its path below ``_KRYLOV_MIN_D`` and the Krylov path's fallbacks, and the
-    reduced solve of :func:`solve_trs_lanczos`.
+    its path below ``_KRYLOV_MIN_D`` and the Krylov path's fallbacks.
 
     Solves for ``u = h / r`` on the unit ball with eigenvalues ``w / sigma``
     and gradient ``g / (r sigma)``, ``sigma = max(|lambda_1|, |lambda_d|,
@@ -453,35 +454,38 @@ def _tridiagonal_ldl(a, b, gamma, mu):
     return u, D, low
 
 
-def _tridiagonal_trs(a, b, gamma, mu):
+def _tridiagonal_trs(a, b, gamma, mu, mu_min=0.0):
     """Step and multiplier of ``min gamma u_1 + u'Tu / 2`` over the unit ball,
-    for the tridiagonal ``T`` of diagonal ``a`` and off-diagonal ``b``, whose
-    eigenvalues lie in [-1, 1], in O(m) per iteration.
+    the multiplier held at or above ``mu_min >= 0``, for the tridiagonal ``T``
+    of diagonal ``a`` and off-diagonal ``b``, whose eigenvalues lie in [-1,
+    1], in O(m) per iteration.
 
-    The interior Newton step when ``T`` is definite (every pivot of its
-    ``LDL'`` positive) and the step fits; otherwise the multiplier in ``(0, 1 +
-    gamma]`` where ``||u|| = 1``, by Newton on ``1/||u(mu)|| - 1`` over an
-    ``LDL'`` of ``T + mu I`` (More & Sorensen 1983), started at ``mu`` (the
-    previous Lanczos step's) and safeguarded by a bisection bracket whose
-    lower end a non-positive pivot raises.  The interior step is tried first
-    when ``mu`` is 0, else only once some ``mu > 0`` gives ``||u|| < 1``.  The
-    iteration runs past the gap ``_SECULAR_RTOL`` to ``_SECULAR_ROUNDING``, or
-    until it stalls.  Raises :class:`TrsNumericError` where no multiplier
-    meets ``_SECULAR_RTOL``: the reduced problem is hard, or so nearly hard
-    that its root lies within the rounding of ``T + mu I`` of the pole ``mu =
-    -theta_1``, ``theta_1`` the bottom eigenvalue of ``T`` (the eigenbasis
+    The step at ``mu_min`` when ``T + mu_min I`` is definite (every pivot of
+    its ``LDL'`` positive) and the step fits; otherwise the multiplier in
+    ``(mu_min, mu_min + 1 + gamma]`` where ``||u|| = 1``, by Newton on
+    ``1/||u(mu)|| - 1`` over an ``LDL'`` of ``T + mu I`` (More & Sorensen
+    1983), started at ``mu`` (the previous Lanczos step's) and safeguarded by
+    a bisection bracket whose lower end a non-positive pivot raises.  The step
+    at ``mu_min`` is tried first when ``mu`` is ``mu_min``, else only once
+    some larger ``mu`` gives ``||u|| < 1``.  The iteration runs past the gap
+    ``_SECULAR_RTOL`` to ``_SECULAR_ROUNDING``, or until it stalls.  Raises
+    :class:`TrsNumericError` where no multiplier meets ``_SECULAR_RTOL``: the
+    reduced problem is hard, or so nearly hard that the rounding of ``T + mu
+    I``, about ``eps |mu| / (mu + theta_1)`` in ``||u||`` with ``theta_1`` the
+    bottom eigenvalue of ``T``, exceeds that gap: already where the root lies
+    within about 1e-3 ``|mu|`` of the pole ``mu = -theta_1`` (the eigenbasis
     solve keeps that pole exact).
     """
-    def interior():
-        ldl = _tridiagonal_ldl(a, b, gamma, 0.0)
+    def at_mu_min():
+        ldl = _tridiagonal_ldl(a, b, gamma, mu_min)
         return ldl[0] if ldl is not None and math.hypot(*ldl[0]) <= 1.0 else None
 
-    untried = mu > 0.0  # the interior step may yet be the solution
+    untried = mu > mu_min  # the step at mu_min may yet be the solution
     if not untried:
-        u0 = interior()
+        u0 = at_mu_min()
         if u0 is not None:
-            return u0, 0.0
-    lo, hi = 0.0, 1.0 + gamma
+            return u0, mu_min
+    lo, hi = mu_min, 1.0 + gamma + mu_min
     if not lo < mu < hi:
         mu = 0.5 * (lo + hi)
     best_u, best_mu, best_gap = None, mu, math.inf
@@ -506,9 +510,9 @@ def _tridiagonal_trs(a, b, gamma, mu):
                 hi = mu
                 if untried:
                     untried = False
-                    u0 = interior()
+                    u0 = at_mu_min()
                     if u0 is not None:
-                        return u0, 0.0
+                        return u0, mu_min
             # Newton step (n - 1) n^2 / ||L^{-1} u||_D^2, with s = L^{-1} u / n
             s = u[0] / n
             q = s * s / D[0]
@@ -545,43 +549,23 @@ def _gershgorin_definite(H, shift) -> bool:
     return lower > 2.0 * len(H) * np.finfo(float).eps * (float(np.max(rows)) + abs(shift))
 
 
-def _krylov_solution(g, H, r, L2, tol) -> TrsSolution | None:
-    """The global minimizer from g's Krylov space, or None where that space
-    does not certify one.
+def _lanczos(hvp, q, m_max):
+    """The Lanczos chain of ``hvp`` from the unit vector ``q``: after each step
+    m yields the basis ``B`` (m rows) and the lists ``alpha`` and ``beta`` of
+    ``T_m``, ``beta[-1]`` the norm ``beta_m`` of the residual.
 
-    One Lanczos chain from ``g / ||g||``: each new vector is orthogonalized
-    twice against the basis, which is stored by rows and grown by doubling,
-    and the tridiagonal ``T_m`` is kept as two lists and nowhere else.  At
-    each size m the reduced problem on ``T_m`` is solved on the unit ball of
-    the scale ``sigma = max(||g|| / r, max_i |alpha_i| + beta_{i-1} +
-    beta_i)``, a running Gershgorin bound on the spectral radius of ``T_m``,
-    by :func:`_tridiagonal_trs`, an O(m) Newton warm-started from step m - 1,
-    until the lifted residual ``beta_m |u_m|`` is at most ``_KRYLOV_RTOL
-    sigma``.  The lifted step is accepted only if ``H + (mu - tau) I``, ``tau
-    = 1e-12 sigma``, is proved positive definite, so that the step is the
-    unique global minimizer, and if it passes the eigen path's gate
-    (:func:`_gated_solution`).  The proof is Gershgorin's circles
-    (:func:`_gershgorin_definite`, O(d^2)) where they clear zero, else a
-    Cholesky factorization; either way ``kkt.min_eig_shifted`` is ``tau``, a
-    lower bound on ``lambda_min(H + mu I)``, and the solution is the same.
-    None on g = 0, a scale ``||g|| / r`` past the float range or a unit
-    gradient ``||g|| / (r sigma)`` that underflows to 0, on a reduced problem
-    that is hard or fails, on a failed factorization (a hard or semidefinite
-    case) or gate, and after ``_KRYLOV_MAX_M`` steps.
+    Each new vector is orthogonalized twice against the basis, which is
+    grown by doubling; ``hvp``'s result is changed in place.  Ends after
+    ``m_max`` steps, at ``beta_m = 0``, and, with no yield, at a non-finite
+    ``alpha_m`` or ``beta_m``.
     """
-    d = g.size
-    gnorm = _norm(g)
-    sigma = gnorm / r
-    if gnorm == 0.0 or sigma == math.inf:  # the eigen path solves or names the scale
-        return None
-    m_max = min(d, _KRYLOV_MAX_M)
+    d = q.size
     Q = np.empty((min(32, m_max), d))
+    Q[0] = q
     alpha, beta = [], []
-    mu_c = 0.0  # the last multiplier in the caller's units, the next warm start
-    Q[0] = g / gnorm
     for m in range(1, m_max + 1):
         j = m - 1
-        v = H @ Q[j]
+        v = hvp(Q[j])
         B = Q[:m]
         c = B @ v
         v -= B.T @ c
@@ -589,31 +573,85 @@ def _krylov_solution(g, H, r, L2, tol) -> TrsSolution | None:
         alpha.append(float(c[j]))
         beta.append(_norm(v))
         if not (math.isfinite(alpha[j]) and math.isfinite(beta[j])):
-            return None
+            return
+        yield B, alpha, beta
+        if m == m_max or beta[j] == 0.0:
+            return
+        if m == len(Q):
+            Q = np.concatenate([Q, np.empty((min(m, m_max - m), d))])
+        Q[m] = v / beta[j]
+
+
+def _krylov_chain(g, hvp, r, m_max, mu_min=0.0):
+    """GLTR's step in g's Krylov space, the multiplier at least ``mu_min``.
+
+    :func:`_lanczos` from ``g / ||g||``, at most ``m_max`` steps.  At each
+    size m the reduced problem on ``T_m`` is solved on the unit ball of the
+    scale ``sigma = max(||g|| / r, max_i |alpha_i| + beta_{i-1} + beta_i)``,
+    a running Gershgorin bound on the spectral radius of ``T_m``, by
+    :func:`_tridiagonal_trs` warm-started from step m - 1, until the lifted
+    residual ``beta_m |u_m|`` is at most ``_KRYLOV_RTOL sigma ||u||``.
+    Returns ``(B, u, mu, sigma, stopped)`` for the last step solved: the
+    basis by rows, the reduced unit step (the step is ``r B'u``), its unit
+    multiplier, the scale, and whether that test passed; the chain also ends
+    where :func:`_lanczos` ends, where the unit gradient ``||g|| / (r
+    sigma)`` underflows to 0, and on a reduced problem that is hard or
+    fails.  None where no step is solved: also on g = 0 and a scale ``||g||
+    / r`` past the float range.
+    """
+    gnorm = _norm(g)
+    sigma = gnorm / r
+    if gnorm == 0.0 or sigma == math.inf:
+        return None
+    mu_c = mu_min  # the last multiplier in the caller's units, the next warm start
+    out = None
+    for B, alpha, beta in _lanczos(hvp, g / gnorm, m_max):
+        j = len(alpha) - 1
         # Gershgorin row j of T_{m+1}: an upper bound on the spectral radius of T_m
         sigma = max(sigma, abs(alpha[j]) + (beta[j - 1] if j else 0.0) + beta[j]) or 1.0
         gamma = gnorm / r / sigma
         if gamma == 0.0:  # the unit gradient underflowed: as at g = 0
-            return None
-        try:
-            u_red, mu = _tridiagonal_trs([x / sigma for x in alpha],
-                                         [x / sigma for x in beta[:j]],
-                                         gamma, mu_c / sigma)
-        except TrsNumericError:
-            return None
-        mu_c = sigma * mu
-        if beta[j] * abs(u_red[-1]) <= _KRYLOV_RTOL * sigma:
             break
-        if m == m_max or beta[j] == 0.0:
-            return None
-        if m == len(Q):
-            Q = np.concatenate([Q, np.empty((min(m, m_max - m), d))])
-        Q[m] = v / beta[j]
-    u = Q[:m].T @ np.array(u_red)
+        try:
+            u, mu = _tridiagonal_trs([x / sigma for x in alpha], [x / sigma for x in beta[:j]],
+                                     gamma, mu_c / sigma, mu_min / sigma)
+        except TrsNumericError:
+            break
+        mu_c = sigma * mu
+        lifted = beta[j] * abs(u[-1])
+        # relative to ||u||, else a gradient far below H's scale stops at m = 1;
+        # ||u|| <= 1 up to rounding, so the O(m) norm waits for the plain test
+        stopped = (lifted <= _KRYLOV_RTOL * sigma
+                   and lifted <= _KRYLOV_RTOL * sigma * math.hypot(*u))
+        out = B, u, mu, sigma, stopped
+        if stopped:
+            break
+    return out
+
+
+def _krylov_solution(g, H, r, L2, tol) -> TrsSolution | None:
+    """The global minimizer from g's Krylov space, or None where that space
+    does not certify one.
+
+    The stopped step of :func:`_krylov_chain` through ``H``, at most
+    ``_KRYLOV_MAX_M`` steps, if ``H + (mu - tau) I``, ``tau = 1e-12 sigma``,
+    is proved positive definite (the step is then the unique global
+    minimizer) and the eigen path's gate (:func:`_gated_solution`) passes.
+    The proof is Gershgorin's circles (:func:`_gershgorin_definite`, O(d^2))
+    where they clear zero, else a Cholesky factorization; either way
+    ``kkt.min_eig_shifted`` is ``tau``, a lower bound on ``lambda_min(H + mu
+    I)``.
+    """
+    d = g.size
+    chain = _krylov_chain(g, H.__matmul__, r, min(d, _KRYLOV_MAX_M))
+    if chain is None or not chain[-1]:
+        return None
+    B, u_red, mu, sigma, _ = chain
+    u = B.T @ np.array(u_red)
     tau = 1e-12 * sigma
-    if not _gershgorin_definite(H, mu_c - tau):
+    if not _gershgorin_definite(H, sigma * mu - tau):
         shifted = H.copy()
-        shifted.flat[:: d + 1] += mu_c - tau
+        shifted.flat[:: d + 1] += sigma * mu - tau
         try:
             np.linalg.cholesky(shifted)
         except np.linalg.LinAlgError:
@@ -623,35 +661,8 @@ def _krylov_solution(g, H, r, L2, tol) -> TrsSolution | None:
         sol = _gated_solution(u, (H @ u) / sigma, mu, g, _norm(g), sigma, r, L2, tol, tau)
     except TrsNumericError:
         return None
-    sol.krylov_dim = m
+    sol.krylov_dim = len(u_red)
     return sol
-
-
-def _fresh_direction(rng, Q, m, d):
-    """Random direction orthogonalized (twice) against the first m columns of Q."""
-    for _ in range(50):
-        v = rng.standard_normal(d)
-        v -= Q[:, :m] @ (Q[:, :m].T @ v)
-        v -= Q[:, :m] @ (Q[:, :m].T @ v)
-        nv = _norm(v)
-        if nv > 1e-8:
-            return v / nv
-    raise TrsNumericError("could not extend the Krylov basis")
-
-
-def _krylov_column(rng, Q, W, j, d):
-    """Column ``j >= 1`` of the Krylov basis: ``H q_{j-2}`` (``W[:, j-2]``)
-    orthogonalized twice against ``q_0 .. q_{j-1}``, so the even columns extend
-    g's chain and the odd ones the random probe's.  Column 1 seeds the probe
-    with a fresh random direction, and so does a breakdown,
-    ``beta <= 1e-10 (1 + ||H q_{j-1}||)``."""
-    if j >= 2:
-        v = W[:, j - 2] - Q[:, :j] @ (Q[:, :j].T @ W[:, j - 2])
-        v -= Q[:, :j] @ (Q[:, :j].T @ v)
-        beta = _norm(v)
-        if beta > 1e-10 * (1.0 + _norm(W[:, j - 1])):
-            return v / beta
-    return _fresh_direction(rng, Q, j, d)
 
 
 def solve_trs_lanczos(
@@ -664,88 +675,88 @@ def solve_trs_lanczos(
     tol: float = MIN_TOL,
     rng: np.random.Generator | None = None,
 ) -> TrsSolution:
-    """Approximate TRS solve in a Hessian-generated Krylov subspace.
+    """Matrix-free TRS solve in Hessian-generated Krylov spaces.
 
-    Two interleaved chains grow an orthonormal basis with full
-    reorthogonalization: g's chain takes the even columns, and an auxiliary
-    chain seeded by a random vector, whose job is to pin down the bottom
-    eigenpair, the odd ones.  So column m >= 2 is ``H q_{m-2}`` orthogonalized
-    against the basis; column 1, a breakdown and the start at g = 0 draw a
-    fresh random direction.  At each size m the reduced problem on Q'HQ is
-    solved exactly (equal to the Lanczos tridiagonal solve up to rounding) in
-    the eigenbasis that also gives the Ritz pairs, and accepted once
-
-    * the lifted stationarity residual is <= tol (||g|| + 1), and
-    * the bottom Ritz pair (theta, y) is converged and certifies approximate
-      dual feasibility, mu >= -theta - ||Hy - theta y|| - tol.
-
-    The Ritz safeguard is what makes hard cases (g orthogonal to the bottom
-    eigenspace) land on the global solution instead of a subspace-stationary
-    point with an equally small residual; a residual test alone cannot tell
-    the two apart.  If ``m_max`` is exhausted the iterate with the smallest
-    residual is returned with ``converged=False``.  A ``tol`` below
-    :data:`MIN_TOL` or not finite is a ``ValueError``.
+    A probe Lanczos chain (:func:`_lanczos`) from one random vector runs,
+    one k x k ``eigh`` per step, until its bottom Ritz pair ``(theta, y)``
+    has the residual ``rho = ||H y - theta y|| <= tol (||g|| + 1) / (2 r)``.
+    g's chain then solves as on the Krylov path of :func:`solve_trs_exact`
+    (:func:`_krylov_chain`) with the multiplier at or above ``max(0,
+    -theta)``, a Ritz safeguard (cf. Xu, Roosta & Mahoney 2017): a chain from
+    g alone cannot see a bottom eigenvector orthogonal to g (the hard case).
+    Where the O(m) Newton ends g's chain early, as when ``||g||`` is far
+    below ``|theta| r`` and the root lies too near the pole for the ``LDL'``
+    of ``T + mu I``, the chain is rerun with each step solved in the
+    eigenbasis of ``T`` (:func:`_solve_in_eigenbasis`), to the same stop
+    test.  A step inside the ball at ``mu = -theta`` is padded to the
+    boundary along y, which adds at most ``2 r rho`` to the stationarity
+    residual.  Each chain takes at most ``m_max`` steps (default d);
+    ``krylov_dim`` is the length of g's (0 at g = 0).  ``converged`` says
+    that the step passed the gate of :func:`solve_trs_exact` and ``rho`` met
+    its bound.  ``kkt.min_eig_shifted`` is the Ritz estimate ``theta + mu``.
+    A non-finite Hessian-vector product or a ``tol`` below :data:`MIN_TOL`
+    or not finite is a ``ValueError``; a scale ``||g|| / r`` or Lanczos
+    coefficients past the float range are a :class:`TrsNumericError`.
     """
     g = np.asarray(g, dtype=float)
     r, L2 = _check_inputs(g, r, L2, tol)
-    if m_max is None:
-        m_max = d
+    m_max = d if m_max is None else m_max
     if not 1 <= m_max <= d:
         raise ValueError("need 1 <= m_max <= d")
-    if rng is None:
-        rng = np.random.default_rng(0)
+
+    def checked_hvp(v):
+        Hv = np.array(hvp(v), dtype=float)  # a copy: the chain changes it in place
+        if not np.isfinite(Hv).all():
+            raise ValueError("non-finite Hessian-vector product")
+        return Hv
+
     gnorm = _norm(g)
-
-    Q = np.zeros((d, m_max))
-    W = np.zeros((d, m_max))  # W[:, j] = H @ Q[:, j]
-    B = np.zeros((m_max, m_max))  # Q'HQ, filled bitwise symmetric
-    Q[:, 0] = g / gnorm if gnorm > 0.0 else _fresh_direction(rng, Q, 0, d)
-
-    best: TrsSolution | None = None
-    theta_hist: list[float] = []
-    for m in range(1, m_max + 1):
-        j = m - 1
-        if j:
-            Q[:, j] = _krylov_column(rng, Q, W, j, d)
-        wv = np.asarray(hvp(Q[:, j]), dtype=float)
-        W[:, j] = wv
-        B[:m, j] = Q[:, :m].T @ wv
-        B[j, :m] = B[:m, j]
-
-        gt = np.zeros(m)
-        gt[0] = gnorm
-        Bm = B[:m, :m]
-        theta, U = sym_eig(Bm)
-        red = _solve_in_eigenbasis(gt, theta, U, r, L2, tol)
-        h = Q[:, :m] @ red.h
-        Hh = W[:, :m] @ red.h
-        resid = _norm(Hh + red.mu * h + g)
-        resid_ok = resid <= tol * (gnorm + 1.0)
-        # Acceptance below full dimension needs the bottom eigenpair pinned
-        # down, or a small residual alone can certify a subspace-stationary
-        # point that is not the global solution (the hard case).
-        theta_hist.append(float(theta[0]))
-        scale = 1.0 + abs(theta[0])
-        ritz_res = _norm(W[:, :m] @ U[:, 0] - theta[0] * (Q[:, :m] @ U[:, 0]))
-        ritz_ok = ritz_res <= tol * scale
-        dual_ok = red.mu + theta[0] >= -(ritz_res + tol * scale)
-        theta_stable = (
-            len(theta_hist) >= 3 and abs(theta_hist[-1] - theta_hist[-3]) <= tol * scale
-        )
-        # m >= 4: the probe's chain has two columns
-        certified = m >= 4 and ritz_ok and dual_ok and theta_stable
-        sol = TrsSolution(
-            h=h,
-            mu=red.mu,
-            lambda_alg=2.0 * red.mu / L2,
-            on_boundary=red.on_boundary,
-            kkt=KktResidual(resid, red.kkt.min_eig_shifted, red.kkt.complementarity),
-            model_decrease=float(g @ h + 0.5 * red.h @ (Bm @ red.h)),
-            converged=resid_ok and (m == d or certified),
-            krylov_dim=m,
-        )
-        if best is None or sol.kkt.stationarity < best.kkt.stationarity:
-            best = sol
-        if sol.converged:
-            return sol
-    return best
+    if gnorm / r == math.inf:
+        raise TrsNumericError(f"unit-ball scale ||g|| / r = {gnorm:.3e} / {r:.3e} "
+                              "is past the float range")
+    bound = tol * (gnorm + 1.0) / (2.0 * r)
+    q = (np.random.default_rng(0) if rng is None else rng).standard_normal(d)
+    P = None
+    for P, alpha, beta in _lanczos(checked_hvp, q / _norm(q), m_max):
+        w, S = np.linalg.eigh(np.diag(alpha) + np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1))
+        rho = beta[-1] * abs(float(S[-1, 0]))
+        if rho <= bound:
+            break
+    if P is None:  # the probe's first alpha or beta overflowed
+        raise TrsNumericError("Lanczos coefficients past the float range")
+    theta, y = float(w[0]), P.T @ S[:, 0]
+    mu_min = max(0.0, -theta)
+    chain = _krylov_chain(g, checked_hvp, r, m_max, mu_min)
+    if chain is None:  # g = 0, or no step solved, as where the unit gradient underflows
+        sigma = max(gnorm / r, mu_min) or 1.0
+        u, mu, dim = np.zeros(d), mu_min / sigma, 0
+    else:
+        B, u_red, mu, sigma, stopped = chain
+        u, dim = B.T @ np.array(u_red), len(u_red)
+        if not stopped and dim < m_max:  # ended early: rerun, each step in T's eigenbasis
+            for B, alpha, beta in _lanczos(checked_hvp, g / gnorm, m_max):
+                T = np.diag(alpha) + np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1)
+                e1 = np.r_[gnorm, np.zeros(len(alpha) - 1)]
+                try:
+                    red = _solve_in_eigenbasis(e1, *np.linalg.eigh(T), r, L2, tol)
+                except TrsNumericError as exc:
+                    red = exc.best
+                if beta[-1] * abs(red.h[-1]) <= _KRYLOV_RTOL * sigma * _norm(red.h):
+                    break
+            u, mu, dim = B.T @ red.h / r, red.mu / sigma, len(alpha)
+    unorm = _norm(u)
+    if mu > 0.0 and unorm < 1.0 - _PAD_RTOL:  # the step at mu = -theta lies inside
+        # ||u + t y|| = 1 at the roots of t^2 + 2 b t - c; the one of least
+        # magnitude adds the least to the model and to the residual
+        b, c = float(u @ y), (1.0 - unorm) * (1.0 + unorm)
+        u = u + c / (b + math.copysign(math.sqrt(b * b + c), b)) * y
+    g = g / r / sigma
+    try:
+        sol = _gated_solution(u, checked_hvp(u) / sigma, mu, g, _norm(g), sigma, r, L2, tol,
+                              theta + sigma * mu)
+        sol.converged = rho <= bound
+    except TrsNumericError as exc:
+        sol = exc.best
+        sol.converged = False
+    sol.krylov_dim = dim
+    return sol

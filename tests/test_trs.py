@@ -65,9 +65,11 @@ def oracle_objective(g, H, r):
     return min(model_value(g, H, h) for h in feasible)
 
 
-def random_instance(trial, rng):
-    """Cycle through definite / indefinite / hard-case / flat spectra."""
-    d = [2, 5, 20][trial % 3]
+def random_instance(trial, rng, d=None):
+    """Cycle through definite / indefinite / hard-case / flat spectra, at
+    d = 2, 5, 20 in turn unless ``d`` is given."""
+    if d is None:
+        d = [2, 5, 20][trial % 3]
     kind = trial % 4
     V = np.linalg.qr(rng.standard_normal((d, d)))[0]
     if kind == 0:
@@ -1162,6 +1164,20 @@ def test_exact_krylov_path_scale_equivariance():
             assert sol.on_boundary == base.on_boundary
 
 
+@pytest.mark.parametrize("d", [trs._KRYLOV_MIN_D - 1, trs._KRYLOV_MIN_D])
+def test_exact_krylov_stop_is_relative_to_the_step(d):
+    # g far below H's scale: beta_1 |u_1| is tiny against sigma, yet the
+    # one-step Krylov step is 44% off the Newton step; the stop must weigh the
+    # residual against ||u||, and the chain then breaks down at m = 2
+    H = np.diag(np.arange(1.0, d + 1.0))
+    g = np.zeros(d)
+    g[:2] = 1e-20 * np.array([1.0, 2.0])
+    sol = solve_trs_exact(g, H, 1.0, 1.0)
+    newton = -g / np.diag(H)
+    assert sol.krylov_dim == (2 if d >= trs._KRYLOV_MIN_D else None)
+    assert np.linalg.norm(sol.h - newton) <= 1e-12 * np.linalg.norm(newton)
+
+
 # -- Lanczos solver ------------------------------------------------------------
 
 
@@ -1184,6 +1200,25 @@ def test_lanczos_matches_exact_d50():
         a = solve_trs_exact(g, H, 1.0, 1.0)
         b = solve_trs_lanczos(g, lambda v: H @ v, d, 1.0, 1.0, m_max=d)
         assert abs(model_value(g, H, b.h) - model_value(g, H, a.h)) <= 1e-6
+
+
+@pytest.mark.parametrize("d", [30, 60, 90])
+def test_lanczos_matches_exact_across_kinds_and_scales(d):
+    # random_instance's four kinds, g and H scaled by 1e4 or 1e-4 (the model
+    # value scales with them); where the solution is unique (every kind but
+    # the hard case) the Krylov path's step and the eigen path's are the same
+    for trial in range(20):
+        rng = np.random.default_rng(100 * d + trial)
+        scale = 1e4 if trial // 4 % 2 else 1e-4
+        g, H, r = random_instance(trial, rng, d)
+        g, H = scale * g, scale * H
+        a = solve_trs_exact(g, H, r, 1.0)
+        b = solve_trs_lanczos(g, lambda v: H @ v, d, r, 1.0, rng=np.random.default_rng(trial))
+        assert b.converged
+        assert abs(model_value(g, H, b.h) - model_value(g, H, a.h)) <= 1e-6 * scale
+        assert _scaled(b.h, r) <= 1.0 + 1e-8
+        if d >= trs._KRYLOV_MIN_D and trial % 4 != 2:
+            assert np.linalg.norm(b.h - a.h) <= 1e-12 * r
 
 
 def test_lanczos_zero_gradient_negative_curvature():
@@ -1217,17 +1252,22 @@ def test_lanczos_truncated_flags_unconverged():
         assert sol.kkt.stationarity > 0.0
 
 
-def test_lanczos_one_eigendecomposition_per_krylov_step(monkeypatch):
-    # the reduced solve and the Ritz test share one eigendecomposition of Q'HQ
+def test_lanczos_one_reduced_solve_per_step_and_eigh_only_on_the_probe(monkeypatch):
+    # g's chain solves each step's reduced problem once, by the O(m) Newton;
+    # eigh runs only on the probe's k x k tridiagonals, k = 1, 2, ...
     rng = np.random.default_rng(5)
     d = 30
     A = rng.standard_normal((d, d))
     H = (A + A.T) / 2.0
     g = rng.standard_normal(d)
+    steps = _counted(monkeypatch, trs, "_tridiagonal_trs")
     calls = _counted(monkeypatch, np.linalg, "eigh")
     sol = solve_trs_lanczos(g, lambda v: H @ v, d, 0.5, 1.0, rng=np.random.default_rng(0))
     assert sol.converged
-    assert len(calls) == sol.krylov_dim
+    assert len(steps) == sol.krylov_dim
+    assert [len(T) for (T,) in calls] == list(range(1, len(calls) + 1))
+    for (T,) in calls:
+        assert np.array_equal(T, T.T) and not np.triu(T, 2).any()
 
 
 def test_lanczos_rejects_bad_inputs():
@@ -1235,6 +1275,58 @@ def test_lanczos_rejects_bad_inputs():
                      (1.0, 1.0, np.array([np.inf, 0.0, 0.0]))):
         with pytest.raises(ValueError):
             solve_trs_lanczos(g, lambda v: v, 3, r, L2)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("call", [1, 3])
+def test_lanczos_non_finite_hvp_is_a_value_error(bad, call):
+    d = 30
+    rng = np.random.default_rng(1)
+    H, _ = _with_spectrum(rng, rng.uniform(-1.0, 2.0, d))
+    g = rng.standard_normal(d)
+    calls = []
+
+    def hvp(v):
+        calls.append(v)
+        Hv = H @ v
+        if len(calls) == call:
+            Hv[d // 2] = bad
+        return Hv
+
+    with pytest.raises(ValueError, match="non-finite"):
+        solve_trs_lanczos(g, hvp, d, 0.5, 1.0)
+    assert len(calls) == call
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered", "ignore:invalid value encountered")
+def test_lanczos_coefficients_past_the_float_range_are_a_numeric_error():
+    # each product is finite, but the probe's first alpha = q'Hq overflows
+    # (numpy warns), so its chain ends before its first step
+    d = 4
+    with pytest.raises(TrsNumericError, match="past the float range"):
+        solve_trs_lanczos(np.ones(d), lambda v: 1.5e308 * np.sign(v), d, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_lanczos_near_hard_reruns_g_chain_in_the_eigenbasis(seed, monkeypatch):
+    # ||g|| = 1e-4 against lambda_1 = -1.5 puts the root mu about 1e-5 above
+    # the pole -lambda_1, where the rounding of the LDL' of T + mu I keeps the
+    # O(m) Newton from its gap; g's chain is then rerun with each step solved
+    # in the eigenbasis of T, at an offset from the pole
+    d = 30
+    rng = np.random.default_rng(seed)
+    w = rng.uniform(-1.0, 2.0, d)
+    w[0] = -1.5
+    H, _ = _with_spectrum(rng, w)
+    g = rng.standard_normal(d)
+    g *= 1e-4 / np.linalg.norm(g)
+    a = solve_trs_exact(g, H, 1.0, 1.0)
+    chains = _counted(monkeypatch, trs, "_lanczos")
+    b = solve_trs_lanczos(g, lambda v: H @ v, d, 1.0, 1.0, rng=np.random.default_rng(seed))
+    assert len(chains) == 3  # the probe's, g's and its rerun
+    assert b.converged and b.on_boundary
+    assert np.linalg.norm(b.h - a.h) <= 1e-12
+    assert b.mu == pytest.approx(a.mu, rel=1e-12)
 
 
 @pytest.mark.parametrize("r", [1e-160, 1e-300])
