@@ -60,11 +60,11 @@ def exact_tr_subproblems(n, d, data_seed, epsilon, max_iters):
 
 def eigen_path(g, H, r, L2):
     w, V = trs.sym_eig(H)
-    return trs._solve_in_eigenbasis(g, w, V, r, L2, trs.MIN_TOL)
+    return trs._solve_in_eigenbasis(g, w, V, r, L2)
 
 
 def krylov_path(g, H, r, L2):
-    return trs._krylov_solution(g, trs._symmetric(H), r, L2, trs.MIN_TOL)
+    return trs._krylov_solution(g, trs._symmetric(H), r, L2)
 
 
 def gershgorin_certified(subproblem, sol) -> bool:

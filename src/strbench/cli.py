@@ -87,6 +87,8 @@ class ExperimentSpec:
 
 
 _SPEC_KEYS = frozenset(f.name for f in dataclasses.fields(ExperimentSpec))
+# the spec keys only the GLM tasks read; synthetic_quad refuses them
+_GLM_KEYS = frozenset({"reg_lambda", "reg_alpha", "normalize_rows"})
 _DATASET_FORMS = ({"path"}, {"path", "d"}, {"synthetic"})  # a LibSVM file or generated data
 
 
@@ -161,10 +163,12 @@ def _trace_name(label: str, seed: int) -> str:
 
 def load_spec(path) -> ExperimentSpec:
     """Read and check an experiment spec.  Its keys are the ``ExperimentSpec``
-    fields, whose defaults fill the keys it omits; any other key is an error.
-    Every number must fit a float64 or, written as an integer, an int64.  Each
-    label must make ``trace_<label>_<seed>.csv`` a UTF-8 file name of at most
-    255 bytes at every seed."""
+    fields, whose defaults fill the keys it omits; any other key is an error,
+    and so is ``reg_lambda``, ``reg_alpha`` or ``normalize_rows`` with task
+    ``synthetic_quad``, which reads none of them.  Every number must fit a
+    float64 or, written as an integer, an int64.  Each label must make
+    ``trace_<label>_<seed>.csv`` a UTF-8 file name of at most 255 bytes at
+    every seed."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh, parse_float=_finite_float, parse_int=_int64,
@@ -207,6 +211,9 @@ def load_spec(path) -> ExperimentSpec:
                         f"{{'synthetic': params}}, got {spec.dataset!r}")
     if spec.task not in KINDS:
         raise SpecError(f"unknown task {spec.task!r}")
+    unread = sorted(_GLM_KEYS & set(raw)) if spec.task == "synthetic_quad" else []
+    if unread:
+        raise SpecError(f"task synthetic_quad reads none of {unread}")
     if spec.lip_mode not in LIP_MODES:
         raise SpecError(f"unknown lip_mode {spec.lip_mode!r}, expected one of {LIP_MODES}")
     return spec

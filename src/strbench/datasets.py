@@ -55,7 +55,6 @@ class Dataset:
 
     X: np.ndarray
     y: np.ndarray
-    source: str = ""
 
     def __post_init__(self):
         X = np.ascontiguousarray(self.X, dtype=float).view()
@@ -95,20 +94,14 @@ def row_blocks(n: int, d: int) -> list[slice]:
     return [slice(i, i + step) for i in range(0, n, step)]
 
 
-def _iter_lines(source) -> Iterable[str]:
-    if isinstance(source, bytes):
-        source = source.decode("utf-8", errors="replace")
-    if isinstance(source, str):
-        return io.StringIO(source)
-    return source  # file-like or any iterable of lines
-
-
-def parse_libsvm(source, d_override: int | None = None, name: str = "") -> Dataset:
+def parse_libsvm(source: str | Iterable[str], d_override: int | None = None) -> Dataset:
     """Parse LibSVM text (``<label> <idx>:<val> ...``) into a :class:`Dataset`.
 
-    Labels are binarized by sign (value > 0 maps to +1, otherwise -1).
-    One-based file indices become zero-based.  Blank lines and lines whose
-    first non-space character is ``#`` are skipped; LF and CRLF both work.
+    ``source`` is the text itself or an iterable of its lines, such as an open
+    text file; bytes are a ``TypeError``.  Labels are binarized by sign (value
+    > 0 maps to +1, otherwise -1).  One-based file indices become zero-based.
+    Blank lines and lines whose first non-space character is ``#`` are
+    skipped; LF and CRLF both work.
 
     Raises :class:`LibsvmParseError` with the offending line number on any
     malformed token, and :class:`DimensionError` if ``d_override`` is not a
@@ -123,7 +116,9 @@ def parse_libsvm(source, d_override: int | None = None, name: str = "") -> Datas
     cols: list[int] = []
     vals: list[float] = []
     d_seen = 0  # largest one-based index
-    for lineno, raw in enumerate(_iter_lines(source), start=1):
+    # bytes reach StringIO, which refuses them
+    lines = io.StringIO(source) if isinstance(source, (str, bytes)) else source
+    for lineno, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -168,12 +163,12 @@ def parse_libsvm(source, d_override: int | None = None, name: str = "") -> Datas
     except (ValueError, MemoryError) as exc:
         raise DimensionError(f"cannot allocate a dense {n} x {d} matrix: {exc}") from None
     X[np.repeat(np.arange(n), counts), np.array(cols, dtype=np.intp)] = vals
-    return Dataset(X, np.array(labels), source=name or "<stream>")
+    return Dataset(X, np.array(labels))
 
 
 def load_libsvm(path, d_override: int | None = None) -> Dataset:
     with open(path, "r", encoding="utf-8") as fh:
-        return parse_libsvm(fh, d_override=d_override, name=str(path))
+        return parse_libsvm(fh, d_override=d_override)
 
 
 def to_libsvm(dataset: Dataset) -> str:
@@ -247,4 +242,4 @@ def generate_synthetic(n: int, d: int, seed: int, separable: bool = False) -> Da
     if not separable:
         flips = rng.random(n) < 0.1
         y = np.where(flips, -y, y)
-    return Dataset(X, y, source=f"synthetic(n={n},d={d},seed={seed},separable={separable})")
+    return Dataset(X, y)

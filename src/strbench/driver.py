@@ -45,14 +45,13 @@ from .trs import TrsNumericError, _norm, _sym_eigvals, solve_trs_exact
 VARIANTS = ("exact_tr", "str1", "str2", "subsampled")
 # the RunConfig fields only some variants read, and those variants
 _VARIANT_FIELDS = {
-    **dict.fromkeys(("kappa_grad", "kappa_hess", "hess_option", "grad_schedule",
-                     "hess_schedule"), ("str1", "str2")),
+    **dict.fromkeys(("kappa_grad", "kappa_hess", "grad_schedule", "hess_schedule"),
+                    ("str1", "str2")),
     "sub_s1": ("subsampled",),
     "sub_s2": ("subsampled",),
 }
 # the str1/str2 knobs an explicit schedule object overrides, and that schedule
-_SCHEDULE_OF = {"kappa_grad": "grad_schedule", "kappa_hess": "hess_schedule",
-                "hess_option": "hess_schedule"}
+_SCHEDULE_OF = {"kappa_grad": "grad_schedule", "kappa_hess": "hess_schedule"}
 
 
 @dataclass
@@ -63,15 +62,16 @@ class RunConfig:
     radius is ``sqrt(epsilon/L2)``, and the iteration cap ``K_override`` (an
     integer >= 1) or ``ceil(6 sqrt(L2) F(x0) / epsilon^1.5)``: F(x0) bounds the
     initial optimality gap of the nonnegative losses shipped here.  Each
-    subproblem is solved to ``trs.MIN_TOL``.  Theory mode takes the paper's
+    subproblem is solved to ``trs.GATE_TOL``.  Theory mode takes the paper's
     constants and rejects ``kappa_grad``/``kappa_hess``; practical mode scales
-    the gradient and Hessian sample sizes by them (default 1).  Explicit
+    the gradient and Hessian sample sizes by them (default 1).  Either way the
+    Hessian schedule takes the cheaper of options I and II.  Explicit
     :class:`~strbench.estimators.Schedule` objects override both; ``str2``'s
     ``grad_schedule`` must reset with an exact pass.  A field that the variant
-    never reads (the kappas, ``hess_option`` and the schedules outside
-    ``str1``/``str2``, ``sub_s1`` and ``sub_s2`` outside ``subsampled``,
-    ``kappa_grad`` next to ``grad_schedule``, ``kappa_hess`` and
-    ``hess_option`` next to ``hess_schedule``) must stay None.
+    never reads (the kappas and the schedules outside ``str1``/``str2``,
+    ``sub_s1`` and ``sub_s2`` outside ``subsampled``, ``kappa_grad`` next to
+    ``grad_schedule``, ``kappa_hess`` next to ``hess_schedule``) must stay
+    None.
     ``sub_s1`` and ``sub_s2`` may not exceed the problem's n
     (:func:`check_batch_sizes`).
     """
@@ -84,7 +84,6 @@ class RunConfig:
     mode: str = "theory"
     kappa_grad: float | None = None
     kappa_hess: float | None = None
-    hess_option: str | None = None
     grad_schedule: est.Schedule | None = None
     hess_schedule: est.Schedule | None = None
     sub_s1: int | None = None  # subsampled baseline batch sizes
@@ -111,8 +110,6 @@ class RunConfig:
                              "not a sampled batch")
         if self.mode not in ("theory", "practical"):
             raise ValueError("mode must be 'theory' or 'practical'")
-        if self.hess_option not in (None, "I", "II"):
-            raise ValueError("hess_option must be 'I' or 'II'")
         for name in ("kappa_grad", "kappa_hess"):
             value = getattr(self, name)
             if value is None:
@@ -250,10 +247,10 @@ def verify_sosp(problem: FiniteSumProblem, x, epsilon: float, L2: float) -> SosR
     return SosReport(grad_norm, min_eig, grad_ok, eig_ok, grad_ok and eig_ok)
 
 
-def _run_loop(problem, config, grad_estimator, hess_estimator, counters, use_dual_stop,
+def _run_loop(problem, config, grad_estimator, hess_estimator, use_dual_stop,
               res: _Resolved | None):
     res = res if res is not None else resolve_config(problem, config)
-    counters = counters if counters is not None else OracleCounters()
+    counters = OracleCounters()
     x = res.x0.copy()
     trace: list[IterateRecord] = []
     # the no-dual rule's pick, read only at the cap (which a K past int64 never reaches)
@@ -317,23 +314,24 @@ def _run_loop(problem, config, grad_estimator, hess_estimator, counters, use_dua
     )
 
 
-def run_inexact_tr(problem, config, grad_estimator, hess_estimator,
-                   counters: OracleCounters | None = None) -> RunResult:
+def run_inexact_tr(problem, config, grad_estimator, hess_estimator) -> RunResult:
     """Dual-threshold trust-region loop.
 
     Estimator callables have signature ``f(x, counters) -> ndarray`` and own
-    any internal state.  Stops the first time
+    any internal state; the loop passes them its own
+    :class:`~strbench.problems.OracleCounters`, which come back on the
+    :class:`RunResult` or :class:`RunAborted`.  Stops the first time
     ``lambda_alg <= 2 sqrt(eps/L2)`` and returns the post-step iterate.
     """
-    return _run_loop(problem, config, grad_estimator, hess_estimator, counters, True, None)
+    return _run_loop(problem, config, grad_estimator, hess_estimator, True, None)
 
 
-def run_inexact_tr_expectation(problem, config, grad_estimator, hess_estimator,
-                               counters: OracleCounters | None = None) -> RunResult:
+def run_inexact_tr_expectation(problem, config, grad_estimator, hess_estimator) -> RunResult:
     """No-dual variant: stop on the first step that the solver reports inside
     the ball, otherwise return the post-step iterate of iteration
-    ``kbar = default_rng([seed, 1]).integers(0, K)`` after K steps."""
-    return _run_loop(problem, config, grad_estimator, hess_estimator, counters, False, None)
+    ``kbar = default_rng([seed, 1]).integers(0, K)`` after K steps.  Counters
+    as in :func:`run_inexact_tr`."""
+    return _run_loop(problem, config, grad_estimator, hess_estimator, False, None)
 
 
 def make_estimators(variant, problem, config, rng, resolved: _Resolved | None = None):
@@ -364,9 +362,7 @@ def make_estimators(variant, problem, config, rng, resolved: _Resolved | None = 
         kg = config.kappa_grad if config.kappa_grad is not None else 1.0
         kh = config.kappa_hess if config.kappa_hess is not None else 1.0
         hsched = config.hess_schedule or est.hessian_schedule(
-            n, problem.d, config.epsilon, res.lip.L1, res.lip.L2, config.delta, K0,
-            kappa=kh, force_option=config.hess_option,
-        )
+            n, problem.d, config.epsilon, res.lip.L1, res.lip.L2, config.delta, K0, kappa=kh)
         gsched = config.grad_schedule or (
             est.gradient_schedule_case1(n, config.epsilon, res.lip.L1, res.lip.L2,
                                         config.delta, K0, kappa=kg)
@@ -387,4 +383,4 @@ def run(variant: str, problem: FiniteSumProblem, config: RunConfig) -> RunResult
     rng = np.random.default_rng(config.seed)
     res = resolve_config(problem, config)
     grad_fn, hess_fn = make_estimators(variant, problem, config, rng, res)
-    return _run_loop(problem, config, grad_fn, hess_fn, OracleCounters(), True, res)
+    return _run_loop(problem, config, grad_fn, hess_fn, True, res)

@@ -41,7 +41,7 @@ import numpy as np
 # Projection of g onto the bottom eigenspace below this fraction of ||g||
 # is treated as zero (numeric orthogonality proxy for the hard case).
 _HARD_CASE_RTOL = 1e-11
-# Secular iteration targets near machine precision; `tol` is only the
+# Secular iteration targets near machine precision; GATE_TOL is only the
 # acceptance threshold below which a solve counts as converged.
 _SECULAR_RTOL = 1e-13
 # The O(m) tridiagonal Newton of the Krylov path iterates on to this gap, the
@@ -115,10 +115,11 @@ class TrsNumericError(RuntimeError):
 
 
 _SYM_TOL = 1e-12  # relative asymmetry tolerance of the eigensolvers
-# The smallest ``tol`` the solvers accept.  Below it the gate starts to refuse
-# solves that are exact up to rounding: of 2,000 random instances (d < 60,
-# scales 1e-6 to 1e3), none at 1e-8, 11 at 1e-10 and 163 at 1e-12.
-MIN_TOL = 1e-8
+# The tolerance of the solvers' KKT gate (see _gated_solution).  Below it the
+# gate starts to refuse solves that are exact up to rounding: of 2,000 random
+# instances (d < 60, scales 1e-6 to 1e3), none at 1e-8, 11 at 1e-10 and 163 at
+# 1e-12.
+GATE_TOL = 1e-8
 
 
 def _symmetric(A) -> np.ndarray:
@@ -256,7 +257,7 @@ def _secular_root(e, gt, delta_hi, singular_at_lo):
     return best_delta, best_gap <= 1e-9
 
 
-def _check_inputs(g, r, L2, tol) -> tuple[float, float]:
+def _check_inputs(g, r, L2) -> tuple[float, float]:
     """Refuse bad inputs; return ``r`` and ``L2`` as Python floats, whose
     products and quotients go to inf past the float range with no warning,
     where numpy scalars warn."""
@@ -265,14 +266,12 @@ def _check_inputs(g, r, L2, tol) -> tuple[float, float]:
         raise ValueError("radius must be positive and finite")
     if not 0.0 < L2 < math.inf:
         raise ValueError("L2 must be positive and finite")
-    if not MIN_TOL <= tol < math.inf:
-        raise ValueError(f"tol must be finite and >= {MIN_TOL:g}, got {tol!r}")
     if not np.all(np.isfinite(g)):
         raise ValueError("non-finite inputs")
     return float(r), float(L2)
 
 
-def solve_trs_exact(g, H, r: float, L2: float, tol: float = MIN_TOL) -> TrsSolution:
+def solve_trs_exact(g, H, r: float, L2: float) -> TrsSolution:
     """Global minimizer of the quadratic model over the ball of radius r.
 
     Interior Newton step when the Hessian is definite and the step fits;
@@ -286,25 +285,24 @@ def solve_trs_exact(g, H, r: float, L2: float, tol: float = MIN_TOL) -> TrsSolut
     Where that path finds none (g = 0, hard or semidefinite cases, no
     convergence) the eigendecomposition solves, so its pads, errors and
     results are those of smaller d.  Raises :class:`TrsNumericError` with the
-    best iterate attached if the stationarity residual misses ``tol (||g|| +
-    1)`` (a NaN always misses), ``||h|| > r``, or ``mu > 0`` with ``||h|| <
-    r``, each judged relative to r, and with none attached if the unit
-    problem's scale ``max_i |g_i| / r`` is past the float range.
-    A ``tol`` below :data:`MIN_TOL` or not finite is a ``ValueError``.
+    best iterate attached if the stationarity residual misses ``GATE_TOL
+    (||g|| + 1)`` (a NaN always misses), ``||h|| > r``, or ``mu > 0`` with
+    ``||h|| < r``, each judged relative to r, and with none attached if the
+    unit problem's scale ``max_i |g_i| / r`` is past the float range.
     """
     g = np.asarray(g, dtype=float)
     H = np.asarray(H, dtype=float)
-    r, L2 = _check_inputs(g, r, L2, tol)
+    r, L2 = _check_inputs(g, r, L2)
     if g.size >= _KRYLOV_MIN_D:
         H = _symmetric(H)
-        sol = _krylov_solution(g, H, r, L2, tol)
+        sol = _krylov_solution(g, H, r, L2)
         if sol is not None:
             return sol
     w, V = sym_eig(H)
-    return _solve_in_eigenbasis(g, w, V, r, L2, tol)
+    return _solve_in_eigenbasis(g, w, V, r, L2)
 
 
-def _solve_in_eigenbasis(g, w, V, r, L2, tol) -> TrsSolution:
+def _solve_in_eigenbasis(g, w, V, r, L2) -> TrsSolution:
     """:func:`solve_trs_exact` for ``H = V diag(w) V'``, eigenvalues ascending:
     its path below ``_KRYLOV_MIN_D`` and the Krylov path's fallbacks.
 
@@ -329,7 +327,7 @@ def _solve_in_eigenbasis(g, w, V, r, L2, tol) -> TrsSolution:
     def solution(ut, mu) -> TrsSolution:
         """The unit step ``V ut`` at multiplier ``mu``, gated, in the caller's units."""
         u = V @ ut
-        return _gated_solution(u, V @ (w * (V.T @ u)), mu, g, gnorm, sigma, r, L2, tol,
+        return _gated_solution(u, V @ (w * (V.T @ u)), mu, g, gnorm, sigma, r, L2,
                                sigma * (lam1 + mu))
 
     shifted = w + mu_lo  # exact zero on the bottom eigenvalue when lam1 <= 0
@@ -384,13 +382,13 @@ def _solve_in_eigenbasis(g, w, V, r, L2, tol) -> TrsSolution:
     return solution(ut, mu_lo + delta)
 
 
-def _gated_solution(u, Hu, mu, g, gnorm, sigma, r, L2, tol, min_eig_shifted) -> TrsSolution:
+def _gated_solution(u, Hu, mu, g, gnorm, sigma, r, L2, min_eig_shifted) -> TrsSolution:
     """The step ``u`` at multiplier ``mu`` of the unit-ball problem with gradient
     ``g`` (of norm ``gnorm``) and ``Hu`` its Hessian times ``u``, in the
     caller's units: ``h = r u`` and multiplier ``sigma mu``.
 
     Raises :class:`TrsNumericError`, the solution attached, unless the
-    stationarity residual meets ``tol (||g|| + 1)`` in the caller's units
+    stationarity residual meets ``GATE_TOL (||g|| + 1)`` in the caller's units
     (divided by ``r sigma`` here; a NaN residual or step norm always misses),
     ``||u|| <= 1 + 1e-8``, and ``mu > 0`` comes with a boundary step.
     """
@@ -407,7 +405,7 @@ def _gated_solution(u, Hu, mu, g, gnorm, sigma, r, L2, tol, min_eig_shifted) -> 
         model_decrease=float(g @ u + 0.5 * u @ Hu) * sigma * r * r,
     )
     # written as ``not <=``, so a NaN fails
-    if not stationarity <= tol * (gnorm + 1.0 / r / sigma):
+    if not stationarity <= GATE_TOL * (gnorm + 1.0 / r / sigma):
         raise TrsNumericError(
             f"stationarity residual {sol.kkt.stationarity:.3e} above tolerance",
             best=sol,
@@ -629,7 +627,7 @@ def _krylov_chain(g, hvp, r, m_max, mu_min=0.0):
     return out
 
 
-def _krylov_solution(g, H, r, L2, tol) -> TrsSolution | None:
+def _krylov_solution(g, H, r, L2) -> TrsSolution | None:
     """The global minimizer from g's Krylov space, or None where that space
     does not certify one.
 
@@ -658,7 +656,7 @@ def _krylov_solution(g, H, r, L2, tol) -> TrsSolution | None:
             return None
     g = g / r / sigma
     try:
-        sol = _gated_solution(u, (H @ u) / sigma, mu, g, _norm(g), sigma, r, L2, tol, tau)
+        sol = _gated_solution(u, (H @ u) / sigma, mu, g, _norm(g), sigma, r, L2, tau)
     except TrsNumericError:
         return None
     sol.krylov_dim = len(u_red)
@@ -672,18 +670,18 @@ def solve_trs_lanczos(
     r: float,
     L2: float,
     m_max: int | None = None,
-    tol: float = MIN_TOL,
     rng: np.random.Generator | None = None,
 ) -> TrsSolution:
     """Matrix-free TRS solve in Hessian-generated Krylov spaces.
 
     A probe Lanczos chain (:func:`_lanczos`) from one random vector runs,
     one k x k ``eigh`` per step, until its bottom Ritz pair ``(theta, y)``
-    has the residual ``rho = ||H y - theta y|| <= tol (||g|| + 1) / (2 r)``.
-    g's chain then solves as on the Krylov path of :func:`solve_trs_exact`
-    (:func:`_krylov_chain`) with the multiplier at or above ``max(0,
-    -theta)``, a Ritz safeguard (cf. Xu, Roosta & Mahoney 2017): a chain from
-    g alone cannot see a bottom eigenvector orthogonal to g (the hard case).
+    has the residual ``rho = ||H y - theta y|| <= GATE_TOL (||g|| + 1) /
+    (2 r)``.  g's chain then solves as on the Krylov path of
+    :func:`solve_trs_exact` (:func:`_krylov_chain`) with the multiplier at
+    or above ``max(0, -theta)``, a Ritz safeguard (cf. Xu, Roosta & Mahoney
+    2017): a chain from g alone cannot see a bottom eigenvector orthogonal to
+    g (the hard case).
     Where the O(m) Newton ends g's chain early, as when ``||g||`` is far
     below ``|theta| r`` and the root lies too near the pole for the ``LDL'``
     of ``T + mu I``, the chain is rerun with each step solved in the
@@ -694,12 +692,12 @@ def solve_trs_lanczos(
     ``krylov_dim`` is the length of g's (0 at g = 0).  ``converged`` says
     that the step passed the gate of :func:`solve_trs_exact` and ``rho`` met
     its bound.  ``kkt.min_eig_shifted`` is the Ritz estimate ``theta + mu``.
-    A non-finite Hessian-vector product or a ``tol`` below :data:`MIN_TOL`
-    or not finite is a ``ValueError``; a scale ``||g|| / r`` or Lanczos
-    coefficients past the float range are a :class:`TrsNumericError`.
+    A non-finite Hessian-vector product is a ``ValueError``; a scale ``||g||
+    / r`` or Lanczos coefficients past the float range are a
+    :class:`TrsNumericError`.
     """
     g = np.asarray(g, dtype=float)
-    r, L2 = _check_inputs(g, r, L2, tol)
+    r, L2 = _check_inputs(g, r, L2)
     m_max = d if m_max is None else m_max
     if not 1 <= m_max <= d:
         raise ValueError("need 1 <= m_max <= d")
@@ -714,7 +712,7 @@ def solve_trs_lanczos(
     if gnorm / r == math.inf:
         raise TrsNumericError(f"unit-ball scale ||g|| / r = {gnorm:.3e} / {r:.3e} "
                               "is past the float range")
-    bound = tol * (gnorm + 1.0) / (2.0 * r)
+    bound = GATE_TOL * (gnorm + 1.0) / (2.0 * r)
     q = (np.random.default_rng(0) if rng is None else rng).standard_normal(d)
     P = None
     for P, alpha, beta in _lanczos(checked_hvp, q / _norm(q), m_max):
@@ -738,7 +736,7 @@ def solve_trs_lanczos(
                 T = np.diag(alpha) + np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1)
                 e1 = np.r_[gnorm, np.zeros(len(alpha) - 1)]
                 try:
-                    red = _solve_in_eigenbasis(e1, *np.linalg.eigh(T), r, L2, tol)
+                    red = _solve_in_eigenbasis(e1, *np.linalg.eigh(T), r, L2)
                 except TrsNumericError as exc:
                     red = exc.best
                 if beta[-1] * abs(red.h[-1]) <= _KRYLOV_RTOL * sigma * _norm(red.h):
@@ -752,7 +750,7 @@ def solve_trs_lanczos(
         u = u + c / (b + math.copysign(math.sqrt(b * b + c), b)) * y
     g = g / r / sigma
     try:
-        sol = _gated_solution(u, checked_hvp(u) / sigma, mu, g, _norm(g), sigma, r, L2, tol,
+        sol = _gated_solution(u, checked_hvp(u) / sigma, mu, g, _norm(g), sigma, r, L2,
                               theta + sigma * mu)
         sol.converged = rho <= bound
     except TrsNumericError as exc:

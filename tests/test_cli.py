@@ -103,6 +103,12 @@ def test_run_bad_dataset_exits_2(tmp_path, capsys):
     run_exits_2(spec, tmp_path / "o", capsys)
 
 
+def test_l1_without_l2_exits_2(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    write_spec(spec, variants=[{"variant": "exact_tr", "label": "v", "L1": 1.0}])
+    assert "L1 and L2 must be given together for v" in run_exits_2(spec, tmp_path / "o", capsys)
+
+
 def test_run_unknown_config_key_fails_run(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     write_spec(spec, variants=[{"variant": "exact_tr", "bogus_knob": 1}])
@@ -158,6 +164,14 @@ def test_lip_mode_unknown_exits_2(tmp_path, capsys):
     spec = tmp_path / "spec.json"
     write_spec(spec, lip_mode="bogus")
     assert "lip_mode" in run_exits_2(spec, tmp_path / "o", capsys)
+
+
+def test_lip_mode_sampled_on_one_row_exits_2(tmp_path, capsys):
+    # sampled bounds need two distinct rows to difference
+    spec = tmp_path / "spec.json"
+    write_spec(spec, task="logistic_nc", dataset={"synthetic": {"n": 1, "d": 3}},
+               lip_mode="sampled")
+    assert "lip_mode 'sampled'" in run_exits_2(spec, tmp_path / "o", capsys)
 
 
 def test_lip_mode_sampled_used_unless_variant_gives_bounds(tmp_path):
@@ -259,6 +273,16 @@ def test_compare_bad_filename(tmp_path):
         compare([bad])
 
 
+def test_compare_trace_with_only_its_header_exits_2(tmp_path, capsys):
+    empty = tmp_path / "trace_x_0.csv"
+    empty.write_text(",".join(TRACE_HEADER) + "\n")
+    with pytest.raises(TraceFormatError, match="no trace rows found"):
+        compare([empty])
+    assert main(["compare", str(empty)]) == 2
+    err = capsys.readouterr().err
+    assert "no trace rows found" in err and "Traceback" not in err
+
+
 @pytest.mark.parametrize("name", [
     "trace_a_--1.csv", "trace_b_\u00b2.csv", "trace_c_+1.csv", "trace_d_None.csv",
 ])
@@ -343,7 +367,7 @@ def test_spec_config_keys_are_runconfig_fields():
 
     assert _CONFIG_KEYS == {
         "epsilon", "delta", "K_override", "mode", "kappa_grad", "kappa_hess",
-        "hess_option", "sub_s1", "sub_s2",
+        "sub_s1", "sub_s2",
     }
 
 
@@ -486,7 +510,7 @@ def test_synthetic_too_large_to_allocate_exits_2(tmp_path, capsys, task):
     {"mode": "bogus"},
     {"kappa_hess": 0.5},  # theory mode (the default) rejects kappa_grad/kappa_hess
     {"mode": "practical", "kappa_grad": 0},
-    {"hess_option": "III"},
+    {"hess_option": "III"},  # the Hessian option is chosen by cost, with no setting
     {"solver_tol": "x"},
     {"solver_tol": 1e-10},
     {"variant": "subsampled", "sub_s1": 0},
@@ -550,6 +574,7 @@ def test_bad_spec_field_exits_2(tmp_path, capsys, overrides):
     ({"reg_lambda": True}, "reg_lambda"),
     ({"reg_lambda": "0.5"}, "reg_lambda"),
     ({"reg_alpha": "10"}, "reg_alpha"),
+    ({"dataset": {"path": 0}}, "dataset path must be a string"),  # 0 would open stdin
 ])
 def test_spec_field_of_the_wrong_json_type_exits_2(tmp_path, capsys, overrides, field):
     # flags take JSON booleans and counts or seeds JSON integers; nothing is coerced
@@ -613,6 +638,10 @@ def test_non_integer_dataset_width_exits_2(tmp_path, capsys, d):
      "separable"),  # the quadratic family has no labels to separate
     ({"task": "synthetic_quad", "dataset": {"path": "DATA"}}, "synthetic"),
     ({"dataset": "DATA"}, "dataset"),  # a bare path is not a dataset object
+    # nor has it a regularizer or rows to normalize; given at its default, too
+    *(({"task": "synthetic_quad", "dataset": {"synthetic": {"n": 20, "d": 3}}, key: value}, key)
+      for key, value in (("reg_lambda", 0.5), ("reg_alpha", 3.0), ("normalize_rows", True),
+                         ("reg_lambda", 1e-3))),
 ])
 def test_unknown_spec_key_exits_2(tmp_path, capsys, overrides, key):
     data = tmp_path / "d.svm"
@@ -648,7 +677,7 @@ _BASE_SPEC = {
     "lip_mode": "analytic",
     "variants": [
         {"variant": "str2", "epsilon": 0.1, "K_override": 3, "mode": "practical",
-         "kappa_hess": 0.5, "hess_option": "I"},
+         "kappa_hess": 0.5},
         {"variant": "exact_tr", "label": "ex", "L1": 1.0, "L2": 1.0, "K_override": 3},
         {"variant": "subsampled", "epsilon": 0.1, "K_override": 3, "sub_s1": 5},
     ],

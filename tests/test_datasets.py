@@ -106,11 +106,27 @@ def test_dataset_invariants_enforced():
         Dataset(np.array([[np.nan, 0.0]]), np.array([1.0]))
 
 
+def test_dataset_holds_only_the_arrays():
+    # no label field: nothing reads where a dataset came from
+    with pytest.raises(TypeError):
+        Dataset(np.ones((1, 2)), np.ones(1), source="s")
+    with pytest.raises(TypeError):
+        parse_libsvm("+1 1:1\n", name="s")
+
+
+def test_parse_takes_text_or_lines_not_bytes():
+    text = "+1 1:0.5\n-1 2:2\n"
+    for source in (text, io.StringIO(text), text.splitlines()):
+        assert parse_libsvm(source).X.tolist() == [[0.5, 0.0], [0.0, 2.0]]
+    with pytest.raises(TypeError):
+        parse_libsvm(text.encode())
+
+
 def test_dataset_arrays_are_read_only_views():
     X = np.arange(6.0).reshape(2, 3)
     y = np.array([1, -1])
-    ds = Dataset(X, y, source="s")
-    assert (ds.n, ds.d, ds.source) == (2, 3, "s")
+    ds = Dataset(X, y)
+    assert (ds.n, ds.d) == (2, 3)
     assert ds.to_dense() is ds.X and np.shares_memory(ds.X, X)
     assert ds.label_array() is ds.y and ds.y.dtype == np.float64
     assert ds.X.flags.c_contiguous and ds.X.dtype == np.float64

@@ -472,14 +472,23 @@ def test_non_finite_estimate_aborts(logistic_small, run_path, which, value):
     else:
         h_fn = _poisoned(h_fn, 3, value)
     clean, path = run_path(logistic_small, cfg)
-    counters = OracleCounters()
     with pytest.raises(RunAborted, match=f"non-finite {which} estimate at iteration 2") as info:
-        run_inexact_tr(logistic_small, cfg, g_fn, h_fn, counters)
+        run_inexact_tr(logistic_small, cfg, g_fn, h_fn)
     assert [(r.k, r.fval, r.grad_norm, r.sfo, r.sso) for r in info.value.trace] == [
         (r.k, r.fval, r.grad_norm, r.sfo, r.sso) for r in clean.trace[:2]]
     assert np.array_equal(info.value.x, path[2])  # the post-step iterate of iteration 1
-    assert info.value.counters is counters
+    counters = info.value.counters  # the loop's own, billed up to the abort
     assert counters.sfo == counters.sso == 3 * logistic_small.n
+
+
+@pytest.mark.parametrize("loop", [run_inexact_tr, run_inexact_tr_expectation])
+def test_run_loops_bill_their_own_counters(logistic_small, loop):
+    # the counts come back on the result; no caller hands the loop a counter
+    cfg = RunConfig(variant="exact_tr", epsilon=1e-2, K_override=2)
+    with pytest.raises(TypeError):
+        loop(logistic_small, cfg, *_estimators(logistic_small, cfg), OracleCounters())
+    res = loop(logistic_small, cfg, *_estimators(logistic_small, cfg))
+    assert res.counters.sfo == res.counters.sso == len(res.trace) * logistic_small.n
 
 
 def test_nan_subproblem_residual_aborts(logistic_small):
@@ -544,7 +553,7 @@ def test_non_finite_iterate_aborts(logistic_small, monkeypatch):
     {"kappa_hess": 0.5},
     {"mode": "practical", "kappa_grad": 0},
     {"mode": "practical", "kappa_hess": 1.5},
-    {"hess_option": "III"},
+    {"mode": "practical", "kappa_hess": math.nan},
     {"delta": "x"},
     {"delta": math.nan},
     {"epsilon": math.nan},
@@ -562,6 +571,14 @@ def test_config_rejects_bad_option(overrides):
         RunConfig(variant="subsampled", **overrides)
 
 
+@pytest.mark.parametrize("x0", [np.zeros(4), np.zeros((1, 5)), np.array(0.0)])
+def test_run_refuses_an_x0_of_the_wrong_shape(quad_problem, x0):
+    # quad_problem has d = 5; the shape is checked before any oracle call
+    cfg = RunConfig(variant="exact_tr", epsilon=1e-2, x0=x0)
+    with pytest.raises(ValueError, match=r"x0 must have shape \(5,\)"):
+        run("exact_tr", quad_problem, cfg)
+
+
 def test_config_refuses_str2_with_a_sampled_gradient_reset():
     # corrected_step resets with an exact pass; the config says so before any run
     with pytest.raises(ValueError, match="exact pass"):
@@ -570,10 +587,11 @@ def test_config_refuses_str2_with_a_sampled_gradient_reset():
     RunConfig(variant="str2", grad_schedule=Schedule(2, 2))
 
 
-@pytest.mark.parametrize("name", ["r_override", "delta_hat", "solver_tol"])
+@pytest.mark.parametrize("name", ["r_override", "delta_hat", "solver_tol", "hess_option"])
 def test_config_has_one_setting_per_run_decision(name):
     # the radius is sqrt(eps/L2), the cap K_override or the one computed from
-    # F(x0), and the subproblem tolerance the solver's MIN_TOL
+    # F(x0), the subproblem tolerance the solver's GATE_TOL, and the Hessian
+    # option the cheaper one, or that of an explicit hess_schedule
     with pytest.raises(TypeError, match=name):
         RunConfig(variant="exact_tr", **{name: 1.0})
 
@@ -592,7 +610,7 @@ _SCHEDULES = {
     "grad_schedule": Schedule(p=2, s=3),
     "hess_schedule": Schedule(p=2, s=3),
 }
-_STOCHASTIC_KNOBS = {"kappa_grad": 0.5, "kappa_hess": 0.01, "hess_option": "II", **_SCHEDULES}
+_STOCHASTIC_KNOBS = {"kappa_grad": 0.5, "kappa_hess": 0.01, **_SCHEDULES}
 
 
 @pytest.mark.parametrize("variant,field,value", [
@@ -600,11 +618,11 @@ _STOCHASTIC_KNOBS = {"kappa_grad": 0.5, "kappa_hess": 0.01, "hess_option": "II",
     *((v, f, 3) for v in ("exact_tr", "str1", "str2") for f in ("sub_s1", "sub_s2")),
     # str1 and str2 read these only where no explicit schedule overrides them
     *((v, f, _STOCHASTIC_KNOBS[f]) for v in ("str1", "str2")
-      for f in ("kappa_grad", "kappa_hess", "hess_option")),
+      for f in ("kappa_grad", "kappa_hess")),
 ])
 def test_config_rejects_a_knob_its_variant_never_reads(variant, field, value):
     # a knob the variant ignores would leave the run as if it were not set; str1
-    # and str2 are given both schedules, which override the kappas and hess_option
+    # and str2 are given both schedules, which override the kappas
     schedules = _SCHEDULES if variant in ("str1", "str2") else {}
     with pytest.raises(ValueError, match=f"{field} is not read by variant {variant!r}"):
         RunConfig(variant=variant, mode="practical", **schedules, **{field: value})

@@ -441,9 +441,10 @@ def test_solvers_reject_non_finite_radius_or_L2(solver, r):
 @pytest.mark.parametrize("tol", [1e-10, 0.0, math.nan])
 @pytest.mark.parametrize("solver", ["exact", "lanczos"])
 def test_solvers_reject_tol_below_the_gate_floor(solver, tol):
-    # a tol below trs.MIN_TOL is refused, not silently run as MIN_TOL
+    # the gate's tolerance is the one constant trs.GATE_TOL: a tol below it,
+    # which would refuse solves that are exact up to rounding, is no argument
     g, H = np.array([1.0, 2.0]), np.diag([1.0, -1.0])
-    with pytest.raises(ValueError, match="tol"):
+    with pytest.raises(TypeError, match="tol"):
         if solver == "exact":
             solve_trs_exact(g, H, 1.0, 1.0, tol=tol)
         else:
@@ -453,9 +454,9 @@ def test_solvers_reject_tol_below_the_gate_floor(solver, tol):
 @pytest.mark.parametrize("tol", [math.inf, -math.inf])
 @pytest.mark.parametrize("solver", ["exact", "lanczos"])
 def test_solvers_reject_a_non_finite_tol(solver, tol):
-    # tol = inf would turn the KKT gate off
+    # tol = inf would turn the KKT gate off; the solvers take no tol
     g, H = np.array([1.0, 2.0]), np.diag([1.0, -1.0])
-    with pytest.raises(ValueError, match="tol"):
+    with pytest.raises(TypeError, match="tol"):
         if solver == "exact":
             solve_trs_exact(g, H, 1.0, 1.0, tol=tol)
         else:
@@ -475,7 +476,7 @@ def test_hard_case_pad_sign_follows_the_matrix_not_the_eigensolver():
     Q = np.linalg.qr(np.random.default_rng(3).standard_normal((3, 3)))[0]
     for V in (np.eye(3), Q):
         flipped = V * np.array([-1.0, 1.0, 1.0])
-        steps = [trs._solve_in_eigenbasis(V @ g, w, B, 1.0, 1.0, trs.MIN_TOL).h
+        steps = [trs._solve_in_eigenbasis(V @ g, w, B, 1.0, 1.0).h
                  for B in (V, flipped)]
         assert np.array_equal(steps[0], steps[1])
         pad = V[:, 0] * (V[:, 0] @ steps[0])  # the step's bottom component
@@ -787,7 +788,7 @@ KRYLOV_DIMS = sorted({trs._KRYLOV_MIN_D, 60, 75, 150, 300})
 
 
 def _eigen_path(g, H, r):
-    return trs._solve_in_eigenbasis(g, *sym_eig(H), r, 0.7, trs.MIN_TOL)
+    return trs._solve_in_eigenbasis(g, *sym_eig(H), r, 0.7)
 
 
 def _fields(sol):
@@ -1011,7 +1012,7 @@ def test_tridiagonal_trs_matches_the_eigenbasis_solve(seed, case):
     a, b, gamma, theta = a / sigma, b / sigma, gamma / sigma, theta / sigma
     gt = np.zeros(m)
     gt[0] = gamma
-    ref = trs._solve_in_eigenbasis(gt, theta, U, 1.0, 1.0, trs.MIN_TOL)
+    ref = trs._solve_in_eigenbasis(gt, theta, U, 1.0, 1.0)
     assert (ref.mu == 0.0) == (case == "interior")
     for mu0 in (ref.mu, 0.0, 10.0):
         u, mu = trs._tridiagonal_trs(list(a), list(b), gamma, mu0)
