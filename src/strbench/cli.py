@@ -33,7 +33,6 @@ from . import __version__
 from .datasets import generate_synthetic, load_libsvm
 from .driver import IterateRecord, RunAborted, RunConfig, check_batch_sizes, run
 from .problems import (
-    KINDS,
     FiniteSumProblem,
     LipschitzBounds,
     from_dataset,
@@ -87,9 +86,17 @@ class ExperimentSpec:
 
 
 _SPEC_KEYS = frozenset(f.name for f in dataclasses.fields(ExperimentSpec))
-# the spec keys only the GLM tasks read; synthetic_quad refuses them
-_GLM_KEYS = frozenset({"reg_lambda", "reg_alpha", "normalize_rows"})
-_DATASET_FORMS = ({"path"}, {"path", "d"}, {"synthetic"})  # a LibSVM file or generated data
+# What each task reads: its spec keys, its dataset forms (a LibSVM file, with
+# an optional width, or generated data) and the params of generated data.
+_GLM_READS = (_SPEC_KEYS, ({"path"}, {"path", "d"}, {"synthetic"}),
+              ("n", "d", "seed", "separable"))
+_TASK_READS = {
+    "logistic_nc": _GLM_READS,
+    "nls_nc": _GLM_READS,
+    # generated quadratics: no file, labels, regularizer or rows to normalize
+    "synthetic_quad": (_SPEC_KEYS - {"reg_lambda", "reg_alpha", "normalize_rows"},
+                       ({"synthetic"},), ("n", "d", "seed")),
+}
 
 
 def _json_int(value, name: str) -> int:
@@ -164,8 +171,8 @@ def _trace_name(label: str, seed: int) -> str:
 def load_spec(path) -> ExperimentSpec:
     """Read and check an experiment spec.  Its keys are the ``ExperimentSpec``
     fields, whose defaults fill the keys it omits; any other key is an error,
-    and so is ``reg_lambda``, ``reg_alpha`` or ``normalize_rows`` with task
-    ``synthetic_quad``, which reads none of them.  Every number must fit a
+    and so is a key, dataset form or generated-data param that the task does
+    not read (``_TASK_READS``).  Every number must fit a
     float64 or, written as an integer, an int64.  Each label must make
     ``trace_<label>_<seed>.csv`` a UTF-8 file name of at most 255 bytes at
     every seed."""
@@ -206,29 +213,31 @@ def load_spec(path) -> ExperimentSpec:
         repeated = sorted(v for v, count in Counter(values).items() if count > 1)
         if repeated:
             raise SpecError(f"{name} {repeated} repeat: each (label, seed) names one trace file")
-    if not isinstance(spec.dataset, dict) or set(spec.dataset) not in _DATASET_FORMS:
-        raise SpecError("dataset must be {'path': file} with an optional 'd', or "
-                        f"{{'synthetic': params}}, got {spec.dataset!r}")
-    if spec.task not in KINDS:
+    if not (isinstance(spec.task, str) and spec.task in _TASK_READS):
         raise SpecError(f"unknown task {spec.task!r}")
-    unread = sorted(_GLM_KEYS & set(raw)) if spec.task == "synthetic_quad" else []
+    keys, forms, params = _TASK_READS[spec.task]
+    unread = sorted(set(raw) - keys)
     if unread:
-        raise SpecError(f"task synthetic_quad reads none of {unread}")
+        raise SpecError(f"task {spec.task} reads none of {unread}")
+    if not isinstance(spec.dataset, dict) or set(spec.dataset) not in forms:
+        raise SpecError(f"task {spec.task} takes a dataset with the keys "
+                        f"{' or '.join(str(sorted(f)) for f in forms)}, got {spec.dataset!r}")
+    if "synthetic" in spec.dataset:
+        _object(spec.dataset["synthetic"], "synthetic", params)
     if spec.lip_mode not in LIP_MODES:
         raise SpecError(f"unknown lip_mode {spec.lip_mode!r}, expected one of {LIP_MODES}")
     return spec
 
 
 def build_problem(spec: ExperimentSpec) -> FiniteSumProblem:
+    """The problem of a spec that :func:`load_spec` has checked."""
     ds_spec = spec.dataset
     if "synthetic" in ds_spec:
-        quad = spec.task == "synthetic_quad"
-        params = _object(ds_spec["synthetic"], "synthetic",
-                         ("n", "d", "seed") if quad else ("n", "d", "seed", "separable"))
+        params = ds_spec["synthetic"]
         try:
             n, d = _json_int(params["n"], "n"), _json_int(params["d"], "d")
             seed = _json_int(params.get("seed", 0), "seed")
-            if quad:
+            if spec.task == "synthetic_quad":
                 return quadratic_problem(n=n, d=d, seed=seed)
             dataset = generate_synthetic(
                 n=n, d=d, seed=seed,
@@ -236,8 +245,6 @@ def build_problem(spec: ExperimentSpec) -> FiniteSumProblem:
             )
         except (KeyError, TypeError, ValueError, OverflowError, MemoryError) as exc:
             raise SpecError(f"invalid synthetic dataset spec: {exc}") from exc
-    elif spec.task == "synthetic_quad":
-        raise SpecError("task synthetic_quad needs a 'synthetic' dataset")
     else:
         if not isinstance(ds_spec["path"], str):  # an int would open a file descriptor
             raise SpecError(f"dataset path must be a string, got {ds_spec['path']!r}")

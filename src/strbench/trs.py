@@ -198,16 +198,25 @@ def _norm(v: np.ndarray) -> float:
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
-def _secular_root(e, gt, delta_hi, singular_at_lo):
+def _secular_root(e, gt, delta_hi):
     """Find delta > 0 with ||u(delta)|| = 1 where u_i = -gt_i / (e_i + delta).
 
     ``e = w + mu_lo >= 0`` are the shifted eigenvalues and ``gt`` the
-    eigencoordinates of g, both of the unit-ball problem.  Solving in the
-    offset delta (instead of mu itself) keeps full float resolution next to
-    the pole, where the root of a nearly hard case can sit within 1e-12 of
-    mu_lo.  Newton on the reciprocal secular function ``1/||u|| - 1``, whose
-    step ``(||u|| - 1) / sum_i (u_i/||u||)^2 / (e_i + delta)`` squares only
-    ratios, with a bisection bracket that also replaces a non-finite step.
+    eigencoordinates of g, both of the unit-ball problem, and ``delta_hi =
+    ||g||``.  Solving in the offset delta (instead of mu itself) keeps full
+    float resolution next to the pole, where the root of a nearly hard case
+    can sit within 1e-12 of mu_lo.  Newton on the reciprocal secular function
+    ``1/||u|| - 1``, whose step ``(||u|| - 1) / sum_i (u_i/||u||)^2 / (e_i +
+    delta)`` squares only ratios, with a bisection bracket that also replaces
+    a non-finite step.
+
+    The bracket is ``[0, delta_hi]``, for every case.  The iteration
+    evaluates ``||u||`` only inside it, so a zero in ``e`` is no division at
+    the pole.  At the upper end ``||u|| <= ||gt|| / ||g||``, which is 1 up to
+    rounding; where rounding puts it above 1, ``hi`` is doubled once, to
+    ``2 ||g|| + 1``, where ``||u|| < 1/2``.  Where no root lies above 0 (g's
+    bottom coordinates too small to reach the boundary), the iteration stalls
+    and the root comes back unresolved.
     """
     nonzero = gt != 0.0  # exact zeros in gt contribute nothing, even at a pole
     u = np.zeros_like(gt)  # stays zero where gt is
@@ -217,20 +226,7 @@ def _secular_root(e, gt, delta_hi, singular_at_lo):
         return _norm(u)
 
     lo, hi = 0.0, delta_hi
-    # ||u(lo)|| must exceed 1; at a singular lower end step just inside.
-    if singular_at_lo:
-        step = 1e-18 * delta_hi
-        for _ in range(400):
-            if norm_at(e + step) > 1.0:
-                lo = step
-                break
-            hi = step
-            step *= 1e-2
-        else:
-            lo = step
-    for _ in range(200):
-        if norm_at(e + hi) <= 1.0 or not math.isfinite(hi):
-            break
+    if norm_at(e + hi) > 1.0:
         hi = 2.0 * hi + 1.0
     delta = 0.5 * (lo + hi)
     best_delta, best_gap = delta, math.inf
@@ -357,7 +353,7 @@ def _solve_in_eigenbasis(g, w, V, r, L2) -> TrsSolution:
             ut = -gt / w
         if _norm(ut) <= 1.0:
             return solution(ut, 0.0)
-        delta, _ = _secular_root(shifted, gt, gnorm, singular_at_lo=False)
+        delta, _ = _secular_root(shifted, gt, gnorm)
         return solution(-gt / (shifted + delta), delta)
 
     if p_bottom <= _HARD_CASE_RTOL * gnorm:
@@ -369,10 +365,10 @@ def _solve_in_eigenbasis(g, w, V, r, L2) -> TrsSolution:
                 return solution(ut, 0.0)
             # hard case: pad with a bottom eigenvector up to the boundary
             return solution(boundary_without_bottom(0.0, bottom), mu_lo)
-        delta, _ = _secular_root(shifted, np.where(bottom, 0.0, gt), gnorm, singular_at_lo=False)
+        delta, _ = _secular_root(shifted, np.where(bottom, 0.0, gt), gnorm)
         return solution(boundary_without_bottom(delta, bottom), mu_lo + delta)
 
-    delta, resolved = _secular_root(shifted, gt, gnorm, singular_at_lo=True)
+    delta, resolved = _secular_root(shifted, gt, gnorm)
     if not resolved:
         # root pinned against the pole at float resolution: treat the bottom
         # eigenspace as in the hard case and pad to the boundary

@@ -652,6 +652,18 @@ def test_unknown_spec_key_exits_2(tmp_path, capsys, overrides, key):
     assert key in run_exits_2(spec, tmp_path / "o", capsys)
 
 
+def test_spec_that_is_not_an_object_exits_2(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    spec.write_text("[]")
+    assert "spec must be a JSON object" in run_exits_2(spec, tmp_path / "o", capsys)
+
+
+def test_synthetic_params_that_are_not_an_object_exit_2(tmp_path, capsys):
+    spec = tmp_path / "spec.json"
+    write_spec(spec, task="logistic_nc", dataset={"synthetic": [40, 3]})
+    assert "synthetic must be a JSON object" in run_exits_2(spec, tmp_path / "o", capsys)
+
+
 @pytest.mark.parametrize("overrides,repeated", [
     ({"variants": [{"variant": "str1"}, {"variant": "str1", "K_override": 3}]}, "str1"),
     ({"variants": [{"variant": "str1", "label": "a"}, {"variant": "str2", "label": "a"}]}, "a"),

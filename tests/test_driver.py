@@ -28,6 +28,7 @@ from strbench.problems import (
     lipschitz_bounds,
     quadratic_problem,
 )
+from strbench.trs import solve_trs_exact
 
 
 @pytest.fixture(scope="module")
@@ -282,6 +283,53 @@ def test_verify_sosp_flags_saddle():
     assert not rep.eig_ok
     assert not rep.certified
     assert rep.min_eig == pytest.approx(-2.0, abs=1e-12)
+
+
+# A strict saddle of a logistic_nc problem (two negative eigenvalues, -0.471 and
+# -0.068, and a gradient of norm 1.6e-17), where Newton's method on the gradient
+# ends from the 24th default_rng(0).uniform(-3, 3, 10) draw.  Stored, since that
+# search overflows on its way.
+_SADDLE = np.array([-7.619937663241329, -6.174434996663437, -0.113103571523072,
+                    -0.8715325060329259, -9.213595405796921, -0.2688220751954261,
+                    -4.580122876996462, 3.2517119259792695, 4.974667749583759,
+                    5.374663001188563])
+
+
+def test_runs_from_a_strict_saddle_step_along_negative_curvature_and_certify():
+    # the paper's output is an approximate local minimum, not only a stationary
+    # point: at a saddle the gradient test passes and the eigenvalue test fails,
+    # the first step is the hard case's step along the bottom eigenvector, and
+    # the runs end certified, lower (1,643 iterations each)
+    prob = from_dataset(generate_synthetic(500, 10, 8, separable=True), "logistic_nc",
+                        reg_lambda=0.01, reg_alpha=100.0)
+    lip = lipschitz_bounds(prob, mode="sampled")
+    eps = 1e-3
+    g = full_gradient(prob, _SADDLE, OracleCounters())
+    H = full_hessian(prob, _SADDLE, OracleCounters())
+    w, V = np.linalg.eigh(H)
+    assert np.linalg.norm(g) <= 1e-16 and w[0] < w[1] < 0 < w[2]
+    report = verify_sosp(prob, _SADDLE, eps, lip.L2)
+    assert report.grad_ok and not report.eig_ok
+
+    r = math.sqrt(eps / lip.L2)
+    sol = solve_trs_exact(g, H, r, lip.L2)
+    assert sol.on_boundary
+    assert sol.mu == pytest.approx(-w[0], rel=1e-14)  # mu >= -lambda_1 alone proves nothing
+    assert abs(sol.h @ V[:, 0]) >= (1.0 - 1e-14) * np.linalg.norm(sol.h)
+    assert sol.model_decrease == pytest.approx(w[0] * r * r / 2.0, rel=1e-13)
+
+    f0 = full_value(prob, _SADDLE, OracleCounters())
+    for extra in ({"variant": "exact_tr"},
+                  {"variant": "str1", "mode": "practical", "kappa_hess": 0.05}):
+        result = run(extra["variant"], prob,
+                     RunConfig(epsilon=eps, lipschitz=lip, x0=_SADDLE, **extra))
+        if extra["variant"] == "exact_tr":  # str1's first Hessian is sampled
+            assert result.trace[0].lambda_alg == pytest.approx(sol.lambda_alg, rel=1e-12)
+        assert result.stop_reason == "dual_threshold"
+        assert result.report.certified
+        assert f0 == pytest.approx(0.30310, abs=1e-5)
+        assert full_value(prob, result.x_final, OracleCounters()) == pytest.approx(0.11723,
+                                                                                   abs=1e-5)
 
 
 def test_verify_sosp_threshold_consistency(logistic_small):
@@ -619,7 +667,7 @@ _STOCHASTIC_KNOBS = {"kappa_grad": 0.5, "kappa_hess": 0.01, **_SCHEDULES}
     # str1 and str2 read these only where no explicit schedule overrides them
     *((v, f, _STOCHASTIC_KNOBS[f]) for v in ("str1", "str2")
       for f in ("kappa_grad", "kappa_hess")),
-])
+], ids=lambda v: f"p{v.p}s{v.s}" if isinstance(v, Schedule) else None)  # not by position
 def test_config_rejects_a_knob_its_variant_never_reads(variant, field, value):
     # a knob the variant ignores would leave the run as if it were not set; str1
     # and str2 are given both schedules, which override the kappas

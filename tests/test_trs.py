@@ -689,6 +689,37 @@ def test_exact_hard_case_on_the_boundary():
         assert np.linalg.norm(sol.h) <= r * (1.0 + 1e-10)
 
 
+def test_exact_singular_psd_takes_the_fitting_pseudo_newton_step():
+    # lambda_1 = 0 with g orthogonal to its eigenvector: the minimum-norm
+    # stationary step fits, so it is the solution, at mu = 0, inside the ball
+    sol = solve_trs_exact(np.array([0.0, 0.1]), np.diag([0.0, 1.0]), 1.0, 1.0)
+    assert sol.h.tolist() == [0.0, -0.1]
+    assert sol.mu == 0.0
+    assert not sol.on_boundary
+
+
+def test_exact_root_pinned_at_the_pole_is_padded(monkeypatch):
+    # g's bottom coordinates are 0 on the exact bottom and 1e-14 on a second
+    # eigenvalue 1e-13 above it: no multiplier above -lambda_1 puts the step on
+    # the boundary, so the secular solve stalls unresolved and the step is
+    # padded along the bottom eigenvector
+    roots = []
+    secular_root = trs._secular_root
+
+    def recorded(*args, **kwargs):
+        roots.append(secular_root(*args, **kwargs))
+        return roots[-1]
+
+    monkeypatch.setattr(trs, "_secular_root", recorded)
+    sol = solve_trs_exact(np.array([0.0, 1e-14, 0.0]), np.diag([-1.0, -1.0 + 1e-13, 1.0]),
+                          1.0, 1.0)
+    assert [resolved for _, resolved in roots] == [False]
+    assert sol.h.tolist() == [1.0, 0.0, 0.0]
+    assert sol.mu == 1.0
+    assert sol.on_boundary
+    assert sol.kkt.stationarity == 1e-14
+
+
 def test_exact_matches_bruteforce_on_indefinite(rng):
     for trial in range(60):
         g, H, r = random_instance(trial, rng)
