@@ -121,9 +121,9 @@ class RunConfig:
                 raise ValueError(f"{name} must lie in (0, 1]")
         for name in ("sub_s1", "sub_s2"):
             value = getattr(self, name)
-            if not (value is None or _integer(value) and value >= 1):
+            if not (value is None or est._integer(value) and value >= 1):
                 raise ValueError(f"{name} must be an integer >= 1")
-        if not (self.K_override is None or _integer(self.K_override) and self.K_override >= 1):
+        if not (self.K_override is None or est._integer(self.K_override) and self.K_override >= 1):
             raise ValueError("K_override must be an integer >= 1")
 
 
@@ -142,10 +142,6 @@ def _check_variant(variant, config: RunConfig) -> None:
 
 def _real(value) -> bool:
     return isinstance(value, numbers.Real) and not isinstance(value, bool)
-
-
-def _integer(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 @dataclass

@@ -18,6 +18,7 @@ under steps of norm at most ``sqrt(eps/L2)``.  Sample sizes are multiplied by
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -35,21 +36,27 @@ from .problems import (
 SPIDER_CONSTANT = 1152  # concentration constant c in the gradient schedules
 
 
+def _integer(value) -> bool:
+    """An int or numpy integer, not a bool."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True)
 class Schedule:
     """One estimator's epoch: ``p`` steps, the first a reset, the others
     recurrent steps on ``s`` shared draws.  ``reset=None`` resets with an exact
-    full pass, an integer with a fresh batch of that many draws."""
+    full pass, an integer with a fresh batch of that many draws.  Each size is
+    an integer >= 1 (a numpy integer too, but not a bool or a float)."""
 
     p: int
     s: int
     reset: int | None = None
 
     def __post_init__(self):
-        if self.p < 1 or self.s < 1:
-            raise ValueError("p and s must be >= 1")
-        if self.reset is not None and self.reset < 1:
-            raise ValueError("a sampled reset needs >= 1 draws")
+        if not (_integer(self.p) and _integer(self.s) and self.p >= 1 and self.s >= 1):
+            raise ValueError("p and s must be integers >= 1")
+        if not (self.reset is None or _integer(self.reset) and self.reset >= 1):
+            raise ValueError("a sampled reset needs an integer >= 1 draws")
 
 
 @dataclass

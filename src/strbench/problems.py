@@ -6,8 +6,8 @@ Three problem kinds are supported:
   ``R(w; a) = sum_j a w_j^2 / (1 + a w_j^2)``.
 * ``nls_nc``       -- nonlinear least squares ``0.5 (t_i - sigmoid(w.x_i))^2``
   with targets ``t_i = (y_i + 1)/2`` and the same regularizer.
-* ``synthetic_quad`` -- ``f_i(x) = 0.5 (x - a_i)' diag(q) (x - a_i)``; used for
-  exactly solvable tests (default ``q = 1`` gives the identity Hessian).
+* ``synthetic_quad`` -- ``f_i(x) = 0.5 ||x - a_i||^2``, with the identity
+  Hessian; used for exactly solvable tests.
 
 Every component includes the full regularizer term, so batch averages over
 any index multiset carry ``reg_lambda * R`` once.  All batch operations
@@ -204,7 +204,7 @@ class FiniteSumProblem:
     """Component-wise value/gradient/Hessian oracle over n components."""
 
     # data of the other kinds stays None
-    X = y = labels = anchors = quad_scales = None
+    X = y = labels = anchors = None
     # GLM kinds: the last three full passes, newest first
     _passes: tuple[_Pass, ...] = ()
     _gather: tuple | None = None  # GLM kinds: (idx bytes, X[idx], labels[idx])
@@ -218,7 +218,6 @@ class FiniteSumProblem:
         reg_lambda: float = 0.0,
         reg_alpha: float = 10.0,
         anchors: np.ndarray | None = None,
-        quad_scales: np.ndarray | None = None,
     ):
         if kind not in KINDS:
             raise ValueError(f"unknown problem kind {kind!r}")
@@ -231,10 +230,6 @@ class FiniteSumProblem:
             assert anchors is not None
             self.anchors = np.ascontiguousarray(anchors, dtype=float)
             self.n, self.d = self.anchors.shape
-            q = np.ones(self.d) if quad_scales is None else np.asarray(quad_scales, float)
-            if q.shape != (self.d,):
-                raise ValueError("quad_scales must have length d")
-            self.quad_scales = q
         else:
             assert X is not None and y is not None
             # C order, so a full pass over X and a gathered X[idx] agree bitwise;
@@ -323,7 +318,7 @@ class FiniteSumProblem:
     def _data_values(self, x: np.ndarray, idx=_ALL) -> np.ndarray:
         if self.kind == "synthetic_quad":
             diff = x[None, :] - self.anchors[idx]
-            return 0.5 * np.sum(self.quad_scales[None, :] * diff * diff, axis=1)
+            return 0.5 * np.sum(diff * diff, axis=1)
         return self.link.loss(self._rows(x, idx))
 
     def _reg_term(self, x: np.ndarray, part: str):
@@ -357,7 +352,7 @@ def _check_idx(problem: FiniteSumProblem, idx) -> np.ndarray:
 
 def _gradient(problem, x, idx, counters: OracleCounters) -> np.ndarray:
     if problem.kind == "synthetic_quad":
-        g = problem.quad_scales * (x - problem.anchors[idx].mean(axis=0))
+        g = x - problem.anchors[idx].mean(axis=0)
     else:
         rows, m = problem._summed(x, idx)
         if m is not None:
@@ -374,7 +369,7 @@ def _gradient(problem, x, idx, counters: OracleCounters) -> np.ndarray:
 
 def _hessian(problem, x, idx, counters: OracleCounters) -> np.ndarray:
     if problem.kind == "synthetic_quad":
-        H = np.diag(problem.quad_scales)
+        H = np.eye(problem.d)
     else:
         Xs, w = problem._weights(x, idx)
         s, gram = len(w), problem.link.gram
@@ -392,15 +387,12 @@ def _hessian(problem, x, idx, counters: OracleCounters) -> np.ndarray:
         H = block(first)
         for b in rest:  # in row order; one block is the single product
             H += block(b)
-        if gram:
-            H.flat[:: problem.d + 1] += problem._reg_term(x, "diag")
-            counters.sso += s
-            return H
-        H /= s
-    if problem.reg_lambda != 0.0:
-        H = H + np.diag(problem._reg_term(x, "diag"))
+        if not gram:
+            H /= s
+            H = (H + H.T) / 2.0
+    H.flat[:: problem.d + 1] += problem._reg_term(x, "diag")
     counters.sso += problem.n if idx is _ALL else len(idx)
-    return (H + H.T) / 2.0
+    return H
 
 
 def batch_gradient(problem, x, idx, counters: OracleCounters) -> np.ndarray:
@@ -425,7 +417,7 @@ def batch_hvp(problem, x, idx, v, counters: OracleCounters) -> np.ndarray:
     if not np.all(np.isfinite(v)):
         raise ValueError("non-finite direction")
     if problem.kind == "synthetic_quad":
-        out = problem.quad_scales * v
+        out = v.copy()
     else:
         rows, m = problem._summed(x, idx)
         w = problem.link.hess_weight(rows.sigmoid(), rows.b)
@@ -490,13 +482,12 @@ def quadratic_problem(
     d: int,
     seed: int = 0,
     anchors: np.ndarray | None = None,
-    quad_scales: np.ndarray | None = None,
 ) -> FiniteSumProblem:
     """Quadratic finite sum around random (or given) anchors."""
     if anchors is None:
         rng = np.random.default_rng(seed)
         anchors = rng.standard_normal((n, d))
-    return FiniteSumProblem("synthetic_quad", anchors=anchors, quad_scales=quad_scales)
+    return FiniteSumProblem("synthetic_quad", anchors=anchors)
 
 
 # -- Lipschitz bound estimation ----------------------------------------------
@@ -518,7 +509,7 @@ def lipschitz_bounds(problem, mode: str = "analytic", seed: int = 0) -> Lipschit
         except OverflowError:  # alpha above about 3.2e205; inf unless lam brings it back
             reg_l2 = 24.0 * _REG_D3_SHAPE * lam * alpha * math.sqrt(alpha)
         if problem.kind == "synthetic_quad":
-            L1 = float(np.max(np.abs(problem.quad_scales)))
+            L1 = 1.0
             L2 = _L_FLOOR
         else:
             X = problem.X  # a row's norm reads only that row, so blocks change no bit

@@ -214,9 +214,11 @@ def _secular_root(e, gt, delta_hi):
     evaluates ``||u||`` only inside it, so a zero in ``e`` is no division at
     the pole.  At the upper end ``||u|| <= ||gt|| / ||g||``, which is 1 up to
     rounding; where rounding puts it above 1, ``hi`` is doubled once, to
-    ``2 ||g|| + 1``, where ``||u|| < 1/2``.  Where no root lies above 0 (g's
-    bottom coordinates too small to reach the boundary), the iteration stalls
-    and the root comes back unresolved.
+    ``2 ||g|| + 1``, where ``||u|| < 1/2``.  It runs only where a root
+    exists, that is where the step at ``delta = 0`` does not fit; a root
+    the iteration cannot resolve, pinned against the pole at float
+    resolution, comes back as the best iterate, flagged unresolved, a
+    fallback the caller handles.
     """
     nonzero = gt != 0.0  # exact zeros in gt contribute nothing, even at a pole
     u = np.zeros_like(gt)  # stays zero where gt is
@@ -257,6 +259,8 @@ def _check_inputs(g, r, L2) -> tuple[float, float]:
     """Refuse bad inputs; return ``r`` and ``L2`` as Python floats, whose
     products and quotients go to inf past the float range with no warning,
     where numpy scalars warn."""
+    if g.ndim != 1:
+        raise ValueError(f"g must be a vector, not an array of shape {g.shape}")
     # written as ``not <``, so NaN fails; the unit-ball solve needs a finite r
     if not 0.0 < r < math.inf:
         raise ValueError("radius must be positive and finite")
@@ -284,11 +288,16 @@ def solve_trs_exact(g, H, r: float, L2: float) -> TrsSolution:
     best iterate attached if the stationarity residual misses ``GATE_TOL
     (||g|| + 1)`` (a NaN always misses), ``||h|| > r``, or ``mu > 0`` with
     ``||h|| < r``, each judged relative to r, and with none attached if the
-    unit problem's scale ``max_i |g_i| / r`` is past the float range.
+    unit problem's scale ``max_i |g_i| / r`` is past the float range.  A
+    ``g`` that is not a vector, or an ``H`` that is not d x d for g's size
+    d, is a ``ValueError``.
     """
     g = np.asarray(g, dtype=float)
     H = np.asarray(H, dtype=float)
     r, L2 = _check_inputs(g, r, L2)
+    if H.shape != (g.size, g.size):
+        raise ValueError(f"H must have shape {(g.size, g.size)} for g of shape {g.shape}, "
+                         f"not {H.shape}")
     if g.size >= _KRYLOV_MIN_D:
         H = _symmetric(H)
         sol = _krylov_solution(g, H, r, L2)
@@ -307,6 +316,21 @@ def _solve_in_eigenbasis(g, w, V, r, L2) -> TrsSolution:
     max_i |g_i| / r)`` or 1 if that is 0 (the max-norm of g cannot overflow
     where its 2-norm would), and maps back once: ``h = r u``, ``mu = sigma
     mu_hat``.  A scale past the float range raises :class:`TrsNumericError`.
+
+    One test decides the case: does the step at ``mu_lo = max(0,
+    -lambda_1)`` fit in the ball?  That step is 0 wherever g has no
+    coordinate, and in the hard case (``lambda_1 <= 0``, g orthogonal to the
+    bottom eigenspace up to ``_HARD_CASE_RTOL``) g's bottom coordinates are
+    dropped first.  Where g has a coordinate on the exact zero of ``w +
+    mu_lo`` the step has a pole and cannot fit, which is decided in O(1).
+    A step that fits is the solution at ``mu = 0`` when ``mu_lo = 0`` (a
+    Newton or pseudo-Newton step); otherwise it is padded to the boundary
+    along the first bottom eigenvector at ``mu_lo``, its bottom coordinates
+    dropped, which changes its residual by at most their share of g, below
+    the bottom eigenspace's rounding width.  A step that does not fit puts
+    a root of the secular equation above ``mu_lo``, which
+    :func:`_secular_root` finds; that step is padded in the hard case and
+    where the root comes back unresolved with ``lambda_1 <= 0``.
     """
     gmax = float(np.max(np.abs(g)))
     sigma = max(abs(float(w[0])), abs(float(w[-1])), gmax / r) or 1.0
@@ -328,54 +352,39 @@ def _solve_in_eigenbasis(g, w, V, r, L2) -> TrsSolution:
 
     shifted = w + mu_lo  # exact zero on the bottom eigenvalue when lam1 <= 0
 
-    def boundary_without_bottom(delta, bottom):
+    # Bottom eigenspace: eigenvalues tied with lam1 up to rounding.
+    gap_tol = 1e-12 * (1.0 + float(np.max(np.abs(w))))
+    bottom = (w - lam1) <= gap_tol
+
+    def boundary_without_bottom(delta):
         """Step at mu_lo + delta, bottom eigenspace zeroed, padded to the boundary
         along the first bottom eigenvector, signed so that its largest-magnitude
         entry is positive: the eigensolver's sign choice does not reach the step."""
-        denom = np.where(bottom, 1.0, shifted + delta)
-        ut = np.where(bottom, 0.0, -gt / denom)
+        ut = np.where(bottom, 0.0, -gt / np.where(bottom, 1.0, shifted + delta))
         n0 = _norm(ut)
         if n0 > 1.0:
             ut /= n0
         elif n0 < 1.0 - _PAD_RTOL:
-            j = int(np.argmax(bottom))
-            v = V[:, j]
-            ut[j] += math.copysign(math.sqrt(1.0 - n0 * n0), v[np.argmax(np.abs(v))])
+            v = V[:, 0]
+            ut[0] += math.copysign(math.sqrt(1.0 - n0 * n0), v[np.argmax(np.abs(v))])
         return ut
 
-    # Bottom eigenspace: eigenvalues tied with lam1 up to rounding.
-    gap_tol = 1e-12 * (1.0 + float(np.max(np.abs(w))))
-    bottom = (w - lam1) <= gap_tol
-    p_bottom = _norm(gt[bottom])
-
-    if lam1 > 0:
-        with np.errstate(over="ignore"):  # a Newton step past the float range does not fit
-            ut = -gt / w
+    hard = lam1 <= 0.0 and _norm(gt[bottom]) <= _HARD_CASE_RTOL * gnorm
+    gs = np.where(bottom, 0.0, gt) if hard else gt
+    if shifted[0] > 0.0 or gs[0] == 0.0:  # else a pole at shifted[0] = 0: no fit
+        # a step past the float range, or with a pole at a tie of shifted[0], does not fit
+        with np.errstate(divide="ignore", over="ignore"):
+            ut = np.divide(-gs, shifted, out=np.zeros_like(gs), where=gs != 0.0)
         if _norm(ut) <= 1.0:
-            return solution(ut, 0.0)
-        delta, _ = _secular_root(shifted, gt, gnorm)
-        return solution(-gt / (shifted + delta), delta)
-
-    if p_bottom <= _HARD_CASE_RTOL * gnorm:
-        # g is (numerically) orthogonal to the bottom eigenspace.
-        ut = np.where(bottom, 0.0, -gt / np.where(bottom, 1.0, shifted))
-        if _norm(ut) <= 1.0:
-            if mu_lo == 0.0:
-                # positive semidefinite with a fitting pseudo-Newton step
+            if mu_lo == 0.0:  # a Newton or pseudo-Newton step
                 return solution(ut, 0.0)
-            # hard case: pad with a bottom eigenvector up to the boundary
-            return solution(boundary_without_bottom(0.0, bottom), mu_lo)
-        delta, _ = _secular_root(shifted, np.where(bottom, 0.0, gt), gnorm)
-        return solution(boundary_without_bottom(delta, bottom), mu_lo + delta)
-
-    delta, resolved = _secular_root(shifted, gt, gnorm)
-    if not resolved:
-        # root pinned against the pole at float resolution: treat the bottom
-        # eigenspace as in the hard case and pad to the boundary
-        ut = boundary_without_bottom(delta, bottom)
-    else:
-        ut = -gt / (shifted + delta)
-    return solution(ut, mu_lo + delta)
+            return solution(boundary_without_bottom(0.0), mu_lo)
+    delta, resolved = _secular_root(shifted, gs, gnorm)
+    if hard or not (resolved or lam1 > 0.0):
+        # the hard case, or a root pinned against the pole at float resolution
+        # (unresolved), whose bottom eigenspace is treated as in the hard case
+        return solution(boundary_without_bottom(delta), mu_lo + delta)
+    return solution(-gt / (shifted + delta), mu_lo + delta)
 
 
 def _gated_solution(u, Hu, mu, g, gnorm, sigma, r, L2, min_eig_shifted) -> TrsSolution:
@@ -688,12 +697,15 @@ def solve_trs_lanczos(
     ``krylov_dim`` is the length of g's (0 at g = 0).  ``converged`` says
     that the step passed the gate of :func:`solve_trs_exact` and ``rho`` met
     its bound.  ``kkt.min_eig_shifted`` is the Ritz estimate ``theta + mu``.
-    A non-finite Hessian-vector product is a ``ValueError``; a scale ``||g||
+    A ``g`` that is not a vector, a ``d`` other than its size, and a
+    non-finite Hessian-vector product are a ``ValueError``; a scale ``||g||
     / r`` or Lanczos coefficients past the float range are a
     :class:`TrsNumericError`.
     """
     g = np.asarray(g, dtype=float)
     r, L2 = _check_inputs(g, r, L2)
+    if d != g.size:
+        raise ValueError(f"d = {d} is not the size of g, of shape {g.shape}")
     m_max = d if m_max is None else m_max
     if not 1 <= m_max <= d:
         raise ValueError("need 1 <= m_max <= d")

@@ -273,18 +273,6 @@ def test_verify_sosp_at_quadratic_min(quad_problem):
     assert rep.certified
 
 
-def test_verify_sosp_flags_saddle():
-    prob = quadratic_problem(
-        4, 2, anchors=np.zeros((4, 2)), quad_scales=np.array([2.0, -2.0])
-    )
-    # (10/3) sqrt(L2 eps) < 2 with the quadratic floor L2 = 1e-6
-    rep = verify_sosp(prob, np.zeros(2), 1e-4, 1e-6)
-    assert rep.grad_ok
-    assert not rep.eig_ok
-    assert not rep.certified
-    assert rep.min_eig == pytest.approx(-2.0, abs=1e-12)
-
-
 # A strict saddle of a logistic_nc problem (two negative eigenvalues, -0.471 and
 # -0.068, and a gradient of norm 1.6e-17), where Newton's method on the gradient
 # ends from the 24th default_rng(0).uniform(-3, 3, 10) draw.  Stored, since that
@@ -295,13 +283,28 @@ _SADDLE = np.array([-7.619937663241329, -6.174434996663437, -0.113103571523072,
                     5.374663001188563])
 
 
+def _saddle_problem():
+    return from_dataset(generate_synthetic(500, 10, 8, separable=True), "logistic_nc",
+                        reg_lambda=0.01, reg_alpha=100.0)
+
+
+def test_verify_sosp_flags_saddle():
+    # (10/3) sqrt(L2 eps) = 0.105 < 0.471 with L2 = 1
+    prob = _saddle_problem()
+    H = full_hessian(prob, _SADDLE, OracleCounters())
+    rep = verify_sosp(prob, _SADDLE, 1e-3, 1.0)
+    assert rep.grad_ok
+    assert not rep.eig_ok
+    assert not rep.certified
+    assert rep.min_eig == pytest.approx(np.linalg.eigvalsh(H)[0], abs=1e-12)
+
+
 def test_runs_from_a_strict_saddle_step_along_negative_curvature_and_certify():
     # the paper's output is an approximate local minimum, not only a stationary
     # point: at a saddle the gradient test passes and the eigenvalue test fails,
     # the first step is the hard case's step along the bottom eigenvector, and
     # the runs end certified, lower (1,643 iterations each)
-    prob = from_dataset(generate_synthetic(500, 10, 8, separable=True), "logistic_nc",
-                        reg_lambda=0.01, reg_alpha=100.0)
+    prob = _saddle_problem()
     lip = lipschitz_bounds(prob, mode="sampled")
     eps = 1e-3
     g = full_gradient(prob, _SADDLE, OracleCounters())

@@ -87,6 +87,41 @@ def test_hessian_schedule_rejects_bad_args():
         hessian_schedule(100, 5, 1e-2, 1.0, 1.0, 0.1, 10, kappa=0.0)
 
 
+@pytest.mark.parametrize("args", [(2.5, 3), (2, 3.0), (2, 3, 5.0), (True, 3), (2, True),
+                                  (2, 3, True), (np.float64(2.0), 3)])
+def test_schedule_refuses_a_size_that_is_not_an_integer(args):
+    # a fractional p ran fractional epochs, a float s or reset failed mid-run,
+    # and True was taken as 1
+    with pytest.raises(ValueError, match="integer"):
+        Schedule(*args)
+
+
+def test_schedule_takes_numpy_integers():
+    sched = Schedule(np.int64(2), np.int32(3), np.uint8(4))
+    assert (sched.p, sched.s, sched.reset) == (2, 3, 4)
+
+
+_QUAD = quadratic_problem(4, 2, seed=0)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: Schedule(0, 1), "p and s"),
+    (lambda: Schedule(1, 0), "p and s"),
+    (lambda: Schedule(1, 1, 0), "reset"),
+    (lambda: hessian_schedule(100, 5, 1e-2, 1.0, 1.0, 0.1, 10, force_option="III"),
+     "unknown option 'III'"),
+    (lambda: hessian_schedule(0, 5, 1e-2, 1.0, 1.0, 0.1, 10), "must be positive"),
+    (lambda: gradient_schedule_case1(100, 1e-2, 0.0, 1.0, 0.1, 10), "must be positive"),
+    (lambda: gradient_schedule_case2(100, 0.1, 0), "must be positive"),
+    (lambda: spider_step(EstimatorState(Schedule(2, 2)), _QUAD, np.zeros(3), OracleCounters(),
+                         np.random.default_rng(0)), r"x_k must have shape \(2,\)"),
+], ids=["p_zero", "s_zero", "reset_zero", "unknown_option", "hessian_n_zero", "case1_L1_zero",
+        "case2_K0_zero", "x_k_shape"])
+def test_documented_error_exits(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 def test_case1_frozen_values():
     # n=1e6, eps=1e-2, L1=L2=1, delta=0.1, K0=100: log = ln(1000) = 6.907755...
     sched = gradient_schedule_case1(1_000_000, 1e-2, 1.0, 1.0, 0.1, 100)

@@ -86,6 +86,28 @@ def test_regularizer_rejects_bad_alpha():
         regularizer_derivatives(np.zeros(2), alpha=0.0)
 
 
+_QUAD = quadratic_problem(3, 2, seed=0)
+
+
+@pytest.mark.parametrize("call, match", [
+    (lambda: batch_hvp(_QUAD, np.zeros(2), [0], np.array([np.nan, 0.0]), OracleCounters()),
+     "non-finite direction"),
+    (lambda: full_gradient(_QUAD, np.zeros(3), OracleCounters()), r"x must have shape \(2,\)"),
+    (lambda: lipschitz_bounds(_QUAD, mode="exact"), "unknown mode 'exact'"),
+    (lambda: from_dataset(generate_synthetic(10, 2, 0), "synthetic_quad"),
+     "does not take a dataset"),
+    (lambda: FiniteSumProblem("lasso"), "unknown problem kind 'lasso'"),
+    (lambda: FiniteSumProblem("synthetic_quad", anchors=np.zeros((0, 2))), "n >= 1"),
+    (lambda: FiniteSumProblem("synthetic_quad", anchors=np.zeros((2, 0))), "d >= 1"),
+    (lambda: problems.LipschitzBounds(1.0, 1.0, "guessed"), "unknown provenance 'guessed'"),
+    (lambda: regularizer_derivatives(np.array([0.0, np.inf]), 1.0), "non-finite input"),
+], ids=["hvp_direction", "point_shape", "lipschitz_mode", "quad_from_dataset", "unknown_kind",
+        "no_rows", "no_columns", "provenance", "regularizer_point"])
+def test_documented_error_exits(call, match):
+    with pytest.raises(ValueError, match=match):
+        call()
+
+
 # -- batch operations ----------------------------------------------------------
 
 
@@ -324,13 +346,6 @@ def test_cubic_upper_bound_with_analytic_l2(kind):
             + 0.5 * h @ full_hessian(prob, x, sc) @ h
         )
         assert lhs <= quad + (L2 / 6.0) * np.linalg.norm(h) ** 3 + 1e-12
-
-
-def test_saddle_quadratic_scales():
-    prob = quadratic_problem(3, 2, anchors=np.zeros((3, 2)), quad_scales=np.array([2.0, -2.0]))
-    H = full_hessian(prob, np.zeros(2), OracleCounters())
-    assert np.allclose(H, np.diag([2.0, -2.0]))
-    assert lipschitz_bounds(prob).L1 == 2.0
 
 
 # -- bitwise regression against masked, per-kind reference kernels -------------

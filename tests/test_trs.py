@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -701,8 +702,8 @@ def test_exact_singular_psd_takes_the_fitting_pseudo_newton_step():
 def test_exact_root_pinned_at_the_pole_is_padded(monkeypatch):
     # g's bottom coordinates are 0 on the exact bottom and 1e-14 on a second
     # eigenvalue 1e-13 above it: no multiplier above -lambda_1 puts the step on
-    # the boundary, so the secular solve stalls unresolved and the step is
-    # padded along the bottom eigenvector
+    # the boundary, so the step at mu = -lambda_1 fits, no secular solve runs,
+    # and the step is padded along the bottom eigenvector
     roots = []
     secular_root = trs._secular_root
 
@@ -713,11 +714,41 @@ def test_exact_root_pinned_at_the_pole_is_padded(monkeypatch):
     monkeypatch.setattr(trs, "_secular_root", recorded)
     sol = solve_trs_exact(np.array([0.0, 1e-14, 0.0]), np.diag([-1.0, -1.0 + 1e-13, 1.0]),
                           1.0, 1.0)
-    assert [resolved for _, resolved in roots] == [False]
+    assert roots == []
     assert sol.h.tolist() == [1.0, 0.0, 0.0]
     assert sol.mu == 1.0
     assert sol.on_boundary
     assert sol.kkt.stationarity == 1e-14
+
+
+def test_exact_psd_step_that_fits_short_of_the_pole_is_interior():
+    # the same g on a positive semidefinite H: the pseudo-Newton step fits, so
+    # it is the solution, at mu = 0, inside the ball, and not a boundary step
+    # padded along the null vector at a multiplier of rounding size
+    g, H = np.array([0.0, 1e-14, 0.0]), np.diag([0.0, 1e-13, 1.0])
+    sol = solve_trs_exact(g, H, 1.0, 1.0)
+    assert sol.h == pytest.approx([0.0, -0.1, 0.0], rel=1e-15, abs=0.0)
+    assert sol.mu == 0.0
+    assert not sol.on_boundary
+    assert sol.kkt.stationarity <= 1e-28
+    assert sol.model_decrease < 0.0
+
+
+def test_exact_unresolved_root_below_a_nonpositive_lambda_1_is_padded(monkeypatch):
+    # g has a coordinate on the exact bottom, so the step at mu = -lambda_1 does
+    # not fit and the secular solve runs; its root sits 1e-40 above the pole.
+    # Resolved, the step leans -0.1 along the second eigenvector; where the
+    # solve comes back unresolved, the bottom eigenspace is treated as in the
+    # hard case and the step is padded to the boundary along the first
+    g, H = np.array([1e-40, 1e-14, 0.0]), np.diag([-1.0, -1.0 + 1e-13, 1.0])
+    resolved = solve_trs_exact(g, H, 1.0, 1.0)
+    assert resolved.h[1] == pytest.approx(-0.1, rel=1e-3)
+    secular_root = trs._secular_root
+    monkeypatch.setattr(trs, "_secular_root", lambda *args: (secular_root(*args)[0], False))
+    sol = solve_trs_exact(g, H, 1.0, 1.0)
+    assert sol.h.tolist() == [1.0, 0.0, 0.0]
+    assert sol.mu == resolved.mu == 1.0
+    assert sol.on_boundary
 
 
 def test_exact_matches_bruteforce_on_indefinite(rng):
@@ -1371,6 +1402,44 @@ def test_lanczos_tiny_radius_reaches_boundary(r):
     assert sol.converged
     assert sol.on_boundary
     assert _scaled(sol.h, r) == pytest.approx(1.0, rel=1e-12)
+
+
+@pytest.mark.parametrize("g, H, shape", [
+    (np.ones((3, 1)), np.eye(3), "(3, 1)"),
+    (np.ones(3), np.eye(4), "(4, 4)"),
+    (np.ones(3), np.ones(3), "(3,)"),
+    (np.ones(40), np.eye(41), "(41, 41)"),
+], ids=["g_column", "H_too_large", "H_vector", "H_too_large_krylov"])
+def test_exact_refuses_inputs_of_the_wrong_shape(g, H, shape):
+    with pytest.raises(ValueError, match=re.escape(shape)):
+        solve_trs_exact(g, H, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("g, d, shape", [
+    (np.ones((3, 1)), 3, "(3, 1)"),
+    (np.ones(3), 5, "(3,)"),
+    (np.ones(3), 2, "(3,)"),
+], ids=["g_column", "d_too_large", "d_too_small"])
+def test_lanczos_refuses_inputs_of_the_wrong_shape(g, d, shape):
+    # a d other than g's size would run the probe chain in another space
+    with pytest.raises(ValueError, match=re.escape(shape)):
+        solve_trs_lanczos(g, lambda v: 2.0 * v, d, 1.0, 1.0)
+
+
+def test_lanczos_scale_past_the_float_range_is_named():
+    # ||g|| / r = 1.7e310
+    with pytest.raises(TrsNumericError, match=r"unit-ball scale .* past the float range"):
+        solve_trs_lanczos(1e300 * np.ones(3), lambda v: v, 3, 1e-10, 1.0)
+
+
+@pytest.mark.parametrize("solver, lapack", [(sym_eig, "eigh"), (trs._sym_eigvals, "eigvalsh")])
+def test_lapack_failure_is_a_numeric_error(monkeypatch, solver, lapack):
+    def fail(A):
+        raise np.linalg.LinAlgError("did not converge")
+
+    monkeypatch.setattr(np.linalg, lapack, fail)
+    with pytest.raises(TrsNumericError, match="did not converge"):
+        solver(np.eye(2))
 
 
 def test_lanczos_rejects_bad_m_max():
