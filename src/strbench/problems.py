@@ -333,7 +333,7 @@ def _check_point(problem: FiniteSumProblem, x) -> np.ndarray:
     x = np.asarray(x, dtype=float)
     if x.shape != (problem.d,):
         raise ValueError(f"x must have shape ({problem.d},)")
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise ValueError("non-finite point")
     return x
 

@@ -38,6 +38,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .estimators import _integer
+
 # Projection of g onto the bottom eigenspace below this fraction of ||g||
 # is treated as zero (numeric orthogonality proxy for the hard case).
 _HARD_CASE_RTOL = 1e-11
@@ -133,7 +135,7 @@ def _symmetric(A) -> np.ndarray:
     A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError("matrix must be square")
-    if not np.all(np.isfinite(A)):
+    if not np.isfinite(A).all():
         raise ValueError("non-finite matrix")
     bits = A.view(np.int64)  # compared as bits, so 0.0 and -0.0 count as different
     if (bits == bits.T).all():
@@ -197,7 +199,6 @@ def _norm(v: np.ndarray) -> float:
     return math.hypot(*v.tolist())
 
 
-@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _secular_root(e, gt, delta_hi):
     """Find delta > 0 with ||u(delta)|| = 1 where u_i = -gt_i / (e_i + delta).
 
@@ -218,23 +219,22 @@ def _secular_root(e, gt, delta_hi):
     exists, that is where the step at ``delta = 0`` does not fit; a root
     the iteration cannot resolve, pinned against the pole at float
     resolution, comes back as the best iterate, flagged unresolved, a
-    fallback the caller handles.
+    fallback the caller handles.  The caller ignores numpy's floating-point
+    warnings (see :func:`_solve_in_eigenbasis`).
     """
-    nonzero = gt != 0.0  # exact zeros in gt contribute nothing, even at a pole
-    u = np.zeros_like(gt)  # stays zero where gt is
-
-    def norm_at(t):
-        np.divide(gt, t, out=u, where=nonzero)
-        return _norm(u)
-
+    # exact zeros in gt contribute nothing, even at a pole; else a plain division
+    nonzero = True if gt.all() else gt != 0.0
+    u = np.zeros(gt.size)  # stays zero where gt is
     lo, hi = 0.0, delta_hi
-    if norm_at(e + hi) > 1.0:
+    np.divide(gt, e + hi, out=u, where=nonzero)
+    if _norm(u) > 1.0:
         hi = 2.0 * hi + 1.0
     delta = 0.5 * (lo + hi)
     best_delta, best_gap = delta, math.inf
     for _ in range(_MAX_SECULAR_ITERS):
         t = e + delta
-        n = norm_at(t)
+        np.divide(gt, t, out=u, where=nonzero)
+        n = _norm(u)
         gap = abs(n - 1.0)
         if gap < best_gap:
             best_delta, best_gap = delta, gap
@@ -245,7 +245,7 @@ def _secular_root(e, gt, delta_hi):
         else:
             hi = delta
         v = u / n
-        delta_new = delta + (n - 1.0) / np.sum(v * v / t)  # inf or NaN: bisect
+        delta_new = delta + (n - 1.0) / (v * v / t).sum()  # inf or NaN: bisect
         if not (lo < delta_new < hi):
             delta_new = 0.5 * (lo + hi)
         if delta_new == delta:
@@ -266,7 +266,7 @@ def _check_inputs(g, r, L2) -> tuple[float, float]:
         raise ValueError("radius must be positive and finite")
     if not 0.0 < L2 < math.inf:
         raise ValueError("L2 must be positive and finite")
-    if not np.all(np.isfinite(g)):
+    if not np.isfinite(g).all():
         raise ValueError("non-finite inputs")
     return float(r), float(L2)
 
@@ -307,6 +307,7 @@ def solve_trs_exact(g, H, r: float, L2: float) -> TrsSolution:
     return _solve_in_eigenbasis(g, w, V, r, L2)
 
 
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
 def _solve_in_eigenbasis(g, w, V, r, L2) -> TrsSolution:
     """:func:`solve_trs_exact` for ``H = V diag(w) V'``, eigenvalues ascending:
     its path below ``_KRYLOV_MIN_D`` and the Krylov path's fallbacks.
@@ -325,14 +326,18 @@ def _solve_in_eigenbasis(g, w, V, r, L2) -> TrsSolution:
     mu_lo`` the step has a pole and cannot fit, which is decided in O(1).
     A step that fits is the solution at ``mu = 0`` when ``mu_lo = 0`` (a
     Newton or pseudo-Newton step); otherwise it is padded to the boundary
-    along the first bottom eigenvector at ``mu_lo``, its bottom coordinates
-    dropped, which changes its residual by at most their share of g, below
-    the bottom eigenspace's rounding width.  A step that does not fit puts
-    a root of the secular equation above ``mu_lo``, which
-    :func:`_secular_root` finds; that step is padded in the hard case and
-    where the root comes back unresolved with ``lambda_1 <= 0``.
+    along the first bottom eigenvector at ``mu_lo``, the coordinate on
+    which it is 0.  A step that does not fit puts a root of the secular
+    equation above ``mu_lo``, which :func:`_secular_root` finds; that step
+    is padded, its bottom coordinates dropped, in the hard case and where
+    the root comes back unresolved with ``lambda_1 <= 0``.
+
+    One ``np.errstate`` covers the solve: a step past the float range, or
+    with a pole at a tie of ``w + mu_lo``, reads inf and does not fit, and
+    the secular iteration bisects over a non-finite Newton step, all
+    without a warning.
     """
-    gmax = float(np.max(np.abs(g)))
+    gmax = float(np.abs(g).max())
     sigma = max(abs(float(w[0])), abs(float(w[-1])), gmax / r) or 1.0
     if sigma == math.inf:
         raise TrsNumericError(f"unit-ball scale max_i |g_i| / r = {gmax:.3e} / {r:.3e} "
@@ -350,17 +355,10 @@ def _solve_in_eigenbasis(g, w, V, r, L2) -> TrsSolution:
         return _gated_solution(u, V @ (w * (V.T @ u)), mu, g, gnorm, sigma, r, L2,
                                sigma * (lam1 + mu))
 
-    shifted = w + mu_lo  # exact zero on the bottom eigenvalue when lam1 <= 0
-
-    # Bottom eigenspace: eigenvalues tied with lam1 up to rounding.
-    gap_tol = 1e-12 * (1.0 + float(np.max(np.abs(w))))
-    bottom = (w - lam1) <= gap_tol
-
-    def boundary_without_bottom(delta):
-        """Step at mu_lo + delta, bottom eigenspace zeroed, padded to the boundary
-        along the first bottom eigenvector, signed so that its largest-magnitude
-        entry is positive: the eigensolver's sign choice does not reach the step."""
-        ut = np.where(bottom, 0.0, -gt / np.where(bottom, 1.0, shifted + delta))
+    def to_boundary(ut):
+        """``ut`` scaled to the boundary, or padded to it along the first bottom
+        eigenvector, signed so that its largest-magnitude entry is positive: the
+        eigensolver's sign choice does not reach the step."""
         n0 = _norm(ut)
         if n0 > 1.0:
             ut /= n0
@@ -369,21 +367,28 @@ def _solve_in_eigenbasis(g, w, V, r, L2) -> TrsSolution:
             ut[0] += math.copysign(math.sqrt(1.0 - n0 * n0), v[np.argmax(np.abs(v))])
         return ut
 
-    hard = lam1 <= 0.0 and _norm(gt[bottom]) <= _HARD_CASE_RTOL * gnorm
-    gs = np.where(bottom, 0.0, gt) if hard else gt
+    shifted = w + mu_lo  # exact zero on the bottom eigenvalue when lam1 <= 0
+    gs, hard = gt, False
+    if lam1 <= 0.0:  # the hard case and each use of `bottom` below need lam1 <= 0
+        # Bottom eigenspace: eigenvalues tied with lam1 up to rounding; w ascends.
+        bottom = (w - lam1) <= 1e-12 * (1.0 + max(abs(lam1), abs(float(w[-1]))))
+        hard = _norm(gt[bottom]) <= _HARD_CASE_RTOL * gnorm
+        if hard:
+            gs = np.where(bottom, 0.0, gt)
     if shifted[0] > 0.0 or gs[0] == 0.0:  # else a pole at shifted[0] = 0: no fit
-        # a step past the float range, or with a pole at a tie of shifted[0], does not fit
-        with np.errstate(divide="ignore", over="ignore"):
-            ut = np.divide(-gs, shifted, out=np.zeros_like(gs), where=gs != 0.0)
+        # 0 where g has no coordinate, even at a pole; else a plain division
+        nonzero = True if gs.all() else gs != 0.0
+        ut = np.divide(-gs, shifted, out=np.zeros(gs.size), where=nonzero)
         if _norm(ut) <= 1.0:
             if mu_lo == 0.0:  # a Newton or pseudo-Newton step
                 return solution(ut, 0.0)
-            return solution(boundary_without_bottom(0.0), mu_lo)
+            return solution(to_boundary(ut), mu_lo)
     delta, resolved = _secular_root(shifted, gs, gnorm)
     if hard or not (resolved or lam1 > 0.0):
         # the hard case, or a root pinned against the pole at float resolution
         # (unresolved), whose bottom eigenspace is treated as in the hard case
-        return solution(boundary_without_bottom(delta), mu_lo + delta)
+        ut = np.where(bottom, 0.0, -gt / np.where(bottom, 1.0, shifted + delta))
+        return solution(to_boundary(ut), mu_lo + delta)
     return solution(-gt / (shifted + delta), mu_lo + delta)
 
 
@@ -697,18 +702,19 @@ def solve_trs_lanczos(
     ``krylov_dim`` is the length of g's (0 at g = 0).  ``converged`` says
     that the step passed the gate of :func:`solve_trs_exact` and ``rho`` met
     its bound.  ``kkt.min_eig_shifted`` is the Ritz estimate ``theta + mu``.
-    A ``g`` that is not a vector, a ``d`` other than its size, and a
-    non-finite Hessian-vector product are a ``ValueError``; a scale ``||g||
-    / r`` or Lanczos coefficients past the float range are a
+    A ``g`` that is not a vector, a ``d`` other than its size, an ``m_max``
+    outside [1, d], either of them not an integer (a bool or a float is not
+    one), and a non-finite Hessian-vector product are a ``ValueError``; a
+    scale ``||g|| / r`` or Lanczos coefficients past the float range are a
     :class:`TrsNumericError`.
     """
     g = np.asarray(g, dtype=float)
     r, L2 = _check_inputs(g, r, L2)
-    if d != g.size:
-        raise ValueError(f"d = {d} is not the size of g, of shape {g.shape}")
+    if not (_integer(d) and d == g.size):
+        raise ValueError(f"d = {d!r} is not the size of g, of shape {g.shape}")
     m_max = d if m_max is None else m_max
-    if not 1 <= m_max <= d:
-        raise ValueError("need 1 <= m_max <= d")
+    if not (_integer(m_max) and 1 <= m_max <= d):
+        raise ValueError(f"need an integer m_max in [1, d], not {m_max!r}")
 
     def checked_hvp(v):
         Hv = np.array(hvp(v), dtype=float)  # a copy: the chain changes it in place

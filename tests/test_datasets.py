@@ -479,6 +479,179 @@ def test_to_libsvm_matches_tuple_reference_on_benchmark_file():
     assert to_libsvm(generate_synthetic(2000, 30, 8)) == _ref_to_libsvm(_ref_generate(2000, 30, 8))
 
 
+# -- the chunked parse ------------------------------------------------------------
+#
+# parse_libsvm converts _CHUNK_LINES lines at a time and parses a chunk that
+# fails a check again line by line.  Each test below compares it with that
+# per-line parse alone (the fast path switched off) and with _ref_parse.
+
+_C = ds_module._CHUNK_LINES
+
+
+def _per_line_parse(source, d_override=None):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ds_module, "_parse_chunk", lambda chunk: None)
+        return parse_libsvm(source, d_override=d_override)
+
+
+def _fallbacks(monkeypatch):
+    """The first line numbers of the chunks parsed line by line."""
+    firsts = []
+    parse_lines = ds_module._parse_lines
+
+    def recorded(chunk, first_lineno):
+        firsts.append(first_lineno)
+        return parse_lines(chunk, first_lineno)
+
+    monkeypatch.setattr(ds_module, "_parse_lines", recorded)
+    return firsts
+
+
+def _assert_same_dataset(a, b):
+    assert _same_bits(a.X, b.X) and _same_bits(a.y, b.y)
+
+
+def _rows(n, seed=0, d=12):
+    rng = np.random.default_rng(seed)
+    lines = []
+    for _ in range(n):
+        idx = np.flatnonzero(rng.random(d) < 0.5) + 1
+        toks = [f"{i}:{v!r}" for i, v in zip(idx.tolist(), rng.standard_normal(idx.size).tolist())]
+        lines.append(" ".join([str(rng.choice(["+1", "-1"]))] + toks))
+    return lines
+
+
+def test_chunked_parse_is_the_per_line_parse_on_the_benchmark_file(tmp_path, monkeypatch):
+    path = tmp_path / "cli_small.svm"
+    path.write_text(to_libsvm(generate_synthetic(2000, 30, 8)), encoding="utf-8")
+    with open(path, encoding="utf-8") as fh:
+        expected = _per_line_parse(fh)
+    firsts = _fallbacks(monkeypatch)
+    _assert_same_dataset(load_libsvm(path), expected)
+    assert firsts == []  # every chunk took the fast path
+
+
+@pytest.mark.parametrize("n", [_C, _C + 1, 2 * _C + 3])
+def test_chunk_boundaries(monkeypatch, n):
+    # exactly one chunk, one chunk and one row, and more
+    text = "\n".join(_rows(n)) + "\n"
+    firsts = _fallbacks(monkeypatch)
+    ds = parse_libsvm(text)
+    assert firsts == [] and ds.n == n
+    _assert_same_dataset(ds, _per_line_parse(text))
+    _assert_matches_reference(ds, _ref_parse(text))
+
+
+def test_error_on_the_first_line_of_the_second_chunk(monkeypatch):
+    lines = _rows(_C - 2) + ["# comment", "", "+1 3:1.0 2:1.0"] + _rows(5)
+    firsts = _fallbacks(monkeypatch)
+    with pytest.raises(LibsvmParseError, match=f"^line {_C + 1}: indices must be"):
+        parse_libsvm("\n".join(lines))
+    assert firsts == [_C + 1]  # the first chunk took the fast path
+
+
+@pytest.mark.parametrize("offset", [-2, -1, 0, 1])
+def test_blank_comment_and_crlf_lines_at_a_chunk_boundary(monkeypatch, offset):
+    lines = _rows(2 * _C)
+    at = _C + offset
+    lines[at - 1:at + 2] = ["", "  # a comment 1:2", "\t", lines[at]]
+    text = "\r\n".join(lines) + "\r\n"
+    firsts = _fallbacks(monkeypatch)
+    ds = parse_libsvm(text)
+    assert firsts == [] and ds.n == 2 * _C - 2
+    _assert_same_dataset(ds, _per_line_parse(text))
+    _assert_matches_reference(ds, _ref_parse(text))
+
+
+def test_a9a_shaped_sparse_rows(monkeypatch):
+    # binary features out of 123, about 14 a row but from 0 to 40, each line
+    # ending in a space as in the a9a file
+    rng = np.random.default_rng(3)
+    lines = []
+    for _ in range(3 * _C + 17):
+        idx = np.sort(rng.choice(123, size=min(int(rng.poisson(14)), 40), replace=False)) + 1
+        lines.append(" ".join([str(rng.choice(["+1", "-1"]))] + [f"{i}:1" for i in idx]) + " ")
+    text = "\n".join(lines) + "\n"
+    firsts = _fallbacks(monkeypatch)
+    ds = parse_libsvm(text, d_override=123)
+    assert firsts == [] and (ds.n, ds.d) == (3 * _C + 17, 123)
+    _assert_same_dataset(ds, _per_line_parse(text, d_override=123))
+    _assert_matches_reference(ds, _ref_parse(text, d_override=123))
+
+
+@pytest.mark.parametrize("line,message", [
+    ("+1 1:2:3 4", "bad feature token '1:2:3'"),  # as many colons as tokens
+    ("+1 1:2 3:", "bad feature token '3:'"),
+    ("+1 :2", "bad feature token ':2'"),
+    ("+1 1::2", "bad feature token '1::2'"),
+    ("1:2 1:2", "bad label '1:2'"),
+    (f"+1 {2**63}:1", None),  # past int64: the per-line parse decides
+])
+def test_malformed_structure_takes_the_per_line_path(line, message):
+    for lines in ([line], _rows(_C + 3)[:_C] + [line]):
+        text = "\n".join(lines)
+        lineno = len(lines)
+        if message is None:
+            with pytest.raises(DimensionError, match="allocate"):
+                parse_libsvm(text)
+            continue
+        with pytest.raises(LibsvmParseError, match=f"^line {lineno}: {re.escape(message)}$"):
+            parse_libsvm(text)
+
+
+def test_lines_without_newlines():
+    lines = _rows(2 * _C + 5, seed=4)
+    text = "\n".join(lines)
+    _assert_same_dataset(parse_libsvm(lines), parse_libsvm(text))
+    _assert_same_dataset(parse_libsvm(lines), _per_line_parse(lines))
+
+
+@given(libsvm_texts(), st.one_of(st.none(), st.integers(12, 15)), st.integers(1, 4))
+@settings(max_examples=150)
+def test_chunked_parse_matches_the_per_line_parse(text, d_override, chunk_lines):
+    # short chunks, so that a text of a few lines spans several
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ds_module, "_CHUNK_LINES", chunk_lines)
+        ds = parse_libsvm(text, d_override=d_override)
+    _assert_same_dataset(ds, _per_line_parse(text, d_override=d_override))
+
+
+@given(st.text(alphabet=st.sampled_from(list("+-01239.e:# \t\r\nx")), max_size=200),
+       st.integers(1, 4))
+@settings(max_examples=200)
+def test_chunked_parse_errors_are_the_per_line_errors(text, chunk_lines):
+    try:
+        expected = _per_line_parse(text)
+    except (LibsvmParseError, DimensionError) as exc:
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ds_module, "_CHUNK_LINES", chunk_lines)
+            with pytest.raises(type(exc), match=f"^{re.escape(str(exc))}$"):
+                parse_libsvm(text)
+        return
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ds_module, "_CHUNK_LINES", chunk_lines)
+        _assert_same_dataset(parse_libsvm(text), expected)
+
+
+def test_load_libsvm_traced_peak_is_bounded(tmp_path):
+    # On the cli_small benchmark file (X is 0.48 MB) the token-by-token parse
+    # peaked at 4.40 MB: a Python float and an int per entry and the arrays
+    # made from them.  The chunked parse holds one chunk's tokens and an index
+    # and a value per entry (2.02 MB at 128 lines a chunk); the whole file as
+    # one chunk peaked at 17.2 MB.
+    path = tmp_path / "cli_small.svm"
+    path.write_text(to_libsvm(generate_synthetic(2000, 30, 8)), encoding="utf-8")
+    load_libsvm(path)
+    tracemalloc.start()
+    try:
+        ds = load_libsvm(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.X.nbytes == 480_000
+    assert peak <= 0.75 * 4.40e6
+
+
 def test_a9a_shape_if_available():
     path = os.environ.get("STR_A9A_PATH")
     if not path or not os.path.exists(path):

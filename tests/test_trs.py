@@ -353,6 +353,181 @@ def test_exact_matches_reference_solver():
     assert {"boundary", "interior"} <= outcomes
 
 
+# -- bitwise regression of the eigen path ---------------------------------------
+#
+# The eigen path's secular solve and case logic before the wrapper overhead was
+# cut (one errstate per solve, method reductions, a plain division where g has
+# no zero coordinate), kept test only.  It is verbatim but for ``fits``, which
+# records the one branch whose result changed on purpose, and whether it was
+# the hard case: a step that fits at mu_lo > 0 is now padded as it is, where
+# this copy first dropped g's bottom coordinates.
+
+
+@np.errstate(divide="ignore", invalid="ignore", over="ignore")
+def _previous_secular_root(e, gt, delta_hi):
+    nonzero = gt != 0.0
+    u = np.zeros_like(gt)
+
+    def norm_at(t):
+        np.divide(gt, t, out=u, where=nonzero)
+        return trs._norm(u)
+
+    lo, hi = 0.0, delta_hi
+    if norm_at(e + hi) > 1.0:
+        hi = 2.0 * hi + 1.0
+    delta = 0.5 * (lo + hi)
+    best_delta, best_gap = delta, math.inf
+    for _ in range(trs._MAX_SECULAR_ITERS):
+        t = e + delta
+        n = norm_at(t)
+        gap = abs(n - 1.0)
+        if gap < best_gap:
+            best_delta, best_gap = delta, gap
+        if gap <= trs._SECULAR_RTOL:
+            return delta, True
+        if n > 1.0:
+            lo = delta
+        else:
+            hi = delta
+        v = u / n
+        delta_new = delta + (n - 1.0) / np.sum(v * v / t)
+        if not (lo < delta_new < hi):
+            delta_new = 0.5 * (lo + hi)
+        if delta_new == delta:
+            break
+        delta = float(delta_new)
+    return best_delta, best_gap <= 1e-9
+
+
+def _previous_solve_in_eigenbasis(g, w, V, r, L2, fits):
+    gmax = float(np.max(np.abs(g)))
+    sigma = max(abs(float(w[0])), abs(float(w[-1])), gmax / r) or 1.0
+    if sigma == math.inf:
+        raise TrsNumericError(f"unit-ball scale max_i |g_i| / r = {gmax:.3e} / {r:.3e} "
+                              "is past the float range")
+    w = w / sigma
+    g = g / r / sigma
+    gt = V.T @ g
+    gnorm = trs._norm(g)
+    lam1 = float(w[0])
+    mu_lo = max(0.0, -lam1)
+
+    def solution(ut, mu):
+        u = V @ ut
+        return trs._gated_solution(u, V @ (w * (V.T @ u)), mu, g, gnorm, sigma, r, L2,
+                                   sigma * (lam1 + mu))
+
+    shifted = w + mu_lo
+    gap_tol = 1e-12 * (1.0 + float(np.max(np.abs(w))))
+    bottom = (w - lam1) <= gap_tol
+
+    def boundary_without_bottom(delta):
+        ut = np.where(bottom, 0.0, -gt / np.where(bottom, 1.0, shifted + delta))
+        n0 = trs._norm(ut)
+        if n0 > 1.0:
+            ut /= n0
+        elif n0 < 1.0 - trs._PAD_RTOL:
+            v = V[:, 0]
+            ut[0] += math.copysign(math.sqrt(1.0 - n0 * n0), v[np.argmax(np.abs(v))])
+        return ut
+
+    hard = lam1 <= 0.0 and trs._norm(gt[bottom]) <= trs._HARD_CASE_RTOL * gnorm
+    gs = np.where(bottom, 0.0, gt) if hard else gt
+    if shifted[0] > 0.0 or gs[0] == 0.0:
+        with np.errstate(divide="ignore", over="ignore"):
+            ut = np.divide(-gs, shifted, out=np.zeros_like(gs), where=gs != 0.0)
+        if trs._norm(ut) <= 1.0:
+            if mu_lo == 0.0:
+                return solution(ut, 0.0)
+            fits.append(hard)
+            return solution(boundary_without_bottom(0.0), mu_lo)
+    delta, resolved = _previous_secular_root(shifted, gs, gnorm)
+    if hard or not (resolved or lam1 > 0.0):
+        return solution(boundary_without_bottom(delta), mu_lo + delta)
+    return solution(-gt / (shifted + delta), mu_lo + delta)
+
+
+def _eigen_path_instances(count, seed):
+    """``(g, w, V, r)`` with eigenvalues ascending over d = 2..37: generic,
+    clustered, exactly singular, exactly tied and definite spectra, V a random
+    rotation or a signed permutation (then g's eigencoordinates are exact),
+    and g's bottom coordinates zeroed in about half of them.  A tenth are
+    pinned at the pole: a clustered bottom, g 1e-17 of the spectrum's scale
+    and 0 on the exact bottom, so the step at mu_lo fits with g's other
+    bottom coordinates in it."""
+    rng = np.random.default_rng(seed)
+    for trial in range(count):
+        d = int(rng.integers(2, 38))
+        m = int(rng.integers(1, d + 1))  # the size of the bottom cluster
+        w = np.sort(rng.uniform(-2.0, 2.0, d))
+        kind = trial % 5
+        if kind == 1:  # clustered: the bottom m within 1e-16..1e-9 of each other
+            w[:m] = w[0] + np.sort(10.0 ** rng.uniform(-16, -9, m)) * abs(w[0])
+        elif kind == 2:  # exactly singular: m zeros at the bottom
+            w = np.sort(np.abs(w))
+            w[:m] = 0.0
+        elif kind == 3:  # exactly tied bottom
+            w[:m] = w[0]
+        elif kind == 4:  # definite
+            w = np.sort(np.abs(w)) + 10.0 ** rng.uniform(-6, 0)
+        w *= 10.0 ** rng.uniform(-3, 3)
+        if trial % 2:
+            V = np.linalg.qr(rng.standard_normal((d, d)))[0]
+        else:
+            V = np.eye(d)[rng.permutation(d)] * rng.choice([-1.0, 1.0], d)
+        gt = rng.standard_normal(d) * 10.0 ** rng.uniform(-3, 3)
+        if kind == 1 and not trial % 2:
+            gt[0] = 0.0
+            gt *= 1e-17 * abs(w[0]) / np.abs(gt).max()
+        elif rng.random() < 0.5:
+            gt[:m] = 0.0
+        r = 10.0 ** rng.uniform(-3, 2)
+        yield V @ gt, w, V, r
+
+
+def _bits(sol):
+    return (sol.h.tobytes(), sol.mu, sol.lambda_alg, sol.on_boundary, sol.kkt,
+            sol.model_decrease, sol.converged, sol.krylov_dim)
+
+
+def test_eigen_path_is_bitwise_the_previous_solve():
+    # every third instance goes through solve_trs_exact and its input checks
+    compared, padded_fits = 0, 0
+    for i, (g, w, V, r) in enumerate(_eigen_path_instances(2700, 28)):
+        if i % 3 == 0:
+            H = V @ np.diag(w) @ V.T
+            H = (H + H.T) / 2.0
+            w, V = np.linalg.eigh(H)
+        fits = []
+        outcomes = []
+        for solve in (lambda: _previous_solve_in_eigenbasis(g, w, V, r, 0.7, fits),
+                      lambda: solve_trs_exact(g, H, r, 0.7) if i % 3 == 0
+                      else trs._solve_in_eigenbasis(g, w, V, r, 0.7)):
+            try:
+                outcomes.append(solve())
+            except TrsNumericError as exc:
+                outcomes.append(exc)
+        ref, got = outcomes
+        if fits and fits[0]:  # the fixed branch, hard case: the same step up to a zero's sign
+            assert np.array_equal(got.h, ref.h) and repr(_bits(got)[1:]) == repr(_bits(ref)[1:])
+            continue
+        if fits:  # the fixed branch: the same multiplier, and stationary up to rounding
+            padded_fits += 1
+            assert got.mu == ref.mu and got.on_boundary and ref.on_boundary
+            assert got.kkt.stationarity <= 1e-15 * (1.0 + ref.mu) * r
+            continue
+        compared += 1
+        assert type(got) is type(ref)
+        if isinstance(ref, TrsNumericError):
+            assert str(got) == str(ref) and (ref.best is None) == (got.best is None)
+            ref, got = ref.best, got.best
+            if ref is None:
+                continue
+        # repr tells -0.0 from 0.0, and a NaN equals itself
+        assert repr(_bits(got)) == repr(_bits(ref))
+    assert compared >= 2000 and padded_fits >= 20
+
+
 def test_sym_eig_bitwise_on_exactly_symmetric_input(rng):
     for d in (1, 2, 7, 40):
         A = rng.standard_normal((d, d))
@@ -703,7 +878,9 @@ def test_exact_root_pinned_at_the_pole_is_padded(monkeypatch):
     # g's bottom coordinates are 0 on the exact bottom and 1e-14 on a second
     # eigenvalue 1e-13 above it: no multiplier above -lambda_1 puts the step on
     # the boundary, so the step at mu = -lambda_1 fits, no secular solve runs,
-    # and the step is padded along the bottom eigenvector
+    # and that step, -0.1 along the second eigenvector, is padded along the
+    # bottom eigenvector; it is stationary up to rounding, where the step
+    # with g's bottom coordinates dropped, (1, 0, 0), misses by 1e-14
     roots = []
     secular_root = trs._secular_root
 
@@ -715,10 +892,11 @@ def test_exact_root_pinned_at_the_pole_is_padded(monkeypatch):
     sol = solve_trs_exact(np.array([0.0, 1e-14, 0.0]), np.diag([-1.0, -1.0 + 1e-13, 1.0]),
                           1.0, 1.0)
     assert roots == []
-    assert sol.h.tolist() == [1.0, 0.0, 0.0]
+    h1 = -1e-14 / ((-1.0 + 1e-13) + 1.0)  # -0.09997, from the rounded second eigenvalue
+    assert sol.h == pytest.approx([math.sqrt(1.0 - h1 * h1), h1, 0.0], rel=1e-15, abs=0.0)
     assert sol.mu == 1.0
     assert sol.on_boundary
-    assert sol.kkt.stationarity == 1e-14
+    assert sol.kkt.stationarity <= 1e-16  # the rounding of H h and mu h, each of size 0.1
 
 
 def test_exact_psd_step_that_fits_short_of_the_pole_is_interior():
@@ -1445,6 +1623,27 @@ def test_lapack_failure_is_a_numeric_error(monkeypatch, solver, lapack):
 def test_lanczos_rejects_bad_m_max():
     with pytest.raises(ValueError):
         solve_trs_lanczos(np.ones(3), lambda v: v, 3, 1.0, 1.0, m_max=5)
+
+
+@pytest.mark.parametrize("m_max", [2.5, 3.0, True, np.float64(2.0)],
+                         ids=["2.5", "3.0", "True", "np.float64"])
+def test_lanczos_rejects_a_non_integer_m_max(m_max):
+    # a float or a bool used to end in a TypeError from range()
+    with pytest.raises(ValueError, match="m_max"):
+        solve_trs_lanczos(np.ones(3), lambda v: 2 * v, 3, 1.0, 1.0, m_max=m_max)
+
+
+@pytest.mark.parametrize("d", [3.0, True, np.float64(3.0)], ids=["3.0", "True", "np.float64"])
+def test_lanczos_rejects_a_non_integer_d(d):
+    # d = 3.0 matched g's size and used to end in a TypeError from the probe draw
+    with pytest.raises(ValueError, match="d = "):
+        solve_trs_lanczos(np.ones(3), lambda v: 2 * v, d, 1.0, 1.0)
+
+
+def test_lanczos_takes_numpy_integer_sizes():
+    sol = solve_trs_lanczos(np.ones(3), lambda v: 2 * v, np.int64(3), 1.0, 1.0,
+                            m_max=np.int32(2))
+    assert sol.converged and sol.h == pytest.approx([-0.5, -0.5, -0.5])
 
 
 def test_lanczos_gradient_below_the_square_root_of_the_float_range():
