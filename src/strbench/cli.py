@@ -52,10 +52,10 @@ _COMPARE_FROM_TRACE = operator.itemgetter(
 LIP_MODES = ("analytic", "sampled")
 
 # RunConfig fields a variant spec may set; the rest come from the spec's
-# structure (variant, seeds, L1/L2) or are library-only objects.
+# structure (variant, seeds, L1/L2) or are library-only (x0).
 _CONFIG_KEYS = frozenset(
     f.name for f in dataclasses.fields(RunConfig)
-) - {"variant", "lipschitz", "seed", "x0", "grad_schedule", "hess_schedule"}
+) - {"variant", "lipschitz", "seed", "x0"}
 
 
 class SpecError(ValueError):
@@ -267,18 +267,16 @@ def build_problem(spec: ExperimentSpec) -> FiniteSumProblem:
         raise SpecError(f"invalid problem: {exc}") from exc
 
 
-def _default_lipschitz(spec: ExperimentSpec, problem: FiniteSumProblem):
-    """Bounds for variants that give no ``L1``/``L2``; ``None`` lets the driver
-    resolve analytic bounds."""
-    if spec.lip_mode == "analytic":
-        return None
+def _default_lipschitz(spec: ExperimentSpec, problem: FiniteSumProblem) -> LipschitzBounds:
+    """Bounds for variants that give no ``L1``/``L2``, resolved once for all
+    runs, so each summary entry records those its run used."""
     try:
         return lipschitz_bounds(problem, mode=spec.lip_mode)
     except ValueError as exc:
         raise SpecError(f"lip_mode {spec.lip_mode!r}: {exc}") from exc
 
 
-def make_config(vspec: VariantSpec, seed: int, lipschitz: LipschitzBounds | None,
+def make_config(vspec: VariantSpec, seed: int, lipschitz: LipschitzBounds,
                 n: int) -> RunConfig:
     """The config of one (variant, seed) run on a problem of ``n`` rows; a bad
     variant option is a ``SpecError`` that names the label."""

@@ -45,13 +45,9 @@ from .trs import TrsNumericError, _norm, _sym_eigvals, solve_trs_exact
 VARIANTS = ("exact_tr", "str1", "str2", "subsampled")
 # the RunConfig fields only some variants read, and those variants
 _VARIANT_FIELDS = {
-    **dict.fromkeys(("kappa_grad", "kappa_hess", "grad_schedule", "hess_schedule"),
-                    ("str1", "str2")),
-    "sub_s1": ("subsampled",),
-    "sub_s2": ("subsampled",),
+    **dict.fromkeys(("kappa_grad", "kappa_hess"), ("str1", "str2")),
+    **dict.fromkeys(("sub_s1", "sub_s2"), ("subsampled",)),
 }
-# the str1/str2 knobs an explicit schedule object overrides, and that schedule
-_SCHEDULE_OF = {"kappa_grad": "grad_schedule", "kappa_hess": "hess_schedule"}
 
 
 @dataclass
@@ -65,15 +61,12 @@ class RunConfig:
     subproblem is solved to ``trs.GATE_TOL``.  Theory mode takes the paper's
     constants and rejects ``kappa_grad``/``kappa_hess``; practical mode scales
     the gradient and Hessian sample sizes by them (default 1).  Either way the
-    Hessian schedule takes the cheaper of options I and II.  Explicit
-    :class:`~strbench.estimators.Schedule` objects override both; ``str2``'s
-    ``grad_schedule`` must reset with an exact pass.  A field that the variant
-    never reads (the kappas and the schedules outside ``str1``/``str2``,
-    ``sub_s1`` and ``sub_s2`` outside ``subsampled``, ``kappa_grad`` next to
-    ``grad_schedule``, ``kappa_hess`` next to ``hess_schedule``) must stay
-    None.
-    ``sub_s1`` and ``sub_s2`` may not exceed the problem's n
-    (:func:`check_batch_sizes`).
+    Hessian schedule takes the cheaper of options I and II
+    (:func:`make_estimators`).  A field that the variant never reads (the
+    kappas outside ``str1``/``str2``, ``sub_s1`` and ``sub_s2`` outside
+    ``subsampled``) must stay None.  ``sub_s1`` and ``sub_s2`` may not exceed
+    the problem's n (:func:`check_batch_sizes`).  ``seed``, an integer >= 0,
+    seeds the run's sampling stream.
     """
 
     variant: str = "exact_tr"
@@ -84,8 +77,6 @@ class RunConfig:
     mode: str = "theory"
     kappa_grad: float | None = None
     kappa_hess: float | None = None
-    grad_schedule: est.Schedule | None = None
-    hess_schedule: est.Schedule | None = None
     sub_s1: int | None = None  # subsampled baseline batch sizes
     sub_s2: int | None = None
     seed: int = 0
@@ -101,13 +92,6 @@ class RunConfig:
         for name, readers in _VARIANT_FIELDS.items():
             if getattr(self, name) is not None and self.variant not in readers:
                 raise ValueError(f"{name} is not read by variant {self.variant!r}")
-        for name, schedule in _SCHEDULE_OF.items():
-            if getattr(self, name) is not None and getattr(self, schedule) is not None:
-                raise ValueError(f"{name} is not read by variant {self.variant!r} next to "
-                                 f"{schedule}, which overrides it")
-        if self.variant == "str2" and getattr(self.grad_schedule, "reset", None) is not None:
-            raise ValueError("str2's grad_schedule must reset with an exact pass, "
-                             "not a sampled batch")
         if self.mode not in ("theory", "practical"):
             raise ValueError("mode must be 'theory' or 'practical'")
         for name in ("kappa_grad", "kappa_hess"):
@@ -125,6 +109,8 @@ class RunConfig:
                 raise ValueError(f"{name} must be an integer >= 1")
         if not (self.K_override is None or est._integer(self.K_override) and self.K_override >= 1):
             raise ValueError("K_override must be an integer >= 1")
+        if not (est._integer(self.seed) and self.seed >= 0):
+            raise ValueError("seed must be an integer >= 0")
 
 
 def check_batch_sizes(config: RunConfig, n: int) -> None:
@@ -318,6 +304,11 @@ def run_inexact_tr(problem, config, grad_estimator, hess_estimator) -> RunResult
     :class:`~strbench.problems.OracleCounters`, which come back on the
     :class:`RunResult` or :class:`RunAborted`.  Stops the first time
     ``lambda_alg <= 2 sqrt(eps/L2)`` and returns the post-step iterate.
+
+    A schedule other than the variant's runs through here: with
+    ``state = EstimatorState(Schedule(p, s))``, pass
+    ``lambda x, c: spider_step(state, problem, x, c, rng)`` (and likewise
+    ``hessian_estimate_step``) from :mod:`strbench.estimators`.
     """
     return _run_loop(problem, config, grad_estimator, hess_estimator, True, None)
 
@@ -338,6 +329,8 @@ def make_estimators(variant, problem, config, rng, resolved: _Resolved | None = 
     differentials at every step, ``subsampled`` to fresh batches of
     ``sub_s1``/``sub_s2`` draws (default n), and ``str1``/``str2`` follow the
     paper's schedules, ``str2`` through the Hessian-corrected gradient step.
+    This is the only place a run's schedules are chosen; a run on other
+    schedules passes its own steps to :func:`run_inexact_tr`.
     The gradient estimator draws before the Hessian estimator inside each
     iteration, so runs are reproducible from (config, seed).  ``variant`` must
     be ``config.variant``, and a batch size above n is a ``ValueError``
@@ -357,9 +350,9 @@ def make_estimators(variant, problem, config, rng, resolved: _Resolved | None = 
         K0 = 2 * res.K
         kg = config.kappa_grad if config.kappa_grad is not None else 1.0
         kh = config.kappa_hess if config.kappa_hess is not None else 1.0
-        hsched = config.hess_schedule or est.hessian_schedule(
+        hsched = est.hessian_schedule(
             n, problem.d, config.epsilon, res.lip.L1, res.lip.L2, config.delta, K0, kappa=kh)
-        gsched = config.grad_schedule or (
+        gsched = (
             est.gradient_schedule_case1(n, config.epsilon, res.lip.L1, res.lip.L2,
                                         config.delta, K0, kappa=kg)
             if variant == "str1" else est.gradient_schedule_case2(n, config.delta, K0, kappa=kg)

@@ -201,7 +201,11 @@ def regularizer_derivatives(w: np.ndarray, alpha: float):
 
 
 class FiniteSumProblem:
-    """Component-wise value/gradient/Hessian oracle over n components."""
+    """Component-wise value/gradient/Hessian oracle over n components.
+
+    The GLM kinds take ``X``, an (n, d) array, and ``y``, n labels in
+    {-1, +1}; ``synthetic_quad`` takes ``anchors``, an (n, d) array.  Missing,
+    misshapen or extra data is a ``ValueError``."""
 
     # data of the other kinds stays None
     X = y = labels = anchors = None
@@ -226,16 +230,26 @@ class FiniteSumProblem:
         self.kind = kind
         self.reg_lambda = float(reg_lambda)
         self.reg_alpha = float(reg_alpha)
+        reads = ("anchors",) if kind == "synthetic_quad" else ("X", "y")
+        given = {"X": X, "y": y, "anchors": anchors}  # all it reads and nothing else
+        if any((given[name] is None) == (name in reads) for name in given):
+            raise ValueError(f"{kind} takes {' and '.join(reads)} and no other data")
         if kind == "synthetic_quad":
-            assert anchors is not None
             self.anchors = np.ascontiguousarray(anchors, dtype=float)
+            if self.anchors.ndim != 2:
+                raise ValueError("anchors must be an (n, d) array")
             self.n, self.d = self.anchors.shape
         else:
-            assert X is not None and y is not None
             # C order, so a full pass over X and a gathered X[idx] agree bitwise;
             # read-only, so the record of the last full pass stays valid
             self.X, self.y = _read_only(X), _read_only(y)
+            if self.X.ndim != 2:
+                raise ValueError("X must be an (n, d) array")
             self.n, self.d = self.X.shape
+            if self.y.shape != (self.n,):
+                raise ValueError(f"y must hold n={self.n} labels")
+            if not (np.abs(self.y) == 1.0).all():
+                raise ValueError("labels must be -1 or +1")
             self.labels = self.link.labels(self.y)  # logistic: y itself
             self.labels.flags.writeable = False
         if self.n < 1 or self.d < 1:

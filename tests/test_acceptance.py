@@ -18,7 +18,7 @@ from strbench.datasets import generate_synthetic
 from strbench.driver import (
     RunConfig,
     make_estimators,
-    run,
+    run_inexact_tr,
     run_inexact_tr_expectation,
     verify_sosp,
 )
@@ -315,16 +315,14 @@ def test_criterion_5_estimator_accuracy():
 # -- criterion 6: full-batch degeneracy --------------------------------------------
 
 
-def test_criterion_6_full_batch_degeneracy(descent_experiment, run_path):
+def test_criterion_6_full_batch_degeneracy(descent_experiment, run_path, scheduled):
     with criterion(6, "full-batch degeneracy"):
         prob = descent_experiment["problem"]
         eps = descent_experiment["epsilon"]
         exact, exact_path = run_path(prob, RunConfig(variant="exact_tr", epsilon=eps, seed=0))
-        same, same_path = run_path(prob, RunConfig(
-            variant="str1", epsilon=eps, seed=0,
-            grad_schedule=Schedule(p=1, s=prob.n),
-            hess_schedule=Schedule(p=1, s=prob.n),
-        ))
+        forced = RunConfig(variant="str1", epsilon=eps, seed=0)
+        same, same_path = run_path(prob, forced, scheduled(
+            prob, forced, Schedule(p=1, s=prob.n), Schedule(p=1, s=prob.n)))
         assert same.stop_reason == exact.stop_reason
         assert len(same_path) == len(exact_path)
         for a, b in zip(same_path, exact_path):
@@ -341,7 +339,7 @@ def _epoch_costs(trace, key):
     return deltas
 
 
-def test_criterion_7_oracle_accounting(tmp_path):
+def test_criterion_7_oracle_accounting(tmp_path, scheduled):
     with criterion(7, "oracle accounting"):
         ds = generate_synthetic(200, 8, seed=14)
         prob = from_dataset(ds, "logistic_nc")
@@ -349,12 +347,9 @@ def test_criterion_7_oracle_accounting(tmp_path):
         for option, s2_prime in (("I", None), ("II", 23)):
             p1, s1, p2, s2 = 4, 16, 5, 8
             K = 40  # common multiple of p1 and p2: whole epochs only
-            cfg = RunConfig(
-                variant="str1", epsilon=1e-9, seed=1, K_override=K,
-                grad_schedule=Schedule(p=p1, s=s1),
-                hess_schedule=Schedule(p=p2, s=s2, reset=s2_prime),
-            )
-            res = run("str1", prob, cfg)
+            cfg = RunConfig(variant="str1", epsilon=1e-9, seed=1, K_override=K)
+            res = run_inexact_tr(prob, cfg, *scheduled(
+                prob, cfg, Schedule(p=p1, s=s1), Schedule(p=p2, s=s2, reset=s2_prime)))
             assert len(res.trace) == K
             trace = [
                 {"sfo": rec.sfo, "sso": rec.sso} for rec in res.trace

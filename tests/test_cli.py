@@ -26,6 +26,7 @@ from strbench.cli import (
     main,
     run_experiment,
 )
+from strbench.driver import RunConfig, run
 from strbench.problems import lipschitz_bounds
 
 
@@ -192,6 +193,23 @@ def test_lip_mode_sampled_used_unless_variant_gives_bounds(tmp_path):
     assert runs[0]["config"]["lipschitz"] == {
         "L1": sampled.L1, "L2": sampled.L2, "provenance": "sampled"}
     assert runs[1]["config"]["lipschitz"] == {"L1": 2.0, "L2": 3.0, "provenance": "user"}
+
+
+def test_default_lip_mode_records_the_analytic_bounds(tmp_path):
+    # the entry names the bounds its run used; the run is the library's with
+    # lipschitz=None, which resolves the same analytic bounds
+    spec = tmp_path / "spec.json"
+    write_spec(spec, task="logistic_nc", dataset={"synthetic": {"n": 60, "d": 5, "seed": 4}},
+               variants=[{"variant": "str1", "epsilon": 1e-2}])
+    assert run_experiment(spec, out_dir=tmp_path / "o") == 0
+    (entry,) = json.loads((tmp_path / "o" / "summary.json").read_text())["runs"]
+    problem = build_problem(load_spec(spec))
+    analytic = lipschitz_bounds(problem)
+    assert entry["config"]["lipschitz"] == {
+        "L1": analytic.L1, "L2": analytic.L2, "provenance": "analytic"}
+    library = run("str1", problem, RunConfig(variant="str1", epsilon=1e-2))
+    assert entry["x_final"] == library.x_final.tolist()
+    assert entry["counters"] == {"sfo": library.counters.sfo, "sso": library.counters.sso}
 
 
 # -- compare -------------------------------------------------------------------

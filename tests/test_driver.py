@@ -143,15 +143,12 @@ def _estimators(problem, cfg):
     return make_estimators(cfg.variant, problem, cfg, np.random.default_rng(cfg.seed))
 
 
-def test_full_batch_schedules_reproduce_exact(logistic_small, run_path):
+def test_full_batch_schedules_reproduce_exact(logistic_small, run_path, scheduled):
     eps = 1e-2
     _, exact = run_path(logistic_small, RunConfig(variant="exact_tr", epsilon=eps, seed=0))
-    forced = RunConfig(
-        variant="str1", epsilon=eps, seed=0,
-        grad_schedule=Schedule(p=1, s=logistic_small.n),
-        hess_schedule=Schedule(p=1, s=logistic_small.n),
-    )
-    _, same = run_path(logistic_small, forced)
+    forced = RunConfig(variant="str1", epsilon=eps, seed=0)
+    full = Schedule(p=1, s=logistic_small.n)
+    _, same = run_path(logistic_small, forced, scheduled(logistic_small, forced, full, full))
     assert len(same) == len(exact)
     for a, b in zip(same, exact):
         assert np.max(np.abs(a - b)) <= 1e-12
@@ -616,10 +613,23 @@ def test_non_finite_iterate_aborts(logistic_small, monkeypatch):
     {"sub_s1": True},
     {"epsilon": "x"},
     {"K_override": 0},  # a cap below one iteration is a bad option, not a numeric abort
+    # a seed is refused where the config is made, not when the run first draws
+    {"seed": True},
+    {"seed": -1},
+    {"seed": 1.5},
+    {"seed": np.float64(2.0)},
+    {"seed": "0"},
+    {"seed": None},
 ])
 def test_config_rejects_bad_option(overrides):
     with pytest.raises(ValueError):
         RunConfig(variant="subsampled", **overrides)
+
+
+def test_config_takes_any_nonnegative_integer_seed(logistic_small):
+    for seed in (0, np.int64(7), np.uint8(3), 2**70):
+        cfg = RunConfig(variant="str1", epsilon=1e-2, seed=seed, K_override=2)
+        assert len(run("str1", logistic_small, cfg).trace) == 2
 
 
 @pytest.mark.parametrize("x0", [np.zeros(4), np.zeros((1, 5)), np.array(0.0)])
@@ -630,19 +640,13 @@ def test_run_refuses_an_x0_of_the_wrong_shape(quad_problem, x0):
         run("exact_tr", quad_problem, cfg)
 
 
-def test_config_refuses_str2_with_a_sampled_gradient_reset():
-    # corrected_step resets with an exact pass; the config says so before any run
-    with pytest.raises(ValueError, match="exact pass"):
-        RunConfig(variant="str2", grad_schedule=Schedule(2, 2, 3))
-    RunConfig(variant="str1", grad_schedule=Schedule(2, 2, 3))
-    RunConfig(variant="str2", grad_schedule=Schedule(2, 2))
-
-
-@pytest.mark.parametrize("name", ["r_override", "delta_hat", "solver_tol", "hess_option"])
+@pytest.mark.parametrize("name", ["r_override", "delta_hat", "solver_tol", "hess_option",
+                                  "grad_schedule", "hess_schedule"])
 def test_config_has_one_setting_per_run_decision(name):
     # the radius is sqrt(eps/L2), the cap K_override or the one computed from
-    # F(x0), the subproblem tolerance the solver's GATE_TOL, and the Hessian
-    # option the cheaper one, or that of an explicit hess_schedule
+    # F(x0), the subproblem tolerance the solver's GATE_TOL, the Hessian option
+    # the cheaper one, and the schedules those make_estimators computes (a run
+    # on others passes its own steps to run_inexact_tr)
     with pytest.raises(TypeError, match=name):
         RunConfig(variant="exact_tr", **{name: 1.0})
 
@@ -657,27 +661,18 @@ def test_variant_argument_must_match_the_config(logistic_small, call):
             make_estimators("str1", logistic_small, cfg, np.random.default_rng(0))
 
 
-_SCHEDULES = {
-    "grad_schedule": Schedule(p=2, s=3),
-    "hess_schedule": Schedule(p=2, s=3),
-}
-_STOCHASTIC_KNOBS = {"kappa_grad": 0.5, "kappa_hess": 0.01, **_SCHEDULES}
+_STOCHASTIC_KNOBS = {"kappa_grad": 0.5, "kappa_hess": 0.01}
 
 
 @pytest.mark.parametrize("variant,field,value", [
     *((v, f, x) for v in ("exact_tr", "subsampled") for f, x in _STOCHASTIC_KNOBS.items()),
     *((v, f, 3) for v in ("exact_tr", "str1", "str2") for f in ("sub_s1", "sub_s2")),
-    # str1 and str2 read these only where no explicit schedule overrides them
-    *((v, f, _STOCHASTIC_KNOBS[f]) for v in ("str1", "str2")
-      for f in ("kappa_grad", "kappa_hess")),
-], ids=lambda v: f"p{v.p}s{v.s}" if isinstance(v, Schedule) else None)  # not by position
+])
 def test_config_rejects_a_knob_its_variant_never_reads(variant, field, value):
-    # a knob the variant ignores would leave the run as if it were not set; str1
-    # and str2 are given both schedules, which override the kappas
-    schedules = _SCHEDULES if variant in ("str1", "str2") else {}
+    # a knob the variant ignores would leave the run as if it were not set
     with pytest.raises(ValueError, match=f"{field} is not read by variant {variant!r}"):
-        RunConfig(variant=variant, mode="practical", **schedules, **{field: value})
-    RunConfig(variant=variant, mode="practical", **schedules, **{field: None})  # the default passes
+        RunConfig(variant=variant, mode="practical", **{field: value})
+    RunConfig(variant=variant, mode="practical", **{field: None})  # the default passes
 
 
 # -- one full pass per point -------------------------------------------------------

@@ -87,6 +87,7 @@ def test_regularizer_rejects_bad_alpha():
 
 
 _QUAD = quadratic_problem(3, 2, seed=0)
+_X3, _Y3 = np.array([[1.0, 0.5], [-0.3, 2.0], [0.7, -1.1]]), np.array([1.0, -1.0, 1.0])
 
 
 @pytest.mark.parametrize("call, match", [
@@ -101,8 +102,26 @@ _QUAD = quadratic_problem(3, 2, seed=0)
     (lambda: FiniteSumProblem("synthetic_quad", anchors=np.zeros((2, 0))), "d >= 1"),
     (lambda: problems.LipschitzBounds(1.0, 1.0, "guessed"), "unknown provenance 'guessed'"),
     (lambda: regularizer_derivatives(np.array([0.0, np.inf]), 1.0), "non-finite input"),
+    (lambda: FiniteSumProblem("logistic_nc", y=_Y3), "logistic_nc takes X and y and no other"),
+    (lambda: FiniteSumProblem("nls_nc", X=_X3), "nls_nc takes X and y and no other data"),
+    (lambda: FiniteSumProblem("logistic_nc", X=_X3, y=_Y3, anchors=_X3), "takes X and y and"),
+    (lambda: FiniteSumProblem("synthetic_quad"), "synthetic_quad takes anchors and no other"),
+    (lambda: FiniteSumProblem("synthetic_quad", anchors=_X3, X=_X3), "takes anchors and no"),
+    (lambda: FiniteSumProblem("synthetic_quad", anchors=_X3, y=_Y3), "takes anchors and no"),
+    # a column of labels broadcasts against the margins: F(0.3, -0.2) read 0.7053, not 0.5265
+    (lambda: FiniteSumProblem("logistic_nc", X=_X3, y=_Y3[:, None]), "y must hold n=3 labels"),
+    (lambda: FiniteSumProblem("nls_nc", X=_X3, y=_Y3[:2]), "y must hold n=3 labels"),
+    (lambda: FiniteSumProblem("nls_nc", X=_X3, y=np.array([1.0, 0.0, 1.0])),
+     r"labels must be -1 or \+1"),
+    (lambda: FiniteSumProblem("logistic_nc", X=_X3, y=np.array([1.0, np.nan, 1.0])),
+     r"labels must be -1 or \+1"),
+    (lambda: FiniteSumProblem("logistic_nc", X=_X3[0], y=_Y3[:1]), r"X must be an \(n, d\)"),
+    (lambda: FiniteSumProblem("nls_nc", X=_X3[None], y=_Y3), r"X must be an \(n, d\) array"),
+    (lambda: FiniteSumProblem("synthetic_quad", anchors=_X3[0]), r"anchors must be an \(n, d\)"),
 ], ids=["hvp_direction", "point_shape", "lipschitz_mode", "quad_from_dataset", "unknown_kind",
-        "no_rows", "no_columns", "provenance", "regularizer_point"])
+        "no_rows", "no_columns", "provenance", "regularizer_point", "no_X", "no_y",
+        "glm_anchors", "no_anchors", "quad_X", "quad_y", "label_column", "short_labels",
+        "binary_labels", "nan_label", "vector_X", "3d_X", "vector_anchors"])
 def test_documented_error_exits(call, match):
     with pytest.raises(ValueError, match=match):
         call()
