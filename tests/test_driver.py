@@ -640,13 +640,11 @@ def test_run_refuses_an_x0_of_the_wrong_shape(quad_problem, x0):
         run("exact_tr", quad_problem, cfg)
 
 
-@pytest.mark.parametrize("name", ["r_override", "delta_hat", "solver_tol", "hess_option",
-                                  "grad_schedule", "hess_schedule"])
+@pytest.mark.parametrize("name", ["r_override", "delta_hat", "solver_tol", "hess_option"])
 def test_config_has_one_setting_per_run_decision(name):
     # the radius is sqrt(eps/L2), the cap K_override or the one computed from
-    # F(x0), the subproblem tolerance the solver's GATE_TOL, the Hessian option
-    # the cheaper one, and the schedules those make_estimators computes (a run
-    # on others passes its own steps to run_inexact_tr)
+    # F(x0), the subproblem tolerance the solver's GATE_TOL, and the Hessian
+    # option the cheaper one (the schedules: see _NOT_FIELDS below)
     with pytest.raises(TypeError, match=name):
         RunConfig(variant="exact_tr", **{name: 1.0})
 
@@ -661,15 +659,22 @@ def test_variant_argument_must_match_the_config(logistic_small, call):
             make_estimators("str1", logistic_small, cfg, np.random.default_rng(0))
 
 
-_STOCHASTIC_KNOBS = {"kappa_grad": 0.5, "kappa_hess": 0.01}
+# the schedules are no RunConfig fields: make_estimators computes them, and a run
+# on others passes its own steps to run_inexact_tr
+_NOT_FIELDS = {"grad_schedule": Schedule(p=2, s=3), "hess_schedule": Schedule(p=2, s=3)}
+_STOCHASTIC_KNOBS = {"kappa_grad": 0.5, "kappa_hess": 0.01, **_NOT_FIELDS}
 
 
 @pytest.mark.parametrize("variant,field,value", [
     *((v, f, x) for v in ("exact_tr", "subsampled") for f, x in _STOCHASTIC_KNOBS.items()),
     *((v, f, 3) for v in ("exact_tr", "str1", "str2") for f in ("sub_s1", "sub_s2")),
-])
+], ids=lambda v: f"p{v.p}s{v.s}" if isinstance(v, Schedule) else None)  # not by position
 def test_config_rejects_a_knob_its_variant_never_reads(variant, field, value):
     # a knob the variant ignores would leave the run as if it were not set
+    if field in _NOT_FIELDS:
+        with pytest.raises(TypeError, match=field):
+            RunConfig(variant=variant, mode="practical", **{field: value})
+        return
     with pytest.raises(ValueError, match=f"{field} is not read by variant {variant!r}"):
         RunConfig(variant=variant, mode="practical", **{field: value})
     RunConfig(variant=variant, mode="practical", **{field: None})  # the default passes
