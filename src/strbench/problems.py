@@ -23,20 +23,20 @@ Hessians and the analytic Lipschitz bound walk the rows in consecutive blocks
 (:func:`strbench.datasets.row_blocks`) and sum them in row order, so no
 temporary the size of ``X_S`` is made; a batch of one block is one product.
 Each call reads its rows of ``X`` at most once, and consecutive calls often
-share that read.  ``full_*`` oracles use ``X`` in place, and the problem keeps
-a record of its last three full passes (margins, sigmoid, data gradient),
-keyed by the exact bytes of the point, so ``full_value``, ``full_gradient``
-and ``full_hessian`` at one point compute ``X @ x`` once and the gradient
-once.  A sampled gradient or Hessian-vector product over at least
-``_MULTIPLICITY_SHARE`` (a third) of n rows is not gathered: it sums over
-``X`` weighted by the multiplicity of each row, ``X'(m c(z))/s`` and
-``X'(m w(z) X v)/s``, with the margins from the full pass at its point, so a
-recurrent estimator step whose endpoints ``x_k``, ``x_{k-1}`` and ``x_ref``
-were visited recently reads no margins at all.  The multiplicities
-``m = bincount(idx)`` are kept in a one-slot record keyed by the bytes of the
-index multiset.  Smaller batches, and every sampled Hessian, read the rows
-``X[idx]``; the problem keeps a record of its last such gather, keyed the
-same way, so the calls of one recurrent step gather it once, and each call
+share that read.  The problem keeps two records.  ``full_*`` oracles use
+``X`` in place, and the first record holds the last three full passes
+(margins, sigmoid, data gradient), keyed by the exact bytes of the point, so
+``full_value``, ``full_gradient`` and ``full_hessian`` at one point compute
+``X @ x`` once and the gradient once.  A sampled gradient or Hessian-vector
+product over at least ``_MULTIPLICITY_SHARE`` (a third) of n rows is not
+gathered: it sums over ``X`` weighted by the multiplicity of each row,
+``X'(m c(z))/s`` and ``X'(m w(z) X v)/s``, with the margins from the full
+pass at its point, so a recurrent estimator step whose endpoints ``x_k``,
+``x_{k-1}`` and ``x_ref`` were visited recently reads no margins at all.
+Each such call counts the multiplicities ``m = bincount(idx)`` itself.
+Smaller batches, and every sampled Hessian, read the rows ``X[idx]``; the
+second record holds the last such gather, keyed by the bytes of the index
+multiset, so the calls of one recurrent step gather it once, and each call
 still takes its margins at its own point.  Every call still bills its full
 batch size.  The records rely on ``X`` and the labels never changing, so the
 problem holds them read-only.
@@ -64,11 +64,14 @@ _L_FLOOR = 1e-6
 _ALL = slice(None)  # the full batch: basic indexing reads X in place, no copy
 
 # A sampled gradient or Hessian-vector product over at least this share of n rows
-# skips the gather and sums over X by multiplicity.  Measured at n = 12000, d = 50,
-# one BLAS thread, with the full passes at the points held: the three calls of a
-# recurrent step on one multiset took 1.30 ms gathered and 1.66 ms summed at
-# s = n/4, 1.51 and 1.62 at s = 0.30 n, 1.81 and 1.60 at 0.36 n, and 5.8 and 1.4 at
-# s = n.  A lone gradient call, which pays the gather by itself, breaks even below n/5.
+# skips the gather and sums over X by multiplicity, counted per call.  Measured at
+# n = 12000, d = 50, one BLAS thread on a 2-vCPU Xeon, with the full passes at the
+# points held, median of three 600-step runs: the three calls of a recurrent step on
+# one multiset took 0.85 ms gathered and 1.21 ms summed at s = 0.30 n, 0.95 and 1.21
+# at n/3, 0.88 and 1.17 at 0.36 n, 1.32 and 1.21 at n/2, and 3.8 and 1.6 at s = n.  A
+# lone gradient call, which pays the gather by itself, took 0.32 and 0.29 ms at
+# 0.30 n and 0.37 and 0.30 at n/3.  The share lies between the two break-evens,
+# about 0.27 n for a lone call and 0.47 n for a step.
 _MULTIPLICITY_SHARE = 1.0 / 3.0
 
 KINDS = ("logistic_nc", "nls_nc", "synthetic_quad")
@@ -212,7 +215,6 @@ class FiniteSumProblem:
     # GLM kinds: the last three full passes, newest first
     _passes: tuple[_Pass, ...] = ()
     _gather: tuple | None = None  # GLM kinds: (idx bytes, X[idx], labels[idx])
-    _counts: tuple | None = None  # GLM kinds: (idx bytes, multiplicity of each row)
 
     def __init__(
         self,
@@ -261,7 +263,7 @@ class FiniteSumProblem:
 
     def __getstate__(self):
         state = dict(self.__dict__)
-        for cache in ("_passes", "_gather", "_counts"):  # a copy starts without them
+        for cache in ("_passes", "_gather"):  # a copy starts without its records
             state.pop(cache, None)
         return state
 
@@ -296,11 +298,10 @@ class FiniteSumProblem:
         other hit or a miss puts its pass first (a miss drops the oldest)."""
         key = x.tobytes()
         passes = self._passes
-        if passes and passes[0].key == key:
-            return passes[0]
-        for i, rec in enumerate(passes[1:], 1):
+        for i, rec in enumerate(passes):
             if rec.key == key:
-                self._passes = (rec,) + passes[:i] + passes[i + 1:]
+                if i:
+                    self._passes = (rec,) + passes[:i] + passes[i + 1:]
                 return rec
         rec = _Pass(self.X, self.labels, self.link.margin(self.X @ x, self.labels), key)
         self._passes = (rec,) + passes[:2]
@@ -312,17 +313,12 @@ class FiniteSumProblem:
         A sampled batch of at least ``_MULTIPLICITY_SHARE * n`` rows is not
         gathered: ``rows`` is the full pass at ``x`` and ``m`` the multiplicity
         of each row of ``X`` in ``idx``, so the batch sum is a sum over ``X``
-        weighted by ``m``.  Otherwise ``rows`` is :meth:`_rows` and ``m`` None.
+        weighted by ``m``, counted per call.  Otherwise ``rows`` is
+        :meth:`_rows` and ``m`` None.
         """
         if idx is _ALL or len(idx) < _MULTIPLICITY_SHARE * self.n:
             return self._rows(x, idx), None
-        key = idx.tobytes()
-        rec = self._counts
-        if rec is None or rec[0] != key:
-            m = np.bincount(idx, minlength=self.n).astype(float)
-            m.flags.writeable = False
-            rec = self._counts = (key, m)
-        return self._full(x), rec[1]
+        return self._full(x), np.bincount(idx, minlength=self.n).astype(float)
 
     def _weights(self, x: np.ndarray, idx):
         """Rows of the batch with their Hessian weights."""
@@ -428,6 +424,8 @@ def batch_hvp(problem, x, idx, v, counters: OracleCounters) -> np.ndarray:
     """Average Hessian-vector product without forming the matrix."""
     x, idx = _check_point(problem, x), _check_idx(problem, idx)
     v = np.asarray(v, dtype=float)
+    if v.shape != (problem.d,):  # a column would broadcast to an s x s temporary
+        raise ValueError(f"v must have shape ({problem.d},), not {v.shape}")
     if not np.all(np.isfinite(v)):
         raise ValueError("non-finite direction")
     if problem.kind == "synthetic_quad":

@@ -146,6 +146,15 @@ def _symmetric(A) -> np.ndarray:
     return (A + A.T) / 2.0
 
 
+def _eigh(A: np.ndarray):
+    """``np.linalg.eigh`` of a matrix known to be symmetric, with LAPACK
+    non-convergence a :class:`TrsNumericError`."""
+    try:
+        return np.linalg.eigh(A)
+    except np.linalg.LinAlgError as exc:
+        raise TrsNumericError(f"eigendecomposition failed: {exc}") from exc
+
+
 def sym_eig(A: np.ndarray):
     """Eigendecomposition of a symmetric matrix, eigenvalues ascending.
 
@@ -153,12 +162,7 @@ def sym_eig(A: np.ndarray):
     ``_SYM_TOL`` relative to the largest entry (see :func:`_symmetric`); wraps
     LAPACK non-convergence in :class:`TrsNumericError`.
     """
-    A = _symmetric(A)
-    try:
-        w, V = np.linalg.eigh(A)
-    except np.linalg.LinAlgError as exc:
-        raise TrsNumericError(f"eigendecomposition failed: {exc}") from exc
-    return w, V
+    return _eigh(_symmetric(A))
 
 
 def _sym_eigvals(A: np.ndarray) -> np.ndarray:
@@ -704,8 +708,9 @@ def solve_trs_lanczos(
     its bound.  ``kkt.min_eig_shifted`` is the Ritz estimate ``theta + mu``.
     A ``g`` that is not a vector, a ``d`` other than its size, an ``m_max``
     outside [1, d], either of them not an integer (a bool or a float is not
-    one), and a non-finite Hessian-vector product are a ``ValueError``; a
-    scale ``||g|| / r`` or Lanczos coefficients past the float range are a
+    one), and a Hessian-vector product not of shape ``(d,)`` or not finite
+    are a ``ValueError``; a scale ``||g|| / r``, Lanczos coefficients past
+    the float range and a LAPACK failure of a k x k ``eigh`` are a
     :class:`TrsNumericError`.
     """
     g = np.asarray(g, dtype=float)
@@ -718,6 +723,8 @@ def solve_trs_lanczos(
 
     def checked_hvp(v):
         Hv = np.array(hvp(v), dtype=float)  # a copy: the chain changes it in place
+        if Hv.shape != (d,):
+            raise ValueError(f"Hessian-vector product of shape {Hv.shape}, not ({d},)")
         if not np.isfinite(Hv).all():
             raise ValueError("non-finite Hessian-vector product")
         return Hv
@@ -730,7 +737,7 @@ def solve_trs_lanczos(
     q = (np.random.default_rng(0) if rng is None else rng).standard_normal(d)
     P = None
     for P, alpha, beta in _lanczos(checked_hvp, q / _norm(q), m_max):
-        w, S = np.linalg.eigh(np.diag(alpha) + np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1))
+        w, S = _eigh(np.diag(alpha) + np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1))
         rho = beta[-1] * abs(float(S[-1, 0]))
         if rho <= bound:
             break
@@ -747,10 +754,10 @@ def solve_trs_lanczos(
         u, dim = B.T @ np.array(u_red), len(u_red)
         if not stopped and dim < m_max:  # ended early: rerun, each step in T's eigenbasis
             for B, alpha, beta in _lanczos(checked_hvp, g / gnorm, m_max):
-                T = np.diag(alpha) + np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1)
+                eig = _eigh(np.diag(alpha) + np.diag(beta[:-1], 1) + np.diag(beta[:-1], -1))
                 e1 = np.r_[gnorm, np.zeros(len(alpha) - 1)]
-                try:
-                    red = _solve_in_eigenbasis(e1, *np.linalg.eigh(T), r, L2)
+                try:  # a LAPACK failure above ends the solve; a gate miss here does not
+                    red = _solve_in_eigenbasis(e1, *eig, r, L2)
                 except TrsNumericError as exc:
                     red = exc.best
                 if beta[-1] * abs(red.h[-1]) <= _KRYLOV_RTOL * sigma * _norm(red.h):

@@ -727,7 +727,7 @@ def test_str2_reads_x_once_per_iterate():
 
 
 class _RecordFree(FiniteSumProblem):
-    """A problem that never keeps a full pass, a gather or a multiplicity count."""
+    """A problem that never keeps a full pass or a gather."""
 
     @property
     def _passes(self):
@@ -743,14 +743,6 @@ class _RecordFree(FiniteSumProblem):
 
     @_gather.setter
     def _gather(self, record):
-        pass
-
-    @property
-    def _counts(self):
-        return None
-
-    @_counts.setter
-    def _counts(self, record):
         pass
 
 

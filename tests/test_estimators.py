@@ -455,7 +455,7 @@ def test_large_batch_step_matches_the_gathered_formula(kind, step):
     s = len(T)
     grown = tuple(a - b for a, b in zip(c.snapshot(), before))
     assert grown == ((2 * s, 0) if step is spider_step else (2 * s, s))
-    assert prob._gather is None and prob._counts[0] == T.tobytes()  # nothing gathered
+    assert prob._gather is None  # nothing gathered
 
     _, gk, _, _ = _ref_oracles(prob, x2, T, x2)
     _, gp, _, _ = _ref_oracles(prob, x1, T, x2)

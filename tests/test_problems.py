@@ -88,11 +88,24 @@ def test_regularizer_rejects_bad_alpha():
 
 _QUAD = quadratic_problem(3, 2, seed=0)
 _X3, _Y3 = np.array([[1.0, 0.5], [-0.3, 2.0], [0.7, -1.1]]), np.array([1.0, -1.0, 1.0])
+_LOGISTIC3 = {lam: FiniteSumProblem("logistic_nc", X=_X3, y=_Y3, reg_lambda=lam)
+              for lam in (0.0, 1e-3)}
 
 
 @pytest.mark.parametrize("call, match", [
     (lambda: batch_hvp(_QUAD, np.zeros(2), [0], np.array([np.nan, 0.0]), OracleCounters()),
      "non-finite direction"),
+    # a column direction returned a (d, s) matrix at reg_lambda 0, from an s x s temporary
+    (lambda: batch_hvp(_LOGISTIC3[0.0], np.zeros(2), [0, 1, 2], np.ones((2, 1)),
+                       OracleCounters()), r"v must have shape \(2,\), not \(2, 1\)"),
+    (lambda: batch_hvp(_LOGISTIC3[1e-3], np.zeros(2), [0, 1, 2], np.ones((2, 1)),
+                       OracleCounters()), r"v must have shape \(2,\), not \(2, 1\)"),
+    (lambda: batch_hvp(_QUAD, np.zeros(2), [0], np.ones((2, 1)), OracleCounters()),
+     r"v must have shape \(2,\), not \(2, 1\)"),
+    (lambda: batch_hvp(_QUAD, np.zeros(2), [0], np.ones(3), OracleCounters()),
+     r"v must have shape \(2,\), not \(3,\)"),
+    (lambda: batch_hvp(_QUAD, np.zeros(2), [0], 1.0, OracleCounters()),
+     r"v must have shape \(2,\), not \(\)"),
     (lambda: full_gradient(_QUAD, np.zeros(3), OracleCounters()), r"x must have shape \(2,\)"),
     (lambda: lipschitz_bounds(_QUAD, mode="exact"), "unknown mode 'exact'"),
     (lambda: from_dataset(generate_synthetic(10, 2, 0), "synthetic_quad"),
@@ -118,10 +131,12 @@ _X3, _Y3 = np.array([[1.0, 0.5], [-0.3, 2.0], [0.7, -1.1]]), np.array([1.0, -1.0
     (lambda: FiniteSumProblem("logistic_nc", X=_X3[0], y=_Y3[:1]), r"X must be an \(n, d\)"),
     (lambda: FiniteSumProblem("nls_nc", X=_X3[None], y=_Y3), r"X must be an \(n, d\) array"),
     (lambda: FiniteSumProblem("synthetic_quad", anchors=_X3[0]), r"anchors must be an \(n, d\)"),
-], ids=["hvp_direction", "point_shape", "lipschitz_mode", "quad_from_dataset", "unknown_kind",
-        "no_rows", "no_columns", "provenance", "regularizer_point", "no_X", "no_y",
-        "glm_anchors", "no_anchors", "quad_X", "quad_y", "label_column", "short_labels",
-        "binary_labels", "nan_label", "vector_X", "3d_X", "vector_anchors"])
+], ids=["hvp_direction", "hvp_column", "hvp_column_regularized", "quad_hvp_column",
+        "quad_hvp_too_long", "quad_hvp_scalar", "point_shape", "lipschitz_mode",
+        "quad_from_dataset", "unknown_kind", "no_rows", "no_columns", "provenance",
+        "regularizer_point", "no_X", "no_y", "glm_anchors", "no_anchors", "quad_X", "quad_y",
+        "label_column", "short_labels", "binary_labels", "nan_label", "vector_X", "3d_X",
+        "vector_anchors"])
 def test_documented_error_exits(call, match):
     with pytest.raises(ValueError, match=match):
         call()
@@ -810,11 +825,11 @@ def test_gather_record_dropped_by_pickle(kind, lam):
     idx = np.array([1, 2, 2, 30])
     batch_gradient(prob, x, idx, OracleCounters())  # fill the records
     batch_gradient(prob, x, np.arange(prob.n), OracleCounters())
-    assert prob._gather is not None and prob._counts is not None and prob._passes
+    assert prob._gather is not None and prob._passes
     copy = pickle.loads(pickle.dumps(prob))
-    for record in ("_gather", "_counts", "_passes"):
+    for record in ("_gather", "_passes"):
         assert record not in copy.__dict__
-    assert copy._gather is None and copy._counts is None and copy._passes == ()
+    assert copy._gather is None and copy._passes == ()
     assert not (copy.X.flags.writeable or copy.y.flags.writeable
                 or copy.labels.flags.writeable)
     for oracle in BATCH_ORACLES:

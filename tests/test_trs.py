@@ -1548,19 +1548,24 @@ def test_lanczos_coefficients_past_the_float_range_are_a_numeric_error():
         solve_trs_lanczos(np.ones(d), lambda v: 1.5e308 * np.sign(v), d, 1.0, 1.0)
 
 
-@pytest.mark.parametrize("seed", range(3))
-def test_lanczos_near_hard_reruns_g_chain_in_the_eigenbasis(seed, monkeypatch):
-    # ||g|| = 1e-4 against lambda_1 = -1.5 puts the root mu about 1e-5 above
-    # the pole -lambda_1, where the rounding of the LDL' of T + mu I keeps the
-    # O(m) Newton from its gap; g's chain is then rerun with each step solved
-    # in the eigenbasis of T, at an offset from the pole
-    d = 30
+def _near_hard(seed, d=30):
+    """``(g, H)`` with ||g|| = 1e-4 against lambda_1 = -1.5, which puts the
+    root mu about 1e-5 above the pole -lambda_1, where the rounding of the
+    LDL' of T + mu I keeps the O(m) Newton from its gap."""
     rng = np.random.default_rng(seed)
     w = rng.uniform(-1.0, 2.0, d)
     w[0] = -1.5
     H, _ = _with_spectrum(rng, w)
     g = rng.standard_normal(d)
-    g *= 1e-4 / np.linalg.norm(g)
+    return g * (1e-4 / np.linalg.norm(g)), H
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_lanczos_near_hard_reruns_g_chain_in_the_eigenbasis(seed, monkeypatch):
+    # g's chain is rerun with each step solved in the eigenbasis of T, at an
+    # offset from the pole
+    g, H = _near_hard(seed)
+    d = g.size
     a = solve_trs_exact(g, H, 1.0, 1.0)
     chains = _counted(monkeypatch, trs, "_lanczos")
     b = solve_trs_lanczos(g, lambda v: H @ v, d, 1.0, 1.0, rng=np.random.default_rng(seed))
@@ -1568,6 +1573,23 @@ def test_lanczos_near_hard_reruns_g_chain_in_the_eigenbasis(seed, monkeypatch):
     assert b.converged and b.on_boundary
     assert np.linalg.norm(b.h - a.h) <= 1e-12
     assert b.mu == pytest.approx(a.mu, rel=1e-12)
+
+
+def test_lanczos_rerun_lapack_failure_is_a_numeric_error(monkeypatch):
+    # each k x k eigh of g's rerun chain fails
+    g, H = _near_hard(0)
+    chains = _counted(monkeypatch, trs, "_lanczos")
+    eigh = np.linalg.eigh
+
+    def fail_in_rerun(A):
+        if len(chains) == 3:
+            raise np.linalg.LinAlgError("did not converge")
+        return eigh(A)
+
+    monkeypatch.setattr(np.linalg, "eigh", fail_in_rerun)
+    with pytest.raises(TrsNumericError, match="did not converge"):
+        solve_trs_lanczos(g, lambda v: H @ v, g.size, 1.0, 1.0, rng=np.random.default_rng(0))
+    assert len(chains) == 3
 
 
 @pytest.mark.parametrize("r", [1e-160, 1e-300])
@@ -1604,13 +1626,28 @@ def test_lanczos_refuses_inputs_of_the_wrong_shape(g, d, shape):
         solve_trs_lanczos(g, lambda v: 2.0 * v, d, 1.0, 1.0)
 
 
+@pytest.mark.parametrize("hvp, shape", [
+    (lambda v: 2.0 * v[:, None], "(3, 1)"),
+    (lambda v: np.r_[v, 0.0], "(4,)"),
+    (lambda v: float(v.sum()), "()"),
+], ids=["column", "too_long", "scalar"])
+def test_lanczos_refuses_a_misshapen_hessian_vector_product(hvp, shape):
+    # a column ended in a TypeError from the norm, the others in numpy's matmul error
+    with pytest.raises(ValueError, match=re.escape(f"Hessian-vector product of shape {shape}")):
+        solve_trs_lanczos(np.ones(3), hvp, 3, 1.0, 1.0)
+
+
 def test_lanczos_scale_past_the_float_range_is_named():
     # ||g|| / r = 1.7e310
     with pytest.raises(TrsNumericError, match=r"unit-ball scale .* past the float range"):
         solve_trs_lanczos(1e300 * np.ones(3), lambda v: v, 3, 1e-10, 1.0)
 
 
-@pytest.mark.parametrize("solver, lapack", [(sym_eig, "eigh"), (trs._sym_eigvals, "eigvalsh")])
+@pytest.mark.parametrize("solver, lapack", [
+    (sym_eig, "eigh"),
+    (trs._sym_eigvals, "eigvalsh"),
+    (lambda A: solve_trs_lanczos(np.ones(len(A)), A.__matmul__, len(A), 1.0, 1.0), "eigh"),
+], ids=["sym_eig-eigh", "_sym_eigvals-eigvalsh", "lanczos_probe-eigh"])
 def test_lapack_failure_is_a_numeric_error(monkeypatch, solver, lapack):
     def fail(A):
         raise np.linalg.LinAlgError("did not converge")
