@@ -24,22 +24,29 @@ Hessians and the analytic Lipschitz bound walk the rows in consecutive blocks
 temporary the size of ``X_S`` is made; a batch of one block is one product.
 Each call reads its rows of ``X`` at most once, and consecutive calls often
 share that read.  The problem keeps two records.  ``full_*`` oracles use
-``X`` in place, and the first record holds the last three full passes
-(margins, sigmoid, data gradient), keyed by the exact bytes of the point, so
-``full_value``, ``full_gradient`` and ``full_hessian`` at one point compute
-``X @ x`` once and the gradient once.  A sampled gradient or Hessian-vector
-product over at least ``_MULTIPLICITY_SHARE`` (a third) of n rows is not
-gathered: it sums over ``X`` weighted by the multiplicity of each row,
-``X'(m c(z))/s`` and ``X'(m w(z) X v)/s``, with the margins from the full
-pass at its point, so a recurrent estimator step whose endpoints ``x_k``,
-``x_{k-1}`` and ``x_ref`` were visited recently reads no margins at all.
-Each such call counts the multiplicities ``m = bincount(idx)`` itself.
-Smaller batches, and every sampled Hessian, read the rows ``X[idx]``; the
-second record holds the last such gather, keyed by the bytes of the index
-multiset, so the calls of one recurrent step gather it once, and each call
-still takes its margins at its own point.  Every call still bills its full
-batch size.  The records rely on ``X`` and the labels never changing, so the
-problem holds them read-only.
+``X`` in place, and the first record holds the last three full passes, keyed
+by the exact bytes of the point.  Each pass holds the margins ``X @ x`` and,
+filled in on first use, their sigmoid, the link's gradient coefficient
+``c(z)`` and Hessian weight ``w(z)``, the data gradient, and ``reg_lambda``
+times the regularizer's value, gradient and diagonal at the point.  So every
+oracle call at a recorded point computes each of these once: ``full_value``,
+``full_gradient`` and ``full_hessian`` share one ``X @ x``, and a sampled
+call at the point, gathered or not, takes its regularizer term from the pass.
+A sampled gradient or Hessian-vector product over at least
+``_MULTIPLICITY_SHARE`` (a third) of n rows is not gathered: it sums over
+``X`` weighted by the multiplicity of each row, ``X'(m c(z))/s`` and
+``X'(m w(z) X v)/s``, with ``c(z)`` and ``w(z)`` from the full pass at its
+point, so a recurrent estimator step whose endpoints ``x_k``, ``x_{k-1}`` and
+``x_ref`` were visited recently reads no margins and derives no coefficient
+or weight again.  Each such call counts the multiplicities
+``m = bincount(idx)`` itself.  Smaller batches, and every sampled Hessian,
+read the rows ``X[idx]``; the second record holds the last such gather, keyed
+by the bytes of the index multiset, so the calls of one recurrent step gather
+it once.  A gathered call takes its margins, sigmoid, coefficient and weight
+at its own point from ``X[idx] @ x``, never from the full pass: that product
+and ``(X @ x)[idx]`` can differ in the last bit.  Every call still bills its
+full batch size.  The records rely on ``X`` and the labels never changing, so
+the problem holds them read-only.
 """
 
 from __future__ import annotations
@@ -150,21 +157,36 @@ _LINKS = {
 
 
 class _Pass:
-    """A batch's rows and labels with their margins at one point, and the
-    sigmoid of the margins and the data gradient filled in when first needed.
-    A full pass also carries ``key``, the bytes of its point."""
+    """A batch's rows and labels with their margins at one point.  The sigmoid
+    of the margins, the link's gradient coefficient and Hessian weight, and the
+    data gradient are filled in when first needed.  A full pass also carries
+    ``key``, the bytes of its point, and ``reg``, the regularizer terms there
+    by part (:meth:`FiniteSumProblem._reg_term`)."""
 
-    __slots__ = ("X", "b", "z", "key", "p", "g")
+    __slots__ = ("X", "b", "z", "key", "p", "c", "w", "g", "reg")
 
     def __init__(self, X, b, z, key=None):
         self.X, self.b, self.z, self.key = X, b, z, key
-        self.p = self.g = None
+        self.p = self.c = self.w = self.g = None
+        self.reg = {}
 
     def sigmoid(self) -> np.ndarray:
         p = self.p
         if p is None:
             p = self.p = _sigmoid(self.z)
         return p
+
+    def coef(self, link: _Link) -> np.ndarray:
+        c = self.c
+        if c is None:
+            c = self.c = link.grad_coef(self.sigmoid(), self.b)
+        return c
+
+    def weight(self, link: _Link) -> np.ndarray:
+        w = self.w
+        if w is None:
+            w = self.w = link.hess_weight(self.sigmoid(), self.b)
+        return w
 
 
 def _read_only(a) -> np.ndarray:
@@ -178,15 +200,32 @@ def _read_only(a) -> np.ndarray:
     return out
 
 
-def _regularizer(w: np.ndarray, alpha: float, part: str):
-    """R(w; alpha)'s ``"value"``, ``"grad"`` or Hessian ``"diag"`` at a finite w."""
+def _reg_terms(w: np.ndarray, alpha: float, part: str) -> np.ndarray:
     aw2 = alpha * w * w
     denom = 1.0 + aw2
     if part == "value":
-        return float(np.sum(aw2 / denom))
+        return aw2 / denom
     if part == "grad":
         return 2.0 * alpha * w / denom**2
     return 2.0 * alpha * (1.0 - 3.0 * aw2) / denom**3
+
+
+def _regularizer(w: np.ndarray, alpha: float, part: str):
+    """R(w; alpha)'s ``"value"``, ``"grad"`` or Hessian ``"diag"`` at a finite w.
+
+    Where ``alpha w_j^2`` (|w_j| above about 1.3e154 / sqrt(alpha)) or a power
+    of ``1 + alpha w_j^2`` overflows, a term that reads inf/inf takes its limit
+    instead: 1 in the value, 0 with the sign of w_j in the gradient, -0 in the
+    diagonal.  Every other term is the formula's, bit for bit."""
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            t = _reg_terms(w, alpha, part)
+    except FloatingPointError:
+        with np.errstate(over="ignore", invalid="ignore"):
+            t = _reg_terms(w, alpha, part)
+        limit = {"value": 1.0, "grad": 0.0 * w, "diag": -0.0}[part]
+        t = np.where(np.isnan(t), limit, t)
+    return float(np.sum(t)) if part == "value" else t
 
 
 def regularizer_derivatives(w: np.ndarray, alpha: float):
@@ -242,8 +281,10 @@ class FiniteSumProblem:
                 raise ValueError("anchors must be an (n, d) array")
             self.n, self.d = self.anchors.shape
         else:
-            # C order, so a full pass over X and a gathered X[idx] agree bitwise;
-            # read-only, so the record of the last full pass stays valid
+            # C order, so a gather X[idx] and a row block read whole rows, and the
+            # caller's layout changes no bit (BLAS picks its kernel by layout).
+            # A full pass X @ x and a gathered X[idx] @ x still round apart (see
+            # the module docstring).  Read-only, so the records stay valid
             self.X, self.y = _read_only(X), _read_only(y)
             if self.X.ndim != 2:
                 raise ValueError("X must be an (n, d) array")
@@ -323,7 +364,7 @@ class FiniteSumProblem:
     def _weights(self, x: np.ndarray, idx):
         """Rows of the batch with their Hessian weights."""
         rows = self._rows(x, idx)
-        return rows.X, self.link.hess_weight(rows.sigmoid(), rows.b)
+        return rows.X, rows.weight(self.link)
 
     def _data_values(self, x: np.ndarray, idx=_ALL) -> np.ndarray:
         if self.kind == "synthetic_quad":
@@ -333,10 +374,20 @@ class FiniteSumProblem:
 
     def _reg_term(self, x: np.ndarray, part: str):
         """``reg_lambda`` times the regularizer's ``part`` (see :func:`_regularizer`)
-        at a checked point; 0.0 without a regularizer."""
+        at a checked point; 0.0 without a regularizer.  Where the full pass at
+        ``x`` is recorded, the term is kept with it, so each part is computed
+        once per recorded point.  The lookup leaves the record's order as is."""
         if self.reg_lambda == 0.0:
             return 0.0
-        return self.reg_lambda * _regularizer(x, self.reg_alpha, part)
+        key, terms = x.tobytes(), {}
+        for rec in self._passes:
+            if rec.key == key:
+                terms = rec.reg
+                break
+        t = terms.get(part)
+        if t is None:
+            t = terms[part] = self.reg_lambda * _regularizer(x, self.reg_alpha, part)
+        return t
 
 
 def _check_point(problem: FiniteSumProblem, x) -> np.ndarray:
@@ -366,13 +417,11 @@ def _gradient(problem, x, idx, counters: OracleCounters) -> np.ndarray:
     else:
         rows, m = problem._summed(x, idx)
         if m is not None:
-            coef = problem.link.grad_coef(rows.sigmoid(), rows.b)
-            g = rows.X.T @ (m * coef) / len(idx)
+            g = rows.X.T @ (m * rows.coef(problem.link)) / len(idx)
         else:
             g = rows.g
             if g is None:
-                coef = problem.link.grad_coef(rows.sigmoid(), rows.b)
-                g = rows.g = rows.X.T @ coef / len(coef)
+                g = rows.g = rows.X.T @ rows.coef(problem.link) / len(rows.b)
     counters.sfo += problem.n if idx is _ALL else len(idx)
     return g + problem._reg_term(x, "grad")
 
@@ -432,7 +481,7 @@ def batch_hvp(problem, x, idx, v, counters: OracleCounters) -> np.ndarray:
         out = v.copy()
     else:
         rows, m = problem._summed(x, idx)
-        w = problem.link.hess_weight(rows.sigmoid(), rows.b)
+        w = rows.weight(problem.link)
         if m is not None:
             w = m * w
         out = rows.X.T @ (w * (rows.X @ v)) / len(idx)

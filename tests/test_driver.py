@@ -454,6 +454,19 @@ def test_non_finite_objective_aborts():
     assert info.value.counters == OracleCounters()
 
 
+@pytest.mark.parametrize("kind", ["logistic_nc", "nls_nc"])
+def test_run_starts_where_the_regularizer_term_overflows(kind):
+    # alpha w^2 overflows at w = 1e160, where R's terms take their limits; F is
+    # finite there, so the run does not abort on its first objective
+    prob = from_dataset(generate_synthetic(60, 3, seed=1), kind)
+    x0 = np.array([1e160, 0.0, 0.0])
+    result = run("exact_tr", prob, RunConfig(variant="exact_tr", epsilon=1e-2,
+                                             K_override=5, x0=x0))
+    fval = full_value(prob, x0, OracleCounters())
+    assert math.isfinite(fval) and result.trace[0].fval == fval
+    assert np.isfinite(result.x_final).all()
+
+
 @pytest.mark.parametrize("overrides", [
     {"lipschitz": LipschitzBounds(math.inf, 1.0)},
     {"lipschitz": LipschitzBounds(1.0, math.inf)},
@@ -727,7 +740,9 @@ def test_str2_reads_x_once_per_iterate():
 
 
 class _RecordFree(FiniteSumProblem):
-    """A problem that never keeps a full pass or a gather."""
+    """A problem that never keeps a full pass or a gather, so every call derives
+    its margins, sigmoid, gradient coefficient, Hessian weight, data gradient and
+    regularizer terms afresh."""
 
     @property
     def _passes(self):
@@ -746,11 +761,12 @@ class _RecordFree(FiniteSumProblem):
         pass
 
 
+@pytest.mark.parametrize("kind", ["logistic_nc", "nls_nc"])
 @pytest.mark.parametrize("variant", ["exact_tr", "str1", "str2", "subsampled"])
-def test_runs_equal_record_free_runs(variant):
+def test_runs_equal_record_free_runs(kind, variant):
     ds = generate_synthetic(200, 10, seed=3)
-    prob = from_dataset(ds, "nls_nc")
-    free = _RecordFree("nls_nc", X=ds.X, y=ds.y, reg_lambda=prob.reg_lambda,
+    prob = from_dataset(ds, kind)
+    free = _RecordFree(kind, X=ds.X, y=ds.y, reg_lambda=prob.reg_lambda,
                        reg_alpha=prob.reg_alpha)
     cfg = RunConfig(variant=variant, epsilon=1e-2, K_override=25, seed=5,
                     **_knobs(variant, 0.5))

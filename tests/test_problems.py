@@ -81,6 +81,30 @@ def test_regularizer_derivatives_match_fd():
     assert abs(H[0, 1]) <= 1e-8  # separable sum: off-diagonals vanish
 
 
+# a w^2 overflows, or (at -3e153) only 3 a w^2 does, so the diagonal reads -inf/inf
+@pytest.mark.parametrize("w, grad", [(1e160, 0.0), (-1e300, -0.0), (-3e153, -0.0)])
+def test_regularizer_takes_its_limits_where_alpha_w2_overflows(w, grad):
+    val, g, diag = regularizer_derivatives(np.array([w, 0.5]), alpha=10.0)
+    _, g_half, diag_half = regularizer_derivatives(np.array([0.5]), alpha=10.0)
+    assert val == 1.0 + regularizer_derivatives(np.array([0.5]), alpha=10.0)[0]
+    assert_bitwise(g, np.array([grad, g_half[0]]))
+    assert_bitwise(diag, np.array([-0.0, diag_half[0]]))
+
+
+def test_regularizer_is_its_formula_where_alpha_w2_is_finite():
+    # from ordinary points to those where only a power of 1 + a w^2 overflows
+    w = np.array([0.0, -0.0, 1e-200, 0.3, -1.2, 40.0, 1e6, -1e77, 1e100, -3e152])
+    alpha = 10.0
+    with np.errstate(over="ignore"):
+        aw2 = alpha * w * w
+        denom = 1.0 + aw2
+        ref = (float(np.sum(aw2 / denom)), 2.0 * alpha * w / denom**2,
+               2.0 * alpha * (1.0 - 3.0 * aw2) / denom**3)
+    assert np.isfinite(aw2).all()
+    for got, want in zip(regularizer_derivatives(w, alpha), ref):
+        assert_bitwise(got, want)
+
+
 def test_regularizer_rejects_bad_alpha():
     with pytest.raises(ValueError):
         regularizer_derivatives(np.zeros(2), alpha=0.0)
@@ -352,6 +376,30 @@ def test_logistic_unit_rows_l1():
     assert lb.L1 == pytest.approx(0.25, rel=1e-9)
 
 
+@pytest.mark.parametrize("kind", ["logistic_nc", "nls_nc"])
+def test_sampled_bounds_are_the_doubled_difference_quotients(kind):
+    # the probe of lipschitz_bounds, recomputed: 32 seeded pairs of points on
+    # one component each, each quotient's max doubled (capped by the analytic bound)
+    # rows of norm about 9: the analytic bound's worst case is far from the probe's
+    rng = np.random.default_rng(3)
+    prob = FiniteSumProblem(kind, X=5.0 * rng.standard_normal((6, 3)),
+                            y=rng.choice([-1.0, 1.0], size=6), reg_lambda=1e-3)
+    rng, c = np.random.default_rng(4), OracleCounters()
+    l1 = l2 = 0.0
+    for _ in range(32):
+        i = int(rng.integers(prob.n))
+        x, y = 0.5 * rng.standard_normal(prob.d), 0.5 * rng.standard_normal(prob.d)
+        dist = np.linalg.norm(x - y)
+        g = batch_gradient(prob, x, [i], c) - batch_gradient(prob, y, [i], c)
+        H = batch_hessian(prob, x, [i], c) - batch_hessian(prob, y, [i], c)
+        l1 = max(l1, np.linalg.norm(g) / dist)
+        l2 = max(l2, np.linalg.norm(H, 2) / dist)
+    ana = lipschitz_bounds(prob, mode="analytic")
+    assert 2.0 * l1 < ana.L1 and 2.0 * l2 < ana.L2  # the cap does not decide
+    got = lipschitz_bounds(prob, mode="sampled", seed=4)
+    assert (got.L1, got.L2, got.provenance) == (2.0 * l1, 2.0 * l2, "sampled")
+
+
 def test_sampled_below_analytic_logistic():
     ds = generate_synthetic(50, 6, seed=3)
     prob = from_dataset(ds, "logistic_nc", reg_lambda=1e-3, reg_alpha=10.0)
@@ -596,15 +644,22 @@ def test_full_pass_record_matches_record_free_calls(kind, lam):
     zero = np.zeros(prob.d)
     points = [a, a, b, a, b, b, zero, -zero, zero, -zero, a.copy(), a.tolist(), b]
     idx = rng.integers(0, prob.n, size=7)
+    # summed over X by multiplicity: they read the recorded coefficient and weight
+    big, v = rng.integers(0, prob.n, size=prob.n), rng.standard_normal(prob.d)
+    assert len(idx) < problems._MULTIPLICITY_SHARE * prob.n <= len(big)
+    sampled = (lambda p, x, c: batch_gradient(p, x, idx, c),
+               lambda p, x, c: batch_gradient(p, x, big, c),
+               lambda p, x, c: batch_hvp(p, x, big, v, c))
     c = OracleCounters()
     for i, x in enumerate(points):
-        # rotate the call order, and put a sampled batch between the full calls
+        # rotate the call order, and put the sampled calls between the full calls
         for oracle in FULL_ORACLES[i % 3:] + FULL_ORACLES[:i % 3]:
             assert_bitwise(oracle(prob, x, c), _record_free(prob, oracle, x))
-            assert_bitwise(batch_gradient(prob, x, idx, c),
-                           _record_free(prob, lambda p, x, c: batch_gradient(p, x, idx, c), x))
+            for call in sampled:
+                assert_bitwise(call(prob, x, c), _record_free(prob, call, x))
     k = len(points)
-    assert c.snapshot() == (k * (prob.n + 3 * len(idx)), k * prob.n)
+    assert c.snapshot() == (k * (prob.n + 3 * (len(idx) + len(big))),
+                            k * (prob.n + 3 * len(big)))
 
 
 @pytest.mark.parametrize("kind", ["logistic_nc", "nls_nc"])

@@ -1,10 +1,13 @@
 """Smoke tests: the scripts under ``scripts/`` run end to end on a tiny instance."""
 
+import json
 import os
 import re
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -56,3 +59,27 @@ def test_sso_scaling_runs():
     assert lines[0].split() == ["n", "exact_tr_sso", "str1_sso", "str2_sso", "exact_tr_iters",
                                 "str1_iters", "str2_iters", "certified"]
     assert [line.split()[0] for line in lines[1:]] == ["200", "400"]
+
+
+def test_pairs_runs_two_wide_pairs_against_head():
+    inside = subprocess.run(["git", "-C", str(ROOT), "rev-parse", "--verify", "HEAD"],
+                            capture_output=True, text=True)
+    if inside.returncode != 0:
+        pytest.skip("pairs.py checks its base out of git, and this tree has no HEAD")
+    worktrees = subprocess.run(["git", "-C", str(ROOT), "worktree", "list"],
+                               capture_output=True, text=True).stdout
+    proc = run_script("pairs.py", "--base", "HEAD", "--workload", "wide", "--pairs", 2,
+                      "--seconds", 0.5, "--seed", 1)
+    assert proc.returncode == 0, proc.stderr
+    line, = proc.stdout.splitlines()
+    out = json.loads(line)
+    assert out["base"] == inside.stdout.strip() and out["pairs"] == 2
+    assert out["fingerprints_identical"] is True
+    assert set(out["metrics"]) == {"setup_s", "total_s", "run_s.exact_tr", "run_s.str1",
+                                   "run_s.str2", "sfo", "sso", "peak_rss_mb"}
+    for m in out["metrics"].values():
+        assert 0 <= m["change_lower"] <= 2 and m["base_iqr"] >= 0.0
+    assert out["metrics"]["sfo"]["ratio"] == out["metrics"]["sso"]["ratio"] == 1.0
+    # the base's worktree is gone again
+    assert subprocess.run(["git", "-C", str(ROOT), "worktree", "list"],
+                          capture_output=True, text=True).stdout == worktrees
