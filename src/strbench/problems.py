@@ -200,6 +200,11 @@ def _read_only(a) -> np.ndarray:
     return out
 
 
+# Where alpha ||w||^2 is at most this, no term of R or of its derivatives
+# overflows ((1 + 1e100)^3 is finite), so they need no floating-point checks.
+_REG_SAFE = 1e100
+
+
 def _reg_terms(w: np.ndarray, alpha: float, part: str) -> np.ndarray:
     aw2 = alpha * w * w
     denom = 1.0 + aw2
@@ -217,10 +222,10 @@ def _regularizer(w: np.ndarray, alpha: float, part: str):
     of ``1 + alpha w_j^2`` overflows, a term that reads inf/inf takes its limit
     instead: 1 in the value, 0 with the sign of w_j in the gradient, -0 in the
     diagonal.  Every other term is the formula's, bit for bit."""
-    try:
-        with np.errstate(over="raise", invalid="raise"):
-            t = _reg_terms(w, alpha, part)
-    except FloatingPointError:
+    # vdot returns inf, with no warning, where the sum of squares overflows
+    if alpha * float(np.vdot(w, w)) <= _REG_SAFE:
+        t = _reg_terms(w, alpha, part)
+    else:
         with np.errstate(over="ignore", invalid="ignore"):
             t = _reg_terms(w, alpha, part)
         limit = {"value": 1.0, "grad": 0.0 * w, "diag": -0.0}[part]

@@ -761,21 +761,21 @@ class _RecordFree(FiniteSumProblem):
         pass
 
 
-@pytest.mark.parametrize("kind", ["logistic_nc", "nls_nc"])
 @pytest.mark.parametrize("variant", ["exact_tr", "str1", "str2", "subsampled"])
-def test_runs_equal_record_free_runs(kind, variant):
+def test_runs_equal_record_free_runs(variant):
     ds = generate_synthetic(200, 10, seed=3)
-    prob = from_dataset(ds, kind)
-    free = _RecordFree(kind, X=ds.X, y=ds.y, reg_lambda=prob.reg_lambda,
-                       reg_alpha=prob.reg_alpha)
     cfg = RunConfig(variant=variant, epsilon=1e-2, K_override=25, seed=5,
                     **_knobs(variant, 0.5))
-    got, want = run(variant, prob, cfg), run(variant, free, cfg)
-    assert [(r.fval, r.grad_norm, r.lambda_alg, r.sfo, r.sso) for r in got.trace] == [
-        (r.fval, r.grad_norm, r.lambda_alg, r.sfo, r.sso) for r in want.trace]
-    assert got.x_final.tobytes() == want.x_final.tobytes()
-    assert got.counters == want.counters
-    assert got.report == want.report and got.stop_reason == want.stop_reason
+    for kind in ("logistic_nc", "nls_nc"):
+        prob = from_dataset(ds, kind)
+        free = _RecordFree(kind, X=ds.X, y=ds.y, reg_lambda=prob.reg_lambda,
+                           reg_alpha=prob.reg_alpha)
+        got, want = run(variant, prob, cfg), run(variant, free, cfg)
+        assert [(r.fval, r.grad_norm, r.lambda_alg, r.sfo, r.sso) for r in got.trace] == [
+            (r.fval, r.grad_norm, r.lambda_alg, r.sfo, r.sso) for r in want.trace]
+        assert got.x_final.tobytes() == want.x_final.tobytes()
+        assert got.counters == want.counters
+        assert got.report == want.report and got.stop_reason == want.stop_reason
 
 
 # -- the eigensolves -----------------------------------------------------------------
