@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import signal
 import statistics
 import subprocess
 import sys
@@ -82,6 +83,8 @@ def main(argv=None) -> int:
     except subprocess.CalledProcessError as exc:
         ap.error(f"--base {args.base!r} is not a commit: {exc.stderr.strip()}")
 
+    # a terminated script unwinds like an exception, so the worktree is removed
+    signal.signal(signal.SIGTERM, lambda signum, _: sys.exit(128 + signum))
     runs = {"base": [], "change": []}
     fingerprints = set()
     with tempfile.TemporaryDirectory() as tmp:

@@ -85,8 +85,8 @@ def test_regularizer_derivatives_match_fd():
 @pytest.mark.parametrize("w, grad", [(1e160, 0.0), (-1e300, -0.0), (-3e153, -0.0)])
 def test_regularizer_takes_its_limits_where_alpha_w2_overflows(w, grad):
     val, g, diag = regularizer_derivatives(np.array([w, 0.5]), alpha=10.0)
-    _, g_half, diag_half = regularizer_derivatives(np.array([0.5]), alpha=10.0)
-    assert val == 1.0 + regularizer_derivatives(np.array([0.5]), alpha=10.0)[0]
+    v_half, g_half, diag_half = regularizer_derivatives(np.array([0.5]), alpha=10.0)
+    assert val == 1.0 + v_half
     assert_bitwise(g, np.array([grad, g_half[0]]))
     assert_bitwise(diag, np.array([-0.0, diag_half[0]]))
 
@@ -378,9 +378,9 @@ def test_logistic_unit_rows_l1():
 
 @pytest.mark.parametrize("kind", ["logistic_nc", "nls_nc"])
 def test_sampled_bounds_are_the_doubled_difference_quotients(kind):
-    # the probe of lipschitz_bounds, recomputed: 32 seeded pairs of points on
-    # one component each, each quotient's max doubled (capped by the analytic bound)
-    # rows of norm about 9: the analytic bound's worst case is far from the probe's
+    # the probe of lipschitz_bounds, recomputed: the largest difference quotients
+    # over 32 seeded pairs of points, one component each, doubled.  Rows of norm
+    # about 9 keep the probe well below the analytic bound that caps it
     rng = np.random.default_rng(3)
     prob = FiniteSumProblem(kind, X=5.0 * rng.standard_normal((6, 3)),
                             y=rng.choice([-1.0, 1.0], size=6), reg_lambda=1e-3)

@@ -10,7 +10,6 @@ A change that moves a count on purpose updates the table and says why.
 
 from collections import Counter
 
-import numpy as np
 import pytest
 
 from strbench import problems
@@ -22,10 +21,7 @@ from strbench.problems import from_dataset
 # (one per part), of the link's gradient coefficient and of its Hessian weight.
 # A run records the full pass at each of its 40 iterates and at x_final, where
 # the certificate needs no value: 3 * 40 + 2 regularizer parts and 41
-# coefficients.  The weights add one per gathered Hessian batch or sampled reset.
-# At the parent of the three-pass record's derived terms, the same runs read:
-#   nls_nc       exact_tr 162/41/41, str1 220/93/73, str2 266/105/113, subsampled 162/81/41
-#   logistic_nc  exact_tr 162/41/41, str1 217/81/76, str2 269/105/116, subsampled 162/81/41
+# coefficients.  Gathered Hessian batches add weights of their own.
 EXPECTED = {
     ("nls_nc", "exact_tr"): (40, 12000, 12000, 122, 41, 41),
     ("nls_nc", "str1"): (40, 11792, 11040, 122, 41, 73),
