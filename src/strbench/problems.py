@@ -543,16 +543,10 @@ def from_dataset(
     )
 
 
-def quadratic_problem(
-    n: int,
-    d: int,
-    seed: int = 0,
-    anchors: np.ndarray | None = None,
-) -> FiniteSumProblem:
-    """Quadratic finite sum around random (or given) anchors."""
-    if anchors is None:
-        rng = np.random.default_rng(seed)
-        anchors = rng.standard_normal((n, d))
+def quadratic_problem(n: int, d: int, seed: int = 0) -> FiniteSumProblem:
+    """Quadratic finite sum around n seeded standard normal anchors in R^d;
+    ``FiniteSumProblem("synthetic_quad", anchors=...)`` takes given ones."""
+    anchors = np.random.default_rng(seed).standard_normal((n, d))
     return FiniteSumProblem("synthetic_quad", anchors=anchors)
 
 

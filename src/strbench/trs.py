@@ -5,14 +5,15 @@ Solves ``min_{||h|| <= r} <g, h> + 0.5 <H h, h>`` two ways:
 * :func:`solve_trs_exact` -- dense eigendecomposition, then, on the problem
   scaled to the unit ball (``u = h / r``, every entry at most 1), a
   safeguarded Newton iteration on the reciprocal secular equation
-  ``1/||u(mu)|| - 1`` (More-Sorensen style), with explicit hard-case
-  handling, and a gate on the unit problem's KKT conditions.  From
-  ``d = _KRYLOV_MIN_D`` (38, the measured crossover) on it first solves in
-  g's Krylov space (GLTR, Gould, Lucidi, Roma & Toint 1999: one Lanczos
-  chain, and at each step the same Newton on an O(m) ``LDL'`` factorization
-  of the tridiagonal, kept as its two diagonals and scaled by a Gershgorin
-  bound, with no eigenvalue of it computed, warm-started from the previous
-  step) and proves the lifted step globally optimal by showing ``H + mu I``,
+  ``1/||u(mu)|| - 1`` (More-Sorensen style, :func:`_secular_newton`, run to
+  the rounding level of ``||u||``), with explicit hard-case handling, and a
+  gate on the unit problem's KKT conditions.  From ``d = _KRYLOV_MIN_D``
+  (38, the measured crossover) on it first solves in g's Krylov space
+  (GLTR, Gould, Lucidi, Roma & Toint 1999: one Lanczos chain, and at each
+  step the same Newton, evaluated on an O(m) ``LDL'`` factorization of the
+  tridiagonal, kept as its two diagonals and scaled by a Gershgorin bound,
+  with no eigenvalue of it computed, warm-started from the previous step)
+  and proves the lifted step globally optimal by showing ``H + mu I``,
   shifted down by a rounding margin, positive definite: by Gershgorin's
   circles in O(d^2) where they suffice, else by one Cholesky factorization;
   a case that proof cannot cover, such as the hard case, takes the
@@ -43,11 +44,13 @@ from .estimators import _integer
 # Projection of g onto the bottom eigenspace below this fraction of ||g||
 # is treated as zero (numeric orthogonality proxy for the hard case).
 _HARD_CASE_RTOL = 1e-11
-# Secular iteration targets near machine precision; GATE_TOL is only the
-# acceptance threshold below which a solve counts as converged.
+# The secular Newton (_secular_newton) ends on a stall only once its best gap
+# |1 - ||u||| is within this, and the Krylov path accepts no root outside it;
+# GATE_TOL is only the acceptance threshold below which a solve counts as
+# converged.
 _SECULAR_RTOL = 1e-13
-# The O(m) tridiagonal Newton of the Krylov path iterates on to this gap, the
-# rounding level of ||u||, where a step no longer moves mu.
+# The secular Newton of both paths iterates on to this gap, the rounding level
+# of ||u||, where a step no longer moves the multiplier.
 _SECULAR_ROUNDING = 1e-15
 _MAX_SECULAR_ITERS = 200
 # A boundary deficit 1 - ||u|| at or below this is rounding of the unit
@@ -67,10 +70,9 @@ _PAD_RTOL = 1e-12
 # Cholesky factorization.
 _KRYLOV_MIN_D = 38
 # The Krylov step stops growing once the lifted residual beta_m |u_m| is at
-# most this times sigma ||u||.  On the d = 400 benchmark subproblems its step
-# then lies within 2.6e-15 r of the eigen path's run to a rounding-level
-# secular gap, and within 9.4e-14 r of the eigen path as it stands, which
-# stops at the first gap below _SECULAR_RTOL; at 1e-13 it lay within 8e-14 r.
+# most this times sigma ||u||.  On the d = 400 benchmark subproblems (seeds 0
+# and 43) its step then lies within 2.6e-15 r of the eigen path's; at 1e-13 it
+# lay within 8e-14 r.
 _KRYLOV_RTOL = 1e-15
 # A Krylov attempt gives up after this many steps.  On a definite d = 150
 # instance whose chain needs 69, the 64 steps cost 3.0-4.8 ms against 3.6-4.0
@@ -203,6 +205,56 @@ def _norm(v: np.ndarray) -> float:
     return math.hypot(*v.tolist())
 
 
+def _secular_newton(evaluate, lo, hi, x, ev):
+    """Safeguarded Newton on the reciprocal secular equation ``1/||u(x)|| = 1``
+    (More & Sorensen 1983) over the bracket ``(lo, hi)``, from ``x`` and its
+    evaluation ``ev``: the one iteration of the eigen and Krylov paths.
+
+    ``evaluate(x)`` is None where ``x`` lies at the pole up to rounding, and
+    else ``(n, value, denominator)``: ``n = ||u(x)||``, what to return with
+    the best iterate, and a callable, valid until the next evaluation, for
+    the Newton denominator ``q = v' (A + x I)^{-1} v``, ``v = u / n``, which
+    makes ``(n - 1) / q`` the Newton step on ``1/||u|| - 1``; it is computed
+    only where a step is taken.  ``||u||`` falls as ``x`` rises, so each
+    evaluation moves one end of the bracket; a pole raises its lower end.
+    A step that leaves the bracket or is not finite, and the step from a
+    pole, is a bisection.
+
+    The iteration runs past the gap ``|n - 1| <= _SECULAR_RTOL`` to
+    ``_SECULAR_ROUNDING``.  It ends there, at the first evaluation that does
+    not improve on a best gap within ``_SECULAR_RTOL`` (a stall), where a
+    step no longer moves ``x``, or after ``_MAX_SECULAR_ITERS`` steps.
+    Returns ``(x, value, gap)`` of the evaluation of least gap; ``(x, None,
+    inf)`` for the starting ``x`` where no gap is finite.  Acceptance is the
+    caller's.
+    """
+    best_x, best_value, best_gap = x, None, math.inf
+    for _ in range(_MAX_SECULAR_ITERS):
+        if ev is None:  # x at the pole up to rounding
+            lo, x_new = x, math.nan
+        else:
+            n, value, denominator = ev
+            gap = abs(n - 1.0)
+            if gap < best_gap:
+                best_x, best_value, best_gap = x, value, gap
+                if gap <= _SECULAR_ROUNDING:
+                    break
+            elif best_gap <= _SECULAR_RTOL:
+                break  # stalled: a further step makes no progress
+            if n > 1.0:
+                lo = x
+            else:
+                hi = x
+            q = denominator()
+            x_new = x + (n - 1.0) / q if q > 0.0 else math.nan
+        if not lo < x_new < hi:  # also an inf or NaN step
+            x_new = 0.5 * (lo + hi)
+        if x_new == x:
+            break
+        x, ev = x_new, evaluate(x_new)
+    return best_x, best_value, best_gap
+
+
 def _secular_root(e, gt, delta_hi):
     """Find delta > 0 with ||u(delta)|| = 1 where u_i = -gt_i / (e_i + delta).
 
@@ -210,53 +262,44 @@ def _secular_root(e, gt, delta_hi):
     eigencoordinates of g, both of the unit-ball problem, and ``delta_hi =
     ||g||``.  Solving in the offset delta (instead of mu itself) keeps full
     float resolution next to the pole, where the root of a nearly hard case
-    can sit within 1e-12 of mu_lo.  Newton on the reciprocal secular function
-    ``1/||u|| - 1``, whose step ``(||u|| - 1) / sum_i (u_i/||u||)^2 / (e_i +
-    delta)`` squares only ratios, with a bisection bracket that also replaces
-    a non-finite step.
+    can sit within 1e-12 of mu_lo.  :func:`_secular_newton` iterates, with
+    ``||u||`` and the Newton denominator ``sum_i (u_i/||u||)^2 / (e_i +
+    delta)``, which squares only ratios, evaluated in the eigenbasis, to the
+    rounding gap ``_SECULAR_ROUNDING`` or a stall.
 
     The bracket is ``[0, delta_hi]``, for every case.  The iteration
     evaluates ``||u||`` only inside it, so a zero in ``e`` is no division at
     the pole.  At the upper end ``||u|| <= ||gt|| / ||g||``, which is 1 up to
     rounding; where rounding puts it above 1, ``hi`` is doubled once, to
     ``2 ||g|| + 1``, where ``||u|| < 1/2``.  It runs only where a root
-    exists, that is where the step at ``delta = 0`` does not fit; a root
-    the iteration cannot resolve, pinned against the pole at float
-    resolution, comes back as the best iterate, flagged unresolved, a
-    fallback the caller handles.  The caller ignores numpy's floating-point
-    warnings (see :func:`_solve_in_eigenbasis`).
+    exists, that is where the step at ``delta = 0`` does not fit.  Returns
+    the best iterate and whether its gap is within 1e-9: a root the
+    iteration cannot resolve, pinned against the pole at float resolution,
+    comes back flagged unresolved, a fallback the caller handles.  The
+    caller ignores numpy's floating-point warnings (see
+    :func:`_solve_in_eigenbasis`).
     """
     # exact zeros in gt contribute nothing, even at a pole; else a plain division
     nonzero = True if gt.all() else gt != 0.0
     u = np.zeros(gt.size)  # stays zero where gt is
-    lo, hi = 0.0, delta_hi
-    np.divide(gt, e + hi, out=u, where=nonzero)
-    if _norm(u) > 1.0:
-        hi = 2.0 * hi + 1.0
-    delta = 0.5 * (lo + hi)
-    best_delta, best_gap = delta, math.inf
-    for _ in range(_MAX_SECULAR_ITERS):
+
+    def evaluate(delta):
         t = e + delta
         np.divide(gt, t, out=u, where=nonzero)
         n = _norm(u)
-        gap = abs(n - 1.0)
-        if gap < best_gap:
-            best_delta, best_gap = delta, gap
-        if gap <= _SECULAR_RTOL:
-            return delta, True
-        if n > 1.0:
-            lo = delta
-        else:
-            hi = delta
-        v = u / n
-        delta_new = delta + (n - 1.0) / (v * v / t).sum()  # inf or NaN: bisect
-        if not (lo < delta_new < hi):
-            delta_new = 0.5 * (lo + hi)
-        if delta_new == delta:
-            break
-        delta = float(delta_new)
+
+        def denominator():
+            v = u / n
+            return float((v * v / t).sum())
+        return n, None, denominator
+
+    hi = delta_hi
+    if evaluate(hi)[0] > 1.0:
+        hi = 2.0 * hi + 1.0
+    delta = 0.5 * hi
+    delta, _, gap = _secular_newton(evaluate, 0.0, hi, delta, evaluate(delta))
     # resolved well enough, or stalled at float resolution near the pole
-    return best_delta, best_gap <= 1e-9
+    return delta, gap <= 1e-9
 
 
 def _check_inputs(g, r, L2) -> tuple[float, float]:
@@ -474,72 +517,49 @@ def _tridiagonal_trs(a, b, gamma, mu, mu_min=0.0):
 
     The step at ``mu_min`` when ``T + mu_min I`` is definite (every pivot of
     its ``LDL'`` positive) and the step fits; otherwise the multiplier in
-    ``(mu_min, mu_min + 1 + gamma]`` where ``||u|| = 1``, by Newton on
-    ``1/||u(mu)|| - 1`` over an ``LDL'`` of ``T + mu I`` (More & Sorensen
-    1983), started at ``mu`` (the previous Lanczos step's) and safeguarded by
-    a bisection bracket whose lower end a non-positive pivot raises.  The step
-    at ``mu_min`` is tried first when ``mu`` is ``mu_min``, else only once
-    some larger ``mu`` gives ``||u|| < 1``.  The iteration runs past the gap
-    ``_SECULAR_RTOL`` to ``_SECULAR_ROUNDING``, or until it stalls.  Raises
-    :class:`TrsNumericError` where no multiplier meets ``_SECULAR_RTOL``: the
-    reduced problem is hard, or so nearly hard that the rounding of ``T + mu
-    I``, about ``eps |mu| / (mu + theta_1)`` in ``||u||`` with ``theta_1`` the
-    bottom eigenvalue of ``T``, exceeds that gap: already where the root lies
-    within about 1e-3 ``|mu|`` of the pole ``mu = -theta_1`` (the eigenbasis
-    solve keeps that pole exact).
+    ``(mu_min, mu_min + 1 + gamma]`` where ``||u|| = 1``, found by
+    :func:`_secular_newton` from ``mu`` (the previous Lanczos step's; the
+    bracket's midpoint where ``mu`` lies outside it) with ``||u||`` and the
+    Newton denominator ``||L^{-1} u||_D^2 / ||u||^2`` evaluated on an
+    ``LDL'`` of ``T + mu I``, whose non-positive pivot marks the pole.  As
+    ``||u||`` falls with ``mu``, the step at ``mu_min`` can fit only where
+    the first ``mu`` tried gives ``||u|| <= 1``; it is tried there, unless
+    that ``mu`` is already a root to the gap ``_SECULAR_ROUNDING``.
+    Raises :class:`TrsNumericError` where no multiplier meets
+    ``_SECULAR_RTOL``: the reduced problem is hard, or so nearly hard that
+    the rounding of ``T + mu I``, about ``eps |mu| / (mu + theta_1)`` in
+    ``||u||`` with ``theta_1`` the bottom eigenvalue of ``T``, exceeds that
+    gap: already where the root lies within about 1e-3 ``|mu|`` of the pole
+    ``mu = -theta_1`` (the eigenbasis solve keeps that pole exact).
     """
-    def at_mu_min():
-        ldl = _tridiagonal_ldl(a, b, gamma, mu_min)
-        return ldl[0] if ldl is not None and math.hypot(*ldl[0]) <= 1.0 else None
+    def evaluate(x):
+        ldl = _tridiagonal_ldl(a, b, gamma, x)
+        if ldl is None:
+            return None
+        u, D, low = ldl
+        n = math.hypot(*u)
 
-    untried = mu > mu_min  # the step at mu_min may yet be the solution
-    if not untried:
-        u0 = at_mu_min()
-        if u0 is not None:
-            return u0, mu_min
-    lo, hi = mu_min, 1.0 + gamma + mu_min
-    if not lo < mu < hi:
-        mu = 0.5 * (lo + hi)
-    best_u, best_mu, best_gap = None, mu, math.inf
-    for _ in range(_MAX_SECULAR_ITERS):
-        ldl = _tridiagonal_ldl(a, b, gamma, mu)
-        if ldl is None:  # mu at the pole up to rounding
-            lo = mu
-            mu_new = 0.5 * (lo + hi)
-        else:
-            u, D, low = ldl
-            n = math.hypot(*u)
-            gap = abs(n - 1.0)
-            if gap < best_gap:
-                best_u, best_mu, best_gap = u, mu, gap
-                if gap <= _SECULAR_ROUNDING:
-                    break
-            elif best_gap <= _SECULAR_RTOL:
-                break  # stalled: a further step makes no progress
-            if n > 1.0:
-                lo = mu
-            else:
-                hi = mu
-                if untried:
-                    untried = False
-                    u0 = at_mu_min()
-                    if u0 is not None:
-                        return u0, mu_min
-            # Newton step (n - 1) n^2 / ||L^{-1} u||_D^2, with s = L^{-1} u / n
+        def denominator():  # ||s||_D^2 with s = L^{-1} u / n
             s = u[0] / n
             q = s * s / D[0]
             for ui, li, pi in zip(u[1:], low, D[1:]):
                 s = ui / n - li * s
                 q += s * s / pi
-            mu_new = mu + (n - 1.0) / q if q > 0.0 else math.nan
-            if not lo < mu_new < hi:  # also an inf or NaN step
-                mu_new = 0.5 * (lo + hi)
-        if mu_new == mu:
-            break
-        mu = mu_new
-    if not best_gap <= _SECULAR_RTOL:
+            return q
+        return n, u, denominator
+
+    lo, hi = mu_min, 1.0 + gamma + mu_min
+    if not lo < mu < hi:
+        mu = 0.5 * (lo + hi)
+    ev = evaluate(mu)
+    if ev is not None and 1.0 - ev[0] > _SECULAR_ROUNDING:
+        at_min = evaluate(mu_min)
+        if at_min is not None and at_min[0] <= 1.0:
+            return at_min[1], mu_min
+    mu, u, gap = _secular_newton(evaluate, lo, hi, mu, ev)
+    if not gap <= _SECULAR_RTOL:
         raise TrsNumericError("reduced secular equation unresolved: a hard case")
-    return best_u, best_mu
+    return u, mu
 
 
 @np.errstate(over="ignore", invalid="ignore")

@@ -50,7 +50,7 @@ def test_scalar_quadratic_converges_fast():
     # F(x) = x^2/2, start at 1: with radius sqrt(eps/L2) = 1 the first step is
     # the Newton step to the minimizer, so the dual threshold fires immediately.
     # A quadratic's Hessian is constant, so any L2 > 0 bounds its Lipschitz constant.
-    prob = quadratic_problem(1, 1, anchors=np.zeros((1, 1)))
+    prob = FiniteSumProblem("synthetic_quad", anchors=np.zeros((1, 1)))
     cfg = RunConfig(
         variant="exact_tr", epsilon=1e-4,
         lipschitz=LipschitzBounds(1.0, 1e-4, "user"), x0=np.array([1.0]),
@@ -332,6 +332,86 @@ def test_runs_from_a_strict_saddle_step_along_negative_curvature_and_certify():
                                                                                    abs=1e-5)
 
 
+# A strict saddle of a d = 50 logistic_nc problem (three lowest eigenvalues
+# -0.4707, -0.0675 and 0.0007, a gradient of norm 5.9e-17): _saddle_problem()'s
+# X with the 40 columns t Z appended, Z = default_rng(1).standard_normal((500,
+# 40)) / sqrt(40), continued from _SADDLE padded with zeros by Newton on the
+# gradient (to a norm below 1e-13) over 51 even steps of t from 0 to 1.
+# Stored, since that continuation overflows on its way.
+_SADDLE_50 = np.array([-7.61953380395802, -6.1746166607275565, -0.11312772427517445,
+                       -0.8716800378495275, -9.213055362439983, -0.2688540366970625,
+                       -4.579659658995106, 3.2514041120091566, 4.974857703465339,
+                       5.374353193144619, 0.001204811459002592, -0.0007958788342527114,
+                       -0.0009195876142019663, 0.00038329775614136437, -0.00036671120074018764,
+                       -0.00017600618457287858, -0.001066845703882496, 0.0007525407391238467,
+                       -2.3020604199841312e-05, -0.0024746860694687023, 0.00016675528497662163,
+                       -0.001020032798059714, 0.0005806952257765368, -0.0006786399655123348,
+                       0.0012092519834078358, -0.00011512233503502004, 0.0014935404298334555,
+                       0.00013634846364343872, -0.0012323858784061856, -0.001141942219501648,
+                       0.0005860382429591363, -0.00012938292287014593, -0.0017550290039166732,
+                       -0.0004472835994965514, -0.0006098888150580156, 0.0005452275282527302,
+                       0.000867586109905165, 0.0012756820555784626, -0.0012656722595739112,
+                       0.00010257684691131135, -0.0010906934739161635, 0.00021299886882039697,
+                       0.0006086568824583069, -0.0015051180824499706, 0.0013823307880598944,
+                       0.0006647671010875597, 0.0018616339347342782, -0.001559488243144855,
+                       -0.0025128345972544866, 0.0005375243129656649])
+
+
+def _saddle_problem_50():
+    base = _saddle_problem()
+    Z = np.random.default_rng(1).standard_normal((500, 40)) / math.sqrt(40)
+    return FiniteSumProblem("logistic_nc", X=np.hstack([base.X, Z]), y=base.y,
+                            reg_lambda=0.01, reg_alpha=100.0)
+
+
+def test_runs_from_a_d50_strict_saddle_take_one_eigendecomposition(monkeypatch):
+    # at d = 50 the solves go through the Krylov path; only solve 0, the exact
+    # hard case at the saddle, falls back to the d x d eigendecomposition, and
+    # each run ends certified, lower
+    import strbench.driver as driver_module
+    import strbench.trs as trs_module
+
+    prob = _saddle_problem_50()
+    lip = lipschitz_bounds(prob, mode="sampled")
+    eps = 1e-3
+    g = full_gradient(prob, _SADDLE_50, OracleCounters())
+    w = np.linalg.eigvalsh(full_hessian(prob, _SADDLE_50, OracleCounters()))
+    assert np.linalg.norm(g) <= 1e-16 and w[0] < w[1] < 0 < w[2]
+    assert w[:3] == pytest.approx([-0.4707, -0.0675, 0.0007], abs=1e-4)
+    assert lip.L2 == pytest.approx(1.364, abs=1e-3)
+    report = verify_sosp(prob, _SADDLE_50, eps, lip.L2)
+    assert report.grad_ok and not report.eig_ok
+
+    solve, eigh = driver_module.solve_trs_exact, trs_module._eigh
+    solves, eighs = [], []
+
+    def counting_solve(*args, **kwargs):
+        solves.append(None)
+        return solve(*args, **kwargs)
+
+    def recording_eigh(A):
+        eighs.append((len(solves) - 1, A.shape))
+        return eigh(A)
+
+    monkeypatch.setattr(driver_module, "solve_trs_exact", counting_solve)
+    monkeypatch.setattr(trs_module, "_eigh", recording_eigh)
+    f0 = full_value(prob, _SADDLE_50, OracleCounters())
+    assert f0 == pytest.approx(0.30305, abs=1e-5)
+    for extra, sso in (({"variant": "exact_tr"}, 22_000),
+                       ({"variant": "str1", "mode": "practical", "kappa_hess": 0.05}, 20_284),
+                       ({"variant": "str2", "mode": "practical", "kappa_hess": 0.05}, 42_284)):
+        solves.clear()
+        eighs.clear()
+        result = run(extra["variant"], prob,
+                     RunConfig(epsilon=eps, lipschitz=lip, x0=_SADDLE_50, **extra))
+        assert result.stop_reason == "dual_threshold" and len(result.trace) == 44
+        assert result.report.certified
+        assert result.counters.sso == sso
+        assert eighs == [(0, (50, 50))]
+        assert full_value(prob, result.x_final, OracleCounters()) == pytest.approx(0.29819,
+                                                                                   abs=1e-5)
+
+
 def test_verify_sosp_threshold_consistency(logistic_small):
     eps, L2 = 1e-3, 0.25
     x = np.full(logistic_small.d, 0.1)
@@ -347,7 +427,7 @@ def test_verify_sosp_threshold_consistency(logistic_small):
 def test_certificate_and_trace_measure_a_tiny_gradient():
     # a gradient of 1e-170 squares to 0 at the caller's scale; the scaled norm
     # keeps it, so the certificate fails it against 3 eps = 3e-200
-    prob = quadratic_problem(4, 2, anchors=np.zeros((4, 2)))
+    prob = FiniteSumProblem("synthetic_quad", anchors=np.zeros((4, 2)))
     x = np.array([1e-170, 0.0])
     rep = verify_sosp(prob, x, epsilon=1e-200, L2=1.0)
     assert rep.grad_norm == 1e-170

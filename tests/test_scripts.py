@@ -83,3 +83,15 @@ def test_pairs_runs_two_wide_pairs_against_head():
     # the base's worktree is gone again
     assert subprocess.run(["git", "-C", str(ROOT), "worktree", "list"],
                           capture_output=True, text=True).stdout == worktrees
+
+
+def test_mutation_sweep_runs_one_mutant_in_a_copy():
+    module = ROOT / "src" / "strbench" / "trs.py"
+    before = module.read_bytes()
+    proc = run_script("mutation_sweep.py", "src/strbench/trs.py", "tests/test_trs.py",
+                      "--functions", "_secular_newton", "--count", 1, "--seed", 0)
+    assert proc.returncode == 0, proc.stderr
+    line, summary = proc.stdout.splitlines()
+    assert re.fullmatch(r"src/strbench/trs\.py:\d+ _secular_newton .+: killed", line)
+    assert summary == "1 mutants, 1 killed, 0 survived"
+    assert module.read_bytes() == before  # the mutant lived only in the copy

@@ -357,10 +357,13 @@ def test_exact_matches_reference_solver():
 #
 # The eigen path's secular solve and case logic before the wrapper overhead was
 # cut (one errstate per solve, method reductions, a plain division where g has
-# no zero coordinate), kept test only.  It is verbatim but for ``fits``, which
-# records the one branch whose result changed on purpose, and whether it was
-# the hard case: a step that fits at mu_lo > 0 is now padded as it is, where
-# this copy first dropped g's bottom coordinates.
+# no zero coordinate), kept test only.  It is verbatim but for two changes made
+# on purpose.  ``fits`` records the one branch whose result changed, and whether
+# it was the hard case: a step that fits at mu_lo > 0 is now padded as it is,
+# where this copy first dropped g's bottom coordinates.  And the secular solve
+# has the stop rule of the shared Newton: it runs past the gap _SECULAR_RTOL to
+# _SECULAR_ROUNDING or a stall, where it used to stop at the first gap within
+# _SECULAR_RTOL.
 
 
 @np.errstate(divide="ignore", invalid="ignore", over="ignore")
@@ -383,8 +386,10 @@ def _previous_secular_root(e, gt, delta_hi):
         gap = abs(n - 1.0)
         if gap < best_gap:
             best_delta, best_gap = delta, gap
-        if gap <= trs._SECULAR_RTOL:
-            return delta, True
+            if gap <= trs._SECULAR_ROUNDING:
+                break
+        elif best_gap <= trs._SECULAR_RTOL:
+            break
         if n > 1.0:
             lo = delta
         else:
@@ -1215,6 +1220,71 @@ def test_gershgorin_overflowing_row_sums_decline_without_a_warning(scale):
     assert trs._gershgorin_definite(H / scale, 0.0)
 
 
+def _spy_evaluation(q_scale=1.0, pole=0.0, noise=0.0):
+    """An evaluation for ``trs._secular_newton`` and the list of the points it
+    was called at.  ``||u(x)|| = 2 / (1 + x)``, root x = 1, plus ``noise`` of
+    alternating sign; None at or below ``pole``.  Its Newton denominator is
+    ``q_scale`` times the true one, ``||u|| / 2``, whose step lands on the
+    root; below 1 every step overshoots."""
+    calls = []
+
+    def evaluate(x):
+        calls.append(x)
+        if x <= pole:
+            return None
+        n = 2.0 / (1.0 + x) + noise * (-1.0) ** len(calls)
+        return n, ("value at", x), lambda: q_scale * n / 2.0
+    return evaluate, calls
+
+
+@pytest.mark.parametrize("q_scale", [0.1, 0.0])
+def test_secular_newton_bisects_a_step_that_leaves_the_bracket(q_scale):
+    # a tenth of the denominator sends each Newton step ten times too far, out
+    # of the bracket, and a zero one gives no step: only bisection finds the root
+    evaluate, calls = _spy_evaluation(q_scale=q_scale)
+    x, value, gap = trs._secular_newton(evaluate, 0.0, 3.0, 2.5, evaluate(2.5))
+    assert all(0.0 < c < 3.0 for c in calls)
+    assert len(calls) < trs._MAX_SECULAR_ITERS
+    assert abs(x - 1.0) <= 1e-12 and gap <= trs._SECULAR_RTOL
+    assert value == ("value at", x)
+
+
+def test_secular_newton_raises_the_bracket_past_a_pole():
+    # the step from a pole is a bisection of the bracket above it
+    evaluate, calls = _spy_evaluation(pole=0.5)
+    x, _, gap = trs._secular_newton(evaluate, 0.0, 3.0, 0.25, evaluate(0.25))
+    assert calls[:2] == [0.25, 0.5 * (0.25 + 3.0)]
+    assert all(c > 0.5 for c in calls[2:])
+    assert abs(x - 1.0) <= 4e-15 and gap <= trs._SECULAR_ROUNDING
+
+
+def test_secular_newton_stops_on_a_stall_inside_the_tolerance():
+    # a noise floor of 3e-14 in ||u||: no gap reaches _SECULAR_ROUNDING, so the
+    # iteration ends at the first evaluation that does not improve on a gap
+    # within _SECULAR_RTOL, a step or two after Newton lands on the root
+    evaluate, calls = _spy_evaluation(noise=3e-14)
+    x, _, gap = trs._secular_newton(evaluate, 0.0, 3.0, 2.5, evaluate(2.5))
+    assert trs._SECULAR_ROUNDING < gap <= trs._SECULAR_RTOL
+    assert abs(x - 1.0) <= 1e-12
+    assert len(calls) <= 4
+
+
+def test_secular_root_widens_a_bracket_that_rounding_leaves_short():
+    # ||u(delta_hi)|| = 0.5 / delta_hi lies an ulp above 1, as where rounding puts
+    # ||gt|| above ||g||: the bracket [0, delta_hi] misses the root delta = 0.5,
+    # [0, 2 delta_hi + 1] holds it
+    delta_hi = np.nextafter(0.5, 0.0)
+    delta, resolved = trs._secular_root(np.array([0.0, 1.0]), np.array([0.5, 0.0]), delta_hi)
+    assert resolved and delta == 0.5
+
+
+def test_secular_newton_keeps_the_start_where_no_gap_is_finite():
+    # a NaN norm is no gap: each step bisects, and the start comes back
+    evaluate, calls = _spy_evaluation(noise=math.nan)
+    assert trs._secular_newton(evaluate, 0.0, 3.0, 2.5, evaluate(2.5)) == (2.5, None, math.inf)
+    assert all(0.0 < c < 3.0 for c in calls)
+
+
 def _tridiagonal(a, b):
     return np.diag(a) + np.diag(b, 1) + np.diag(b, -1)
 
@@ -1237,11 +1307,9 @@ def _lanczos_tridiagonal(rng, w):
     return a, b
 
 
-@pytest.mark.parametrize("seed", range(10))
-@pytest.mark.parametrize("case", ["indefinite", "definite", "interior"])
-def test_tridiagonal_trs_matches_the_eigenbasis_solve(seed, case):
-    # warm-started at the solution, at 0 and far above it, the O(m) Newton
-    # lands where the eigenbasis solve of the same unit problem does
+def _unit_tridiagonal_problem(seed, case):
+    """``(a, b, gamma)`` of a reduced unit-ball problem, scaled as the Krylov
+    path scales it, and the eigenbasis solve of the same problem."""
     rng = np.random.default_rng(seed)
     m = int(rng.integers(1, 30))
     w = rng.uniform(-1.0, 1.0, m) if case == "indefinite" else rng.uniform(0.5, 2.0, m)
@@ -1254,11 +1322,34 @@ def test_tridiagonal_trs_matches_the_eigenbasis_solve(seed, case):
     gt[0] = gamma
     ref = trs._solve_in_eigenbasis(gt, theta, U, 1.0, 1.0)
     assert (ref.mu == 0.0) == (case == "interior")
+    return list(a), list(b), gamma, ref
+
+
+@pytest.mark.parametrize("seed", range(10))
+@pytest.mark.parametrize("case", ["indefinite", "definite", "interior"])
+def test_tridiagonal_trs_matches_the_eigenbasis_solve(seed, case):
+    # warm-started at the solution, at 0 and far above it, the O(m) Newton
+    # lands where the eigenbasis solve of the same unit problem does
+    a, b, gamma, ref = _unit_tridiagonal_problem(seed, case)
     for mu0 in (ref.mu, 0.0, 10.0):
-        u, mu = trs._tridiagonal_trs(list(a), list(b), gamma, mu0)
+        u, mu = trs._tridiagonal_trs(a, b, gamma, mu0)
         assert np.linalg.norm(np.array(u) - ref.h) <= 1e-13
         assert abs(mu - ref.mu) <= 1e-13 * max(1.0, ref.mu)
         assert (mu == 0.0) == (case == "interior")
+
+
+@pytest.mark.parametrize("case", ["indefinite", "definite", "interior"])
+def test_tridiagonal_trs_newton_takes_few_factorizations(monkeypatch, case):
+    # Newton with its true denominator: one LDL' where the warm start is the
+    # root (two in the interior case: the bracket's midpoint, then mu_min),
+    # at most 7 from a cold start; bisection alone would take about 50
+    factorizations = _counted(monkeypatch, trs, "_tridiagonal_ldl")
+    for seed in range(10):
+        a, b, gamma, ref = _unit_tridiagonal_problem(seed, case)
+        for mu0, most in ((ref.mu, 2 if case == "interior" else 1), (0.0, 7), (10.0, 7)):
+            factorizations.clear()
+            trs._tridiagonal_trs(a, b, gamma, mu0)
+            assert len(factorizations) <= most
 
 
 def test_tridiagonal_trs_refuses_a_hard_case():
